@@ -24,7 +24,7 @@ from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
                    build_mode_operator, codespace_projector)
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
                    derive_gate_params, ideal_unitary, wrap_angle)
-from .lindblad import NoiseModel, liouvillian, propagate
+from .lindblad import NoiseModel, gate_superoperator, liouvillian, propagate
 
 __all__ = [
     "SweepResult",
@@ -148,15 +148,6 @@ def _pair_hamiltonian(register: ModeRegister, g: float, detuning: float,
     return OperatorMatrix(register, coupling + detuning * n_c.data)
 
 
-def _restrict_to(noise: NoiseModel, register: ModeRegister) -> NoiseModel:
-    """Drop noise channels on modes the register does not contain."""
-    labels = set(register.labels)
-    return NoiseModel(
-        loss={m: r for m, r in noise.loss.items() if m in labels},
-        dephasing={m: r for m, r in noise.dephasing.items() if m in labels},
-        heating={m: r for m, r in noise.heating.items() if m in labels})
-
-
 def chevron_scan(p: SystemParams, detunings: Sequence[float],
                  durations: Sequence[float], *,
                  noise: NoiseModel | None = None) -> SweepResult:
@@ -168,6 +159,7 @@ def chevron_scan(p: SystemParams, detunings: Sequence[float],
     (a2, c) master equation is integrated.
     """
     register = _swap_pair_register()
+    modes = set(register.labels)
     detunings = np.asarray(detunings, dtype=float)
     durations = np.asarray(durations, dtype=float)
     psi0 = register.basis_state({"a2": 1, "c": 0})
@@ -182,7 +174,7 @@ def chevron_scan(p: SystemParams, detunings: Sequence[float],
                 psi = vecs @ (np.exp(-1j * evals * t) * coeffs)
                 values[i, j] = float(np.real(psi.conj() @ n_a2 @ psi))
         else:
-            gen = liouvillian(h, _restrict_to(noise, register))
+            gen = liouvillian(h, noise.restricted(loss_modes=modes, dephasing_modes=modes))
             rho0 = np.outer(psi0, psi0.conj())
             for j, t in enumerate(durations):
                 rho = expm(gen * t) @ rho0.reshape(-1, order="F")
@@ -209,6 +201,7 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
         raise ValueError(f"n_repeats must be a positive odd integer, "
                          f"got {n_repeats}")
     register = _swap_pair_register()
+    modes = set(register.labels)
     durations = np.asarray(durations, dtype=float)
     psi0 = register.basis_state({"a2": 1, "c": 0})
     n_a2 = build_mode_operator(register, "a2", "number").data
@@ -220,7 +213,8 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
             psi = u @ psi0
             values[j] = float(np.real(psi.conj() @ n_a2 @ psi))
         else:
-            step = expm(liouvillian(h, _restrict_to(noise, register)) * t)
+            pair_noise = noise.restricted(loss_modes=modes, dephasing_modes=modes)
+            step = expm(liouvillian(h, pair_noise) * t)
             v = np.linalg.matrix_power(step, n_repeats) @ np.outer(
                 psi0, psi0.conj()).reshape(-1, order="F")
             rho = v.reshape(register.dim, register.dim, order="F")
@@ -299,10 +293,10 @@ def _ramsey_phase(p: SystemParams, register: ModeRegister,
     for a in (i_lo, i_hi):
         for b in (i_lo, i_hi):
             rho[a, b] = 0.5
-    state = DensityMatrix(register, rho, validate=False)
+    gate = gate_superoperator(schedule, noise)
     for _ in range(n_repeats):
-        state = propagate(schedule, noise, state).state
-    return float(np.angle(state.data[i_hi, i_lo]))
+        rho = gate.apply(rho)
+    return float(np.angle(rho[i_hi, i_lo]))
 
 
 def entangling_fringe_phase(p: SystemParams, t_wait: float | None,

@@ -21,7 +21,7 @@ from .error_channels import ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
                    extract_local_frame, ideal_unitary, codespace_block)
-from .lindblad import NoiseModel, propagate
+from .lindblad import NoiseModel, gate_superoperator
 
 __all__ = [
     "SETTINGS",
@@ -187,16 +187,14 @@ def bell_circuit_record(n_gates: int = 1, *,
     echo_u = (dual_rail_rotation(register, CONTROL_CODE, "x", math.pi).data
               @ dual_rail_rotation(register, TARGET_CODE, "x", math.pi).data)
 
-    rho = DensityMatrix.basis_state(register, {CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1})
-    rho = DensityMatrix(register, prep_t @ prep_c @ rho.data @ prep_c.conj().T @ prep_t.conj().T,
-                        validate=False)
+    rho = DensityMatrix.basis_state(register, {CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1}).data
+    rho = prep_t @ prep_c @ rho @ prep_c.conj().T @ prep_t.conj().T
     echo_after = (n_gates - 1) // 2 if (echo and n_gates >= 3 and n_gates % 2 == 1) else None
+    gate = gate_superoperator(schedule, noise)
     for k in range(n_gates):
-        rho = propagate(schedule, noise, rho).state
-        corrected = wrong_t @ wrong_c @ rho.data @ wrong_c.conj().T @ wrong_t.conj().T
-        rho = DensityMatrix(register, corrected, validate=False)
+        rho = wrong_t @ wrong_c @ gate.apply(rho) @ wrong_c.conj().T @ wrong_t.conj().T
         if echo_after is not None and k + 1 == echo_after:
-            rho = DensityMatrix(register, echo_u @ rho.data @ echo_u.conj().T, validate=False)
+            rho = echo_u @ rho @ echo_u.conj().T
 
     proj_c = _outcome_projectors(register, CONTROL_CODE)
     proj_t = _outcome_projectors(register, TARGET_CODE)
@@ -211,7 +209,7 @@ def bell_circuit_record(n_gates: int = 1, *,
             ut = (dual_rail_rotation(register, TARGET_CODE, *spec_t).data
                   if spec_t else np.eye(register.dim))
             u = ut @ uc
-            rotated = u @ rho.data @ u.conj().T
+            rotated = u @ rho @ u.conj().T
             true_probs = np.zeros((3, 3))
             for i, oc in enumerate(OUTCOMES):
                 for j, ot in enumerate(OUTCOMES):
