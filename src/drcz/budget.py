@@ -25,9 +25,9 @@ import numpy as np
 from .channels import QuantumChannel
 from .config import DeviceConfig
 from .fock import ModeRegister
-from .gate import (CONTROL_CODE, TARGET_CODE, GateSchedule, SystemParams,
-                   build_schedule, codespace_basis_indices, codespace_block,
-                   ideal_unitary)
+from .gate import (OCCUPANCY_CLASSES, GateSchedule, SystemParams, build_schedule,
+                   codespace_basis_indices, codespace_block, ideal_unitary,
+                   occupancy_classes)
 from .lindblad import NoiseModel, gate_superoperator
 from .tomography import chi_error
 
@@ -107,39 +107,11 @@ def _gate_outputs(schedule: GateSchedule, noise: NoiseModel,
     return outs
 
 
-def _population_classes(register: ModeRegister, rho: np.ndarray) -> dict[str, float]:
-    """Split the state's diagonal weight into the occupancy classes."""
-    labels = list(register.labels)
-    i_a1, i_a2 = labels.index("a1"), labels.index("a2")
-    i_b1, i_b2 = labels.index("b1"), labels.index("b2")
-    i_c = labels.index("c")
-    pops = {"codespace": 0.0, "control_loss": 0.0, "target_loss": 0.0,
-            "double_loss": 0.0, "stuck_in_coupler": 0.0,
-            "lone_coupler_excitation": 0.0}
-    for k, weight in enumerate(np.real(np.diag(rho))):
-        occ = register.occupations(k)
-        target = TARGET_CODE.classify(occ[i_b1], occ[i_b2])
-        if occ[i_c] >= 1:
-            key = "stuck_in_coupler" if target != "erasure" else "lone_coupler_excitation"
-        else:
-            control = CONTROL_CODE.classify(occ[i_a1], occ[i_a2])
-            if control != "erasure" and target != "erasure":
-                key = "codespace"
-            elif control == "erasure" and target == "erasure":
-                key = "double_loss"
-            elif control == "erasure":
-                key = "control_loss"
-            else:
-                key = "target_loss"
-        pops[key] += float(weight)
-    return pops
-
-
 def compute_error_budget(config: DeviceConfig | SystemParams, *,
                          ensemble: Sequence[float] | None = None,
                          truncation: int = 2,
                          include_static_crosskerr: bool = False) -> ErrorBudget:
-    """Propagate one gate through the master equation and classify the output.
+    """Propagate one gate through the master equation and partition the output.
 
     ``ensemble`` weights the four codespace basis inputs for the occupancy
     classes (uniform by default); the Z split always uses the full
@@ -172,7 +144,10 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
     outs = _gate_outputs(schedule, noise, units)
 
     rho_mix = sum(w * outs[5 * k] for k, w in enumerate(weights))
-    pops = _population_classes(register, rho_mix)
+    # bincount adds in basis-index order, so the class sums are reproducible
+    pops = dict(zip(OCCUPANCY_CLASSES, np.bincount(
+        occupancy_classes(register), weights=np.real(np.diag(rho_mix)),
+        minlength=len(OCCUPANCY_CLASSES))))
     code_mass = pops.pop("codespace")
 
     s4 = np.zeros((16, 16), dtype=complex)

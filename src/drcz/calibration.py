@@ -22,8 +22,9 @@ from scipy.linalg import expm
 
 from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
                    build_mode_operator, codespace_projector)
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
-                   derive_gate_params, ideal_unitary, wrap_angle)
+from .gate import (CONTROL_CODE, OCCUPANCY_CLASSES, TARGET_CODE, SystemParams,
+                   build_schedule, derive_gate_params, ideal_unitary,
+                   occupancy_classes, wrap_angle)
 from .lindblad import NoiseModel, gate_superoperator, liouvillian, propagate
 
 __all__ = [
@@ -407,22 +408,14 @@ def excitation_bookkeeping(state: DensityMatrix) -> dict[str, float]:
     one photon missing or doubled (photon_loss).  The buckets sum to the
     trace, so 1 - codespace = coupler_residual + photon_loss.
     """
-    register = state.register
-    pops = np.real(np.diag(state.data))
-    idx = {label: register.index(label) for label in register.labels}
-    out = {"codespace": 0.0, "coupler_residual": 0.0, "photon_loss": 0.0}
-    for i, pop in enumerate(pops):
-        occ = register.occupations(i)
-        if occ[idx["c"]] > 0:
-            out["coupler_residual"] += float(pop)
-            continue
-        control = CONTROL_CODE.classify(occ[idx["a1"]], occ[idx["a2"]])
-        target = TARGET_CODE.classify(occ[idx["b1"]], occ[idx["b2"]])
-        if control != "erasure" and target != "erasure":
-            out["codespace"] += float(pop)
-        else:
-            out["photon_loss"] += float(pop)
-    return out
+    buckets = ("codespace", "coupler_residual", "photon_loss")
+    # bucket of each occupancy class; the three loss classes are photon_loss
+    to_bucket = np.array([{"codespace": 0, "stuck_in_coupler": 1,
+                           "lone_coupler_excitation": 1}.get(c, 2)
+                          for c in OCCUPANCY_CLASSES])
+    coarse = to_bucket[occupancy_classes(state.register)]
+    sums = np.bincount(coarse, weights=np.real(np.diag(state.data)), minlength=3)
+    return {name: float(v) for name, v in zip(buckets, sums)}
 
 
 @dataclass(frozen=True)

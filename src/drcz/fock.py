@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 TRACE_TOL = 1e-12
+# DualRailCode.outcomes label of a pattern that is neither logical state
+ERASURE = 2
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,13 @@ class ModeRegister:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.basis_index(occupations)] = 1.0
         return vec
+
+    @cached_property
+    def occupation_table(self) -> np.ndarray:
+        """Read-only (dim, n_modes) array whose row k is occupations(k)."""
+        table = np.indices(self.dims).reshape(len(self.dims), -1).T.copy()
+        table.flags.writeable = False
+        return table
 
     def occupations(self, flat_index: int) -> tuple[int, ...]:
         """Inverse of basis_index."""
@@ -191,8 +201,7 @@ def truncated_commutator_defect(register: ModeRegister, label: str) -> float:
     comm = (a @ a.dag() - a.dag() @ a).data
     d = register.mode_dim(label)
     # projector onto occupations below the edge of this mode
-    keep = np.array([register.occupations(i)[register.index(label)] < d - 1
-                     for i in range(register.dim)])
+    keep = register.occupation_table[:, register.index(label)] < d - 1
     block = comm[np.ix_(keep, keep)] - np.eye(int(keep.sum()))
     return float(np.max(np.abs(block)))
 
@@ -287,13 +296,15 @@ class DualRailCode:
             raise ValueError("logical bit must be 0 or 1")
         return {self.rail0: 1 - bit, self.rail1: bit}
 
-    def classify(self, n_rail0: int, n_rail1: int) -> str:
-        """Map a photon pattern to '0', '1', or 'erasure'."""
-        if (n_rail0, n_rail1) == (1, 0):
-            return "0"
-        if (n_rail0, n_rail1) == (0, 1):
-            return "1"
-        return "erasure"
+    def outcomes(self, register: ModeRegister) -> np.ndarray:
+        """Readout of every basis state: 0 for the photon pattern (1, 0) on
+        (rail0, rail1), 1 for (0, 1), ERASURE for any other pattern."""
+        occ = register.occupation_table
+        n0, n1 = occ[:, register.index(self.rail0)], occ[:, register.index(self.rail1)]
+        out = np.full(register.dim, ERASURE)
+        out[(n0 == 1) & (n1 == 0)] = 0
+        out[(n0 == 0) & (n1 == 1)] = 1
+        return out
 
 
 def codespace_projector(register: ModeRegister, codes: Sequence[DualRailCode],
@@ -311,13 +322,9 @@ def codespace_projector(register: ModeRegister, codes: Sequence[DualRailCode],
     if coupler_label is not None and coupler_label in used:
         raise ValueError("coupler mode cannot belong to a dual-rail code")
 
-    diag = np.ones(register.dim, dtype=complex)
-    for i in range(register.dim):
-        occ = register.occupations(i)
-        for code in codes:
-            pattern = (occ[register.index(code.rail0)], occ[register.index(code.rail1)])
-            if pattern not in ((1, 0), (0, 1)):
-                diag[i] = 0.0
-        if coupler_label is not None and occ[register.index(coupler_label)] != 0:
-            diag[i] = 0.0
-    return OperatorMatrix(register, np.diag(diag))
+    keep = np.ones(register.dim, dtype=bool)
+    for code in codes:
+        keep &= code.outcomes(register) != ERASURE
+    if coupler_label is not None:
+        keep &= register.occupation_table[:, register.index(coupler_label)] == 0
+    return OperatorMatrix(register, np.diag(keep.astype(complex)))

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
+from .fock import ERASURE, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 
 __all__ = [
     "SystemParams",
@@ -31,6 +31,8 @@ __all__ = [
     "CONTROL_CODE",
     "TARGET_CODE",
     "COUPLER",
+    "OCCUPANCY_CLASSES",
+    "occupancy_classes",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +40,24 @@ TWO_PI = 2.0 * math.pi
 CONTROL_CODE = DualRailCode("a1", "a2")
 TARGET_CODE = DualRailCode("b1", "b2")
 COUPLER = "c"
+
+# photon-occupancy classes of a two-qubit basis state, by occupancy_classes label
+OCCUPANCY_CLASSES = ("codespace", "control_loss", "target_loss", "double_loss",
+                     "stuck_in_coupler", "lone_coupler_excitation")
+
+
+def occupancy_classes(register: ModeRegister) -> np.ndarray:
+    """Index into OCCUPANCY_CLASSES of every basis state of the register.
+
+    A coupler holding any photon is stuck_in_coupler while the target reads
+    0 or 1 and lone_coupler_excitation otherwise.  With the coupler empty
+    the state is codespace, control_loss, target_loss or double_loss by
+    which of the two dual-rail qubits reads erasure.
+    """
+    control_erased = CONTROL_CODE.outcomes(register) == ERASURE
+    target_erased = TARGET_CODE.outcomes(register) == ERASURE
+    coupler = register.occupation_table[:, register.index(COUPLER)] > 0
+    return np.where(coupler, 4 + target_erased, control_erased + 2 * target_erased)
 
 
 def wrap_angle(theta: float) -> float:

@@ -23,7 +23,8 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import DensityMatrix, ModeRegister, OperatorMatrix, build_mode_operator
+from .fock import (HERMITICITY_TOL, DensityMatrix, ModeRegister, OperatorMatrix,
+                   build_mode_operator)
 from .gate import GateSchedule, SystemParams
 
 __all__ = [
@@ -151,7 +152,7 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
     """Whole-gate map: ordered product of the segment exponentials of the
     Liouvillian restricted to the sector of at most SECTOR_PHOTONS."""
     register = schedule.register
-    photons = np.indices(register.dims).reshape(len(register.dims), -1).sum(axis=0)
+    photons = register.occupation_table.sum(axis=1)
     sector = np.flatnonzero(photons <= SECTOR_PHOTONS)
     block = np.ix_(sector, sector)
     leaving = np.ix_(np.flatnonzero(photons > SECTOR_PHOTONS), sector)
@@ -166,11 +167,16 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
 
 def propagate(schedule: GateSchedule, noise: NoiseModel, rho0: DensityMatrix,
               partition: Mapping[str, OperatorMatrix] | None = None) -> PropagationResult:
-    """One gate applied to rho0 through gate_superoperator's map."""
+    """One gate applied to rho0 through gate_superoperator's map; raises if
+    the output's asymmetry, such as a non-Hermitian input leaves, exceeds
+    HERMITICITY_TOL."""
     if rho0.register != schedule.register:
         raise ValueError("input state register does not match the schedule")
     rho = gate_superoperator(schedule, noise).apply(rho0.data)
-    rho = (rho + rho.conj().T) / 2  # strip numerical asymmetry from expm
+    asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError(f"gate output not Hermitian: max asymmetry {asymmetry:.3e}")
+    rho = (rho + rho.conj().T) / 2  # strip the round-off asymmetry measured above
     state = DensityMatrix(schedule.register, rho, validate=False)
 
     probs: dict[str, float] = {}

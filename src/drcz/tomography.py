@@ -100,13 +100,8 @@ def dual_rail_phase(register: ModeRegister, code: DualRailCode,
 
 def _outcome_projectors(register: ModeRegister, code: DualRailCode) -> dict[str, np.ndarray]:
     """Diagonal projectors for outcomes {0, 1, erasure} of one dual-rail qubit."""
-    diags = {o: np.zeros(register.dim) for o in OUTCOMES}
-    i0, i1 = register.index(code.rail0), register.index(code.rail1)
-    for i in range(register.dim):
-        occ = register.occupations(i)
-        key = code.classify(occ[i0], occ[i1])
-        diags["erasure" if key == "erasure" else key][i] = 1.0
-    return {o: np.diag(d.astype(complex)) for o, d in diags.items()}
+    outcome = code.outcomes(register)
+    return {o: np.diag((outcome == k).astype(complex)) for k, o in enumerate(OUTCOMES)}
 
 
 @dataclass
@@ -418,16 +413,12 @@ def simulated_leak_process(params: SystemParams | None = None,
         return before, after
 
     if control_prep == "erased":
-        u = np.eye(register.dim, dtype=complex)
-        for h, d in hams:
-            u = expm(-1j * h * d) @ u
+        u = ideal_unitary(schedule).data
         k = np.zeros((2, 2), dtype=complex)
-        out_erased = {"0": register.basis_index((0, 0, 0, 1, 0)),
-                      "1": register.basis_index((0, 0, 0, 0, 1))}
         for j, bit_in in enumerate(("0", "1")):
             col = u @ kets[bit_in]
             for i, bit_out in enumerate(("0", "1")):
-                k[i, j] = col[out_erased[bit_out]]
+                k[i, j] = col[out_rows[bit_out]]
         return QuantumChannel(2, kraus=[k], validate=False)
 
     jump_specs = []

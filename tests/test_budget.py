@@ -3,10 +3,11 @@ import dataclasses
 
 import pytest
 
-from drcz import SystemParams
+from drcz import ModeRegister, SystemParams
 from drcz.budget import (CoherenceLimits, ErrorBudget, compute_error_budget,
                          fundamental_limits)
 from drcz.config import DeviceConfig
+from drcz.gate import OCCUPANCY_CLASSES, occupancy_classes
 
 # Frozen budget of the measured device (listed t1 order, split dephasing).
 FROZEN = {
@@ -103,6 +104,33 @@ def test_coupler_residuals_shrink_with_faster_swaps(budget):
     assert stuck_ratio > 1.8
     # the idle-rail dominated control loss barely moves
     assert budget.control_loss / fast.control_loss == pytest.approx(1.0, abs=0.1)
+
+
+def _occupancy_class_oracle(occ):
+    """The budget's per-state occupancy rule, written out on one state."""
+    a1, a2, c, b1, b2 = occ
+    control_ok = (a1, a2) in ((1, 0), (0, 1))
+    target_ok = (b1, b2) in ((1, 0), (0, 1))
+    if c >= 1:
+        return "stuck_in_coupler" if target_ok else "lone_coupler_excitation"
+    if control_ok and target_ok:
+        return "codespace"
+    if not control_ok and not target_ok:
+        return "double_loss"
+    return "target_loss" if control_ok else "control_loss"
+
+
+def test_occupancy_classes_match_the_per_state_rule():
+    reg = ModeRegister.standard(3)
+    labels = occupancy_classes(reg)
+    assert labels.shape == (reg.dim,)
+    # one label per basis state, and every one of the six classes occurs
+    assert set(labels.tolist()) == set(range(len(OCCUPANCY_CLASSES)))
+    for k in range(reg.dim):
+        assert OCCUPANCY_CLASSES[labels[k]] == _occupancy_class_oracle(reg.occupations(k))
+    two_in_coupler = reg.basis_index({"a1": 1, "c": 2, "b2": 1})
+    assert OCCUPANCY_CLASSES[labels[two_in_coupler]] == "stuck_in_coupler"
+    assert OCCUPANCY_CLASSES[labels[reg.basis_index({"c": 2})]] == "lone_coupler_excitation"
 
 
 def test_fundamental_limit_scalings():

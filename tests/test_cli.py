@@ -6,6 +6,7 @@ import pytest
 
 from drcz.cli import EXPERIMENTS, _circuit_bell_reference, main, run_experiment
 from drcz.config import DeviceConfig
+from drcz.gate import derive_gate_params
 from drcz.tomography import setting_unitary
 
 EXPECTED_NAMES = {
@@ -112,6 +113,43 @@ def test_error_budget_report(tmp_path):
     assert measured["target_z"] == cfg.cz_z_target
     # simulated and measured rates are reported side by side, not reconciled
     assert "agreement is not forced" in doc["note"]
+
+
+def _assert_three_reports(paths, name):
+    assert [p.name for p in paths] == [f"{name}.csv", f"{name}.json", f"{name}.txt"]
+    assert all(p.stat().st_size > 0 for p in paths)
+
+
+def test_bell_tomography_report(tmp_path):
+    paths = run_experiment("bell-tomography", DeviceConfig.default(), tmp_path)
+    _assert_three_reports(paths, "bell-tomography")
+    totals = {}
+    for line in (tmp_path / "bell-tomography.csv").read_text().splitlines()[1:]:
+        sc, st, _, _, prob = line.split(",")
+        totals[(sc, st)] = totals.get((sc, st), 0.0) + float(prob)
+    assert len(totals) == 36
+    for pair, total in totals.items():
+        assert total == pytest.approx(1.0, abs=1e-9), pair
+
+
+def test_repeated_cz_report(tmp_path):
+    paths = run_experiment("repeated-cz", DeviceConfig.default(), tmp_path)
+    _assert_three_reports(paths, "repeated-cz")
+    doc = _load(tmp_path, "repeated-cz")
+    kept = doc["kept_fraction"]
+    assert len(kept) == len(doc["n_gates"])
+    assert all(later < earlier for earlier, later in zip(kept, kept[1:]))
+    assert doc["erasure_per_gate_from_kept"] > 0.0
+
+
+def test_calibration_report(tmp_path):
+    cfg = DeviceConfig.default()
+    paths = run_experiment("calibration", cfg, tmp_path)
+    _assert_three_reports(paths, "calibration")
+    doc = _load(tmp_path, "calibration")
+    t_swap, t_wait, _ = derive_gate_params(cfg.system_params())
+    assert abs(doc["swap_duration_us"] - t_swap) <= doc["swap_duration_step"]
+    assert abs(doc["wait_duration_us"] - t_wait) <= doc["wait_duration_step"]
 
 
 def test_circuit_bell_reference():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drcz.fock import (
+    ERASURE,
     DensityMatrix,
     DualRailCode,
     ModeRegister,
@@ -48,6 +49,21 @@ def test_basis_index_validation():
         reg.basis_index((0, 0))
     with pytest.raises(KeyError, match="unknown mode label"):
         reg.index("q7")
+
+
+@pytest.mark.parametrize("register", [
+    ModeRegister.standard(2),
+    ModeRegister.standard(3),
+    ModeRegister.from_dims(("p", "q", "r"), (2, 3, 4)),
+], ids=["standard2", "standard3", "dims234"])
+def test_occupation_table_matches_occupations(register):
+    table = register.occupation_table
+    assert table.shape == (register.dim, len(register.modes))
+    np.testing.assert_array_equal(
+        table, [register.occupations(k) for k in range(register.dim)])
+    assert register.occupation_table is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
 
 
 def test_occupations_inverts_basis_index_exhaustively():
@@ -165,11 +181,18 @@ def test_partial_trace_of_entangled_pair():
 
 
 def test_dual_rail_classify():
+    # truncation 3 so the doubled patterns (2, 0) and (0, 2) exist
+    reg = ModeRegister.standard(3)
     code = DualRailCode("b1", "b2")
-    assert code.classify(1, 0) == "0"
-    assert code.classify(0, 1) == "1"
-    for pattern in ((0, 0), (1, 1), (2, 0), (0, 2)):
-        assert code.classify(*pattern) == "erasure"
+    outcomes = code.outcomes(reg)
+    assert outcomes.shape == (reg.dim,)
+    expected = {(1, 0): 0, (0, 1): 1}
+    for n0 in range(3):
+        for n1 in range(3):
+            # the other modes do not change the readout
+            states = [reg.basis_index({"a1": a1, "c": c, "b1": n0, "b2": n1})
+                      for a1 in range(3) for c in range(3)]
+            assert set(outcomes[states]) == {expected.get((n0, n1), ERASURE)}
     assert code.logical_occupations(0) == {"b1": 1, "b2": 0}
     assert code.logical_occupations(1) == {"b1": 0, "b2": 1}
     with pytest.raises(ValueError, match="logical bit"):

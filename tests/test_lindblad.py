@@ -116,6 +116,17 @@ def test_propagate_register_mismatch_raises(table_params, register2):
         propagate(schedule, NoiseModel.none(), other)
 
 
+def test_propagate_rejects_a_non_hermitian_input(table_params, register2):
+    schedule = build_schedule(table_params, register2)
+    i, j = codespace_basis_indices(register2)[:2]
+    data = np.zeros((register2.dim, register2.dim), dtype=complex)
+    data[i, i] = data[j, j] = 0.5
+    data[i, j] = 0.5  # no matching conjugate entry at (j, i)
+    rho0 = DensityMatrix(register2, data, validate=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        propagate(schedule, NoiseModel.from_params(table_params), rho0)
+
+
 def test_propagate_partition_probabilities(table_params, register2):
     schedule = build_schedule(table_params, register2)
     noise = NoiseModel.from_params(table_params)
