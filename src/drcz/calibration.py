@@ -25,7 +25,7 @@ from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
 from .gate import (CONTROL_CODE, OCCUPANCY_CLASSES, TARGET_CODE, SystemParams,
                    build_schedule, derive_gate_params, ideal_unitary,
                    occupancy_classes, wrap_angle)
-from .lindblad import NoiseModel, gate_superoperator, liouvillian, propagate
+from .lindblad import GateMap, NoiseModel, gate_superoperator, liouvillian, propagate
 
 __all__ = [
     "SweepResult",
@@ -269,11 +269,21 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
                        axis_name="swapback_pump_phase_rad", fixed=fixed)
 
 
-def _ramsey_phase(p: SystemParams, register: ModeRegister,
-                  code: DualRailCode, spectator_occ: Mapping[str, int],
-                  n_repeats: int, *, include_static_crosskerr: bool = False,
-                  t_wait: float | None = None,
-                  noise: NoiseModel | None = None) -> float:
+def _gate_propagator(p: SystemParams, register: ModeRegister, *,
+                     include_static_crosskerr: bool = False,
+                     t_wait: float | None = None,
+                     noise: NoiseModel | None = None) -> np.ndarray | GateMap:
+    """One gate at these settings: its unitary, or its map when noisy."""
+    schedule = build_schedule(p, register, t_wait=t_wait,
+                              include_static_crosskerr=include_static_crosskerr)
+    if noise is None or noise.is_trivial:
+        return ideal_unitary(schedule).data
+    return gate_superoperator(schedule, noise)
+
+
+def _ramsey_phase(register: ModeRegister, code: DualRailCode,
+                  spectator_occ: Mapping[str, int], n_repeats: int,
+                  gate: np.ndarray | GateMap) -> float:
     """Coherence phase of one dual-rail qubit in |+> after n gates."""
     lo = {label: 0 for label in register.labels}
     lo.update(spectator_occ)
@@ -281,20 +291,16 @@ def _ramsey_phase(p: SystemParams, register: ModeRegister,
     lo.update(code.logical_occupations(0))
     hi.update(code.logical_occupations(1))
     i_lo, i_hi = register.basis_index(lo), register.basis_index(hi)
-    schedule = build_schedule(p, register, t_wait=t_wait,
-                              include_static_crosskerr=include_static_crosskerr)
-    if noise is None or noise.is_trivial:
+    if not isinstance(gate, GateMap):
         psi = np.zeros(register.dim, dtype=complex)
         psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
-        u = ideal_unitary(schedule).data
         for _ in range(n_repeats):
-            psi = u @ psi
+            psi = gate @ psi
         return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
     rho = np.zeros((register.dim, register.dim), dtype=complex)
     for a in (i_lo, i_hi):
         for b in (i_lo, i_hi):
             rho[a, b] = 0.5
-    gate = gate_superoperator(schedule, noise)
     for _ in range(n_repeats):
         rho = gate.apply(rho)
     return float(np.angle(rho[i_hi, i_lo]))
@@ -310,11 +316,11 @@ def entangling_fringe_phase(p: SystemParams, t_wait: float | None,
     n times the per-gate entangling phase modulo a full turn.
     """
     register = ModeRegister.standard(2)
-    phases = []
-    for target_bit in (0, 1):
-        spect = TARGET_CODE.logical_occupations(target_bit)
-        phases.append(_ramsey_phase(p, register, CONTROL_CODE, spect,
-                                    n_repeats, t_wait=t_wait, noise=noise))
+    gate = _gate_propagator(p, register, t_wait=t_wait, noise=noise)
+    phases = [_ramsey_phase(register, CONTROL_CODE,
+                            TARGET_CODE.logical_occupations(target_bit),
+                            n_repeats, gate)
+              for target_bit in (0, 1)]
     return wrap_angle(phases[1] - phases[0])
 
 
@@ -359,9 +365,10 @@ def local_ramsey_phase(p: SystemParams, qubit: str, n_repeats: int, *,
         code, spect = TARGET_CODE, CONTROL_CODE.logical_occupations(0)
     else:
         raise ValueError(f"qubit must be 'control' or 'target', got {qubit!r}")
-    return _ramsey_phase(p, register, code, spect, n_repeats,
-                         include_static_crosskerr=include_static_crosskerr,
-                         noise=noise)
+    gate = _gate_propagator(p, register,
+                            include_static_crosskerr=include_static_crosskerr,
+                            noise=noise)
+    return _ramsey_phase(register, code, spect, n_repeats, gate)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@
 Each experiment writes three files into the output directory:
 ``<experiment>.csv`` with the data rows, ``<experiment>.json`` with a
 summary, and ``<experiment>.txt`` with a readable table.  Output bytes
-depend only on the config contents and the seed.  Exit status: 0 on
-success, 2 for a config problem, 3 for an experiment failure.
+depend only on the config contents and the seed.  Only gate-unitary
+and error-budget read --truncation; the others refuse a value other
+than 2.  Exit status: 0 on success, 2 for a config problem, 3 for an
+experiment failure.
 """
 
 from __future__ import annotations
@@ -364,6 +366,9 @@ EXPERIMENTS = {
     "limits": _run_limits,
 }
 
+# the experiments that honour a truncation other than 2
+_READS_TRUNCATION = frozenset({"gate-unitary", "error-budget"})
+
 
 def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
                    *, seed: int = 0, truncation: int = 2,
@@ -372,6 +377,10 @@ def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {', '.join(sorted(EXPERIMENTS))}")
+    if truncation != 2 and name not in _READS_TRUNCATION:
+        raise ValueError(f"experiment {name!r} runs at truncation 2 only; "
+                         f"--truncation is read by "
+                         f"{', '.join(sorted(_READS_TRUNCATION))}")
     args = argparse.Namespace(seed=seed, truncation=truncation,
                               include_static_kerr=include_static_kerr)
     header, rows, doc, title = EXPERIMENTS[name](config, args)
@@ -391,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sequence selection (default: 0)")
     parser.add_argument("--truncation", type=int, choices=(2, 3), default=2,
-                        help="Fock levels per mode for master-equation experiments")
+                        help="Fock levels per mode (gate-unitary and error-budget only)")
     parser.add_argument("--include-static-kerr", action="store_true",
                         help="keep the always-on residual cross-Kerr terms in the schedule")
     return parser

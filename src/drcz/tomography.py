@@ -196,14 +196,15 @@ def bell_circuit_record(n_gates: int = 1, *,
     conf_c = readout.confusion_matrix(0)
     conf_t = readout.confusion_matrix(1)
 
+    rot_c, rot_t = ({label: (dual_rail_rotation(register, code, *spec).data
+                             if spec else np.eye(register.dim))
+                     for label, spec in SETTINGS.items()}
+                    for code in (CONTROL_CODE, TARGET_CODE))
+
     record = MeasurementRecord()
-    for sc, spec_c in SETTINGS.items():
-        uc = (dual_rail_rotation(register, CONTROL_CODE, *spec_c).data
-              if spec_c else np.eye(register.dim))
-        for st, spec_t in SETTINGS.items():
-            ut = (dual_rail_rotation(register, TARGET_CODE, *spec_t).data
-                  if spec_t else np.eye(register.dim))
-            u = ut @ uc
+    for sc in SETTINGS:
+        for st in SETTINGS:
+            u = rot_t[st] @ rot_c[sc]
             rotated = u @ rho @ u.conj().T
             true_probs = np.zeros((3, 3))
             for i, oc in enumerate(OUTCOMES):
@@ -396,22 +397,6 @@ def simulated_leak_process(params: SystemParams | None = None,
     out_rows = {"0": register.basis_index((0, 0, 0, 1, 0)),
                 "1": register.basis_index((0, 0, 0, 0, 1))}
 
-    def split_unitaries(t: float) -> tuple[np.ndarray, np.ndarray]:
-        before = np.eye(register.dim, dtype=complex)
-        after = np.eye(register.dim, dtype=complex)
-        left = t
-        for h, d in hams:
-            if left >= d:
-                before = expm(-1j * h * d) @ before
-                left -= d
-            elif left > 0:
-                before = expm(-1j * h * left) @ before
-                after = expm(-1j * h * (d - left)) @ after
-                left = 0.0
-            else:
-                after = expm(-1j * h * d) @ after
-        return before, after
-
     if control_prep == "erased":
         u = ideal_unitary(schedule).data
         k = np.zeros((2, 2), dtype=complex)
@@ -421,6 +406,26 @@ def simulated_leak_process(params: SystemParams | None = None,
                 k[i, j] = col[out_rows[bit_out]]
         return QuantumChannel(2, kraus=[k], validate=False)
 
+    # Each whole segment is exponentiated once; a node only needs the two
+    # pieces of the segment it falls in.
+    whole = [expm(-1j * h * d) for h, d in hams]
+
+    def split_unitaries(t: float) -> tuple[np.ndarray, np.ndarray]:
+        before = np.eye(register.dim, dtype=complex)
+        after = np.eye(register.dim, dtype=complex)
+        left = t
+        for (h, d), u in zip(hams, whole):
+            if left >= d:
+                before = u @ before
+                left -= d
+            elif left > 0:
+                before = expm(-1j * h * left) @ before
+                after = expm(-1j * h * (d - left)) @ after
+                left = 0.0
+            else:
+                after = u @ after
+        return before, after
+
     jump_specs = []
     for label in ("c", "a1", "a2"):
         t1 = params.t1.get(label, math.inf)
@@ -429,19 +434,23 @@ def simulated_leak_process(params: SystemParams | None = None,
                                1.0 / t1))
 
     times, weights = _simpson_grid(0.0, total, points)
-    kraus: list[np.ndarray] = []
-    for jump_op, rate in jump_specs:
-        for t, w in zip(times, weights):
-            before, after = split_unitaries(t)
+    # Kraus operators per jump operator, joined jump by jump: the list order
+    # fixes the summation order of every representation of the channel.
+    per_jump: list[list[np.ndarray]] = [[] for _ in jump_specs]
+    for t, w in zip(times, weights):
+        before, after = split_unitaries(t)
+        moved = [before @ kets[bit_in] for bit_in in ("0", "1")]
+        for (jump_op, rate), found in zip(jump_specs, per_jump):
             k = np.zeros((2, 2), dtype=complex)
             hit = False
-            for j, bit_in in enumerate(("0", "1")):
-                col = after @ (jump_op @ (before @ kets[bit_in]))
+            for j, ket in enumerate(moved):
+                col = after @ (jump_op @ ket)
                 for i, bit_out in enumerate(("0", "1")):
                     k[i, j] = col[out_rows[bit_out]]
                 hit = hit or bool(np.abs(col).max() > 1e-14)
             if hit:
-                kraus.append(math.sqrt(rate * w) * k)
+                found.append(math.sqrt(rate * w) * k)
+    kraus = [k for found in per_jump for k in found]
     if not kraus:
         raise ValueError("no erasure pathway for this preparation")
     return QuantumChannel(2, kraus=kraus, validate=False)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from drcz import ModeRegister, NoiseModel, SystemParams
+from drcz import ModeRegister, NoiseModel, SystemParams, tomography
 from drcz.channels import QuantumChannel, pauli_basis
 from drcz.error_channels import CZ4, ReadoutModel
-from drcz.fock import DualRailCode
-from drcz.gate import CONTROL_CODE, TARGET_CODE
+from drcz.fock import DualRailCode, build_mode_operator
+from drcz.gate import CONTROL_CODE, TARGET_CODE, build_schedule
 from drcz.tomography import (
     OUTCOMES,
     SETTINGS,
@@ -237,6 +238,83 @@ def test_leak_process_validation(table_params):
         simulated_leak_process(table_params, "2")
     with pytest.raises(ValueError, match="odd"):
         simulated_leak_process(table_params, "1", points=100)
+
+
+def _leak_kraus_oracle(params, control_prep, points):
+    """The leak-conditioned Kraus list built the direct way: every segment
+    exponentiated afresh at every node, jump operators outside, nodes inside."""
+    register = ModeRegister.standard(2)
+    hams = [(np.asarray(h.data, dtype=complex), d)
+            for h, d, _ in build_schedule(params, register).segments]
+    a1, a2 = {"1": (0, 1), "0": (1, 0)}[control_prep]
+    kets = []
+    for b1, b2 in ((1, 0), (0, 1)):
+        ket = np.zeros(register.dim, dtype=complex)
+        ket[register.basis_index((a1, a2, 0, b1, b2))] = 1.0
+        kets.append(ket)
+    rows = [register.basis_index((0, 0, 0, 1, 0)),
+            register.basis_index((0, 0, 0, 0, 1))]
+    total = sum(d for _, d in hams)
+    times = np.linspace(0.0, total, points)
+    weights = np.ones(points)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    weights = weights * (total / (points - 1)) / 3.0
+
+    kraus = []
+    for label in ("c", "a1", "a2"):
+        jump = build_mode_operator(register, label, "annihilate").data
+        rate = 1.0 / params.t1[label]
+        for t, w in zip(times, weights):
+            before = np.eye(register.dim, dtype=complex)
+            after = np.eye(register.dim, dtype=complex)
+            left = t
+            for h, d in hams:
+                if left >= d:
+                    before = expm(-1j * h * d) @ before
+                    left -= d
+                elif left > 0:
+                    before = expm(-1j * h * left) @ before
+                    after = expm(-1j * h * (d - left)) @ after
+                    left = 0.0
+                else:
+                    after = expm(-1j * h * d) @ after
+            k = np.zeros((2, 2), dtype=complex)
+            hit = False
+            for j, ket in enumerate(kets):
+                col = after @ (jump @ (before @ ket))
+                k[:, j] = col[rows]
+                hit = hit or bool(np.abs(col).max() > 1e-14)
+            if hit:
+                kraus.append(math.sqrt(rate * w) * k)
+    return kraus
+
+
+@pytest.mark.parametrize("prep", ["1", "0"])
+def test_leak_process_matches_the_per_node_oracle(table_params, prep):
+    assert all(math.isfinite(table_params.t1[m]) for m in ("c", "a1", "a2"))
+    got = simulated_leak_process(table_params, prep, points=41).kraus
+    want = _leak_kraus_oracle(table_params, prep, 41)
+    assert len(got) == len(want) > 0
+    for k_got, k_want in zip(got, want):
+        assert np.array_equal(k_got, k_want)
+
+
+@pytest.mark.parametrize("prep", ["1", "0", "erased"])
+def test_leak_process_exponentiates_each_segment_once(table_params, monkeypatch, prep):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(tomography, "expm", counting_expm)
+    points = 41
+    simulated_leak_process(table_params, prep, points=points)
+    if prep == "erased":
+        assert calls == []
+    else:
+        # three whole segments, then at most two pieces per node
+        assert 0 < len(calls) <= 2 * points + 3
 
 
 def test_process_tomography_agrees_with_the_direct_chi(table_params):
