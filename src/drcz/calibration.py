@@ -34,9 +34,7 @@ __all__ = [
     "chevron_scan",
     "swap_duration_scan",
     "swapback_phase_scan",
-    "entangling_fringe_phase",
     "entangling_phase_scan",
-    "local_ramsey_phase",
     "local_z_scan",
     "excitation_bookkeeping",
     "run_calibration_flow",
@@ -80,6 +78,10 @@ class SweepResult:
         else:
             rows = np.asarray(self.rows, dtype=float)
             object.__setattr__(self, "rows", rows)
+            if rows.ndim != 1 or rows.size == 0:
+                raise ValueError("rows must be a non-empty 1-D array")
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("row axis must be finite")
             if np.any(np.diff(rows) <= 0):
                 raise ValueError("row axis must be strictly increasing")
             if values.shape != (rows.size, axis.size):
@@ -149,6 +151,42 @@ def _pair_hamiltonian(register: ModeRegister, g: float, detuning: float,
     return OperatorMatrix(register, coupling + detuning * n_c.data)
 
 
+def _pair_populations(p: SystemParams, detunings: np.ndarray,
+                      durations: np.ndarray, n_repeats: int,
+                      noise: NoiseModel | None) -> np.ndarray:
+    """a2 population after n equal swap pulses, per (detuning, duration).
+
+    One photon starts in a2.  With noise=None the pulse train is one
+    phase exp(-i lambda n t) in the eigenbasis of the pair Hamiltonian;
+    otherwise one pulse of the reduced (a2, c) master equation is
+    exponentiated and raised to the n-th power.
+    """
+    register = _swap_pair_register()
+    psi0 = register.basis_state({"a2": 1, "c": 0})
+    n_a2 = build_mode_operator(register, "a2", "number").data
+    closed = noise is None or noise.is_trivial
+    if not closed:
+        modes = set(register.labels)
+        pair_noise = noise.restricted(loss_modes=modes, dephasing_modes=modes)
+        rho0 = np.outer(psi0, psi0.conj()).reshape(-1, order="F")
+    values = np.empty((detunings.size, durations.size))
+    for i, delta in enumerate(detunings):
+        h = _pair_hamiltonian(register, p.g_ac, delta)
+        if closed:
+            evals, vecs = np.linalg.eigh(h.data)
+            coeffs = vecs.conj().T @ psi0
+            for j, t in enumerate(n_repeats * durations):
+                psi = vecs @ (np.exp(-1j * evals * t) * coeffs)
+                values[i, j] = float(np.real(psi.conj() @ n_a2 @ psi))
+        else:
+            gen = liouvillian(h, pair_noise)
+            for j, t in enumerate(durations):
+                rho = np.linalg.matrix_power(expm(gen * t), n_repeats) @ rho0
+                rho = rho.reshape(register.dim, register.dim, order="F")
+                values[i, j] = float(np.real(np.trace(n_a2 @ rho)))
+    return values
+
+
 def chevron_scan(p: SystemParams, detunings: Sequence[float],
                  durations: Sequence[float], *,
                  noise: NoiseModel | None = None) -> SweepResult:
@@ -159,28 +197,9 @@ def chevron_scan(p: SystemParams, detunings: Sequence[float],
     With noise=None the evolution is unitary; otherwise the reduced
     (a2, c) master equation is integrated.
     """
-    register = _swap_pair_register()
-    modes = set(register.labels)
     detunings = np.asarray(detunings, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    psi0 = register.basis_state({"a2": 1, "c": 0})
-    n_a2 = build_mode_operator(register, "a2", "number").data
-    values = np.empty((detunings.size, durations.size))
-    for i, delta in enumerate(detunings):
-        h = _pair_hamiltonian(register, p.g_ac, delta)
-        if noise is None or noise.is_trivial:
-            evals, vecs = np.linalg.eigh(h.data)
-            coeffs = vecs.conj().T @ psi0
-            for j, t in enumerate(durations):
-                psi = vecs @ (np.exp(-1j * evals * t) * coeffs)
-                values[i, j] = float(np.real(psi.conj() @ n_a2 @ psi))
-        else:
-            gen = liouvillian(h, noise.restricted(loss_modes=modes, dephasing_modes=modes))
-            rho0 = np.outer(psi0, psi0.conj())
-            for j, t in enumerate(durations):
-                rho = expm(gen * t) @ rho0.reshape(-1, order="F")
-                rho = rho.reshape(register.dim, register.dim, order="F")
-                values[i, j] = float(np.real(np.trace(n_a2 @ rho)))
+    values = _pair_populations(p, detunings, durations, 1, noise)
     return SweepResult(axis=durations, values=values,
                        observable="cavity_population",
                        axis_name="duration_us", rows=detunings,
@@ -201,25 +220,8 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
     if n_repeats < 1 or n_repeats % 2 == 0:
         raise ValueError(f"n_repeats must be a positive odd integer, "
                          f"got {n_repeats}")
-    register = _swap_pair_register()
-    modes = set(register.labels)
     durations = np.asarray(durations, dtype=float)
-    psi0 = register.basis_state({"a2": 1, "c": 0})
-    n_a2 = build_mode_operator(register, "a2", "number").data
-    h = _pair_hamiltonian(register, p.g_ac, 0.0)
-    values = np.empty(durations.size)
-    for j, t in enumerate(durations):
-        if noise is None or noise.is_trivial:
-            u = np.linalg.matrix_power(expm(-1j * h.data * t), n_repeats)
-            psi = u @ psi0
-            values[j] = float(np.real(psi.conj() @ n_a2 @ psi))
-        else:
-            pair_noise = noise.restricted(loss_modes=modes, dephasing_modes=modes)
-            step = expm(liouvillian(h, pair_noise) * t)
-            v = np.linalg.matrix_power(step, n_repeats) @ np.outer(
-                psi0, psi0.conj()).reshape(-1, order="F")
-            rho = v.reshape(register.dim, register.dim, order="F")
-            values[j] = float(np.real(np.trace(n_a2 @ rho)))
+    values = _pair_populations(p, np.zeros(1), durations, n_repeats, noise)[0]
     return SweepResult(axis=durations, values=values,
                        observable="cavity_population",
                        axis_name="duration_us",
@@ -281,47 +283,30 @@ def _gate_propagator(p: SystemParams, register: ModeRegister, *,
     return gate_superoperator(schedule, noise)
 
 
-def _ramsey_phase(register: ModeRegister, code: DualRailCode,
+def _ramsey_trace(register: ModeRegister, code: DualRailCode,
                   spectator_occ: Mapping[str, int], n_repeats: int,
-                  gate: np.ndarray | GateMap) -> float:
-    """Coherence phase of one dual-rail qubit in |+> after n gates."""
+                  gate: np.ndarray | GateMap) -> list[float]:
+    """Coherence phase of one dual-rail qubit in |+> after each of n gates."""
     lo = {label: 0 for label in register.labels}
     lo.update(spectator_occ)
     hi = dict(lo)
     lo.update(code.logical_occupations(0))
     hi.update(code.logical_occupations(1))
     i_lo, i_hi = register.basis_index(lo), register.basis_index(hi)
+    trace = []
     if not isinstance(gate, GateMap):
         psi = np.zeros(register.dim, dtype=complex)
         psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
         for _ in range(n_repeats):
             psi = gate @ psi
-        return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
+            trace.append(float(np.angle(psi[i_hi]) - np.angle(psi[i_lo])))
+        return trace
     rho = np.zeros((register.dim, register.dim), dtype=complex)
-    for a in (i_lo, i_hi):
-        for b in (i_lo, i_hi):
-            rho[a, b] = 0.5
+    rho[np.ix_([i_lo, i_hi], [i_lo, i_hi])] = 0.5
     for _ in range(n_repeats):
         rho = gate.apply(rho)
-    return float(np.angle(rho[i_hi, i_lo]))
-
-
-def entangling_fringe_phase(p: SystemParams, t_wait: float | None,
-                            n_repeats: int, *,
-                            noise: NoiseModel | None = None) -> float:
-    """Wrapped conditional-phase fringe after n gates at the given wait.
-
-    Difference of the control Ramsey phase between the two target basis
-    states, with the swap-back pump phase re-derived for the wait; equals
-    n times the per-gate entangling phase modulo a full turn.
-    """
-    register = ModeRegister.standard(2)
-    gate = _gate_propagator(p, register, t_wait=t_wait, noise=noise)
-    phases = [_ramsey_phase(register, CONTROL_CODE,
-                            TARGET_CODE.logical_occupations(target_bit),
-                            n_repeats, gate)
-              for target_bit in (0, 1)]
-    return wrap_angle(phases[1] - phases[0])
+        trace.append(float(np.angle(rho[i_hi, i_lo])))
+    return trace
 
 
 def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
@@ -329,46 +314,33 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
                           noise: NoiseModel | None = None) -> SweepResult:
     """Per-gate entangling phase versus wait duration.
 
-    The fringe phase after n gates is divided by n, unwrapped onto the
-    branch nearest the single-gate value; the curve crosses pi at the
-    derived wait with slope equal to the coupler-target dispersive rate.
+    The fringe after n gates is the wrapped difference of the control
+    Ramsey phase between the two target basis states, with the swap-back
+    pump phase re-derived for the wait.  It is divided by n, unwrapped
+    onto the branch nearest the single-gate fringe; the curve crosses pi
+    at the derived wait with slope equal to the coupler-target
+    dispersive rate.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
+    register = ModeRegister.standard(2)
     wait_times = np.asarray(wait_times, dtype=float)
     values = np.empty(wait_times.size)
     for j, tw in enumerate(wait_times):
-        theta = entangling_fringe_phase(p, float(tw), n_repeats, noise=noise)
+        gate = _gate_propagator(p, register, t_wait=float(tw), noise=noise)
+        zero, one = (_ramsey_trace(register, CONTROL_CODE,
+                                   TARGET_CODE.logical_occupations(target_bit),
+                                   n_repeats, gate)
+                     for target_bit in (0, 1))
+        theta = wrap_angle(one[-1] - zero[-1])
         if n_repeats > 1:
-            anchor = n_repeats * entangling_fringe_phase(p, float(tw), 1,
-                                                         noise=noise)
+            anchor = n_repeats * wrap_angle(one[0] - zero[0])
             theta += TWO_PI * round((anchor - theta) / TWO_PI)
         values[j] = theta / n_repeats
     return SweepResult(axis=wait_times, values=values,
                        observable="entangling_phase_per_gate_rad",
                        axis_name="wait_duration_us",
                        fixed={"n_repeats": float(n_repeats)})
-
-
-def local_ramsey_phase(p: SystemParams, qubit: str, n_repeats: int, *,
-                       include_static_crosskerr: bool = False,
-                       noise: NoiseModel | None = None) -> float:
-    """Wrapped Ramsey phase of one qubit after n gates, no mid-sequence echo.
-
-    The other qubit idles in its logical 0; the accumulated phase grows
-    linearly with the repeat count.
-    """
-    register = ModeRegister.standard(2)
-    if qubit == "control":
-        code, spect = CONTROL_CODE, TARGET_CODE.logical_occupations(0)
-    elif qubit == "target":
-        code, spect = TARGET_CODE, CONTROL_CODE.logical_occupations(0)
-    else:
-        raise ValueError(f"qubit must be 'control' or 'target', got {qubit!r}")
-    gate = _gate_propagator(p, register,
-                            include_static_crosskerr=include_static_crosskerr,
-                            noise=noise)
-    return _ramsey_phase(register, code, spect, n_repeats, gate)
 
 
 @dataclass(frozen=True)
@@ -384,25 +356,27 @@ def local_z_scan(p: SystemParams, n_repeats: int = 4, *,
                  noise: NoiseModel | None = None) -> LocalPhaseSlopes:
     """Fit the accumulated Ramsey phase of each qubit against repeat count.
 
-    Phases are unwrapped progressively (each point continues from the
-    previous one plus the single-gate increment) and the slope of the
-    line through the origin is returned per qubit.
+    Each qubit starts in |+> with the other idling in its logical 0, and
+    no mid-sequence echo.  Phases are unwrapped progressively (each point
+    continues from the previous one plus the single-gate increment) and
+    the slope of the line through the origin is returned per qubit.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
+    register = ModeRegister.standard(2)
+    gate = _gate_propagator(p, register,
+                            include_static_crosskerr=include_static_crosskerr,
+                            noise=noise)
+    counts = np.arange(1, n_repeats + 1, dtype=float)
     slopes = []
-    for qubit in ("control", "target"):
+    for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         unwrapped = []
-        for n in range(1, n_repeats + 1):
-            theta = local_ramsey_phase(
-                p, qubit, n, include_static_crosskerr=include_static_crosskerr,
-                noise=noise)
+        for theta in _ramsey_trace(register, code, spectator.logical_occupations(0),
+                                   n_repeats, gate):
             anchor = unwrapped[-1] + unwrapped[0] if unwrapped else theta
             theta += TWO_PI * round((anchor - theta) / TWO_PI)
             unwrapped.append(theta)
-        counts = np.arange(1, n_repeats + 1, dtype=float)
-        slope = float(counts @ np.asarray(unwrapped) / (counts @ counts))
-        slopes.append(slope)
+        slopes.append(float(counts @ np.asarray(unwrapped) / (counts @ counts)))
     return LocalPhaseSlopes(control_phase_per_gate=slopes[0],
                             target_phase_per_gate=slopes[1])
 
@@ -431,6 +405,8 @@ class CalibrationReport:
 
     Each recovered value carries the grid resolution it was found at;
     the Ramsey slopes are fit results and carry no grid step.
+    `swapback_sweep` is the erasure-versus-pump-phase curve the swap-back
+    phase was read from; it takes no part in equality.
     """
 
     swap_rate: float
@@ -443,6 +419,7 @@ class CalibrationReport:
     wait_duration_step: float
     control_phase_per_gate: float
     target_phase_per_gate: float
+    swapback_sweep: SweepResult = field(compare=False, repr=False)
 
 
 def run_calibration_flow(p: SystemParams, *, perturbation: float = 0.01,
@@ -459,6 +436,15 @@ def run_calibration_flow(p: SystemParams, *, perturbation: float = 0.01,
     chevron (swap rate), repeated-swap duration, swap-back pump phase,
     conditional-phase Ramsey (wait duration), local Z slopes.
     """
+    if perturbation == 0 or not math.isfinite(perturbation):
+        raise ValueError(f"perturbation must be finite and nonzero, "
+                         f"got {perturbation}")
+    for name, points in (("chevron_points", chevron_points),
+                         ("duration_points", duration_points),
+                         ("phase_points", phase_points),
+                         ("wait_points", wait_points)):
+        if points < 2:
+            raise ValueError(f"{name} must be at least 2, got {points}")
     t_swap, t_wait, _ = derive_gate_params(p)
     guess = 1.0 + perturbation
     span = 3.0 * abs(perturbation)
@@ -498,4 +484,5 @@ def run_calibration_flow(p: SystemParams, *, perturbation: float = 0.01,
         swapback_phase=swapback_phase, swapback_phase_step=dip_phi.axis_step,
         wait_duration=wait_duration, wait_duration_step=fringe.axis_step,
         control_phase_per_gate=slopes.control_phase_per_gate,
-        target_phase_per_gate=slopes.target_phase_per_gate)
+        target_phase_per_gate=slopes.target_phase_per_gate,
+        swapback_sweep=dip_phi)

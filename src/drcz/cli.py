@@ -26,7 +26,7 @@ from .benchmarking import (fit_exponential, fit_linear_fidelity,
                            interleaved_gate_error, irb_accuracy_study,
                            simulate_bitflip_protocol, simulate_rb)
 from .budget import compute_error_budget, fundamental_limits
-from .calibration import run_calibration_flow, swapback_phase_scan
+from .calibration import run_calibration_flow
 from .channels import pauli_labels
 from .config import ConfigError, DeviceConfig
 from .error_channels import CZ4, full_gate_channel, postselected_fidelity
@@ -300,8 +300,7 @@ def _run_leakage_propagation(cfg: DeviceConfig, args) -> tuple[list, list, dict,
 def _run_calibration(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     p = cfg.system_params()
     report = run_calibration_flow(p)
-    phases = np.linspace(-math.pi, math.pi, 128, endpoint=False)
-    sweep = swapback_phase_scan(p, phases)
+    sweep = report.swapback_sweep
     rows = list(zip(sweep.axis, sweep.values))
     doc = {
         "swap_rate_rad_per_us": report.swap_rate,

@@ -1,25 +1,31 @@
 """Simulated tune-up scans and the one-pass calibration flow."""
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import drcz.calibration
 from drcz import ModeRegister, NoiseModel, SystemParams
 from drcz.calibration import (
     SweepResult,
+    _ramsey_trace,
     chevron_scan,
     entangling_phase_scan,
     excitation_bookkeeping,
-    local_ramsey_phase,
     local_z_scan,
     run_calibration_flow,
     swap_duration_scan,
     swapback_phase_scan,
 )
+from drcz.cli import run_experiment
+from drcz.config import DeviceConfig
 from drcz.fock import DensityMatrix
-from drcz.gate import (build_schedule, codespace_block, derive_gate_params,
-                       extract_local_frame, ideal_unitary, wrap_angle)
+from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
+                       derive_gate_params, extract_local_frame, ideal_unitary,
+                       wrap_angle)
+from drcz.lindblad import GateMap, gate_superoperator
 
 T_SWAP = 0.11820330969267138
 T_WAIT = 0.21292251812189816
@@ -50,6 +56,17 @@ def test_sweep_result_validation():
                        rows_name="r")
     with pytest.raises(ValueError, match="1-D sweeps"):
         grid.argmin_axis()
+    for rows in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="row axis must be finite"):
+            SweepResult(axis=[0.0, 1.0], values=np.ones((2, 2)),
+                        observable="y", axis_name="x", rows=rows, rows_name="r")
+    with pytest.raises(ValueError, match="rows must be a non-empty 1-D"):
+        SweepResult(axis=[0.0, 1.0], values=np.ones((0, 2)),
+                    observable="y", axis_name="x", rows=[], rows_name="r")
+    with pytest.raises(ValueError, match="rows must be a non-empty 1-D"):
+        SweepResult(axis=[0.0, 1.0], values=np.ones((2, 2)),
+                    observable="y", axis_name="x", rows=[[0.0], [1.0]],
+                    rows_name="r")
 
 
 def test_sweep_result_csv_and_sidecar(tmp_path):
@@ -153,8 +170,6 @@ def test_local_z_scan_recovers_the_gate_frame(table_params, register2):
                                                          abs=1e-9)
     with pytest.raises(ValueError, match="n_repeats"):
         local_z_scan(table_params, 0)
-    with pytest.raises(ValueError, match="control.*target"):
-        local_ramsey_phase(table_params, "coupler", 1)
 
 
 def test_excitation_bookkeeping_partitions_the_trace(register2):
@@ -185,3 +200,122 @@ def test_calibration_flow_recovers_the_operating_point(table_params):
                                                           rel=1e-9)
     assert report.target_phase_per_gate == pytest.approx(frame.phi_target,
                                                          abs=1e-9)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, math.nan])
+def test_calibration_flow_rejects_a_zero_perturbation(table_params, perturbation):
+    with pytest.raises(ValueError, match="perturbation"):
+        run_calibration_flow(table_params, perturbation=perturbation)
+
+
+@pytest.mark.parametrize("name", ["chevron_points", "duration_points",
+                                  "phase_points", "wait_points"])
+def test_calibration_flow_rejects_a_grid_of_one_point(table_params, name):
+    with pytest.raises(ValueError, match=name):
+        run_calibration_flow(table_params, **{name: 1})
+
+
+def test_calibration_report_carries_the_flow_phase_sweep(table_params):
+    report = run_calibration_flow(table_params, chevron_points=3,
+                                  duration_points=3, phase_points=8,
+                                  wait_points=3, ramsey_repeats=1)
+    sweep = report.swapback_sweep
+    assert sweep.axis_name == "swapback_pump_phase_rad"
+    assert sweep.axis.size == 8
+    assert report.swapback_phase == sweep.argmin_axis()
+    assert report.swapback_phase_step == sweep.axis_step
+    other = SweepResult(axis=[0.0, 1.0], values=[0.0, 0.0],
+                        observable="y", axis_name="x")
+    assert dataclasses.replace(report, swapback_sweep=other) == report
+
+
+@pytest.fixture()
+def schedule_builds(monkeypatch):
+    """Count the schedules the calibration module builds."""
+    calls = []
+    original = drcz.calibration.build_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(drcz.calibration, "build_schedule", counting)
+    return calls
+
+
+def test_calibration_report_builds_each_gate_once(tmp_path, schedule_builds):
+    run_experiment("calibration", DeviceConfig.default(), tmp_path)
+    # local Z scan + 128 pump phases + 41 waits
+    assert len(schedule_builds) == 1 + 128 + 41
+
+
+def test_repeated_fringe_builds_one_gate_per_wait(table_params, schedule_builds):
+    waits = np.array([T_WAIT - 0.002, T_WAIT, T_WAIT + 0.002])
+    entangling_phase_scan(table_params, waits, 2)
+    assert len(schedule_builds) == len(waits)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["unitary", "gate_map"])
+def test_ramsey_trace_matches_the_per_count_oracle(table_params, noisy):
+    register = ModeRegister.standard(2)
+    noise = NoiseModel.from_params(table_params) if noisy else None
+
+    def rebuilt_gate():
+        schedule = build_schedule(table_params, register)
+        if noise is None:
+            return ideal_unitary(schedule).data
+        return gate_superoperator(schedule, noise)
+
+    def phase_after(code, spectator_occ, n):
+        # the per-count algorithm: rebuild the gate, apply it n times to |+>
+        gate = rebuilt_gate()
+        lo = {label: 0 for label in register.labels}
+        lo.update(spectator_occ)
+        hi = dict(lo)
+        lo.update(code.logical_occupations(0))
+        hi.update(code.logical_occupations(1))
+        i_lo, i_hi = register.basis_index(lo), register.basis_index(hi)
+        if noise is None:
+            psi = np.zeros(register.dim, dtype=complex)
+            psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
+            for _ in range(n):
+                psi = gate @ psi
+            return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
+        rho = np.zeros((register.dim, register.dim), dtype=complex)
+        for a in (i_lo, i_hi):
+            for b in (i_lo, i_hi):
+                rho[a, b] = 0.5
+        for _ in range(n):
+            rho = gate.apply(rho)
+        return float(np.angle(rho[i_hi, i_lo]))
+
+    gate = rebuilt_gate()
+    assert isinstance(gate, GateMap) == noisy
+    for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
+        spectator_occ = spectator.logical_occupations(0)
+        trace = _ramsey_trace(register, code, spectator_occ, 4, gate)
+        assert trace == [phase_after(code, spectator_occ, n) for n in range(1, 5)]
+
+
+def test_noisy_local_z_scan_keeps_the_gate_frame(table_params):
+    clean = local_z_scan(table_params)
+    noisy = local_z_scan(table_params, noise=NoiseModel.from_params(table_params))
+    assert abs(noisy.control_phase_per_gate - clean.control_phase_per_gate) < 1e-5
+    assert abs(noisy.target_phase_per_gate - clean.target_phase_per_gate) < 1e-5
+
+
+def test_noisy_repeated_fringe_keeps_the_entangling_phase(table_params):
+    waits = np.array([T_WAIT - 0.002, T_WAIT, T_WAIT + 0.002])
+    clean = entangling_phase_scan(table_params, waits, 2)
+    noisy = entangling_phase_scan(table_params, waits, 2,
+                                  noise=NoiseModel.from_params(table_params))
+    np.testing.assert_allclose(noisy.values, clean.values, rtol=0, atol=1e-5)
+
+
+def test_noisy_swap_duration_dip_is_lifted_by_loss(table_params):
+    durations = np.linspace(0.97, 1.03, 13) * T_SWAP
+    clean = swap_duration_scan(table_params, 5, durations)
+    noisy = swap_duration_scan(table_params, 5, durations,
+                               noise=NoiseModel.from_params(table_params))
+    assert clean.values.min() < 1e-12
+    assert 0.0 < noisy.values.min() < 1e-3
