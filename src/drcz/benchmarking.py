@@ -5,6 +5,10 @@ Cliffords are generated by breadth-first closure over the native gateset
 sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.
+
+The IRB accuracy study runs its ideal Cliffords as 9x9 unitary
+conjugations, with every sampled channel and every sequence stacked into
+one batched pass and one recovery Clifford computed per sequence.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import curve_fit
 
 from .channels import QuantumChannel
 from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
@@ -173,6 +176,24 @@ def _unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
+def _embedded_natives(n_qubits: int, qudit_dim: int) -> dict[str, np.ndarray]:
+    """Every ideal native gate as a unitary on (qudit_dim)^n_qubits.
+
+    Single-qubit natives embed as tensor factors so they keep acting when
+    the partner qudit is leaked; CZ idles any leaked state."""
+    if n_qubits == 1:
+        return {name: _embed_unitary(u, 1, qudit_dim)
+                for name, u in _ONE_QUBIT_GATES.items()}
+    eye = np.eye(qudit_dim, dtype=complex)
+    natives = {}
+    for name, u2 in _ONE_QUBIT_GATES.items():
+        u1 = _embed_unitary(u2, 1, qudit_dim)
+        natives[name + "_c"] = np.kron(u1, eye)
+        natives[name + "_t"] = np.kron(eye, u1)
+    natives["CZ"] = _embed_unitary(CZ4, 2, qudit_dim)
+    return natives
+
+
 def _leak_kraus(p: float, qudit_dim: int) -> list[np.ndarray]:
     """Photon-loss jump to the detected-leak level of one qudit."""
     if qudit_dim == 2 or p == 0.0:
@@ -244,20 +265,11 @@ class NativeGateNoise:
 
     @classmethod
     def ideal(cls, n_qubits: int = 2, qudit_dim: int = 3) -> "NativeGateNoise":
-        if n_qubits == 1:
-            sup = {name: _unitary_superop(_embed_unitary(u, 1, qudit_dim))
-                   for name, u in _ONE_QUBIT_GATES.items()}
-            return cls(superops=sup, n_qubits=1, qudit_dim=qudit_dim)
-        # Single-qubit natives embed as tensor factors so they keep acting
-        # when the partner qudit is leaked; CZ idles any leaked state.
-        eye = np.eye(qudit_dim, dtype=complex)
-        sup = {}
-        for name, u2 in _ONE_QUBIT_GATES.items():
-            u1 = _embed_unitary(u2, 1, qudit_dim)
-            sup[name + "_c"] = _unitary_superop(np.kron(u1, eye))
-            sup[name + "_t"] = _unitary_superop(np.kron(eye, u1))
-        sup["CZ"] = _unitary_superop(_embed_unitary(CZ4, 2, qudit_dim))
-        return cls(superops=sup, n_qubits=2, qudit_dim=qudit_dim)
+        if n_qubits not in (1, 2):
+            raise ValueError("only 1- or 2-qubit natives are built")
+        sup = {name: _unitary_superop(u)
+               for name, u in _embedded_natives(n_qubits, qudit_dim).items()}
+        return cls(superops=sup, n_qubits=n_qubits, qudit_dim=qudit_dim)
 
     @classmethod
     def coherence_limited(cls,
@@ -345,6 +357,22 @@ def _sequence_indices(group_size: int, depth: int, seed: int) -> np.ndarray:
     return rng.integers(0, group_size, size=depth)
 
 
+def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
+                            interleave_unitary: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, int]:
+    """The seed's Clifford indices and the index of the recovery Clifford.
+
+    The recovery inverts the ideal net unitary of the sequence, with
+    interleave_unitary (if given) after every Clifford."""
+    indices = _sequence_indices(len(group), depth, seed)
+    net = np.eye(2 ** group.n_qubits, dtype=complex)
+    for idx in indices:
+        net = group.elements[idx].unitary @ net
+        if interleave_unitary is not None:
+            net = interleave_unitary @ net
+    return indices, group.index_of(net.conj().T)
+
+
 def _readout_stats(rho_vec: np.ndarray, qudit_dim: int, n_qubits: int,
                    spam: ReadoutModel | None) -> tuple[float, float]:
     """(survival of |0..0> assignment, kept fraction) from the final state."""
@@ -408,6 +436,8 @@ def simulate_rb(noise: NativeGateNoise,
             raise ValueError(f"unknown interleaved gate {interleave!r}")
         if interleave_unitary is None:
             interleave_unitary = group.gateset[interleave]
+    else:
+        interleave_unitary = None
 
     dim = noise.dim
     rho0 = np.zeros((dim, dim), dtype=complex)
@@ -419,19 +449,15 @@ def simulate_rb(noise: NativeGateNoise,
     kept_arr = np.zeros_like(raw)
     for i, depth in enumerate(depths):
         for j, seed in enumerate(seeds):
-            indices = _sequence_indices(len(group), depth, seed)
+            indices, recovery = _sequence_with_recovery(
+                group, depth, seed, interleave_unitary)
             vec = vec0
-            net = np.eye(2 ** group.n_qubits, dtype=complex)
             for idx in indices:
-                element = group.elements[idx]
-                for gate in element.word:
+                for gate in group.elements[idx].word:
                     vec = noise.superops[gate] @ vec
-                net = element.unitary @ net
                 if interleave is not None:
                     vec = noise.superops[interleave] @ vec
-                    net = interleave_unitary @ net
-            recovery = group.elements[group.index_of(net.conj().T)]
-            for gate in recovery.word:
+            for gate in group.elements[recovery].word:
                 vec = noise.superops[gate] @ vec
             survival, kept = _readout_stats(vec, noise.qudit_dim,
                                             noise.n_qubits, spam)
@@ -482,6 +508,8 @@ def bell_decay_error(slope: float) -> float:
 
 def fit_exponential(record: RBRecord) -> tuple[float, float, float, float]:
     """(p, A, B, sigma_p) from survival = A p^N + B."""
+    from scipy.optimize import curve_fit  # here, so `import drcz` skips scipy.optimize
+
     x = np.asarray(record.depths, dtype=float)
     y = record.mean_postselected()
 
@@ -517,6 +545,90 @@ DEFAULT_RATE_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
+def _validated_ranges(rate_ranges: Mapping[str, tuple[float, float]] | None
+                      ) -> dict[str, tuple[float, float]]:
+    ranges = dict(DEFAULT_RATE_RANGES)
+    for key, bounds in (rate_ranges or {}).items():
+        if key not in DEFAULT_RATE_RANGES:
+            raise ValueError(f"rate_ranges: unknown key {key!r}; "
+                             f"expected one of {sorted(DEFAULT_RATE_RANGES)}")
+        low, high = bounds
+        if not 0.0 <= low <= high:
+            raise ValueError(f"rate_ranges[{key!r}] must satisfy "
+                             f"0 <= low <= high, got ({low}, {high})")
+        ranges[key] = (low, high)
+    return ranges
+
+
+def _draw_rates(n_samples: int, seed: int,
+                ranges: Mapping[str, tuple[float, float]]) -> list[ChannelRates]:
+    rng = np.random.default_rng(seed)
+    return [ChannelRates(p_leak_control=rng.uniform(*ranges["p_leak"]),
+                         p_leak_target=rng.uniform(*ranges["p_leak"]),
+                         p_z_control=rng.uniform(*ranges["p_z"]),
+                         p_z_target=rng.uniform(*ranges["p_z"]),
+                         p_zz=rng.uniform(*ranges["p_zz"]))
+            for _ in range(n_samples)]
+
+
+def _interleaved_ideal_rb(superops: np.ndarray,
+                          depths: Sequence[int],
+                          seeds: Sequence[int],
+                          group: CliffordGroup) -> list[RBRecord]:
+    """Two-qutrit RB with ideal Cliffords and one interleaved channel each.
+
+    Returns, per 81x81 channel superoperator (a stack, or a list of
+    them), the record that simulate_rb gives for ideal natives with that
+    channel interleaved as CZ.  All channels share the same sequences, so
+    the states of one depth are one (channels, seeds, 9, 9) stack: each
+    Clifford is a broadcast 9x9 conjugation by the product of its word's
+    embedded natives (the word fixes how the leak levels idle), each
+    interleaved slot is one stacked matmul, and the recovery is found
+    once per sequence.
+    """
+    superops = np.asarray(superops)
+    natives = _embedded_natives(2, 3)
+
+    def conj_clifford(idx: int) -> np.ndarray:
+        u = np.eye(9, dtype=complex)
+        for gate in group.elements[idx].word:
+            u = natives[gate] @ u
+        return u.conj()
+
+    def conjugate(states: np.ndarray, spare: np.ndarray, indices: Iterable[int]) -> None:
+        v = np.stack([conj_clifford(idx) for idx in indices])
+        np.matmul(v, states, out=spare)
+        np.matmul(spare, v.conj().transpose(0, 2, 1), out=states)
+
+    # Each state is held transposed, so that its row-major entries are
+    # the column-stacked vector the superoperators act on; rho -> U rho U^dag
+    # is then rho^T -> conj(U) rho^T U^T.  Two buffers are reused throughout.
+    n_chan, n_seeds = len(superops), len(seeds)
+    states = np.empty((n_chan, n_seeds, 9, 9), dtype=complex)
+    spare = np.empty_like(states)
+    raw = np.zeros((n_chan, len(depths), n_seeds))
+    kept = np.zeros_like(raw)
+    for i, depth in enumerate(depths):
+        drawn = [_sequence_with_recovery(group, depth, seed, CZ4) for seed in seeds]
+        states[:] = 0.0
+        states[:, :, 0, 0] = 1.0
+        for step in range(depth):
+            conjugate(states, spare, [indices[step] for indices, _ in drawn])
+            np.matmul(states.reshape(n_chan, n_seeds, 81), superops.transpose(0, 2, 1),
+                      out=spare.reshape(n_chan, n_seeds, 81))
+            states, spare = spare, states
+        conjugate(states, spare, [recovery for _, recovery in drawn])
+        table = np.clip(np.diagonal(states, axis1=2, axis2=3).real, 0.0, None)
+        table = table.reshape(n_chan, n_seeds, 3, 3)
+        raw[:, i] = table[:, :, 0, 0]
+        kept[:, i] = table[:, :, :2, :2].sum(axis=(2, 3))
+    post = np.divide(raw, kept, out=np.zeros_like(raw), where=kept > 0)
+    return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
+                     postselected=post[c], kept_fraction=kept[c],
+                     interleaved="CZ_sampled")
+            for c in range(n_chan)]
+
+
 def irb_accuracy_study(n_samples: int = 120,
                        *,
                        seed: int = 20260813,
@@ -526,44 +638,40 @@ def irb_accuracy_study(n_samples: int = 120,
                        include_operating_point: bool = True) -> IRBAccuracyResult:
     """Interleaved-RB inferred error versus entanglement infidelity.
 
-    Dephasing and leakage rates are drawn uniformly from the given ranges;
-    every sample is benchmarked on the same fixed random gate sequences.
-    The Cliffords themselves are ideal and the sampled channel rides only
-    on the interleaved slot, so the reference slope vanishes and the study
-    isolates the entangling gate.  The true value is the postselected
+    Dephasing and leakage rates are drawn uniformly from the given ranges
+    (keys of DEFAULT_RATE_RANGES, each 0 <= low <= high); every sample is
+    benchmarked on the same fixed random gate sequences.  The Cliffords
+    themselves are ideal and the sampled channel rides only on the
+    interleaved slot, so the reference slope vanishes and the study
+    isolates the entangling gate.  The reference is one simulate_rb run;
+    the samples (and the operating point) run as one batched pass in which
+    each Clifford is a 9x9 unitary conjugation and each sequence's
+    recovery is computed once.  The true value is the postselected
     entanglement infidelity of the sampled channel.
     """
-    ranges = dict(DEFAULT_RATE_RANGES)
-    if rate_ranges:
-        ranges.update(rate_ranges)
-    rng = np.random.default_rng(seed)
-    base = NativeGateNoise.ideal(2, 3)
-    group = generate_clifford_group(2)
-    reference_fit = fit_linear_fidelity(
-        simulate_rb(base, depths, sequence_seeds, group=group), 2)
-
-    true_vals, inferred_vals = [], []
-    samples = []
-    for _ in range(n_samples):
-        samples.append(ChannelRates(
-            p_leak_control=rng.uniform(*ranges["p_leak"]),
-            p_leak_target=rng.uniform(*ranges["p_leak"]),
-            p_z_control=rng.uniform(*ranges["p_z"]),
-            p_z_target=rng.uniform(*ranges["p_z"]),
-            p_zz=rng.uniform(*ranges["p_zz"])))
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
+    ranges = _validated_ranges(rate_ranges)
+    samples = _draw_rates(n_samples, seed, ranges)
     if include_operating_point:
         samples.append(ChannelRates.benchmark_fit())
-    for rates in samples:
+    depths = tuple(int(d) for d in depths)
+    sequence_seeds = tuple(int(s) for s in sequence_seeds)
+    group = generate_clifford_group(2)
+    reference_fit = fit_linear_fidelity(
+        simulate_rb(NativeGateNoise.ideal(2, 3), depths, sequence_seeds, group=group), 2)
+
+    # One channel object at a time: only its superoperator is kept.
+    superops = np.empty((len(samples), 81, 81), dtype=complex)
+    true_vals = []
+    for k, rates in enumerate(samples):
         channel = qutrit_gate_channel(rates)
-        noise = base.replace(CZ_sampled=channel)
-        record = simulate_rb(noise, depths, sequence_seeds,
-                             interleave="CZ_sampled", interleave_unitary=CZ4,
-                             group=group)
-        fit = fit_linear_fidelity(record, 2, tolerance=1.0)
-        inferred = interleaved_gate_error(reference_fit, fit)
-        true = 1.0 - postselected_fidelity(channel, CZ4)
-        true_vals.append(true)
-        inferred_vals.append(inferred)
+        superops[k] = channel.superop
+        true_vals.append(1.0 - postselected_fidelity(channel, CZ4))
+    records = _interleaved_ideal_rb(superops, depths, sequence_seeds, group)
+    inferred_vals = [interleaved_gate_error(
+        reference_fit, fit_linear_fidelity(record, 2, tolerance=1.0))
+        for record in records]
 
     operating = (true_vals[-1], inferred_vals[-1]) if include_operating_point else (math.nan, math.nan)
     if include_operating_point:

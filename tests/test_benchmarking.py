@@ -1,12 +1,19 @@
 """Clifford closure, erasure-aware RB, and the idle bit-flip protocol."""
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from drcz.benchmarking import (
+    DEFAULT_RATE_RANGES,
     BitflipResult,
+    CliffordGroup,
     NativeGateNoise,
     RBRecord,
     bell_decay_error,
@@ -20,9 +27,12 @@ from drcz.benchmarking import (
     simulate_bitflip_protocol,
     simulate_rb,
 )
-from drcz.benchmarking import _sequence_indices
+from drcz.benchmarking import _draw_rates, _interleaved_ideal_rb, _sequence_indices
 from drcz.channels import QuantumChannel, global_phase_distance
-from drcz.error_channels import CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel
+from drcz.error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
+                                 qutrit_gate_channel)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Frozen apparent bit-flip fraction of an idle |0_L> spectator after 50
 # gates, read through the one-round confusion matrix.
@@ -225,3 +235,76 @@ def test_irb_accuracy_study_smoke():
     assert true_r == pytest.approx(OPERATING_POINT_INFIDELITY, rel=1e-9)
     assert 0.0 < inferred_r < true_r
     assert 0.0 < result.underestimate_at_operating_point < 1.0
+
+
+def test_batched_pass_matches_simulate_rb_sample_by_sample():
+    # the oracle runs each channel on its own, one 81x81 superoperator per
+    # native gate, and finds its own recovery per (sample, sequence)
+    depths, seeds = (1, 2, 3, 5), (0, 1, 2, 3)
+    group = generate_clifford_group(2)
+    rates = _draw_rates(3, 20260813, DEFAULT_RATE_RANGES) + [ChannelRates.benchmark_fit()]
+    channels = [qutrit_gate_channel(r).superop for r in rates]
+    # The sampled channels act diagonally on the codespace, which hides a
+    # transposed or conjugated superoperator; a complex coherent error that
+    # also swaps weight with the leak levels does not.
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    u = expm(-0.05j * (h + h.conj().T)) @ np.diag(np.exp(1j * np.arange(9)))
+    channels.append(np.kron(u.conj(), u))
+    records = _interleaved_ideal_rb(channels, depths, seeds, group)
+    base = NativeGateNoise.ideal(2, 3)
+    for channel, record in zip(channels, records):
+        oracle = simulate_rb(base.replace(CZ_sampled=channel), depths, seeds,
+                             interleave="CZ_sampled", interleave_unitary=CZ4,
+                             group=group)
+        np.testing.assert_allclose(record.raw, oracle.raw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.postselected, oracle.postselected,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.kept_fraction, oracle.kept_fraction,
+                                   rtol=0, atol=1e-12)
+
+
+def test_batched_pass_depolarizing_survival_is_exact():
+    p = 0.98
+    depths = (1, 2, 4, 8)
+    (record,) = _interleaved_ideal_rb([depolarizing_cz_channel(p)], depths,
+                                      (0, 1, 2), generate_clifford_group(2))
+    for i, depth in enumerate(depths):
+        np.testing.assert_allclose(record.postselected[i],
+                                   0.75 * p ** depth + 0.25, rtol=0, atol=1e-12)
+
+
+def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
+    calls = []
+    index_of = CliffordGroup.index_of
+
+    def counted(self, u):
+        calls.append(1)
+        return index_of(self, u)
+
+    monkeypatch.setattr(CliffordGroup, "index_of", counted)
+    irb_accuracy_study(n_samples=3, depths=(1, 2, 3), sequence_seeds=tuple(range(4)))
+    # 12 sequences for the reference run plus 12 for all four channels at once
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_samples=1), "n_samples"),
+    (dict(n_samples=0, include_operating_point=False), "n_samples"),
+    (dict(rate_ranges={"p_leakage": (1e-4, 4e-3)}), "p_leakage"),
+    (dict(rate_ranges={"p_z": (2e-3, 1e-4)}), "p_z"),
+    (dict(rate_ranges={"p_zz": (-1e-5, 2e-4)}), "p_zz"),
+])
+def test_irb_accuracy_study_validates_inputs(kwargs, match):
+    kwargs = {"n_samples": 3, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        irb_accuracy_study(depths=(1, 2, 3), sequence_seeds=(0,), **kwargs)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, drcz; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
