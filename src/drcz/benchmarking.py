@@ -1,7 +1,10 @@
 """Clifford machinery and randomized benchmarking with erasure postselection.
 
 Cliffords are generated by breadth-first closure over the native gateset
-{X(pi/2), Z(+-pi/2), Z(pi), CZ} and stored modulo global phase.  Noisy
+{X(pi/2), Z(+-pi/2), Z(pi), CZ}.  Each is keyed by its signed
+Pauli-conjugation table, which fixes it exactly modulo global phase, so
+composing, inverting and finding a sequence's recovery are integer table
+lookups; a unitary is replayed from the element's word when wanted.  Noisy
 sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.
@@ -16,12 +19,13 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, pauli_basis
 from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
                              postselected_fidelity, qutrit_gate_channel)
 
@@ -74,20 +78,64 @@ def _two_qubit_gateset() -> dict[str, np.ndarray]:
     return gates
 
 
-def _canonical(u: np.ndarray) -> tuple[np.ndarray, bytes]:
-    """Fix global phase (first non-zero entry positive real) and hash."""
-    flat = u.reshape(-1)
-    pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
-    fixed = u * (abs(pivot) / pivot)
-    rounded = np.round(fixed, 6) + 0.0
-    return fixed, rounded.tobytes()
+# A Clifford modulo global phase is fixed by how it conjugates the Paulis,
+# signs included.  Its table has one entry per Pauli P_p (pauli_basis
+# order): q + 4^n s when u P_p u^dag = (-1)^s P_q.  Composing two Cliffords
+# is then indexing one table with the other.
+
+@lru_cache(maxsize=None)
+def _paulis(n_qubits: int) -> np.ndarray:
+    paulis = np.stack(pauli_basis(n_qubits))
+    paulis.setflags(write=False)
+    return paulis
 
 
-@dataclass(frozen=True, eq=False)
+def _pauli_table(u: np.ndarray, n_qubits: int) -> tuple[int, ...] | None:
+    """The signed Pauli image of unitary u, or None if u is not a Clifford.
+
+    Read from the trace overlaps tr(P_q u P_p u^dag)/d, which are +-1 for
+    one q and 0 for the rest exactly when u is a Clifford."""
+    paulis = _paulis(n_qubits)
+    n, d = paulis.shape[:2]
+    images = u @ paulis @ u.conj().T
+    overlaps = np.einsum("qji,pij->pq", paulis, images).real / d
+    rows = np.arange(n)
+    hit = np.argmax(np.abs(overlaps), axis=1)
+    negative = overlaps[rows, hit] < 0
+    signed = np.zeros_like(overlaps)
+    signed[rows, hit] = np.where(negative, -1.0, 1.0)
+    if np.max(np.abs(overlaps - signed)) > 1e-6:
+        return None
+    return tuple(int(q) + n * int(s) for q, s in zip(hit, negative))
+
+
+def _signed(table: tuple[int, ...]) -> tuple[int, ...]:
+    """The table extended to the negated Paulis, so it can be indexed by
+    any signed Pauli."""
+    n = len(table)
+    return table + tuple((k + n) % (2 * n) for k in table)
+
+
+def _then(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """Table of the Clifford inner followed by outer."""
+    return tuple(map(_signed(outer).__getitem__, inner))
+
+
+def _inverse_table(table: tuple[int, ...]) -> tuple[int, ...]:
+    """u P_p u^dag = (-1)^s P_q means u^dag P_q u = (-1)^s P_p."""
+    n = len(table)
+    inverse = [0] * n
+    for p, k in enumerate(table):
+        inverse[k % n] = p + k - k % n
+    return tuple(inverse)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class CliffordElement:
-    """Canonical unitary plus one generator word that replays to it."""
+    """Signed Pauli-conjugation table plus one generator word that
+    replays to the element."""
 
-    unitary: np.ndarray
+    table: tuple[int, ...]
     word: tuple[str, ...]
 
 
@@ -97,17 +145,32 @@ class CliffordGroup:
     gateset: dict[str, np.ndarray]
     elements: list[CliffordElement]
     inverses: list[int]
-    _index: dict[bytes, int]
+    _index: dict[tuple[int, ...], int]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, u: np.ndarray) -> int:
-        _, key = _canonical(u)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError("unitary is not in the generated Clifford group") from None
+        """Index of the element equal to u up to global phase."""
+        u = np.asarray(u)
+        dim = 2 ** self.n_qubits
+        if u.shape != (dim, dim):
+            raise ValueError(f"expected a {dim}x{dim} unitary for the "
+                             f"{self.n_qubits}-qubit group, got shape {u.shape}")
+        if not np.allclose(u.conj().T @ u, np.eye(dim), rtol=0, atol=1e-6):
+            raise ValueError("matrix is not unitary")
+        table = _pauli_table(u, self.n_qubits)
+        if table not in self._index:
+            raise ValueError("unitary is not in the generated Clifford group")
+        return self._index[table]
+
+    def inverse_of(self, table: tuple[int, ...]) -> int:
+        """Index of the element that undoes the Clifford with this table."""
+        return self.inverses[self._index[table]]
+
+    def unitary(self, i: int) -> np.ndarray:
+        """Element i as a unitary, replayed from its word."""
+        return self.replay(self.elements[i].word)
 
     def replay(self, word: Iterable[str]) -> np.ndarray:
         u = np.eye(2 ** self.n_qubits, dtype=complex)
@@ -120,32 +183,31 @@ _GROUP_CACHE: dict[int, CliffordGroup] = {}
 
 
 def generate_clifford_group(n_qubits: int) -> CliffordGroup:
-    """Breadth-first closure of the native gateset; 24 or 11520 elements."""
+    """Breadth-first closure of the native gateset; 24 or 11520 elements.
+
+    The search composes Pauli tables only; the order in which it meets
+    the elements fixes which sequence each RB seed draws."""
     if n_qubits not in (1, 2):
         raise ValueError("only 1- or 2-qubit groups are generated")
     if n_qubits in _GROUP_CACHE:
         return _GROUP_CACHE[n_qubits]
     gateset = dict(_ONE_QUBIT_GATES) if n_qubits == 1 else _two_qubit_gateset()
+    generators = {name: _signed(_pauli_table(gate, n_qubits)) for name, gate in gateset.items()}
 
-    dim = 2 ** n_qubits
-    identity = np.eye(dim, dtype=complex)
-    elements: list[CliffordElement] = []
-    index: dict[bytes, int] = {}
-    start, key = _canonical(identity)
-    index[key] = 0
-    elements.append(CliffordElement(start, ()))
+    identity = tuple(range(4 ** n_qubits))
+    elements = [CliffordElement(identity, ())]
+    index = {identity: 0}
     queue: deque[int] = deque([0])
     while queue:
-        i = queue.popleft()
-        base = elements[i]
-        for name, gate in gateset.items():
-            fixed, key = _canonical(gate @ base.unitary)
-            if key not in index:
-                index[key] = len(elements)
-                elements.append(CliffordElement(fixed, base.word + (name,)))
-                queue.append(index[key])
+        base = elements[queue.popleft()]
+        for name, generator in generators.items():
+            table = tuple(map(generator.__getitem__, base.table))
+            if table not in index:
+                index[table] = len(elements)
+                queue.append(len(elements))
+                elements.append(CliffordElement(table, base.word + (name,)))
 
-    inverses = [index[_canonical(e.unitary.conj().T)[1]] for e in elements]
+    inverses = [index[_inverse_table(e.table)] for e in elements]
     group = CliffordGroup(n_qubits=n_qubits, gateset=gateset,
                           elements=elements, inverses=inverses, _index=index)
     _GROUP_CACHE[n_qubits] = group
@@ -287,7 +349,9 @@ class NativeGateNoise:
         rate, over that qubit's pulse duration; the always-on cross-Kerr
         adds a deterministic phase on the |1>_c|0>_t level during the pulse.
         Z rotations are virtual and noiseless; CZ uses the fitted-rate
-        qutrit channel.
+        qutrit channel.  Unlike the tensor-factor natives of `ideal`, these
+        X(pi/2) pulses act on the two-qubit logical block only, so they
+        idle whenever the partner qudit is leaked.
         """
         cz_rates = cz_rates or ChannelRates.benchmark_fit()
         qd = 3
@@ -358,19 +422,20 @@ def _sequence_indices(group_size: int, depth: int, seed: int) -> np.ndarray:
 
 
 def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
-                            interleave_unitary: np.ndarray | None = None
+                            interleave: int | None = None
                             ) -> tuple[np.ndarray, int]:
     """The seed's Clifford indices and the index of the recovery Clifford.
 
-    The recovery inverts the ideal net unitary of the sequence, with
-    interleave_unitary (if given) after every Clifford."""
+    The recovery inverts the ideal net Clifford of the sequence, with group
+    element interleave (if given) after every Clifford; the net Clifford
+    is tracked as a Pauli table."""
     indices = _sequence_indices(len(group), depth, seed)
-    net = np.eye(2 ** group.n_qubits, dtype=complex)
+    net = group.elements[0].table
     for idx in indices:
-        net = group.elements[idx].unitary @ net
-        if interleave_unitary is not None:
-            net = interleave_unitary @ net
-    return indices, group.index_of(net.conj().T)
+        net = _then(group.elements[idx].table, net)
+        if interleave is not None:
+            net = _then(group.elements[interleave].table, net)
+    return indices, group.inverse_of(net)
 
 
 def _readout_stats(rho_vec: np.ndarray, qudit_dim: int, n_qubits: int,
@@ -436,8 +501,9 @@ def simulate_rb(noise: NativeGateNoise,
             raise ValueError(f"unknown interleaved gate {interleave!r}")
         if interleave_unitary is None:
             interleave_unitary = group.gateset[interleave]
+        interleave_index = group.index_of(interleave_unitary)
     else:
-        interleave_unitary = None
+        interleave_index = None
 
     dim = noise.dim
     rho0 = np.zeros((dim, dim), dtype=complex)
@@ -450,7 +516,7 @@ def simulate_rb(noise: NativeGateNoise,
     for i, depth in enumerate(depths):
         for j, seed in enumerate(seeds):
             indices, recovery = _sequence_with_recovery(
-                group, depth, seed, interleave_unitary)
+                group, depth, seed, interleave_index)
             vec = vec0
             for idx in indices:
                 for gate in group.elements[idx].word:
@@ -588,6 +654,7 @@ def _interleaved_ideal_rb(superops: np.ndarray,
     """
     superops = np.asarray(superops)
     natives = _embedded_natives(2, 3)
+    cz = group.index_of(CZ4)
 
     def conj_clifford(idx: int) -> np.ndarray:
         u = np.eye(9, dtype=complex)
@@ -609,7 +676,7 @@ def _interleaved_ideal_rb(superops: np.ndarray,
     raw = np.zeros((n_chan, len(depths), n_seeds))
     kept = np.zeros_like(raw)
     for i, depth in enumerate(depths):
-        drawn = [_sequence_with_recovery(group, depth, seed, CZ4) for seed in seeds]
+        drawn = [_sequence_with_recovery(group, depth, seed, cz) for seed in seeds]
         states[:] = 0.0
         states[:, :, 0, 0] = 1.0
         for step in range(depth):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -325,6 +326,28 @@ def _pauli_4() -> list[np.ndarray]:
     return list(pauli_basis(2))
 
 
+@lru_cache(maxsize=None)
+def _fidelity_expansion() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...],
+                                   tuple[np.ndarray, ...], np.ndarray, float]:
+    """The parts of postselected_fidelity that no argument changes.
+
+    (states, embedded states, Paulis, alpha, condition number): the 16
+    preparation states, the same on the two-qutrit space, the two-qubit
+    Paulis, alpha[k, j] expanding Pauli j over the states, and the
+    condition number of that expansion.  Built once; the Paulis are
+    pauli_basis's own cached arrays."""
+    states4 = tuple(_preparation_states())
+    paulis = tuple(_pauli_4())
+    basis_mat = np.column_stack([rho.reshape(-1) for rho in states4])
+    cond = np.linalg.cond(basis_mat)
+    alpha = np.linalg.pinv(basis_mat) @ np.column_stack(
+        [u.reshape(-1) for u in paulis])  # alpha[k, j]
+    embedded = tuple(embed_qubit_operator(rho) for rho in states4)
+    for array in (*states4, *embedded, alpha):
+        array.setflags(write=False)
+    return states4, embedded, paulis, alpha, cond
+
+
 def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
                           readout: ReadoutModel | None = None, *,
                           max_condition: float = 1e8) -> float:
@@ -343,20 +366,15 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
     if ref.shape != (4, 4):
         raise ValueError("reference must be a two-qubit unitary")
 
-    states4 = _preparation_states()
-    paulis = _pauli_4()
-    basis_mat = np.column_stack([rho.reshape(-1) for rho in states4])
-    cond = np.linalg.cond(basis_mat)
+    states4, embedded, paulis, alpha, cond = _fidelity_expansion()
     if cond > max_condition:
         raise ValueError(f"state-basis expansion ill-conditioned (cond {cond:.3e})")
-    alpha = np.linalg.pinv(basis_mat) @ np.column_stack(
-        [u.reshape(-1) for u in paulis])  # alpha[k, j]
 
     qutrit = channel.dim == 9
     if qutrit:
         m = (readout or ReadoutModel.perfect()).measurement_operator()
         probes = [embed_qubit_operator(ref @ u @ ref.conj().T) for u in paulis]
-        states = [embed_qubit_operator(rho) for rho in states4]
+        states = embedded
     else:
         m = np.eye(4, dtype=complex)
         probes = [ref @ u @ ref.conj().T for u in paulis]

@@ -1,5 +1,7 @@
 """Clifford closure, erasure-aware RB, and the idle bit-flip protocol."""
 import csv
+import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -27,7 +29,8 @@ from drcz.benchmarking import (
     simulate_bitflip_protocol,
     simulate_rb,
 )
-from drcz.benchmarking import _draw_rates, _interleaved_ideal_rb, _sequence_indices
+from drcz.benchmarking import (_draw_rates, _interleaved_ideal_rb, _sequence_indices,
+                               _sequence_with_recovery)
 from drcz.channels import QuantumChannel, global_phase_distance
 from drcz.error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
                                  qutrit_gate_channel)
@@ -55,22 +58,127 @@ def test_clifford_words_replay_to_their_unitaries():
     picks = [0, 1, 17, 523, 4096, 11519]
     for i in picks:
         element = group.elements[i]
-        assert global_phase_distance(group.replay(element.word),
-                                     element.unitary) < 1e-9
+        assert group.index_of(group.replay(element.word)) == i
     # inverse table really inverts
     for i in picks:
-        inv = group.elements[group.inverses[i]].unitary
-        assert global_phase_distance(inv @ group.elements[i].unitary,
+        inv = group.unitary(group.inverses[i])
+        assert global_phase_distance(inv @ group.unitary(i),
                                      np.eye(4)) < 1e-9
 
 
 def test_index_of_is_phase_invariant():
     group = generate_clifford_group(2)
-    u = group.elements[37].unitary
+    u = group.unitary(37)
     assert group.index_of(np.exp(0.3j) * u) == 37
     t_gate = np.kron(np.diag([1.0, np.exp(0.25j * math.pi)]), np.eye(2))
     with pytest.raises(ValueError, match="not in the generated"):
         group.index_of(t_gate.astype(complex))
+
+
+_T_GATE = np.diag([1.0, np.exp(0.25j * math.pi)])
+
+
+@pytest.mark.parametrize("n_qubits, u, match", [
+    (2, np.eye(2), "expected a 4x4 unitary"),
+    (1, np.eye(4), "expected a 2x2 unitary"),
+    (2, np.ones(4), "expected a 4x4 unitary"),
+    (2, 2 * np.eye(4), "not unitary"),
+    (2, np.full((4, 4), np.nan), "not unitary"),
+    (1, _T_GATE, "not in the generated Clifford group"),
+    (2, np.kron(np.eye(2), _T_GATE), "not in the generated Clifford group"),
+])
+def test_index_of_rejects_what_is_not_a_group_element(n_qubits, u, match):
+    with pytest.raises(ValueError, match=match):
+        generate_clifford_group(n_qubits).index_of(u)
+
+
+# Pauli strings in pauli_basis order (I, X, Y, Z per qubit, first qubit
+# most significant), built here rather than taken from the package.
+_PAULI_1Q = [np.eye(2), np.array([[0, 1], [1, 0]]),
+             np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def _pauli_strings(n_qubits):
+    if n_qubits == 1:
+        return np.array(_PAULI_1Q, dtype=complex)
+    return np.array([np.kron(a, b) for a in _PAULI_1Q for b in _PAULI_1Q], dtype=complex)
+
+
+@functools.cache
+def _replayed(n_qubits):
+    """Every element's unitary, replayed gate by gate from its word."""
+    group = generate_clifford_group(n_qubits)
+    return np.array([group.replay(e.word) for e in group.elements])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_clifford_tables_are_the_pauli_conjugation_of_the_words(n_qubits):
+    # entry p of a table is q + 4^n s when U P_p U^dag = (-1)^s P_q
+    group = generate_clifford_group(n_qubits)
+    paulis = _pauli_strings(n_qubits)
+    n, d = paulis.shape[:2]
+    unitaries = _replayed(n_qubits)
+    for start in range(0, len(unitaries), 1024):
+        u = unitaries[start:start + 1024, None]
+        images = u @ paulis @ np.swapaxes(u.conj(), -1, -2)
+        overlaps = np.einsum("qji,epij->epq", paulis, images) / d
+        q = np.argmax(np.abs(overlaps), axis=2)
+        sign = np.take_along_axis(overlaps, q[..., None], axis=2)[..., 0].real
+        np.testing.assert_allclose(np.abs(overlaps).sum(axis=2), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.abs(sign), 1.0, atol=1e-9)
+        expected = q + n * (sign < 0)
+        got = np.array([e.table for e in group.elements[start:start + 1024]])
+        np.testing.assert_array_equal(got, expected)
+
+
+# sha256 of the generator words (one line per element, gates space-separated)
+# and of the inverse indices (comma-separated), recorded from the search over
+# rounded 4x4 unitaries: the element order is part of the seed -> sequence
+# contract of every RB report.
+GROUP_DIGESTS = {
+    1: ("af91c4b6ffa62c5d07fb3c1702b0d882ad3481856908e8f4a395365fd82d53c5",
+        "aa168e6bf626db6ebb801796c212f2d12992b89db65693bf7018d4356bf07a06"),
+    2: ("bf2530b1613254186c550ad06811e6de39ce713fcc8ceefd4e5e1962a9331f04",
+        "f294ec2541518574be7825a1b4a2e336bfbb38c519365d1b2e2aff29b06e7d12"),
+}
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_clifford_order_words_and_inverses_are_frozen(n_qubits):
+    group = generate_clifford_group(n_qubits)
+    words = "\n".join(" ".join(e.word) for e in group.elements)
+    inverses = ",".join(str(int(k)) for k in group.inverses)
+    assert (hashlib.sha256(words.encode()).hexdigest(),
+            hashlib.sha256(inverses.encode()).hexdigest()) == GROUP_DIGESTS[n_qubits]
+
+
+def _rounded_key(u):
+    """Global phase fixed (first non-zero entry positive real), rounded."""
+    flat = u.reshape(-1)
+    pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
+    return (np.round(u * (abs(pivot) / pivot), 6) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits, interleave", [
+    (1, None), (1, "X90"), (2, None), (2, "CZ")])
+def test_recovery_matches_the_unitary_product_oracle(n_qubits, interleave):
+    # the recovery as found before Pauli tables: multiply the 4x4 (or 2x2)
+    # unitaries of the sequence and look the inverse up by rounded entries
+    group = generate_clifford_group(n_qubits)
+    unitaries = _replayed(n_qubits)
+    lookup = {_rounded_key(u): i for i, u in enumerate(unitaries)}
+    assert len(lookup) == len(group)
+    slot = None if interleave is None else group.gateset[interleave]
+    slot_index = None if interleave is None else group.index_of(slot)
+    for depth in range(1, 21):
+        for seed in range(10):
+            indices, recovery = _sequence_with_recovery(group, depth, seed, slot_index)
+            net = np.eye(2 ** n_qubits, dtype=complex)
+            for idx in indices:
+                net = unitaries[idx] @ net
+                if slot is not None:
+                    net = slot @ net
+            assert recovery == lookup[_rounded_key(net.conj().T)]
 
 
 def test_sequence_indices_are_deterministic():
@@ -276,13 +384,13 @@ def test_batched_pass_depolarizing_survival_is_exact():
 
 def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
     calls = []
-    index_of = CliffordGroup.index_of
+    inverse_of = CliffordGroup.inverse_of
 
-    def counted(self, u):
+    def counted(self, table):
         calls.append(1)
-        return index_of(self, u)
+        return inverse_of(self, table)
 
-    monkeypatch.setattr(CliffordGroup, "index_of", counted)
+    monkeypatch.setattr(CliffordGroup, "inverse_of", counted)
     irb_accuracy_study(n_samples=3, depths=(1, 2, 3), sequence_seeds=tuple(range(4)))
     # 12 sequences for the reference run plus 12 for all four channels at once
     assert len(calls) == 24

@@ -223,7 +223,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # error-budget --truncation 3 is left out: its last digits do depend
     # on the OpenBLAS thread count (lone_coupler_excitation differs in the
     # 17th significant digit between one and two threads).
-    names = ("leakage-propagation", "calibration", "rb", "irb-accuracy")
+    names = ("leakage-propagation", "calibration", "rb", "irb", "irb-accuracy", "bitflip")
     one = _report_bytes(tmp_path / "one", 1, names)
     two = _report_bytes(tmp_path / "two", 2, names)
     assert len(one) == 3 * len(names)
