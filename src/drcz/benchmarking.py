@@ -15,7 +15,6 @@ one batched pass and one recovery Clifford computed per sequence.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -216,20 +215,10 @@ def generate_clifford_group(n_qubits: int) -> CliffordGroup:
 
 # --- native-gate noise ------------------------------------------------------
 
-def _embed_single(u2: np.ndarray, qudit_dim: int) -> np.ndarray:
-    out = np.eye(qudit_dim, dtype=complex)
-    out[:2, :2] = u2
-    return out
-
-
-def _embed_unitary(u: np.ndarray, n_qubits: int, qudit_dim: int) -> np.ndarray:
-    """Act with u on the logical block; leaked-qudit states idle."""
-    if qudit_dim == 2:
-        return u
-    if n_qubits == 1:
-        return _embed_single(u, qudit_dim)
-    out = np.eye(qudit_dim ** 2, dtype=complex)
-    block = [0, 1, qudit_dim, qudit_dim + 1]
+def _embed_unitary(u: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Act with u on the logical block of n_qubits qutrits; leaked states idle."""
+    block = [0, 1] if n_qubits == 1 else QUBIT_BLOCK
+    out = np.eye(3 ** n_qubits, dtype=complex)
     out[np.ix_(block, block)] = u
     return out
 
@@ -238,28 +227,27 @@ def _unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def _embedded_natives(n_qubits: int, qudit_dim: int) -> dict[str, np.ndarray]:
-    """Every ideal native gate as a unitary on (qudit_dim)^n_qubits.
+def _embedded_natives(n_qubits: int) -> dict[str, np.ndarray]:
+    """Every ideal native gate as a unitary on n_qubits qutrits.
 
     Single-qubit natives embed as tensor factors so they keep acting when
-    the partner qudit is leaked; CZ idles any leaked state."""
+    the partner qutrit is leaked; CZ idles any leaked state."""
     if n_qubits == 1:
-        return {name: _embed_unitary(u, 1, qudit_dim)
-                for name, u in _ONE_QUBIT_GATES.items()}
-    eye = np.eye(qudit_dim, dtype=complex)
+        return {name: _embed_unitary(u, 1) for name, u in _ONE_QUBIT_GATES.items()}
+    eye = np.eye(3, dtype=complex)
     natives = {}
     for name, u2 in _ONE_QUBIT_GATES.items():
-        u1 = _embed_unitary(u2, 1, qudit_dim)
+        u1 = _embed_unitary(u2, 1)
         natives[name + "_c"] = np.kron(u1, eye)
         natives[name + "_t"] = np.kron(eye, u1)
-    natives["CZ"] = _embed_unitary(CZ4, 2, qudit_dim)
+    natives["CZ"] = _embed_unitary(CZ4, 2)
     return natives
 
 
-def _leak_kraus(p: float, qudit_dim: int) -> list[np.ndarray]:
-    """Photon-loss jump to the detected-leak level of one qudit."""
-    if qudit_dim == 2 or p == 0.0:
-        return [np.eye(qudit_dim, dtype=complex)]
+def _leak_kraus(p: float) -> list[np.ndarray]:
+    """Photon-loss jump to the detected-leak level of one qutrit."""
+    if p == 0.0:
+        return [np.eye(3, dtype=complex)]
     keep = np.diag([math.sqrt(1 - p), math.sqrt(1 - p), 1.0]).astype(complex)
     j0 = np.zeros((3, 3), dtype=complex)
     j0[2, 0] = math.sqrt(p)
@@ -268,16 +256,16 @@ def _leak_kraus(p: float, qudit_dim: int) -> list[np.ndarray]:
     return [keep, j0, j1]
 
 
-def _dephase_kraus(p: float, qudit_dim: int) -> list[np.ndarray]:
+def _dephase_kraus(p: float) -> list[np.ndarray]:
     if p == 0.0:
-        return [np.eye(qudit_dim, dtype=complex)]
-    flip = np.diag([-1j, 1j] + [1.0] * (qudit_dim - 2)).astype(complex)
-    return [math.sqrt(1 - p) * np.eye(qudit_dim, dtype=complex),
+        return [np.eye(3, dtype=complex)]
+    flip = np.diag([-1j, 1j, 1.0]).astype(complex)
+    return [math.sqrt(1 - p) * np.eye(3, dtype=complex),
             math.sqrt(p) * flip]
 
 
-def _on_qubit(kraus: list[np.ndarray], qubit: int, qudit_dim: int) -> list[np.ndarray]:
-    eye = np.eye(qudit_dim, dtype=complex)
+def _on_qubit(kraus: list[np.ndarray], qubit: int) -> list[np.ndarray]:
+    eye = np.eye(3, dtype=complex)
     if qubit == 0:
         return [np.kron(k, eye) for k in kraus]
     return [np.kron(eye, k) for k in kraus]
@@ -315,23 +303,23 @@ def depolarizing_cz_channel(decay: float) -> np.ndarray:
 
 @dataclass
 class NativeGateNoise:
-    """Superoperators for every native gate, on (qudit_dim)^n_qubits."""
+    """Superoperators for every native gate, on n_qubits qutrits (level 2 is
+    the detected leak)."""
 
     superops: dict[str, np.ndarray]
     n_qubits: int
-    qudit_dim: int
 
     @property
     def dim(self) -> int:
-        return self.qudit_dim ** self.n_qubits
+        return 3 ** self.n_qubits
 
     @classmethod
-    def ideal(cls, n_qubits: int = 2, qudit_dim: int = 3) -> "NativeGateNoise":
+    def ideal(cls, n_qubits: int = 2) -> "NativeGateNoise":
         if n_qubits not in (1, 2):
             raise ValueError("only 1- or 2-qubit natives are built")
         sup = {name: _unitary_superop(u)
-               for name, u in _embedded_natives(n_qubits, qudit_dim).items()}
-        return cls(superops=sup, n_qubits=n_qubits, qudit_dim=qudit_dim)
+               for name, u in _embedded_natives(n_qubits).items()}
+        return cls(superops=sup, n_qubits=n_qubits)
 
     @classmethod
     def coherence_limited(cls,
@@ -354,33 +342,30 @@ class NativeGateNoise:
         idle whenever the partner qudit is leaked.
         """
         cz_rates = cz_rates or ChannelRates.benchmark_fit()
-        qd = 3
-        base = cls.ideal(2, qd).superops
-        sup = dict(base)
+        sup = dict(cls.ideal(2).superops)
         for qubit, name in ((0, "X90_c"), (1, "X90_t")):
             t = x90_durations_us[qubit]
             kappa = 0.5 * (1.0 / rail_t1_us[qubit][0] + 1.0 / rail_t1_us[qubit][1])
             p_leak = 1.0 - math.exp(-kappa * t)
             p_z = 0.5 * (1.0 - math.exp(-t / ramsey_tphi_us[qubit]))
-            u = _embed_unitary(_two_qubit_gateset()[name], 2, qd)
+            u = _embed_unitary(_two_qubit_gateset()[name], 2)
             if include_cross_kerr:
                 phase = np.ones(9, dtype=complex)
                 phase[3 * 1 + 0] = np.exp(-1j * cross_kerr * t)
                 u = np.diag(phase) @ u
             chan = QuantumChannel(9, kraus=[u])
-            chan = QuantumChannel(9, kraus=_on_qubit(_leak_kraus(p_leak, qd), qubit, qd)).compose(chan)
-            chan = QuantumChannel(9, kraus=_on_qubit(_dephase_kraus(p_z, qd), qubit, qd)).compose(chan)
+            chan = QuantumChannel(9, kraus=_on_qubit(_leak_kraus(p_leak), qubit)).compose(chan)
+            chan = QuantumChannel(9, kraus=_on_qubit(_dephase_kraus(p_z), qubit)).compose(chan)
             sup[name] = chan.superop
         sup["CZ"] = qutrit_gate_channel(cz_rates).superop
-        return cls(superops=sup, n_qubits=2, qudit_dim=qd)
+        return cls(superops=sup, n_qubits=2)
 
     def replace(self, **gates: np.ndarray | QuantumChannel) -> "NativeGateNoise":
         sup = dict(self.superops)
         for name, value in gates.items():
             key = name.replace("_minus", "-")  # allow keyword-safe aliases
             sup[key] = value.superop if isinstance(value, QuantumChannel) else value
-        return NativeGateNoise(superops=sup, n_qubits=self.n_qubits,
-                               qudit_dim=self.qudit_dim)
+        return NativeGateNoise(superops=sup, n_qubits=self.n_qubits)
 
 
 # --- randomized benchmarking -------------------------------------------------
@@ -402,18 +387,6 @@ class RBRecord:
 
     def mean_kept(self) -> np.ndarray:
         return self.kept_fraction.mean(axis=1)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["depth", "seed", "survival_raw",
-                             "survival_postselected", "postselected_fraction"])
-            for i, depth in enumerate(self.depths):
-                for j, seed in enumerate(self.seeds):
-                    writer.writerow([depth, seed,
-                                     repr(float(self.raw[i, j])),
-                                     repr(float(self.postselected[i, j])),
-                                     repr(float(self.kept_fraction[i, j]))])
 
 
 def _sequence_indices(group_size: int, depth: int, seed: int) -> np.ndarray:
@@ -438,38 +411,25 @@ def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
     return indices, group.inverse_of(net)
 
 
-def _readout_stats(rho_vec: np.ndarray, qudit_dim: int, n_qubits: int,
+def _readout_stats(rho_vec: np.ndarray, n_qubits: int,
                    spam: ReadoutModel | None) -> tuple[float, float]:
     """(survival of |0..0> assignment, kept fraction) from the final state."""
-    dim = qudit_dim ** n_qubits
+    dim = 3 ** n_qubits
     probs = np.real(np.diag(rho_vec.reshape(dim, dim, order="F")))
     probs = np.clip(probs, 0.0, None)
     if n_qubits == 1:
-        table = probs.reshape(1, dim)
-        confusions = [_confusion(spam, 1, qudit_dim)]
-    else:
-        table = probs.reshape(qudit_dim, qudit_dim)
-        confusions = [_confusion(spam, 0, qudit_dim), _confusion(spam, 1, qudit_dim)]
-    if n_qubits == 1:
-        observed = table[0] @ confusions[0]
+        observed = probs @ _confusion(spam, 1)
         survival = observed[0]
-        kept = observed[0] + observed[1] if qudit_dim == 3 else 1.0
+        kept = observed[0] + observed[1]
     else:
-        observed = confusions[0].T @ table @ confusions[1]
+        observed = _confusion(spam, 0).T @ probs.reshape(3, 3) @ _confusion(spam, 1)
         survival = observed[0, 0]
-        kept = observed[:2, :2].sum() if qudit_dim == 3 else 1.0
+        kept = observed[:2, :2].sum()
     return float(survival), float(kept)
 
 
-def _confusion(spam: ReadoutModel | None, qubit: int, qudit_dim: int) -> np.ndarray:
-    if qudit_dim == 2:
-        if spam is None:
-            return np.eye(2)
-        full = spam.confusion_matrix(qubit)
-        return full[:2, :2] / full[:2, :2].sum(axis=1, keepdims=True)
-    if spam is None:
-        return np.eye(3)
-    return spam.confusion_matrix(qubit)
+def _confusion(spam: ReadoutModel | None, qubit: int) -> np.ndarray:
+    return np.eye(3) if spam is None else spam.confusion_matrix(qubit)
 
 
 def simulate_rb(noise: NativeGateNoise,
@@ -525,8 +485,7 @@ def simulate_rb(noise: NativeGateNoise,
                     vec = noise.superops[interleave] @ vec
             for gate in group.elements[recovery].word:
                 vec = noise.superops[gate] @ vec
-            survival, kept = _readout_stats(vec, noise.qudit_dim,
-                                            noise.n_qubits, spam)
+            survival, kept = _readout_stats(vec, noise.n_qubits, spam)
             raw[i, j] = survival
             kept_arr[i, j] = kept
             post[i, j] = survival / kept if kept > 0 else 0.0
@@ -653,7 +612,7 @@ def _interleaved_ideal_rb(superops: np.ndarray,
     once per sequence.
     """
     superops = np.asarray(superops)
-    natives = _embedded_natives(2, 3)
+    natives = _embedded_natives(2)
     cz = group.index_of(CZ4)
 
     def conj_clifford(idx: int) -> np.ndarray:
@@ -726,7 +685,7 @@ def irb_accuracy_study(n_samples: int = 120,
     sequence_seeds = tuple(int(s) for s in sequence_seeds)
     group = generate_clifford_group(2)
     reference_fit = fit_linear_fidelity(
-        simulate_rb(NativeGateNoise.ideal(2, 3), depths, sequence_seeds, group=group), 2)
+        simulate_rb(NativeGateNoise.ideal(2), depths, sequence_seeds, group=group), 2)
 
     # One channel object at a time: only its superoperator is kept.
     superops = np.empty((len(samples), 81, 81), dtype=complex)
@@ -783,6 +742,8 @@ def simulate_bitflip_protocol(initial: str,
         raise ValueError("initial state must be '0' or '1'")
     if spectator not in ("control", "target"):
         raise ValueError("spectator must be 'control' or 'target'")
+    if n_gates < 0:
+        raise ValueError(f"n_gates must be non-negative, got {n_gates}")
     noise = noise or NativeGateNoise.coherence_limited()
     spec_q = 0 if spectator == "control" else 1
     ramsey_gate = "X90_t" if spectator == "control" else "X90_c"
@@ -801,7 +762,7 @@ def simulate_bitflip_protocol(initial: str,
     probs = np.clip(np.real(np.diag(vec.reshape(dim, dim, order="F"))), 0.0, None)
     table = probs.reshape(3, 3)
     marginal = table.sum(axis=1) if spec_q == 0 else table.sum(axis=0)
-    confusion = _confusion(spam, spec_q, 3)
+    confusion = _confusion(spam, spec_q)
     observed = marginal @ confusion
     flipped = observed[1 - level]
     return BitflipResult(n_gates=n_gates, apparent_flip=float(flipped))

@@ -16,7 +16,6 @@ over the four Z-type entries makes the nine classes an exact partition.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

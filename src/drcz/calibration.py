@@ -11,10 +11,8 @@ tune-up order starting from deliberately perturbed guesses.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -102,37 +100,6 @@ class SweepResult:
         if self.rows is not None:
             raise ValueError("argmax_axis is defined for 1-D sweeps only")
         return float(self.axis[int(np.argmax(self.values))])
-
-    def to_csv(self, path: str | Path) -> tuple[Path, Path]:
-        """Write the curve as CSV plus a JSON metadata sidecar.
-
-        Returns (csv_path, sidecar_path).  2-D sweeps are written in long
-        format with the row value in the first column.
-        """
-        path = Path(path)
-        csv_path = path if path.suffix == ".csv" else path.with_suffix(".csv")
-        lines = []
-        if self.rows is None:
-            lines.append(f"{self.axis_name},{self.observable}")
-            for x, v in zip(self.axis, self.values):
-                lines.append(f"{float(x):.17g},{float(v):.17g}")
-        else:
-            lines.append(f"{self.rows_name},{self.axis_name},{self.observable}")
-            for r, row in zip(self.rows, self.values):
-                for x, v in zip(self.axis, row):
-                    lines.append(f"{float(r):.17g},{float(x):.17g},{float(v):.17g}")
-        csv_path.write_text("\n".join(lines) + "\n")
-
-        sidecar = csv_path.with_suffix(".json")
-        meta = {
-            "observable": self.observable,
-            "axis_name": self.axis_name,
-            "rows_name": self.rows_name or None,
-            "fixed": {k: float(v) for k, v in sorted(self.fixed.items())},
-            "shape": list(self.values.shape),
-        }
-        sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        return csv_path, sidecar
 
 
 def _swap_pair_register() -> ModeRegister:
@@ -250,6 +217,8 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
     """
     register = ModeRegister.standard(2)
     phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 1 or phases.size == 0:
+        raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {phases.shape}")
     target_bit = 0 if target_interacting else 1
     occ = _gate_input(register, 1, target_bit)
     proj = codespace_projector(register, (CONTROL_CODE, TARGET_CODE), "c").data

@@ -2,10 +2,10 @@
 
 Conventions used throughout:
   * vec() is column-stacking, so vec(A X B) = (B^T kron A) vec(X).
-  * The process (chi) matrix is taken over a plain operator basis {B_m}
-    with Tr(B_m^dag B_n) = d * delta_mn (unnormalized Pauli strings by
-    default), E(rho) = sum_mn chi_mn B_m rho B_n^dag.  A trace-preserving
-    channel then has trace(chi) = 1.
+  * The process (chi) matrix is taken over the plain (unnormalized) Pauli
+    strings {B_m}, Tr(B_m^dag B_n) = d * delta_mn, with
+    E(rho) = sum_mn chi_mn B_m rho B_n^dag.  A trace-preserving channel
+    then has trace(chi) = 1.
 """
 from __future__ import annotations
 
@@ -43,22 +43,18 @@ def pauli_labels(n_qubits: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def pauli_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Plain (unnormalized) Pauli strings, ordered I..Z lexicographically."""
+    """Plain (unnormalized) Pauli strings, ordered I..Z lexicographically.
+
+    The arrays are cached and shared by every caller, so they are
+    read-only."""
     mats = []
     for label in pauli_labels(n_qubits):
         m = np.eye(1, dtype=complex)
         for ch in label:
             m = np.kron(m, _PAULI_1Q[ch])
+        m.setflags(write=False)
         mats.append(m)
     return tuple(mats)
-
-
-def _check_basis(basis: Sequence[np.ndarray], dim: int) -> None:
-    if len(basis) != dim * dim:
-        raise ValueError(f"operator basis needs {dim * dim} elements, got {len(basis)}")
-    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
-    if np.max(np.abs(gram - dim * np.eye(dim * dim))) > 1e-9:
-        raise ValueError("operator basis is not orthogonal with Tr(Bm^dag Bn) = d delta_mn")
 
 
 def _superop_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -92,20 +88,39 @@ def _kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> tuple[list[np.n
     return kraus, float(vals.min())
 
 
-def _chi_from_superop(superop: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _chi_gather(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each chi entry reads the superoperator S.
+
+    chi_mn = Tr(P^dag S) / d^2 with the probe P = kron(B_n^*, B_m).  A Pauli
+    probe has one nonzero entry per column i, at row r_i, so the trace is
+    the sum over i of conj(P[r_i, i]) S[r_i, i].  Row (m, n) of the table
+    (flattened, m major) holds the flat indices r_i * d^2 + i into S and the
+    phases conj(P[r_i, i]), in the order np.trace walks the diagonal."""
+    basis = pauli_basis(n_qubits)
+    cols = np.arange(4 ** n_qubits)
+    rows, phases = [], []
+    for bm in basis:
+        for bn in basis:
+            probe = np.kron(bn.conj(), bm)
+            hit = np.argmax(probe != 0, axis=0)
+            rows.append(hit * cols.size + cols)
+            phases.append(probe[hit, cols].conj())
+    rows, phases = np.array(rows), np.array(phases)
+    rows.setflags(write=False)
+    phases.setflags(write=False)
+    return rows, phases
+
+
+def _chi_from_superop(superop: np.ndarray, n_qubits: int) -> np.ndarray:
     d2 = superop.shape[0]
-    d = int(round(np.sqrt(d2)))
-    n = len(basis)
-    chi = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            probe = np.kron(basis[nn].conj(), basis[m])
-            chi[m, nn] = np.trace(probe.conj().T @ superop) / d**2
-    return chi
+    rows, phases = _chi_gather(n_qubits)
+    return ((phases * superop.flat[rows]).sum(axis=1) / d2).reshape(d2, d2)
 
 
-def _superop_from_chi(chi: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    d = basis[0].shape[0]
+def _superop_from_chi(chi: np.ndarray, n_qubits: int) -> np.ndarray:
+    basis = pauli_basis(n_qubits)
+    d = 2 ** n_qubits
     s = np.zeros((d * d, d * d), dtype=complex)
     for m in range(len(basis)):
         for n in range(len(basis)):
@@ -117,22 +132,18 @@ def _superop_from_chi(chi: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarra
 class QuantumChannel:
     """A completely positive map, possibly trace-decreasing.
 
-    Construct from exactly one of `kraus`, `superop`, or `chi` (chi needs
-    an operator basis, default plain Paulis when the dimension is a power
-    of two).  All three representations are available as properties and
-    agree to 1e-10 round-trip.
+    Construct from exactly one of `kraus`, `superop`, or `chi` (chi is over
+    the plain Pauli strings, so it needs a power-of-two dimension).  All
+    three representations are available and agree to 1e-10 round-trip.
     """
 
     def __init__(self, dim: int, *, kraus: Sequence[np.ndarray] | None = None,
                  superop: np.ndarray | None = None, chi: np.ndarray | None = None,
-                 basis: Sequence[np.ndarray] | None = None, validate: bool = True):
+                 validate: bool = True):
         given = [x is not None for x in (kraus, superop, chi)]
         if sum(given) != 1:
             raise ValueError("provide exactly one of kraus, superop, chi")
         self.dim = dim
-        self._basis = tuple(basis) if basis is not None else None
-        if self._basis is not None:
-            _check_basis(self._basis, dim)
         self._kraus = None if kraus is None else tuple(np.asarray(k, dtype=complex) for k in kraus)
         self._superop = None if superop is None else np.asarray(superop, dtype=complex)
         self._chi = None if chi is None else np.asarray(chi, dtype=complex)
@@ -143,19 +154,18 @@ class QuantumChannel:
         if self._superop is not None and self._superop.shape != (dim * dim, dim * dim):
             raise ValueError("superoperator has wrong shape")
         if self._chi is not None:
-            if self._basis is None:
-                self._basis = self._default_basis()
-            if self._chi.shape != (len(self._basis),) * 2:
+            self._n_qubits()
+            if self._chi.shape != (dim * dim,) * 2:
                 raise ValueError("chi matrix has wrong shape")
         self._cp_defect: float | None = None
         if validate:
             self._validate()
 
-    def _default_basis(self) -> tuple[np.ndarray, ...]:
+    def _n_qubits(self) -> int:
         n = int(round(np.log2(self.dim)))
         if 2**n != self.dim:
-            raise ValueError("no default operator basis for non-qubit dimension; pass basis=")
-        return pauli_basis(n)
+            raise ValueError(f"no Pauli operator basis for non-qubit dimension {self.dim}")
+        return n
 
     def _validate(self) -> None:
         defect = self.cp_defect
@@ -173,7 +183,7 @@ class QuantumChannel:
             if self._kraus is not None:
                 self._superop = _superop_from_kraus(self._kraus)
             else:
-                self._superop = _superop_from_chi(self._chi, self._basis)
+                self._superop = _superop_from_chi(self._chi, self._n_qubits())
         return self._superop
 
     @property
@@ -187,14 +197,11 @@ class QuantumChannel:
     def choi(self) -> np.ndarray:
         return _choi_from_superop(self.superop)
 
-    def chi(self, basis: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        if basis is None:
-            if self._chi is not None:
-                return self._chi
-            basis = self._basis if self._basis is not None else self._default_basis()
-        else:
-            _check_basis(basis, self.dim)
-        return _chi_from_superop(self.superop, basis)
+    def chi(self) -> np.ndarray:
+        """Process matrix over the plain Pauli strings."""
+        if self._chi is not None:
+            return self._chi
+        return _chi_from_superop(self.superop, self._n_qubits())
 
     # --- diagnostics ------------------------------------------------------
 
@@ -240,26 +247,17 @@ class QuantumChannel:
         return QuantumChannel(self.dim, superop=self.superop @ earlier.superop,
                               validate=False)
 
-    def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        ops = [np.kron(a, b) for a in self.kraus for b in other.kraus]
-        return QuantumChannel(self.dim * other.dim, kraus=ops, validate=False)
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "QuantumChannel":
-        u = np.asarray(u, dtype=complex)
-        return cls(u.shape[0], kraus=[u])
-
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
         return cls(dim, kraus=[np.eye(dim, dtype=complex)])
 
 
-def convert_channel(channel: QuantumChannel, target: str,
-                    basis: Sequence[np.ndarray] | None = None):
+def convert_channel(channel: QuantumChannel, target: str):
     """Return the requested representation of a channel.
 
-    target is one of {"kraus", "superop", "chi"}.  Conversion to Kraus
-    requires complete positivity; a Choi eigenvalue below -1e-8 raises.
+    target is one of {"kraus", "superop", "chi"} (chi over the plain Pauli
+    strings).  Conversion to Kraus requires complete positivity; a Choi
+    eigenvalue below -1e-8 raises.
     """
     if target == "kraus":
         if channel.cp_defect < CP_TOL:
@@ -270,7 +268,7 @@ def convert_channel(channel: QuantumChannel, target: str,
     if target == "superop":
         return channel.superop
     if target == "chi":
-        return channel.chi(basis)
+        return channel.chi()
     raise ValueError(f"unknown representation {target!r}")
 
 

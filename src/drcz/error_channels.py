@@ -310,6 +310,11 @@ def embed_qubit_operator(op4: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest condition number accepted for the expansion of the Paulis over
+# the 16 product preparation states.
+MAX_CONDITION = 1e8
+
+
 def _preparation_states() -> list[np.ndarray]:
     kets1 = [np.array([1, 0]), np.array([0, 1]),
              np.array([1, 1]) / math.sqrt(2), np.array([1, 1j]) / math.sqrt(2)]
@@ -349,8 +354,7 @@ def _fidelity_expansion() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...
 
 
 def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
-                          readout: ReadoutModel | None = None, *,
-                          max_condition: float = 1e8) -> float:
+                          readout: ReadoutModel | None = None) -> float:
     """Entanglement fidelity to a two-qubit unitary under postselection.
 
     F = sum_jk alpha_jk Tr(R U_j R^dag M E(rho_k) M^dag)
@@ -367,7 +371,7 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
         raise ValueError("reference must be a two-qubit unitary")
 
     states4, embedded, paulis, alpha, cond = _fidelity_expansion()
-    if cond > max_condition:
+    if cond > MAX_CONDITION:
         raise ValueError(f"state-basis expansion ill-conditioned (cond {cond:.3e})")
 
     qutrit = channel.dim == 9

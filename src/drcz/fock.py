@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -171,10 +171,6 @@ class OperatorMatrix:
     def __rmul__(self, scalar: complex) -> "OperatorMatrix":
         return OperatorMatrix(self.register, complex(scalar) * self.data)
 
-    def expectation(self, rho: "DensityMatrix | np.ndarray") -> complex:
-        mat = rho.data if isinstance(rho, DensityMatrix) else rho
-        return complex(np.trace(self.data @ mat))
-
 
 def build_mode_operator(register: ModeRegister, label: str, kind: str) -> OperatorMatrix:
     """Single-mode operator embedded in the register's tensor space.
@@ -244,34 +240,11 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.data @ self.data)))
 
-    def expectation(self, op: OperatorMatrix | np.ndarray) -> complex:
-        mat = op.data if isinstance(op, OperatorMatrix) else op
-        return complex(np.trace(mat @ self.data))
-
     def normalized(self) -> "DensityMatrix":
         tr = self.trace
         if tr <= 0:
             raise ValueError("cannot normalize a zero-trace state")
         return DensityMatrix(self.register, self.data / tr)
-
-    def partial_trace(self, keep: Iterable[str]) -> "DensityMatrix":
-        """Trace out every mode not listed in `keep` (order preserved)."""
-        keep = list(keep)
-        keep_idx = [self.register.index(label) for label in keep]
-        dims = self.register.dims
-        n = len(dims)
-        tensor = self.data.reshape(dims + dims)
-        drop = [i for i in range(n) if i not in keep_idx]
-        for count, i in enumerate(sorted(drop)):
-            axis = i - count  # axes shift as we contract
-            tensor = np.trace(tensor, axis1=axis, axis2=axis + n - count)
-        # reorder remaining axes to requested order
-        remaining = [i for i in range(len(dims)) if i not in drop]
-        perm = [remaining.index(i) for i in keep_idx]
-        k = len(perm)
-        tensor = tensor.transpose(perm + [p + k for p in perm])
-        sub = ModeRegister(tuple(self.register.modes[i] for i in keep_idx))
-        return DensityMatrix(sub, tensor.reshape(sub.dim, sub.dim), validate=False)
 
 
 @dataclass(frozen=True)

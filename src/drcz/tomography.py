@@ -8,15 +8,14 @@ maximum-likelihood iteration).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
 
-from .channels import QuantumChannel, pauli_basis, pauli_labels
+from .channels import QuantumChannel, pauli_basis
 from .error_channels import ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
@@ -33,7 +32,6 @@ __all__ = [
     "bell_state_ideal",
     "bell_circuit_record",
     "reconstruct_state",
-    "pauli_correlators",
     "bell_metrics",
     "process_tomography",
     "simulated_leak_process",
@@ -124,25 +122,6 @@ class MeasurementRecord:
         return sum(v for (s1, s2, _, _), v in self.counts.items()
                    if (s1, s2) == (sc, st))
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting_control", "setting_target",
-                             "outcome_control", "outcome_target", "count"])
-            for key in sorted(self.counts):
-                writer.writerow([*key, repr(self.counts[key])])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "MeasurementRecord":
-        record = cls()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                record.add(row["setting_control"], row["setting_target"],
-                           row["outcome_control"], row["outcome_target"],
-                           float(row["count"]))
-        return record
-
 
 def bell_state_ideal() -> np.ndarray:
     """Output of the one-gate circuit: CZ (Rx(pi/2) x Rx(pi/2)) |00>."""
@@ -155,21 +134,21 @@ def bell_circuit_record(n_gates: int = 1, *,
                         params: SystemParams | None = None,
                         noise: NoiseModel | None = None,
                         readout: ReadoutModel | None = None,
-                        register: ModeRegister | None = None,
-                        echo: bool = True,
                         shots: int | None = None,
                         rng: np.random.Generator | None = None) -> MeasurementRecord:
     """Simulate the repeated-gate Bell experiment and return its record.
 
-    Circuit: Rx(pi/2) on both qubits, then n_gates CZ gates (each followed
-    by its virtual-Z frame correction), with an X x X echo inserted after
-    the first (n_gates-1)/2 gates when echo is set and n_gates is odd and
+    Circuit: Rx(pi/2) on both qubits, then n_gates >= 0 CZ gates (each
+    followed by its virtual-Z frame correction), with an X x X echo
+    inserted after the first (n_gates-1)/2 gates when n_gates is odd and
     >= 3.  Measurement applies the pre-rotation pair and reads each qubit
     as {0, 1, erasure} through the readout confusion matrix.  shots=None
     records exact outcome probabilities; otherwise multinomial samples.
     """
+    if n_gates < 0:
+        raise ValueError(f"n_gates must be non-negative, got {n_gates}")
     params = params or SystemParams.table()
-    register = register or ModeRegister.standard(2)
+    register = ModeRegister.standard(2)
     noise = noise or NoiseModel.none()
     readout = readout or ReadoutModel.two_round()
     schedule = build_schedule(params, register)
@@ -184,7 +163,7 @@ def bell_circuit_record(n_gates: int = 1, *,
 
     rho = DensityMatrix.basis_state(register, {CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1}).data
     rho = prep_t @ prep_c @ rho @ prep_c.conj().T @ prep_t.conj().T
-    echo_after = (n_gates - 1) // 2 if (echo and n_gates >= 3 and n_gates % 2 == 1) else None
+    echo_after = (n_gates - 1) // 2 if (n_gates >= 3 and n_gates % 2 == 1) else None
     gate = gate_superoperator(schedule, noise)
     for k in range(n_gates):
         rho = wrong_t @ wrong_c @ gate.apply(rho) @ wrong_c.conj().T @ wrong_t.conj().T
@@ -278,12 +257,6 @@ def reconstruct_state(record: MeasurementRecord, postselect: bool = True) -> Den
     return DensityMatrix(QUBIT_PAIR, rho, validate=False)
 
 
-def pauli_correlators(rho: DensityMatrix | np.ndarray) -> dict[str, float]:
-    mat = rho.data if isinstance(rho, DensityMatrix) else rho
-    return {label: float(np.real(np.trace(p @ mat)))
-            for label, p in zip(pauli_labels(2), pauli_basis(2))}
-
-
 def bell_metrics(rho: DensityMatrix | np.ndarray,
                  reference: np.ndarray | None = None) -> tuple[float, float]:
     """(fidelity, purity) against the circuit's ideal Bell state."""
@@ -305,27 +278,25 @@ _PREP_KETS = {
 
 
 def process_tomography(channel: QuantumChannel | Callable[[np.ndarray], np.ndarray],
-                       preparations: Mapping[str, np.ndarray] | None = None,
-                       settings: Iterable[str] = tuple(SETTINGS),
                        postselect: bool = True) -> np.ndarray:
     """Single-qubit chi matrix (plain Pauli basis) of a channel.
 
-    The channel may act on dim 2 or on dim 3 (qubit + detected-leak level,
-    in which case outcome statistics include erasure and postselect
-    conditions them away).  Output is CP-projected and, when postselect
-    renormalized the data, trace-normalized.
+    Each of the preparations {|0>, |1>, |+>, |+i>} is measured in every
+    pre-rotation setting.  The channel may act on dim 2 or on dim 3 (qubit
+    + detected-leak level, in which case outcome statistics include erasure
+    and postselect conditions them away).  Output is CP-projected and, when
+    postselect renormalized the data, trace-normalized.
     """
-    preparations = dict(preparations) if preparations else dict(_PREP_KETS)
     apply = channel.apply if isinstance(channel, QuantumChannel) else channel
     dim = channel.dim if isinstance(channel, QuantumChannel) else 2
 
     inputs, outputs = [], []
-    for ket in preparations.values():
+    for ket in _PREP_KETS.values():
         rho_in = np.outer(ket, ket.conj())
         probe = rho_in if dim == 2 else _embed3(rho_in)
         rho_out = np.asarray(apply(probe))
         rows, freqs = [], []
-        for label in settings:
+        for label in SETTINGS:
             povm = _qubit_povm(label)
             block = rho_out if dim == 2 else rho_out[:2, :2]
             probs = {o: float(np.real(np.trace(m @ block))) for o, m in povm.items()}
@@ -365,7 +336,6 @@ def _embed3(rho2: np.ndarray) -> np.ndarray:
 def simulated_leak_process(params: SystemParams | None = None,
                            control_prep: str = "1",
                            *,
-                           register: ModeRegister | None = None,
                            points: int = 801) -> QuantumChannel:
     """Target-qubit map conditioned on a control-side erasure during one gate.
 
@@ -378,7 +348,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     The result is subnormalized by the erasure probability.
     """
     params = params or SystemParams.table()
-    register = register or ModeRegister.standard(2)
+    register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
     hams = [(np.asarray(h.data, dtype=complex), d) for h, d, _ in schedule.segments]
     total = sum(d for _, d in hams)

@@ -1,5 +1,4 @@
 """Clifford closure, erasure-aware RB, and the idle bit-flip protocol."""
-import csv
 import functools
 import hashlib
 import math
@@ -191,7 +190,7 @@ def test_sequence_indices_are_deterministic():
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_ideal_rb_survival_is_identically_one(n_qubits):
-    noise = NativeGateNoise.ideal(n_qubits, 3)
+    noise = NativeGateNoise.ideal(n_qubits)
     record = simulate_rb(noise, (1, 3, 6), (0, 1))
     np.testing.assert_allclose(record.raw, 1.0, atol=1e-10)
     np.testing.assert_allclose(record.postselected, 1.0, atol=1e-10)
@@ -199,7 +198,7 @@ def test_ideal_rb_survival_is_identically_one(n_qubits):
 
 
 def test_rb_validation():
-    noise = NativeGateNoise.ideal(2, 3)
+    noise = NativeGateNoise.ideal(2)
     with pytest.raises(ValueError, match="depths must be positive"):
         simulate_rb(noise, (0, 2), (0,))
     with pytest.raises(ValueError, match="at least one seed"):
@@ -213,7 +212,7 @@ def test_interleaved_depolarizing_survival_is_exact():
     # Clifford: postselected survival must equal 0.75 p^N + 0.25 exactly,
     # independent of the random sequence
     p = 0.98
-    noise = NativeGateNoise.ideal(2, 3).replace(CZ_dep=depolarizing_cz_channel(p))
+    noise = NativeGateNoise.ideal(2).replace(CZ_dep=depolarizing_cz_channel(p))
     record = simulate_rb(noise, (1, 2, 4, 8), (0, 1, 2),
                          interleave="CZ_dep", interleave_unitary=CZ4)
     for i, depth in enumerate(record.depths):
@@ -288,27 +287,17 @@ def test_coherence_limited_natives():
     leaked = sum(np.real(out[i, i]) for i in (6, 7, 8))
     assert leaked == pytest.approx(expected_leak, rel=1e-9)
     # virtual Z stays noiseless
-    ideal_z = NativeGateNoise.ideal(2, 3).superops["Z90_c"]
+    ideal_z = NativeGateNoise.ideal(2).superops["Z90_c"]
     np.testing.assert_allclose(noise.superops["Z90_c"], ideal_z, atol=1e-14)
 
 
 def test_replace_accepts_channels_and_keyword_aliases():
-    base = NativeGateNoise.ideal(2, 3)
+    base = NativeGateNoise.ideal(2)
     swapped = base.replace(X_minus90_c=base.superops["X90_c"])
     np.testing.assert_allclose(swapped.superops["X-90_c"], base.superops["X90_c"])
     chan = QuantumChannel(9, superop=base.superops["CZ"], validate=False)
     swapped = base.replace(CZ=chan)
     np.testing.assert_allclose(swapped.superops["CZ"], base.superops["CZ"])
-
-
-def test_rb_record_csv_round_trip(tmp_path):
-    record = simulate_rb(NativeGateNoise.ideal(2, 3), (1, 2), (0,))
-    path = tmp_path / "rb.csv"
-    record.to_csv(str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert float(rows[0]["survival_postselected"]) == record.postselected[0, 0]
 
 
 def test_bitflip_with_perfect_readout_is_exactly_zero():
@@ -360,7 +349,7 @@ def test_batched_pass_matches_simulate_rb_sample_by_sample():
     u = expm(-0.05j * (h + h.conj().T)) @ np.diag(np.exp(1j * np.arange(9)))
     channels.append(np.kron(u.conj(), u))
     records = _interleaved_ideal_rb(channels, depths, seeds, group)
-    base = NativeGateNoise.ideal(2, 3)
+    base = NativeGateNoise.ideal(2)
     for channel, record in zip(channels, records):
         oracle = simulate_rb(base.replace(CZ_sampled=channel), depths, seeds,
                              interleave="CZ_sampled", interleave_unitary=CZ4,

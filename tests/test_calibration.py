@@ -1,6 +1,5 @@
 """Simulated tune-up scans and the one-pass calibration flow."""
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -69,26 +68,6 @@ def test_sweep_result_validation():
                     rows_name="r")
 
 
-def test_sweep_result_csv_and_sidecar(tmp_path):
-    sweep = SweepResult(axis=[0.0, 0.5], values=[1 / 3, 2 / 3],
-                        observable="pop", axis_name="t",
-                        fixed={"g": 26.578})
-    csv_path, sidecar = sweep.to_csv(tmp_path / "scan")
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "t,pop"
-    assert float(lines[1].split(",")[1]) == 1 / 3  # %.17g survives the trip
-    meta = json.loads(sidecar.read_text())
-    assert meta["fixed"] == {"g": 26.578}
-    assert meta["shape"] == [2]
-    grid = SweepResult(axis=[0.0, 1.0], values=[[1.0, 2.0], [3.0, 4.0]],
-                       observable="pop", axis_name="t", rows=[5.0, 6.0],
-                       rows_name="detuning")
-    csv_path, _ = grid.to_csv(tmp_path / "grid.csv")
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "detuning,t,pop"
-    assert len(lines) == 5
-
-
 def test_chevron_empties_the_cavity_only_on_resonance(table_params):
     durations = np.array([0.5, 1.0, 1.5]) * T_SWAP
     sweep = chevron_scan(table_params, [0.0, table_params.g_ac], durations)
@@ -140,6 +119,12 @@ def test_swapback_scan_is_flat_when_the_target_is_idle(table_params):
     phases = PHI_SWAP + np.linspace(-math.pi, math.pi, 9)
     sweep = swapback_phase_scan(table_params, phases, target_interacting=False)
     assert np.max(np.abs(sweep.values)) < 1e-12
+
+
+@pytest.mark.parametrize("phases", [[], [[0.0, 1.0]]], ids=["empty", "2-D"])
+def test_swapback_phase_scan_rejects_a_grid_that_is_not_1d(table_params, phases):
+    with pytest.raises(ValueError, match="phases"):
+        swapback_phase_scan(table_params, phases)
 
 
 def test_entangling_phase_crosses_pi_at_the_derived_wait(table_params):

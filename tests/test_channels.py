@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drcz.channels import (
+    ROUNDTRIP_TOL,
     QuantumChannel,
     convert_channel,
     global_phase_distance,
     pauli_basis,
     pauli_labels,
 )
+from drcz.error_channels import _pauli_4
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -86,11 +88,11 @@ def test_representation_round_trips():
     via_superop = QuantumChannel(2, superop=chan.superop)
     via_chi = QuantumChannel(2, chi=chan.chi())
     rho = np.array([[0.2, 0.4], [0.4, 0.8]], dtype=complex)
-    np.testing.assert_allclose(via_superop.apply(rho), chan.apply(rho), atol=1e-10)
-    np.testing.assert_allclose(via_chi.apply(rho), chan.apply(rho), atol=1e-10)
+    np.testing.assert_allclose(via_superop.apply(rho), chan.apply(rho), atol=ROUNDTRIP_TOL)
+    np.testing.assert_allclose(via_chi.apply(rho), chan.apply(rho), atol=ROUNDTRIP_TOL)
     # Kraus recovered from the Choi decomposition act identically
     rebuilt = QuantumChannel(2, kraus=list(via_superop.kraus))
-    np.testing.assert_allclose(rebuilt.superop, chan.superop, atol=1e-10)
+    np.testing.assert_allclose(rebuilt.superop, chan.superop, atol=ROUNDTRIP_TOL)
 
 
 def test_cp_and_tp_validation():
@@ -110,23 +112,13 @@ def test_cp_and_tp_validation():
 
 
 def test_compose_order():
-    prep = QuantumChannel.from_unitary(X)
+    prep = QuantumChannel(2, kraus=[X])
     measure_z = QuantumChannel(2, kraus=[np.diag([1.0, 0.0]).astype(complex)])
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     flipped_then_projected = measure_z.compose(prep).apply(rho0)
     assert np.trace(flipped_then_projected) == pytest.approx(0.0, abs=1e-14)
     projected_then_flipped = prep.compose(measure_z).apply(rho0)
     assert np.trace(projected_then_flipped) == pytest.approx(1.0)
-
-
-def test_tensor_acts_factorwise():
-    a = QuantumChannel.from_unitary(X)
-    b = QuantumChannel.identity(2)
-    both = a.tensor(b)
-    assert both.dim == 4
-    rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7])).astype(complex)
-    expected = np.kron(np.diag([0.0, 1.0]), np.diag([0.3, 0.7]))
-    np.testing.assert_allclose(both.apply(rho), expected, atol=1e-12)
 
 
 def test_chi_requires_basis_for_non_qubit_dimension():
@@ -138,7 +130,7 @@ def test_chi_requires_basis_for_non_qubit_dimension():
 
 
 def test_convert_channel():
-    chan = QuantumChannel.from_unitary(Z)
+    chan = QuantumChannel(2, kraus=[Z])
     sup = convert_channel(chan, "superop")
     np.testing.assert_allclose(sup, np.diag([1, -1, -1, 1]), atol=1e-14)
     chi = convert_channel(chan, "chi")
@@ -160,9 +152,63 @@ def test_global_phase_distance():
 @given(phases=st.lists(st.floats(min_value=-3.14, max_value=3.14), min_size=4, max_size=4))
 def test_unitary_channels_are_cptp(phases):
     u = np.diag(np.exp(1j * np.array(phases)))
-    chan = QuantumChannel.from_unitary(u)
+    chan = QuantumChannel(4, kraus=[u])
     assert chan.is_trace_preserving
     # chi of a unitary channel is rank one
     vals = np.linalg.eigvalsh(chan.chi())
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(vals[:-1] < 1e-9)
+
+
+def test_cached_pauli_arrays_are_read_only():
+    # pauli_basis hands every caller the same cached arrays
+    for shared in (pauli_basis(2)[1], _pauli_4()[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 5.0
+    np.testing.assert_array_equal(pauli_basis(2)[1], np.kron(np.eye(2), X))
+
+
+def _chi_probe_loop(superop, basis):
+    """The per-entry chi definition: trace against 4^n x 4^n Pauli probes."""
+    d = basis[0].shape[0]
+    n = len(basis)
+    chi = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        for nn in range(n):
+            probe = np.kron(basis[nn].conj(), basis[m])
+            chi[m, nn] = np.trace(probe.conj().T @ superop) / d**2
+    return chi
+
+
+def _superops_with_signed_zeros(n_qubits, rng):
+    d2 = 4 ** n_qubits
+    shape = (d2, d2)
+    dense = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    real = rng.normal(size=shape) + 0j
+    sparse = dense.copy()
+    sparse[rng.random(shape) < 0.7] = 0.0
+    signed = dense.copy()
+    signed.real[rng.random(shape) < 0.5] = -0.0
+    signed.imag[rng.random(shape) < 0.5] = -0.0
+    zeros = np.zeros(shape, dtype=complex)
+    zeros.real[rng.random(shape) < 0.5] = -0.0
+    zeros.imag[rng.random(shape) < 0.5] = -0.0
+    zeros[rng.random(shape) < 0.1] = 1.0
+    return [dense, real, sparse, signed, zeros]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_chi_matches_the_probe_loop_bit_for_bit(n_qubits):
+    rng = np.random.default_rng(20 + n_qubits)
+    basis = pauli_basis(n_qubits)
+    d = 2 ** n_qubits
+    for _ in range(8):
+        for superop in _superops_with_signed_zeros(n_qubits, rng):
+            chi = QuantumChannel(d, superop=superop, validate=False).chi()
+            want = _chi_probe_loop(superop, basis)
+            assert np.array_equal(chi, want)
+            for part in ("real", "imag"):
+                np.testing.assert_array_equal(np.signbit(getattr(chi, part)),
+                                              np.signbit(getattr(want, part)))
+            back = QuantumChannel(d, chi=chi, validate=False).superop
+            np.testing.assert_allclose(back, superop, rtol=0, atol=ROUNDTRIP_TOL)

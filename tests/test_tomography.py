@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from drcz import ModeRegister, NoiseModel, SystemParams, tomography
-from drcz.channels import QuantumChannel, pauli_basis
+from drcz.benchmarking import simulate_bitflip_protocol
+from drcz.channels import QuantumChannel
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
 from drcz.gate import CONTROL_CODE, TARGET_CODE, build_schedule
@@ -91,7 +92,7 @@ def test_bell_state_ideal_matches_direct_construction():
     assert np.linalg.norm(bell_state_ideal()) == pytest.approx(1.0)
 
 
-def test_measurement_record_bookkeeping(tmp_path):
+def test_measurement_record_bookkeeping():
     rec = MeasurementRecord()
     rec.add("I", "X90", "0", "1", 12.5)
     rec.add("I", "X90", "0", "1", 2.5)
@@ -102,10 +103,16 @@ def test_measurement_record_bookkeeping(tmp_path):
     assert rec.settings() == [("I", "X90"), ("Y90", "I")]
     with pytest.raises(ValueError, match="non-negative"):
         rec.add("I", "I", "0", "0", -1.0)
-    path = tmp_path / "record.csv"
-    rec.to_csv(str(path))
-    back = MeasurementRecord.from_csv(str(path))
-    assert back.counts == rec.counts  # repr round-trip keeps full precision
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: bell_circuit_record(n, readout=ReadoutModel.perfect()),
+    lambda n: simulate_bitflip_protocol("0", n),
+], ids=["bell_circuit_record", "simulate_bitflip_protocol"])
+def test_a_negative_gate_count_is_refused(run):
+    with pytest.raises(ValueError, match="n_gates must be non-negative"):
+        run(-2)
+    assert run(0) is not None  # zero gates is a valid circuit
 
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
@@ -186,7 +193,7 @@ def test_chi_error_reports_identity_for_a_perfect_gate():
     assert err1[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(err1 - np.diag(np.diag(err1)))) < 1e-12
     # two-qubit CZ
-    chi2 = QuantumChannel(4, kraus=[CZ4]).chi(basis=list(pauli_basis(2)))
+    chi2 = QuantumChannel(4, kraus=[CZ4]).chi()
     err2 = chi_error(chi2, CZ4)
     assert err2[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.real(np.trace(err2)) == pytest.approx(1.0, abs=1e-12)
