@@ -146,7 +146,11 @@ class QuantumChannel:
         self.dim = dim
         self._kraus = None if kraus is None else tuple(np.asarray(k, dtype=complex) for k in kraus)
         self._superop = None if superop is None else np.asarray(superop, dtype=complex)
-        self._chi = None if chi is None else np.asarray(chi, dtype=complex)
+        self._chi = None
+        if chi is not None:
+            # a private read-only copy: the superop built from it stays its image
+            self._chi = np.array(chi, dtype=complex)
+            self._chi.setflags(write=False)
         if self._kraus is not None:
             for k in self._kraus:
                 if k.shape != (dim, dim):

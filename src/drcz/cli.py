@@ -5,11 +5,16 @@
 
 Each experiment writes three files into the output directory:
 ``<experiment>.csv`` with the data rows, ``<experiment>.json`` with a
-summary, and ``<experiment>.txt`` with a readable table.  Output bytes
-depend only on the config contents and the seed.  Only gate-unitary
-and error-budget read --truncation; the others refuse a value other
-than 2.  Exit status: 0 on success, 2 for a config problem, 3 for an
-experiment failure.
+summary, and ``<experiment>.txt`` with a readable table.  At a fixed
+BLAS thread count, output bytes depend only on the config contents and
+the seed.  Across thread counts the gate-map experiments (error-budget,
+bell-tomography, repeated-cz) can differ in their last digits: the
+OpenBLAS LU factorization (getrf) in scipy.linalg.expm's Pade solve
+rounds differently with one and two threads from dimension ~100 up, and
+the gate maps have 126 (truncation 2) and 251 (truncation 3)
+dimensions.  Only gate-unitary and error-budget read --truncation; the
+others refuse a value other than 2.  Exit status: 0 on success, 2 for
+a config problem, 3 for an experiment failure.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Nine-class per-gate error budget and coherence-limit scalings."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from drcz import ModeRegister, SystemParams
 from drcz.budget import (CoherenceLimits, ErrorBudget, compute_error_budget,
                          fundamental_limits)
 from drcz.config import DeviceConfig
-from drcz.gate import OCCUPANCY_CLASSES, occupancy_classes
+from drcz.gate import (OCCUPANCY_CLASSES, build_schedule, codespace_basis_indices,
+                       ideal_unitary, occupancy_classes)
 
 # Frozen budget of the measured device (listed t1 order, split dephasing).
 FROZEN = {
@@ -59,7 +61,19 @@ def test_noiseless_budget_has_no_error_only():
                                   g_ac=4.23, t1={}, tphi={})
     b = compute_error_budget(clean)
     assert b.no_error == pytest.approx(1.0, abs=1e-12)
-    assert b.erasure_total == 0.0
+    # oracle off the Lindblad path: the exact unitary's output populations of
+    # the four codespace inputs, averaged and summed by occupancy class
+    register = ModeRegister.standard(2)
+    u = ideal_unitary(build_schedule(clean, register)).data
+    idx = codespace_basis_indices(register)
+    pops = np.mean(np.abs(u[:, idx]) ** 2, axis=1)
+    oracle = dict(zip(OCCUPANCY_CLASSES, np.bincount(
+        occupancy_classes(register), weights=pops, minlength=len(OCCUPANCY_CLASSES))))
+    for name in OCCUPANCY_CLASSES[1:]:
+        assert getattr(b, name) == pytest.approx(oracle[name], rel=0, abs=1e-15), name
+    # round-off residues, not exact zeros: no map in floating point gives 0.0
+    for name in ("erasure_total", "control_z", "target_z", "zz"):
+        assert getattr(b, name) <= 1e-15, name
 
 
 def test_ensemble_selects_the_coupler_transit(budget):

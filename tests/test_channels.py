@@ -168,6 +168,20 @@ def test_cached_pauli_arrays_are_read_only():
     np.testing.assert_array_equal(pauli_basis(2)[1], np.kron(np.eye(2), X))
 
 
+def test_chi_of_a_channel_built_from_chi_is_a_private_read_only_copy():
+    chi = np.zeros((4, 4), dtype=complex)
+    chi[0, 0] = 1.0
+    chan = QuantumChannel(2, chi=chi)
+    superop = chan.superop.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        chan.chi()[0, 0] = 0.5
+    chi[0, 0] = 0.5  # the caller's array stays the caller's
+    assert chan.chi() is not chi
+    assert chan.chi()[0, 0] == 1.0
+    np.testing.assert_array_equal(chan.superop, superop)
+    np.testing.assert_array_equal(QuantumChannel(2, chi=chan.chi()).superop, superop)
+
+
 def _chi_probe_loop(superop, basis):
     """The per-entry chi definition: trace against 4^n x 4^n Pauli probes."""
     d = basis[0].shape[0]

@@ -191,6 +191,64 @@ def test_gate_map_rejects_weight_outside_the_sector(table_params, register2):
         gate.apply(mixed)
 
 
+def test_gate_map_rejects_a_coherence_between_photon_numbers(table_params, register2):
+    gate = gate_superoperator(build_schedule(table_params, register2),
+                              NoiseModel.from_params(table_params))
+    # |a1 b1><a1|: both states lie in the sector, but hold two and one photons
+    two = register2.basis_index({"a1": 1, "b1": 1})
+    one = register2.basis_index({"a1": 1})
+    coherence = np.zeros((register2.dim, register2.dim), dtype=complex)
+    coherence[two, one] = 1.0
+    with pytest.raises(ValueError, match="outside"):
+        gate.apply(coherence)
+
+
+@pytest.mark.parametrize("truncation, sector, kept", [(2, 16, 126), (3, 21, 251)])
+def test_gate_map_keeps_the_equal_photon_number_block(table_params, truncation,
+                                                       sector, kept):
+    # 1 + 5^2 + 10^2 sector pairs with 0, 1, 2 photons in row and column at
+    # truncation 2; 1 + 5^2 + 15^2 at truncation 3
+    reg = ModeRegister.standard(truncation)
+    gate = gate_superoperator(build_schedule(table_params, reg),
+                              NoiseModel.from_params(table_params))
+    photons = reg.occupation_table.sum(axis=1)
+    assert gate.sector.size == sector
+    assert gate.rows.size == gate.cols.size == kept
+    assert gate.superop.shape == (kept, kept)
+    np.testing.assert_array_equal(photons[gate.rows], photons[gate.cols])
+    assert np.all(photons[gate.rows] <= 2)
+
+
+def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(table_params):
+    # oracle: the 441-dim map on every entry of the 21-state sector, each
+    # segment's generator assembled from Kronecker products
+    reg = ModeRegister.standard(3)
+    schedule = build_schedule(table_params, reg)
+    noise = NoiseModel.from_params(table_params)
+    photons = reg.occupation_table.sum(axis=1)
+    sector = np.flatnonzero(photons <= 2)
+    block = np.ix_(sector, sector)
+    n = sector.size
+    ident = np.eye(n)
+    collapse = [c[block] for c in collapse_operators(reg, noise)]
+    whole = np.eye(n * n, dtype=complex)
+    for h, dt, _ in schedule.segments:
+        hm = h.data[block]
+        gen = -1j * (np.kron(ident, hm) - np.kron(hm.T, ident))
+        for c in collapse:
+            cdc = c.conj().T @ c
+            gen = (gen + np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
+                   - 0.5 * np.kron(cdc.T, ident))
+        whole = expm(gen * dt) @ whole
+    gate = gate_superoperator(schedule, noise)
+    assert whole.shape == (441, 441)
+    for rho0 in _codespace_units(reg) + [_bell_input(reg)]:
+        out = (whole @ rho0[block].reshape(-1, order="F")).reshape(n, n, order="F")
+        expected = np.zeros_like(rho0)
+        expected[block] = out
+        np.testing.assert_allclose(gate.apply(rho0), expected, rtol=0, atol=1e-12)
+
+
 def test_gate_superoperator_rejects_a_photon_number_drive(table_params, register2):
     # a drive on the coupler would carry a two-photon state out of the sector
     schedule = build_schedule(table_params, register2)
