@@ -323,12 +323,12 @@ class NativeGateNoise:
 
     @classmethod
     def coherence_limited(cls,
-                          cz_rates: ChannelRates | None = None,
+                          cz_rates: ChannelRates,
                           *,
-                          x90_durations_us: tuple[float, float] = (0.208, 0.136),
-                          rail_t1_us: tuple[tuple[float, float], tuple[float, float]] = ((231.0, 411.0), (652.0, 342.0)),
-                          ramsey_tphi_us: tuple[float, float] = (3100.0, 1500.0),
-                          cross_kerr: float = -2 * math.pi * 6.64e-3,
+                          x90_durations_us: tuple[float, float],
+                          rail_t1_us: tuple[tuple[float, float], tuple[float, float]],
+                          ramsey_tphi_us: tuple[float, float],
+                          cross_kerr: float,
                           include_cross_kerr: bool = True) -> "NativeGateNoise":
         """Two-qubit natives with coherence-limited X(pi/2) pulses.
 
@@ -339,9 +339,9 @@ class NativeGateNoise:
         Z rotations are virtual and noiseless; CZ uses the fitted-rate
         qutrit channel.  Unlike the tensor-factor natives of `ideal`, these
         X(pi/2) pulses act on the two-qubit logical block only, so they
-        idle whenever the partner qudit is leaked.
+        idle whenever the partner qudit is leaked.  The measured device
+        values come through `DeviceConfig.native_noise`.
         """
-        cz_rates = cz_rates or ChannelRates.benchmark_fit()
         sup = dict(cls.ideal(2).superops)
         for qubit, name in ((0, "X90_c"), (1, "X90_t")):
             t = x90_durations_us[qubit]
@@ -728,7 +728,7 @@ def simulate_bitflip_protocol(initial: str,
                               *,
                               spectator: str = "control",
                               spam: ReadoutModel | None = None,
-                              noise: NativeGateNoise | None = None) -> BitflipResult:
+                              noise: NativeGateNoise) -> BitflipResult:
     """Apparent logical bit-flip fraction of an idling basis state.
 
     The spectator qubit holds |initial>; the other qubit runs a Ramsey
@@ -744,7 +744,6 @@ def simulate_bitflip_protocol(initial: str,
         raise ValueError("spectator must be 'control' or 'target'")
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
-    noise = noise or NativeGateNoise.coherence_limited()
     spec_q = 0 if spectator == "control" else 1
     ramsey_gate = "X90_t" if spectator == "control" else "X90_c"
 

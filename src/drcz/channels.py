@@ -129,6 +129,12 @@ def _superop_from_chi(chi: np.ndarray, n_qubits: int) -> np.ndarray:
     return s
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 class QuantumChannel:
     """A completely positive map, possibly trace-decreasing.
 
@@ -144,13 +150,11 @@ class QuantumChannel:
         if sum(given) != 1:
             raise ValueError("provide exactly one of kraus, superop, chi")
         self.dim = dim
-        self._kraus = None if kraus is None else tuple(np.asarray(k, dtype=complex) for k in kraus)
-        self._superop = None if superop is None else np.asarray(superop, dtype=complex)
-        self._chi = None
-        if chi is not None:
-            # a private read-only copy: the superop built from it stays its image
-            self._chi = np.array(chi, dtype=complex)
-            self._chi.setflags(write=False)
+        # private read-only copies: every representation built later, and the
+        # cached diagnostics, stay images of the one given
+        self._kraus = None if kraus is None else tuple(_frozen(k) for k in kraus)
+        self._superop = None if superop is None else _frozen(superop)
+        self._chi = None if chi is None else _frozen(chi)
         if self._kraus is not None:
             for k in self._kraus:
                 if k.shape != (dim, dim):
@@ -188,12 +192,15 @@ class QuantumChannel:
                 self._superop = _superop_from_kraus(self._kraus)
             else:
                 self._superop = _superop_from_chi(self._chi, self._n_qubits())
+            self._superop.setflags(write=False)
         return self._superop
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
         if self._kraus is None:
             ops, _ = _kraus_from_choi(_choi_from_superop(self.superop))
+            for k in ops:
+                k.setflags(write=False)
             self._kraus = tuple(ops)
         return self._kraus
 

@@ -9,9 +9,12 @@ On disk a config is INI-style ``key = value`` text with one section per
 parameter group; the unit is spelled in each key name (``_mhz``, ``_khz``,
 ``_us``, ``_ns``) so a value can never be read in the wrong unit silently.
 A JSON document with the same section/key nesting is accepted anywhere a
-config path is expected.  Parsing is strict: unknown sections or keys,
-missing keys, and out-of-range values raise :class:`ConfigError` naming
-the offending field; serialize/parse round-trips are exact.
+config path is expected.  Each field declares its section, key, admitted
+values and measured default once; parsing, output and validation read
+those declarations.  Parsing is strict: unknown sections or keys, missing
+keys, and out-of-range values raise :class:`ConfigError` naming the
+offending field, and so does building a config with out-of-range values
+directly; serialize/parse round-trips are exact.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import configparser
 import io
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .benchmarking import NativeGateNoise
@@ -44,64 +48,97 @@ def _require(table: dict[str, str], section: str, key: str) -> str:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-    return value
 
 
-def _get_float(table: dict[str, str], section: str, key: str, *,
-               low: float | None = None, high: float | None = None,
-               low_open: bool = False, nonzero: bool = False) -> float:
-    value = _parse_float(section, key, _require(table, section, key))
-    if low is not None and (value < low or (low_open and value == low)):
-        bound = f"> {low}" if low_open else f">= {low}"
-        raise ConfigError(f"[{section}] {key}: must be {bound}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"[{section}] {key}: must be <= {high}, got {value}")
-    if nonzero and value == 0.0:
-        raise ConfigError(f"[{section}] {key}: must be nonzero")
-    return value
+@dataclass(frozen=True)
+class _Spec:
+    """Where a DeviceConfig field sits in the file and which values it admits.
+
+    A field is one number under one key, a (control, target) pair of
+    numbers under two keys, one of `choices`, or (count > 1 under one key)
+    a list of `count` positive numbers.  Numbers must be finite and within
+    the bounds given.
+    """
+
+    section: str
+    keys: tuple[str, ...]
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+    nonzero: bool = False
+    choices: tuple[str, ...] = ()
+    count: int = 1
+
+    @property
+    def listed(self) -> bool:
+        return self.count > len(self.keys)
+
+    def parse(self, body: dict[str, str]) -> object:
+        raws = [_require(body, self.section, key) for key in self.keys]
+        if self.choices:
+            return raws[0].strip().lower()
+        if self.listed:
+            raws = raws[0].replace(",", " ").split()
+        values = tuple(_parse_float(self.section, key, raw)
+                       for key, raw in zip(self.keys * len(raws), raws))
+        return values if self.count > 1 else values[0]
+
+    def check(self, value: object) -> None:
+        where = f"[{self.section}] {self.keys[0]}"
+        if self.choices:
+            if value not in self.choices:
+                raise ConfigError(f"{where}: expected one of {self.choices}, got {value!r}")
+            return
+        values = (value,) if self.count == 1 else value
+        if not isinstance(values, tuple) or len(values) != self.count:
+            raise ConfigError(f"{where}: expected {self.count} values, got {value!r}")
+        for key, v in zip(self.keys * self.count, values):
+            where = f"[{self.section}] {key}"
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"{where}: not a number: {v!r}")
+            if not math.isfinite(v):
+                raise ConfigError(f"{where}: must be finite, got {v}")
+            if self.listed and not v > 0:
+                raise ConfigError(f"{where}: entries must be positive, got {v}")
+            if self.low is not None and (v < self.low or (self.low_open and v == self.low)):
+                bound = f"> {self.low}" if self.low_open else f">= {self.low}"
+                raise ConfigError(f"{where}: must be {bound}, got {v}")
+            if self.high is not None and v > self.high:
+                raise ConfigError(f"{where}: must be <= {self.high}, got {v}")
+            if self.nonzero and v == 0.0:
+                raise ConfigError(f"{where}: must be nonzero")
 
 
-def _get_choice(table: dict[str, str], section: str, key: str,
-                options: tuple[str, ...]) -> str:
-    value = _require(table, section, key).strip().lower()
-    if value not in options:
-        raise ConfigError(f"[{section}] {key}: expected one of {options}, got {value!r}")
-    return value
+_POSITIVE = {"low": 0.0, "low_open": True}
+_PROBABILITY = {"low": 0.0, "high": 1.0}
 
 
-def _get_floats(table: dict[str, str], section: str, key: str, count: int) -> tuple[float, ...]:
-    raw = _require(table, section, key)
-    parts = [s for s in raw.replace(",", " ").split() if s]
-    if len(parts) != count:
-        raise ConfigError(f"[{section}] {key}: expected {count} values, got {len(parts)}")
-    values = tuple(_parse_float(section, key, s) for s in parts)
-    for v in values:
-        if v <= 0:
-            raise ConfigError(f"[{section}] {key}: entries must be positive, got {v}")
-    return values
+def _key(section: str, key: str | tuple[str, str], default: object, **admits):
+    keys = (key,) if isinstance(key, str) else key
+    admits.setdefault("count", len(keys))
+    return field(default=default, metadata={"config": _Spec(section, keys, **admits)})
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _readout(section: str, name: str, default: tuple[float, float]):
+    return _key(section, (f"control_{name}", f"target_{name}"), default, **_PROBABILITY)
 
 
-_READOUT_KEYS = ("control_misassignment", "target_misassignment",
-                 "control_leak_detection_error", "target_leak_detection_error",
-                 "control_erasure_assignment", "target_erasure_assignment")
+_ONE_ROUND = ReadoutModel.single_round()
+_TWO_ROUND = ReadoutModel.two_round()
+_CZ = ChannelRates.benchmark_fit()
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
     """Validated device parameters, grouped the way the config file is.
 
-    ``cavity_t1_us`` lists the four measured dual-rail cavity lifetimes in
-    file order; ``t1_order`` says how they map onto rails ("listed" keeps
-    the file order as (a1, a2, b1, b2), "swapped" exchanges each pair).
+    The defaults are the measured device tables.  ``cavity_t1_us`` lists
+    the four measured dual-rail cavity lifetimes in file order;
+    ``t1_order`` says how they map onto rails ("listed" keeps the file
+    order as (a1, a2, b1, b2), "swapped" exchanges each pair).
     ``dephasing_rail`` says how the measured echo dephasing time of each
     dual-rail qubit, which constrains only the sum of the two rail rates,
     divides across the pair: "split" shares it evenly, "inner" puts it
@@ -110,67 +147,61 @@ class DeviceConfig:
     down, so they stay explicit config keys rather than baked-in choices.
     """
 
-    # [hamiltonian]
-    chi_bc_mhz: float
-    chi_ac_mhz: float
-    chi_ab_khz: float
-    g_ac_mhz: float
-    # [coherence]
-    cavity_t1_us: tuple[float, float, float, float]
-    t1_order: str
-    coupler_t1_us: float
-    coupler_tphi_echo_us: float
-    control_dephasing_echo_us: float
-    target_dephasing_echo_us: float
-    dephasing_rail: str
-    control_ramsey_us: float
-    target_ramsey_us: float
-    # [single_qubit_gates]
-    control_x90_ns: float
-    target_x90_ns: float
-    # [readout_one_round] / [readout_two_round], (control, target) pairs
-    one_round_misassignment: tuple[float, float]
-    one_round_leak_detection_error: tuple[float, float]
-    one_round_erasure_assignment: tuple[float, float]
-    two_round_misassignment: tuple[float, float]
-    two_round_leak_detection_error: tuple[float, float]
-    two_round_erasure_assignment: tuple[float, float]
-    # [short_depth_rates]
-    cz_leak_control: float
-    cz_leak_target: float
-    cz_z_control: float
-    cz_z_target: float
-    cz_zz: float
-    # [limits]
-    hybridization: float
-    coupler_anharmonicity_mhz: float
+    chi_bc_mhz: float = _key("hamiltonian", "chi_bc_mhz", -1.51, nonzero=True)
+    chi_ac_mhz: float = _key("hamiltonian", "chi_ac_mhz", -1.26)
+    chi_ab_khz: float = _key("hamiltonian", "chi_ab_khz", -6.64)
+    g_ac_mhz: float = _key("hamiltonian", "g_ac_mhz", 4.23, **_POSITIVE)
+    cavity_t1_us: tuple[float, float, float, float] = _key(
+        "coherence", "cavity_t1_us", (231.0, 411.0, 652.0, 342.0), count=4)
+    t1_order: str = _key("coherence", "t1_order", "listed", choices=("listed", "swapped"))
+    coupler_t1_us: float = _key("coherence", "coupler_t1_us", 70.0, **_POSITIVE)
+    coupler_tphi_echo_us: float = _key("coherence", "coupler_tphi_echo_us", 1001.0,
+                                       **_POSITIVE)
+    control_dephasing_echo_us: float = _key("coherence", "control_dephasing_echo_us",
+                                            4000.0, **_POSITIVE)
+    target_dephasing_echo_us: float = _key("coherence", "target_dephasing_echo_us",
+                                           4800.0, **_POSITIVE)
+    dephasing_rail: str = _key("coherence", "dephasing_rail", "split",
+                               choices=("split", "inner", "outer"))
+    control_ramsey_us: float = _key("coherence", "control_ramsey_us", 3100.0, **_POSITIVE)
+    target_ramsey_us: float = _key("coherence", "target_ramsey_us", 1500.0, **_POSITIVE)
+    control_x90_ns: float = _key("single_qubit_gates", "control_x90_ns", 208.0, **_POSITIVE)
+    target_x90_ns: float = _key("single_qubit_gates", "target_x90_ns", 136.0, **_POSITIVE)
+    one_round_misassignment: tuple[float, float] = _readout(
+        "readout_one_round", "misassignment", _ONE_ROUND.misassignment)
+    one_round_leak_detection_error: tuple[float, float] = _readout(
+        "readout_one_round", "leak_detection_error", _ONE_ROUND.leak_detection_error)
+    one_round_erasure_assignment: tuple[float, float] = _readout(
+        "readout_one_round", "erasure_assignment", _ONE_ROUND.erasure_assignment)
+    two_round_misassignment: tuple[float, float] = _readout(
+        "readout_two_round", "misassignment", _TWO_ROUND.misassignment)
+    two_round_leak_detection_error: tuple[float, float] = _readout(
+        "readout_two_round", "leak_detection_error", _TWO_ROUND.leak_detection_error)
+    two_round_erasure_assignment: tuple[float, float] = _readout(
+        "readout_two_round", "erasure_assignment", _TWO_ROUND.erasure_assignment)
+    cz_leak_control: float = _key("short_depth_rates", "control_leak", _CZ.p_leak_control,
+                                  **_PROBABILITY)
+    cz_leak_target: float = _key("short_depth_rates", "target_leak", _CZ.p_leak_target,
+                                 **_PROBABILITY)
+    cz_z_control: float = _key("short_depth_rates", "control_z", _CZ.p_z_control,
+                               **_PROBABILITY)
+    cz_z_target: float = _key("short_depth_rates", "target_z", _CZ.p_z_target,
+                              **_PROBABILITY)
+    cz_zz: float = _key("short_depth_rates", "zz", _CZ.p_zz, **_PROBABILITY)
+    hybridization: float = _key("limits", "hybridization", 1.0, high=1.0, **_POSITIVE)
+    coupler_anharmonicity_mhz: float = _key("limits", "coupler_anharmonicity_mhz", 150.0,
+                                            **_POSITIVE)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            f.metadata["config"].check(getattr(self, f.name))
 
     # --- construction -----------------------------------------------------
 
     @classmethod
     def default(cls) -> "DeviceConfig":
         """The measured device tables, with the listed/split conventions."""
-        single = ReadoutModel.single_round()
-        double = ReadoutModel.two_round()
-        cz = ChannelRates.benchmark_fit()
-        return cls(
-            chi_bc_mhz=-1.51, chi_ac_mhz=-1.26, chi_ab_khz=-6.64, g_ac_mhz=4.23,
-            cavity_t1_us=(231.0, 411.0, 652.0, 342.0), t1_order="listed",
-            coupler_t1_us=70.0, coupler_tphi_echo_us=1001.0,
-            control_dephasing_echo_us=4000.0, target_dephasing_echo_us=4800.0,
-            dephasing_rail="split",
-            control_ramsey_us=3100.0, target_ramsey_us=1500.0,
-            control_x90_ns=208.0, target_x90_ns=136.0,
-            one_round_misassignment=single.misassignment,
-            one_round_leak_detection_error=single.leak_detection_error,
-            one_round_erasure_assignment=single.erasure_assignment,
-            two_round_misassignment=double.misassignment,
-            two_round_leak_detection_error=double.leak_detection_error,
-            two_round_erasure_assignment=double.erasure_assignment,
-            cz_leak_control=cz.p_leak_control, cz_leak_target=cz.p_leak_target,
-            cz_z_control=cz.p_z_control, cz_z_target=cz.p_z_target, cz_zz=cz.p_zz,
-            hybridization=1.0, coupler_anharmonicity_mhz=150.0,
-        )
+        return cls()
 
     @classmethod
     def from_text(cls, text: str) -> "DeviceConfig":
@@ -199,8 +230,8 @@ class DeviceConfig:
         for name, body in doc.items():
             flat = {}
             for key, value in body.items():
-                if isinstance(value, (list, tuple)):
-                    flat[str(key)] = " ".join(repr(float(v)) for v in value)
+                if isinstance(value, list):
+                    flat[str(key)] = " ".join(str(v) for v in value)
                 elif isinstance(value, bool):
                     raise ConfigError(f"[{name}] {key}: booleans are not valid values")
                 elif isinstance(value, (int, float, str)):
@@ -221,144 +252,48 @@ class DeviceConfig:
 
     @classmethod
     def _from_sections(cls, sections: dict[str, dict[str, str]]) -> "DeviceConfig":
-        known = ("hamiltonian", "coherence", "single_qubit_gates",
-                 "readout_one_round", "readout_two_round",
-                 "short_depth_rates", "limits")
+        specs = {f.name: f.metadata["config"] for f in fields(cls)}
+        known = [spec.section for spec in specs.values()]
         for name in sections:
             if name not in known:
                 raise ConfigError(f"unknown section [{name}]")
         for name in known:
             if name not in sections:
                 raise ConfigError(f"missing section [{name}]")
-
-        ham = sections["hamiltonian"]
-        coh = sections["coherence"]
-        gates = sections["single_qubit_gates"]
-        sdr = sections["short_depth_rates"]
-        lim = sections["limits"]
-
-        def _readout(name: str) -> tuple[tuple[float, float], ...]:
-            body = sections[name]
-            vals = [_get_float(body, name, k, low=0.0, high=1.0) for k in _READOUT_KEYS]
-            _reject_leftovers(name, body)
-            return ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5]))
-
-        kwargs = dict(
-            chi_bc_mhz=_get_float(ham, "hamiltonian", "chi_bc_mhz", nonzero=True),
-            chi_ac_mhz=_get_float(ham, "hamiltonian", "chi_ac_mhz"),
-            chi_ab_khz=_get_float(ham, "hamiltonian", "chi_ab_khz"),
-            g_ac_mhz=_get_float(ham, "hamiltonian", "g_ac_mhz", low=0.0, low_open=True),
-            cavity_t1_us=_get_floats(coh, "coherence", "cavity_t1_us", 4),
-            t1_order=_get_choice(coh, "coherence", "t1_order", ("listed", "swapped")),
-            coupler_t1_us=_get_float(coh, "coherence", "coupler_t1_us", low=0.0, low_open=True),
-            coupler_tphi_echo_us=_get_float(coh, "coherence", "coupler_tphi_echo_us",
-                                            low=0.0, low_open=True),
-            control_dephasing_echo_us=_get_float(coh, "coherence", "control_dephasing_echo_us",
-                                                 low=0.0, low_open=True),
-            target_dephasing_echo_us=_get_float(coh, "coherence", "target_dephasing_echo_us",
-                                                low=0.0, low_open=True),
-            dephasing_rail=_get_choice(coh, "coherence", "dephasing_rail",
-                                        ("split", "inner", "outer")),
-            control_ramsey_us=_get_float(coh, "coherence", "control_ramsey_us",
-                                         low=0.0, low_open=True),
-            target_ramsey_us=_get_float(coh, "coherence", "target_ramsey_us",
-                                        low=0.0, low_open=True),
-            control_x90_ns=_get_float(gates, "single_qubit_gates", "control_x90_ns",
-                                      low=0.0, low_open=True),
-            target_x90_ns=_get_float(gates, "single_qubit_gates", "target_x90_ns",
-                                     low=0.0, low_open=True),
-            cz_leak_control=_get_float(sdr, "short_depth_rates", "control_leak", low=0.0, high=1.0),
-            cz_leak_target=_get_float(sdr, "short_depth_rates", "target_leak", low=0.0, high=1.0),
-            cz_z_control=_get_float(sdr, "short_depth_rates", "control_z", low=0.0, high=1.0),
-            cz_z_target=_get_float(sdr, "short_depth_rates", "target_z", low=0.0, high=1.0),
-            cz_zz=_get_float(sdr, "short_depth_rates", "zz", low=0.0, high=1.0),
-            hybridization=_get_float(lim, "limits", "hybridization",
-                                     low=0.0, low_open=True, high=1.0),
-            coupler_anharmonicity_mhz=_get_float(lim, "limits", "coupler_anharmonicity_mhz",
-                                                 low=0.0, low_open=True),
-        )
-        one = _readout("readout_one_round")
-        two = _readout("readout_two_round")
-        kwargs.update(one_round_misassignment=one[0], one_round_leak_detection_error=one[1],
-                      one_round_erasure_assignment=one[2],
-                      two_round_misassignment=two[0], two_round_leak_detection_error=two[1],
-                      two_round_erasure_assignment=two[2])
-        for name in ("hamiltonian", "coherence", "single_qubit_gates",
-                     "short_depth_rates", "limits"):
-            _reject_leftovers(name, sections[name])
-        return cls(**kwargs)
+        values = {name: spec.parse(sections[spec.section]) for name, spec in specs.items()}
+        for name, body in sections.items():
+            if body:
+                raise ConfigError(f"unknown key {sorted(body)[0]!r} in [{name}]")
+        return cls(**values)
 
     # --- serialization ------------------------------------------------------
 
-    def _sections(self) -> dict[str, dict[str, str]]:
-        return {
-            "hamiltonian": {
-                "chi_bc_mhz": _fmt(self.chi_bc_mhz),
-                "chi_ac_mhz": _fmt(self.chi_ac_mhz),
-                "chi_ab_khz": _fmt(self.chi_ab_khz),
-                "g_ac_mhz": _fmt(self.g_ac_mhz),
-            },
-            "coherence": {
-                "cavity_t1_us": ", ".join(_fmt(v) for v in self.cavity_t1_us),
-                "t1_order": self.t1_order,
-                "coupler_t1_us": _fmt(self.coupler_t1_us),
-                "coupler_tphi_echo_us": _fmt(self.coupler_tphi_echo_us),
-                "control_dephasing_echo_us": _fmt(self.control_dephasing_echo_us),
-                "target_dephasing_echo_us": _fmt(self.target_dephasing_echo_us),
-                "dephasing_rail": self.dephasing_rail,
-                "control_ramsey_us": _fmt(self.control_ramsey_us),
-                "target_ramsey_us": _fmt(self.target_ramsey_us),
-            },
-            "single_qubit_gates": {
-                "control_x90_ns": _fmt(self.control_x90_ns),
-                "target_x90_ns": _fmt(self.target_x90_ns),
-            },
-            "readout_one_round": dict(zip(_READOUT_KEYS, (
-                _fmt(self.one_round_misassignment[0]), _fmt(self.one_round_misassignment[1]),
-                _fmt(self.one_round_leak_detection_error[0]),
-                _fmt(self.one_round_leak_detection_error[1]),
-                _fmt(self.one_round_erasure_assignment[0]),
-                _fmt(self.one_round_erasure_assignment[1])))),
-            "readout_two_round": dict(zip(_READOUT_KEYS, (
-                _fmt(self.two_round_misassignment[0]), _fmt(self.two_round_misassignment[1]),
-                _fmt(self.two_round_leak_detection_error[0]),
-                _fmt(self.two_round_leak_detection_error[1]),
-                _fmt(self.two_round_erasure_assignment[0]),
-                _fmt(self.two_round_erasure_assignment[1])))),
-            "short_depth_rates": {
-                "control_leak": _fmt(self.cz_leak_control),
-                "target_leak": _fmt(self.cz_leak_target),
-                "control_z": _fmt(self.cz_z_control),
-                "target_z": _fmt(self.cz_z_target),
-                "zz": _fmt(self.cz_zz),
-            },
-            "limits": {
-                "hybridization": _fmt(self.hybridization),
-                "coupler_anharmonicity_mhz": _fmt(self.coupler_anharmonicity_mhz),
-            },
-        }
+    def _document(self) -> dict[str, dict[str, object]]:
+        """Section -> key -> value: a float, a word, or a list of floats."""
+        doc: dict[str, dict[str, object]] = {}
+        for f in fields(self):
+            spec, value = f.metadata["config"], getattr(self, f.name)
+            if spec.choices:
+                entries = [value]
+            elif spec.listed:
+                entries = [[float(v) for v in value]]
+            else:
+                entries = [float(v) for v in ((value,) if spec.count == 1 else value)]
+            doc.setdefault(spec.section, {}).update(zip(spec.keys, entries))
+        return doc
 
     def to_text(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
-        for name, body in self._sections().items():
-            parser[name] = body
+        for name, body in self._document().items():
+            parser[name] = {key: value if isinstance(value, str)
+                            else ", ".join(map(repr, value)) if isinstance(value, list)
+                            else repr(value) for key, value in body.items()}
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
 
     def to_json(self) -> str:
-        doc: dict[str, dict[str, object]] = {}
-        for name, body in self._sections().items():
-            out: dict[str, object] = {}
-            for key, raw in body.items():
-                if key in ("t1_order", "dephasing_rail"):
-                    out[key] = raw
-                elif key == "cavity_t1_us":
-                    out[key] = list(self.cavity_t1_us)
-                else:
-                    out[key] = float(raw)
-            doc[name] = out
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._document(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -418,9 +353,3 @@ class DeviceConfig:
             ramsey_tphi_us=(self.control_ramsey_us, self.target_ramsey_us),
             cross_kerr=TWO_PI * self.chi_ab_khz * 1e-3,
             include_cross_kerr=include_cross_kerr)
-
-
-def _reject_leftovers(section: str, body: dict[str, str]) -> None:
-    if body:
-        key = sorted(body)[0]
-        raise ConfigError(f"unknown key {key!r} in [{section}]")

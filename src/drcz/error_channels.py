@@ -263,6 +263,13 @@ class ReadoutModel:
     leak_detection_error: tuple[float, float]
     erasure_assignment: tuple[float, float]
 
+    def __post_init__(self) -> None:
+        for name in ("misassignment", "leak_detection_error", "erasure_assignment"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not all(0.0 <= p <= 1.0 for p in pair):
+                raise ValueError(f"{name} must be a (control, target) pair of "
+                                 f"probabilities in [0, 1], got {pair!r}")
+
     @classmethod
     def single_round(cls) -> "ReadoutModel":
         return cls(misassignment=(2.0e-4, 2.3e-4),

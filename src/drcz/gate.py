@@ -3,7 +3,8 @@
 The gate moves the control qubit's inner-rail photon into the coupler,
 lets a dispersive shift imprint a target-conditioned phase, and swaps the
 photon back with a shifted pump phase.  All rates are angular (rad/µs);
-device sheets in MHz enter through `from_mhz` / `table` exactly once.
+device sheets in MHz enter through `from_mhz` exactly once, and the
+measured device values come from `drcz.config.DeviceConfig`.
 """
 from __future__ import annotations
 
@@ -101,39 +102,6 @@ class SystemParams:
         return cls(chi_bc=TWO_PI * chi_bc, chi_ac=TWO_PI * chi_ac,
                    chi_ab=TWO_PI * chi_ab, g_ac=TWO_PI * g_ac,
                    t1=dict(t1 or {}), tphi=dict(tphi or {}))
-
-    @classmethod
-    def table(cls, *, t1_order: str = "listed",
-              dephasing_rail: str = "split") -> "SystemParams":
-        """Measured device values.
-
-        t1_order: "listed" assigns cavity T1s (231, 411, 652, 342 µs) to
-        (a1, a2, b1, b2) in that order; "swapped" exchanges each pair.
-        dephasing_rail: each dual-rail qubit's echo dephasing time
-        (4000 µs control, 4800 µs target) constrains only the SUM of the
-        two rail dephasing rates, so the division is a convention:
-        "split" shares it evenly, "inner" puts it all on the
-        coupler-adjacent rails (a2, b1), "outer" all on (a1, b2).  The
-        coupler uses T1 = 70 µs and echo Tφ = 1001 µs.
-        """
-        if t1_order == "listed":
-            t1 = {"a1": 231.0, "a2": 411.0, "b1": 652.0, "b2": 342.0}
-        elif t1_order == "swapped":
-            t1 = {"a1": 411.0, "a2": 231.0, "b1": 342.0, "b2": 652.0}
-        else:
-            raise ValueError(f"unknown t1_order {t1_order!r}")
-        t1["c"] = 70.0
-        if dephasing_rail == "split":
-            tphi = {"a1": 8000.0, "a2": 8000.0, "b1": 9600.0, "b2": 9600.0}
-        elif dephasing_rail == "inner":
-            tphi = {"a2": 4000.0, "b1": 4800.0}
-        elif dephasing_rail == "outer":
-            tphi = {"a1": 4000.0, "b2": 4800.0}
-        else:
-            raise ValueError(f"unknown dephasing_rail {dephasing_rail!r}")
-        tphi["c"] = 1001.0
-        return cls.from_mhz(chi_bc=-1.51, chi_ac=-1.26, chi_ab=-6.64e-3,
-                            g_ac=4.23, t1=t1, tphi=tphi)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .channels import QuantumChannel, pauli_basis
+from .config import DeviceConfig
 from .error_channels import ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
@@ -96,12 +97,6 @@ def dual_rail_phase(register: ModeRegister, code: DualRailCode,
     return OperatorMatrix(register, expm(1j * theta * n1))
 
 
-def _outcome_projectors(register: ModeRegister, code: DualRailCode) -> dict[str, np.ndarray]:
-    """Diagonal projectors for outcomes {0, 1, erasure} of one dual-rail qubit."""
-    outcome = code.outcomes(register)
-    return {o: np.diag((outcome == k).astype(complex)) for k, o in enumerate(OUTCOMES)}
-
-
 @dataclass
 class MeasurementRecord:
     """Counts per (setting_control, setting_target, outcome_control,
@@ -147,7 +142,7 @@ def bell_circuit_record(n_gates: int = 1, *,
     """
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
-    params = params or SystemParams.table()
+    params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     noise = noise or NoiseModel.none()
     readout = readout or ReadoutModel.two_round()
@@ -170,8 +165,7 @@ def bell_circuit_record(n_gates: int = 1, *,
         if echo_after is not None and k + 1 == echo_after:
             rho = echo_u @ rho @ echo_u.conj().T
 
-    proj_c = _outcome_projectors(register, CONTROL_CODE)
-    proj_t = _outcome_projectors(register, TARGET_CODE)
+    outcome_pair = 3 * CONTROL_CODE.outcomes(register) + TARGET_CODE.outcomes(register)
     conf_c = readout.confusion_matrix(0)
     conf_t = readout.confusion_matrix(1)
 
@@ -185,11 +179,8 @@ def bell_circuit_record(n_gates: int = 1, *,
         for st in SETTINGS:
             u = rot_t[st] @ rot_c[sc]
             rotated = u @ rho @ u.conj().T
-            true_probs = np.zeros((3, 3))
-            for i, oc in enumerate(OUTCOMES):
-                for j, ot in enumerate(OUTCOMES):
-                    true_probs[i, j] = max(np.real(
-                        np.trace(proj_c[oc] @ proj_t[ot] @ rotated)), 0.0)
+            true_probs = np.clip(np.bincount(outcome_pair, weights=np.diag(rotated).real,
+                                             minlength=9), 0.0, None).reshape(3, 3)
             observed = conf_c.T @ true_probs @ conf_t
             if shots is None:
                 for i, oc in enumerate(OUTCOMES):
@@ -347,7 +338,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     "erased" (no photon; the returned map is then the unconditioned one).
     The result is subnormalized by the erasure probability.
     """
-    params = params or SystemParams.table()
+    params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
     hams = [(np.asarray(h.data, dtype=complex), d) for h, d, _ in schedule.segments]

@@ -1,12 +1,12 @@
 """Shared fixtures: measured-device parameters and standard registers."""
 import pytest
 
-from drcz import ModeRegister, SystemParams
+from drcz import DeviceConfig, ModeRegister
 
 
 @pytest.fixture(scope="session")
 def table_params():
-    return SystemParams.table()
+    return DeviceConfig.default().system_params()
 
 
 @pytest.fixture()

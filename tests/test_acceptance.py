@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from drcz import SystemParams
 from drcz.benchmarking import (NativeGateNoise, depolarizing_cz_channel,
                                fit_exponential, generate_clifford_group,
                                irb_accuracy_study, simulate_bitflip_protocol,
@@ -34,7 +33,7 @@ from drcz.tomography import process_tomography, simulated_leak_process
 
 @pytest.fixture(scope="module")
 def params():
-    return SystemParams.table()
+    return DeviceConfig.default().system_params()
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ from drcz.benchmarking import (
 from drcz.benchmarking import (_draw_rates, _interleaved_ideal_rb, _sequence_indices,
                                _sequence_with_recovery)
 from drcz.channels import QuantumChannel, global_phase_distance
+from drcz.config import DeviceConfig
 from drcz.error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
                                  qutrit_gate_channel)
 
@@ -273,7 +274,7 @@ def test_bell_decay_error_formula():
 
 
 def test_coherence_limited_natives():
-    noise = NativeGateNoise.coherence_limited()
+    noise = DeviceConfig.default().native_noise()
     assert noise.dim == 9
     for name, sup in noise.superops.items():
         chan = QuantumChannel(9, superop=sup, validate=False)
@@ -301,7 +302,7 @@ def test_replace_accepts_channels_and_keyword_aliases():
 
 
 def test_bitflip_with_perfect_readout_is_exactly_zero():
-    noise = NativeGateNoise.coherence_limited()
+    noise = DeviceConfig.default().native_noise()
     for initial in ("0", "1"):
         for n in (1, 10, 50):
             result = simulate_bitflip_protocol(initial, n, noise=noise)
@@ -311,16 +312,17 @@ def test_bitflip_with_perfect_readout_is_exactly_zero():
 
 def test_bitflip_through_confusion_matrix_frozen():
     result = simulate_bitflip_protocol("0", 50, spam=ReadoutModel.single_round(),
-                                       noise=NativeGateNoise.coherence_limited())
+                                       noise=DeviceConfig.default().native_noise())
     assert result.apparent_flip == pytest.approx(BITFLIP_50_ONE_ROUND, rel=1e-12)
     assert result.per_gate == pytest.approx(BITFLIP_50_ONE_ROUND / 50, rel=1e-12)
 
 
 def test_bitflip_validation():
+    noise = NativeGateNoise.ideal(2)
     with pytest.raises(ValueError, match="initial state"):
-        simulate_bitflip_protocol("2", 1)
+        simulate_bitflip_protocol("2", 1, noise=noise)
     with pytest.raises(ValueError, match="spectator"):
-        simulate_bitflip_protocol("0", 1, spectator="both")
+        simulate_bitflip_protocol("0", 1, spectator="both", noise=noise)
 
 
 def test_irb_accuracy_study_smoke():

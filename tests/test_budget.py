@@ -108,7 +108,7 @@ def test_swapped_t1_order_moves_entries_less_than_ten_percent(budget):
 
 
 def test_coupler_residuals_shrink_with_faster_swaps(budget):
-    p = SystemParams.table()
+    p = DeviceConfig.default().system_params()
     fast = compute_error_budget(dataclasses.replace(p, g_ac=2 * p.g_ac))
     lone_ratio = budget.lone_coupler_excitation / fast.lone_coupler_excitation
     stuck_ratio = budget.stuck_in_coupler / fast.stuck_in_coupler

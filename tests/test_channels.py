@@ -182,6 +182,20 @@ def test_chi_of_a_channel_built_from_chi_is_a_private_read_only_copy():
     np.testing.assert_array_equal(QuantumChannel(2, chi=chan.chi()).superop, superop)
 
 
+def test_a_channel_keeps_private_read_only_copies_of_its_input():
+    u = np.diag([1.0, 1j]).astype(complex)
+    s = np.kron(u.conj(), u)
+    by_superop = QuantumChannel(2, superop=s)
+    by_kraus = QuantumChannel(2, kraus=[u])
+    assert by_superop.superop is not s and by_kraus.kraus[0] is not u
+    s[0, 0] = u[0, 0] = 0.5  # the caller's arrays stay the caller's
+    assert by_superop.superop[0, 0] == by_kraus.kraus[0][0, 0] == 1.0
+    for chan in (by_superop, by_kraus):
+        for stored in (chan.superop, chan.kraus[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 0.5
+
+
 def _chi_probe_loop(superop, basis):
     """The per-entry chi definition: trace against 4^n x 4^n Pauli probes."""
     d = basis[0].shape[0]

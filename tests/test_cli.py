@@ -255,15 +255,16 @@ def test_main_success(tmp_path, capsys):
     assert all(str(tmp_path) in line for line in printed)
 
 
-def test_main_config_round_trip(tmp_path, capsys):
-    cfg_path = tmp_path / "device.ini"
-    DeviceConfig.default().save(cfg_path)
-    assert main(["gate-unitary", "--config", str(cfg_path),
+@pytest.mark.parametrize("experiment", ["gate-unitary", "bitflip"])
+@pytest.mark.parametrize("file_name", ["device.ini", "device.json"])
+def test_main_config_round_trip(tmp_path, capsys, file_name, experiment):
+    cfg_path = DeviceConfig.default().save(tmp_path / file_name)
+    assert main([experiment, "--config", str(cfg_path),
                  "--out", str(tmp_path / "from_file")]) == 0
-    assert main(["gate-unitary", "--out", str(tmp_path / "builtin")]) == 0
+    assert main([experiment, "--out", str(tmp_path / "builtin")]) == 0
     capsys.readouterr()
-    got = (tmp_path / "from_file" / "gate-unitary.json").read_bytes()
-    want = (tmp_path / "builtin" / "gate-unitary.json").read_bytes()
+    got = (tmp_path / "from_file" / f"{experiment}.json").read_bytes()
+    want = (tmp_path / "builtin" / f"{experiment}.json").read_bytes()
     assert got == want
 
 

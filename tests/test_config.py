@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from drcz.config import ConfigError, DeviceConfig
 from drcz.error_channels import ChannelRates, ReadoutModel, qutrit_gate_channel
-from drcz.gate import SystemParams
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +96,26 @@ def test_parse_errors_name_the_offending_field(default_cfg, edit, message):
         DeviceConfig.from_text(mutated)
 
 
+_OUT_OF_RANGE = [
+    ("hybridization", 2.0, r"\[limits\] hybridization: must be <= 1.0"),
+    ("t1_order", "other", r"\[coherence\] t1_order: expected one of"),
+    ("dephasing_rail", "both", r"\[coherence\] dephasing_rail: expected one of"),
+    ("g_ac_mhz", -4.23, r"\[hamiltonian\] g_ac_mhz: must be > 0.0"),
+    ("chi_ac_mhz", math.nan, r"\[hamiltonian\] chi_ac_mhz: must be finite"),
+    ("cavity_t1_us", (231.0, 411.0), r"\[coherence\] cavity_t1_us: expected 4 values"),
+    ("two_round_misassignment", (0.0, 1.5),
+     r"\[readout_two_round\] target_misassignment: must be <= 1.0"),
+]
+
+
+@pytest.mark.parametrize("name,value,message", _OUT_OF_RANGE,
+                         ids=[name for name, _, _ in _OUT_OF_RANGE])
+def test_a_directly_built_config_is_validated_like_a_parsed_one(default_cfg, name, value,
+                                                                 message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(default_cfg, **{name: value})
+
+
 def test_json_parse_errors(default_cfg):
     with pytest.raises(ConfigError, match="malformed JSON"):
         DeviceConfig.from_text("{not json")
@@ -109,6 +128,11 @@ def test_json_parse_errors(default_cfg):
     doc["limits"]["hybridization"] = {"value": 1.0}
     with pytest.raises(ConfigError, match="unsupported value type"):
         DeviceConfig.from_json_text(json.dumps(doc))
+    doc = json.loads(default_cfg.to_json())
+    for entry in (True, "x"):
+        doc["coherence"]["cavity_t1_us"] = [entry, 411.0, 652.0, 342.0]
+        with pytest.raises(ConfigError, match=r"\[coherence\] cavity_t1_us: not a number"):
+            DeviceConfig.from_json_text(json.dumps(doc))
 
 
 def test_rail_t1_ordering_conventions(default_cfg):
@@ -119,11 +143,10 @@ def test_rail_t1_ordering_conventions(default_cfg):
 
 def test_system_params_matches_the_builtin_table(default_cfg):
     p = default_cfg.system_params()
-    table = SystemParams.table()
-    assert p.g_ac == table.g_ac
-    assert p.chi_bc == table.chi_bc
-    assert p.t1 == table.t1
-    assert p.tphi == table.tphi
+    assert p.t1 == {"a1": 231.0, "a2": 411.0, "b1": 652.0, "b2": 342.0, "c": 70.0}
+    assert p.tphi == {"a1": 8000.0, "a2": 8000.0, "b1": 9600.0, "b2": 9600.0, "c": 1001.0}
+    assert (p.chi_bc, p.chi_ac, p.chi_ab, p.g_ac) == (
+        2 * math.pi * -1.51, 2 * math.pi * -1.26, 2 * math.pi * -6.64e-3, 2 * math.pi * 4.23)
 
 
 def test_dephasing_rail_conventions(default_cfg):

@@ -239,6 +239,18 @@ def test_confusion_matrix_rows_are_distributions(model, rows):
         assert np.all(conf >= 0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("misassignment", (1.5, 0.0)),
+    ("leak_detection_error", (0.0, -0.1)),
+    ("erasure_assignment", (0.1,)),
+])
+def test_readout_model_rejects_what_is_not_a_probability_pair(field, value):
+    fields = {"misassignment": (0.0, 0.0), "leak_detection_error": (0.0, 0.0),
+              "erasure_assignment": (0.0, 0.0), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a"):
+        ReadoutModel(**fields)
+
+
 def test_perfect_readout_is_the_identity_assignment():
     conf = ReadoutModel.perfect().confusion_matrix(0)
     np.testing.assert_allclose(conf, np.eye(3))

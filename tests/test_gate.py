@@ -54,25 +54,6 @@ def test_system_params_validation():
         SystemParams(chi_bc=-1.0, chi_ac=0.0, chi_ab=0.0, g_ac=2.0, t1={"a1": 0.0})
 
 
-def test_table_conventions():
-    listed = SystemParams.table()
-    assert listed.t1 == {"a1": 231.0, "a2": 411.0, "b1": 652.0, "b2": 342.0, "c": 70.0}
-    swapped = SystemParams.table(t1_order="swapped")
-    assert swapped.t1["a1"] == 411.0 and swapped.t1["b1"] == 342.0
-    # the echoed dephasing time constrains only the rail-rate sum; every
-    # convention reproduces 1/4000 (control) and 1/4800 (target) in total
-    for convention in ("split", "inner", "outer"):
-        p = SystemParams.table(dephasing_rail=convention)
-        control_sum = sum(1.0 / p.tphi.get(m, math.inf) for m in ("a1", "a2"))
-        target_sum = sum(1.0 / p.tphi.get(m, math.inf) for m in ("b1", "b2"))
-        assert control_sum == pytest.approx(1.0 / 4000.0)
-        assert target_sum == pytest.approx(1.0 / 4800.0)
-    with pytest.raises(ValueError, match="t1_order"):
-        SystemParams.table(t1_order="other")
-    with pytest.raises(ValueError, match="dephasing_rail"):
-        SystemParams.table(dephasing_rail="both")
-
-
 def test_from_mhz_scales_by_two_pi():
     p = SystemParams.from_mhz(chi_bc=-1.51, g_ac=4.23)
     assert p.chi_bc == pytest.approx(-2 * math.pi * 1.51)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from drcz import ModeRegister, NoiseModel, SystemParams, tomography
-from drcz.benchmarking import simulate_bitflip_protocol
+from drcz.benchmarking import NativeGateNoise, simulate_bitflip_protocol
 from drcz.channels import QuantumChannel
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
@@ -107,7 +107,7 @@ def test_measurement_record_bookkeeping():
 
 @pytest.mark.parametrize("run", [
     lambda n: bell_circuit_record(n, readout=ReadoutModel.perfect()),
-    lambda n: simulate_bitflip_protocol("0", n),
+    lambda n: simulate_bitflip_protocol("0", n, noise=NativeGateNoise.ideal(2)),
 ], ids=["bell_circuit_record", "simulate_bitflip_protocol"])
 def test_a_negative_gate_count_is_refused(run):
     with pytest.raises(ValueError, match="n_gates must be non-negative"):
