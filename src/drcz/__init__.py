@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
                    build_mode_operator, codespace_projector)
-from .channels import QuantumChannel, convert_channel
+from .channels import QuantumChannel
 from .gate import (GateSchedule, LocalFrame, SystemParams, build_schedule,
                    derive_gate_params, extract_local_frame, ideal_unitary,
                    on_off_ratio)
@@ -25,7 +25,7 @@ from .budget import (CoherenceLimits, ErrorBudget, compute_error_budget,
 __all__ = [
     "DensityMatrix", "DualRailCode", "ModeRegister", "OperatorMatrix",
     "build_mode_operator", "codespace_projector",
-    "QuantumChannel", "convert_channel",
+    "QuantumChannel",
     "GateSchedule", "LocalFrame", "SystemParams", "build_schedule",
     "derive_gate_params", "extract_local_frame", "ideal_unitary",
     "on_off_ratio",

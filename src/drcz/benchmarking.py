@@ -19,10 +19,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import QuantumChannel, pauli_basis
 from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
@@ -41,7 +40,6 @@ __all__ = [
     "fit_linear_fidelity",
     "interleaved_gate_error",
     "fit_exponential",
-    "bell_decay_error",
     "IRBAccuracyResult",
     "irb_accuracy_study",
     "BitflipResult",
@@ -52,7 +50,7 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _rx90() -> np.ndarray:
-    return expm(-0.25j * math.pi * _SX)
+    return math.cos(math.pi / 4) * np.eye(2) - 1j * math.sin(math.pi / 4) * _SX
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -363,8 +361,7 @@ class NativeGateNoise:
     def replace(self, **gates: np.ndarray | QuantumChannel) -> "NativeGateNoise":
         sup = dict(self.superops)
         for name, value in gates.items():
-            key = name.replace("_minus", "-")  # allow keyword-safe aliases
-            sup[key] = value.superop if isinstance(value, QuantumChannel) else value
+            sup[name] = value.superop if isinstance(value, QuantumChannel) else value
         return NativeGateNoise(superops=sup, n_qubits=self.n_qubits)
 
 
@@ -438,8 +435,7 @@ def simulate_rb(noise: NativeGateNoise,
                 *,
                 interleave: str | None = None,
                 interleave_unitary: np.ndarray | None = None,
-                spam: ReadoutModel | None = None,
-                group: CliffordGroup | None = None) -> RBRecord:
+                spam: ReadoutModel | None = None) -> RBRecord:
     """Erasure-aware randomized benchmarking with exact outcome statistics.
 
     Each (depth, seed) pair draws its Clifford sequence deterministically,
@@ -455,7 +451,7 @@ def simulate_rb(noise: NativeGateNoise,
         raise ValueError("depths must be positive")
     if not seeds:
         raise ValueError("at least one seed is required")
-    group = group or generate_clifford_group(noise.n_qubits)
+    group = generate_clifford_group(noise.n_qubits)
     if interleave is not None:
         if interleave not in noise.superops:
             raise ValueError(f"unknown interleaved gate {interleave!r}")
@@ -500,11 +496,9 @@ class LinearFit:
     slope: float
     intercept: float
     error_rate: float
-    nonmonotonic: bool
 
 
-def fit_linear_fidelity(record: RBRecord, n_qubits: int,
-                        *, tolerance: float = 1e-6) -> LinearFit:
+def fit_linear_fidelity(record: RBRecord) -> LinearFit:
     """Short-depth linear fit of the postselected survival.
 
     The error per Clifford is |slope|: for survival A*p^N + B, the
@@ -515,20 +509,14 @@ def fit_linear_fidelity(record: RBRecord, n_qubits: int,
         raise ValueError("need at least three depths for a linear fit")
     y = record.mean_postselected()
     slope, intercept = np.polyfit(np.asarray(record.depths, dtype=float), y, 1)
-    nonmono = bool(np.any(np.diff(y) > tolerance))
     return LinearFit(slope=float(slope), intercept=float(intercept),
-                     error_rate=float(abs(slope)), nonmonotonic=nonmono)
+                     error_rate=float(abs(slope)))
 
 
 def interleaved_gate_error(reference: LinearFit, interleaved: LinearFit) -> float:
     """Interleaved-RB gate error from the two short-depth slopes."""
     m_r, m_i = abs(reference.slope), abs(interleaved.slope)
     return 0.75 * (m_i - m_r) / (0.75 - m_r)
-
-
-def bell_decay_error(slope: float) -> float:
-    """Decay parameter p = 1 - 4|m|/3 from a Bell-fidelity slope (A=3/4)."""
-    return 1.0 - 4.0 * abs(slope) / 3.0
 
 
 def fit_exponential(record: RBRecord) -> tuple[float, float, float, float]:
@@ -563,36 +551,21 @@ class IRBAccuracyResult:
         return 1.0 - inferred_r / true_r
 
 
-DEFAULT_RATE_RANGES: dict[str, tuple[float, float]] = {
+# the uniform ranges the study draws its per-gate rates from
+RATE_RANGES: dict[str, tuple[float, float]] = {
     "p_z": (1e-4, 2e-3),
     "p_zz": (5e-5, 2e-4),
     "p_leak": (1e-4, 4e-3),
 }
 
 
-def _validated_ranges(rate_ranges: Mapping[str, tuple[float, float]] | None
-                      ) -> dict[str, tuple[float, float]]:
-    ranges = dict(DEFAULT_RATE_RANGES)
-    for key, bounds in (rate_ranges or {}).items():
-        if key not in DEFAULT_RATE_RANGES:
-            raise ValueError(f"rate_ranges: unknown key {key!r}; "
-                             f"expected one of {sorted(DEFAULT_RATE_RANGES)}")
-        low, high = bounds
-        if not 0.0 <= low <= high:
-            raise ValueError(f"rate_ranges[{key!r}] must satisfy "
-                             f"0 <= low <= high, got ({low}, {high})")
-        ranges[key] = (low, high)
-    return ranges
-
-
-def _draw_rates(n_samples: int, seed: int,
-                ranges: Mapping[str, tuple[float, float]]) -> list[ChannelRates]:
+def _draw_rates(n_samples: int, seed: int) -> list[ChannelRates]:
     rng = np.random.default_rng(seed)
-    return [ChannelRates(p_leak_control=rng.uniform(*ranges["p_leak"]),
-                         p_leak_target=rng.uniform(*ranges["p_leak"]),
-                         p_z_control=rng.uniform(*ranges["p_z"]),
-                         p_z_target=rng.uniform(*ranges["p_z"]),
-                         p_zz=rng.uniform(*ranges["p_zz"]))
+    return [ChannelRates(p_leak_control=rng.uniform(*RATE_RANGES["p_leak"]),
+                         p_leak_target=rng.uniform(*RATE_RANGES["p_leak"]),
+                         p_z_control=rng.uniform(*RATE_RANGES["p_z"]),
+                         p_z_target=rng.uniform(*RATE_RANGES["p_z"]),
+                         p_zz=rng.uniform(*RATE_RANGES["p_zz"]))
             for _ in range(n_samples)]
 
 
@@ -655,37 +628,33 @@ def _interleaved_ideal_rb(superops: np.ndarray,
             for c in range(n_chan)]
 
 
-def irb_accuracy_study(n_samples: int = 120,
+def irb_accuracy_study(operating_point: ChannelRates,
+                       n_samples: int = 120,
                        *,
                        seed: int = 20260813,
                        depths: Sequence[int] = (1, 2, 3, 5, 8, 12),
-                       sequence_seeds: Sequence[int] = tuple(range(20)),
-                       rate_ranges: Mapping[str, tuple[float, float]] | None = None,
-                       include_operating_point: bool = True) -> IRBAccuracyResult:
+                       sequence_seeds: Sequence[int] = tuple(range(20))) -> IRBAccuracyResult:
     """Interleaved-RB inferred error versus entanglement infidelity.
 
-    Dephasing and leakage rates are drawn uniformly from the given ranges
-    (keys of DEFAULT_RATE_RANGES, each 0 <= low <= high); every sample is
-    benchmarked on the same fixed random gate sequences.  The Cliffords
-    themselves are ideal and the sampled channel rides only on the
-    interleaved slot, so the reference slope vanishes and the study
-    isolates the entangling gate.  The reference is one simulate_rb run;
-    the samples (and the operating point) run as one batched pass in which
-    each Clifford is a 9x9 unitary conjugation and each sequence's
-    recovery is computed once.  The true value is the postselected
-    entanglement infidelity of the sampled channel.
+    Dephasing and leakage rates are drawn uniformly from RATE_RANGES;
+    every sample, and the device's operating point, is benchmarked on the
+    same fixed random gate sequences.  The Cliffords themselves are ideal
+    and the sampled channel rides only on the interleaved slot, so the
+    reference slope vanishes and the study isolates the entangling gate.
+    The reference is one simulate_rb run; the samples and the operating
+    point run as one batched pass in which each Clifford is a 9x9 unitary
+    conjugation and each sequence's recovery is computed once.  The true
+    value is the postselected entanglement infidelity of the channel; the
+    operating point takes no part in the slope fit.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
-    ranges = _validated_ranges(rate_ranges)
-    samples = _draw_rates(n_samples, seed, ranges)
-    if include_operating_point:
-        samples.append(ChannelRates.benchmark_fit())
+    samples = _draw_rates(n_samples, seed) + [operating_point]
     depths = tuple(int(d) for d in depths)
     sequence_seeds = tuple(int(s) for s in sequence_seeds)
     group = generate_clifford_group(2)
     reference_fit = fit_linear_fidelity(
-        simulate_rb(NativeGateNoise.ideal(2), depths, sequence_seeds, group=group), 2)
+        simulate_rb(NativeGateNoise.ideal(2), depths, sequence_seeds))
 
     # One channel object at a time: only its superoperator is kept.
     superops = np.empty((len(samples), 81, 81), dtype=complex)
@@ -695,20 +664,16 @@ def irb_accuracy_study(n_samples: int = 120,
         superops[k] = channel.superop
         true_vals.append(1.0 - postselected_fidelity(channel, CZ4))
     records = _interleaved_ideal_rb(superops, depths, sequence_seeds, group)
-    inferred_vals = [interleaved_gate_error(
-        reference_fit, fit_linear_fidelity(record, 2, tolerance=1.0))
-        for record in records]
+    inferred_vals = [interleaved_gate_error(reference_fit, fit_linear_fidelity(record))
+                     for record in records]
 
-    operating = (true_vals[-1], inferred_vals[-1]) if include_operating_point else (math.nan, math.nan)
-    if include_operating_point:
-        true_vals, inferred_vals = true_vals[:-1], inferred_vals[:-1]
-    true_arr = np.array(true_vals)
-    inf_arr = np.array(inferred_vals)
+    true_arr = np.array(true_vals[:-1])
+    inf_arr = np.array(inferred_vals[:-1])
     slope, offset = np.polyfit(true_arr, inf_arr, 1)
     return IRBAccuracyResult(true_infidelity=true_arr,
                              inferred_infidelity=inf_arr,
                              slope=float(slope), offset=float(offset),
-                             operating_point=operating)
+                             operating_point=(true_vals[-1], inferred_vals[-1]))
 
 
 # --- bit-flip protocol -------------------------------------------------------
@@ -726,42 +691,34 @@ class BitflipResult:
 def simulate_bitflip_protocol(initial: str,
                               n_gates: int,
                               *,
-                              spectator: str = "control",
                               spam: ReadoutModel | None = None,
                               noise: NativeGateNoise) -> BitflipResult:
     """Apparent logical bit-flip fraction of an idling basis state.
 
-    The spectator qubit holds |initial>; the other qubit runs a Ramsey
-    pair of X(pi/2) pulses around n_gates CZ applications.  The returned
-    fraction is the probability that readout assigns the spectator to the
-    opposite basis state.  The gate never transfers population between the
-    two rails, so with perfect readout the fraction is exactly zero; with
-    confusion it is dominated by undetected leakage and misassignment.
+    The control qubit is the spectator and holds |initial>; the target
+    runs a Ramsey pair of X(pi/2) pulses around n_gates CZ applications.
+    The returned fraction is the probability that readout assigns the
+    control to the opposite basis state.  The gate never transfers
+    population between the two rails, so with perfect readout the fraction
+    is exactly zero; with confusion it is dominated by undetected leakage
+    and misassignment.
     """
     if initial not in ("0", "1"):
         raise ValueError("initial state must be '0' or '1'")
-    if spectator not in ("control", "target"):
-        raise ValueError("spectator must be 'control' or 'target'")
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
-    spec_q = 0 if spectator == "control" else 1
-    ramsey_gate = "X90_t" if spectator == "control" else "X90_c"
-
     dim = noise.dim
     level = int(initial)
-    idx = 3 * level if spec_q == 0 else level
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[idx, idx] = 1.0
+    rho[3 * level, 3 * level] = 1.0
     vec = rho.reshape(-1, order="F")
-    vec = noise.superops[ramsey_gate] @ vec
+    vec = noise.superops["X90_t"] @ vec
     for _ in range(n_gates):
         vec = noise.superops["CZ"] @ vec
-    vec = noise.superops[ramsey_gate] @ vec
+    vec = noise.superops["X90_t"] @ vec
 
     probs = np.clip(np.real(np.diag(vec.reshape(dim, dim, order="F"))), 0.0, None)
-    table = probs.reshape(3, 3)
-    marginal = table.sum(axis=1) if spec_q == 0 else table.sum(axis=0)
-    confusion = _confusion(spam, spec_q)
-    observed = marginal @ confusion
+    marginal = probs.reshape(3, 3).sum(axis=1)
+    observed = marginal @ _confusion(spam, 0)
     flipped = observed[1 - level]
     return BitflipResult(n_gates=n_gates, apparent_flip=float(flipped))

@@ -20,9 +20,8 @@ from scipy.linalg import expm
 
 from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
                    build_mode_operator, codespace_projector)
-from .gate import (CONTROL_CODE, OCCUPANCY_CLASSES, TARGET_CODE, SystemParams,
-                   build_schedule, derive_gate_params, ideal_unitary,
-                   occupancy_classes, wrap_angle)
+from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
+                   derive_gate_params, ideal_unitary, wrap_angle)
 from .lindblad import GateMap, NoiseModel, gate_superoperator, liouvillian, propagate
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "swapback_phase_scan",
     "entangling_phase_scan",
     "local_z_scan",
-    "excitation_bookkeeping",
     "run_calibration_flow",
 ]
 
@@ -348,24 +346,6 @@ def local_z_scan(p: SystemParams, n_repeats: int = 4, *,
         slopes.append(float(counts @ np.asarray(unwrapped) / (counts @ counts)))
     return LocalPhaseSlopes(control_phase_per_gate=slopes[0],
                             target_phase_per_gate=slopes[1])
-
-
-def excitation_bookkeeping(state: DensityMatrix) -> dict[str, float]:
-    """Partition the population into codespace, coupler residual, and loss.
-
-    Every basis state falls in exactly one bucket: coupler excited, else
-    both dual-rail pairs holding one photon (codespace), else at least
-    one photon missing or doubled (photon_loss).  The buckets sum to the
-    trace, so 1 - codespace = coupler_residual + photon_loss.
-    """
-    buckets = ("codespace", "coupler_residual", "photon_loss")
-    # bucket of each occupancy class; the three loss classes are photon_loss
-    to_bucket = np.array([{"codespace": 0, "stuck_in_coupler": 1,
-                           "lone_coupler_excitation": 1}.get(c, 2)
-                          for c in OCCUPANCY_CLASSES])
-    coarse = to_bucket[occupancy_classes(state.register)]
-    sums = np.bincount(coarse, weights=np.real(np.diag(state.data)), minlength=3)
-    return {name: float(v) for name, v in zip(buckets, sums)}
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ import numpy as np
 
 __all__ = [
     "QuantumChannel",
-    "convert_channel",
     "pauli_basis",
     "pauli_labels",
-    "global_phase_distance",
     "CP_TOL",
 ]
 
@@ -118,17 +116,6 @@ def _chi_from_superop(superop: np.ndarray, n_qubits: int) -> np.ndarray:
     return ((phases * superop.flat[rows]).sum(axis=1) / d2).reshape(d2, d2)
 
 
-def _superop_from_chi(chi: np.ndarray, n_qubits: int) -> np.ndarray:
-    basis = pauli_basis(n_qubits)
-    d = 2 ** n_qubits
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(len(basis)):
-        for n in range(len(basis)):
-            if chi[m, n] != 0:
-                s += chi[m, n] * np.kron(basis[n].conj(), basis[m])
-    return s
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -138,33 +125,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class QuantumChannel:
     """A completely positive map, possibly trace-decreasing.
 
-    Construct from exactly one of `kraus`, `superop`, or `chi` (chi is over
-    the plain Pauli strings, so it needs a power-of-two dimension).  All
-    three representations are available and agree to 1e-10 round-trip.
+    Construct from exactly one of `kraus` or `superop`; the other, the
+    Choi matrix and (for a power-of-two dimension) the process matrix over
+    the plain Pauli strings are derived on demand.  Kraus operators
+    recovered from the Choi matrix reproduce the superoperator to 1e-10.
     """
 
     def __init__(self, dim: int, *, kraus: Sequence[np.ndarray] | None = None,
-                 superop: np.ndarray | None = None, chi: np.ndarray | None = None,
-                 validate: bool = True):
-        given = [x is not None for x in (kraus, superop, chi)]
-        if sum(given) != 1:
-            raise ValueError("provide exactly one of kraus, superop, chi")
+                 superop: np.ndarray | None = None, validate: bool = True):
+        if (kraus is None) == (superop is None):
+            raise ValueError("provide exactly one of kraus, superop")
         self.dim = dim
         # private read-only copies: every representation built later, and the
         # cached diagnostics, stay images of the one given
         self._kraus = None if kraus is None else tuple(_frozen(k) for k in kraus)
         self._superop = None if superop is None else _frozen(superop)
-        self._chi = None if chi is None else _frozen(chi)
         if self._kraus is not None:
             for k in self._kraus:
                 if k.shape != (dim, dim):
                     raise ValueError(f"Kraus operator shape {k.shape} != ({dim}, {dim})")
         if self._superop is not None and self._superop.shape != (dim * dim, dim * dim):
             raise ValueError("superoperator has wrong shape")
-        if self._chi is not None:
-            self._n_qubits()
-            if self._chi.shape != (dim * dim,) * 2:
-                raise ValueError("chi matrix has wrong shape")
         self._cp_defect: float | None = None
         if validate:
             self._validate()
@@ -188,10 +169,7 @@ class QuantumChannel:
     @property
     def superop(self) -> np.ndarray:
         if self._superop is None:
-            if self._kraus is not None:
-                self._superop = _superop_from_kraus(self._kraus)
-            else:
-                self._superop = _superop_from_chi(self._chi, self._n_qubits())
+            self._superop = _superop_from_kraus(self._kraus)
             self._superop.setflags(write=False)
         return self._superop
 
@@ -210,8 +188,6 @@ class QuantumChannel:
 
     def chi(self) -> np.ndarray:
         """Process matrix over the plain Pauli strings."""
-        if self._chi is not None:
-            return self._chi
         return _chi_from_superop(self.superop, self._n_qubits())
 
     # --- diagnostics ------------------------------------------------------
@@ -220,7 +196,7 @@ class QuantumChannel:
     def cp_defect(self) -> float:
         """Min eigenvalue of the Choi matrix (negative means non-CP)."""
         if self._cp_defect is None:
-            if self._kraus is not None and self._superop is None and self._chi is None:
+            if self._superop is None:
                 self._cp_defect = 0.0  # Kraus form is CP by construction
             else:
                 vals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
@@ -261,30 +237,3 @@ class QuantumChannel:
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
         return cls(dim, kraus=[np.eye(dim, dtype=complex)])
-
-
-def convert_channel(channel: QuantumChannel, target: str):
-    """Return the requested representation of a channel.
-
-    target is one of {"kraus", "superop", "chi"} (chi over the plain Pauli
-    strings).  Conversion to Kraus requires complete positivity; a Choi
-    eigenvalue below -1e-8 raises.
-    """
-    if target == "kraus":
-        if channel.cp_defect < CP_TOL:
-            raise ValueError(
-                f"cannot express non-CP map (Choi min eigenvalue {channel.cp_defect:.3e}) "
-                "in Kraus form")
-        return channel.kraus
-    if target == "superop":
-        return channel.superop
-    if target == "chi":
-        return channel.chi()
-    raise ValueError(f"unknown representation {target!r}")
-
-
-def global_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Operator-norm distance between unitaries after optimal global phase."""
-    tr = np.trace(u.conj().T @ v)
-    phase = tr / abs(tr) if abs(tr) > 1e-15 else 1.0
-    return float(np.linalg.norm(u - v / phase, ord=2))

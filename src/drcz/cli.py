@@ -12,9 +12,11 @@ bell-tomography, repeated-cz) can differ in their last digits: the
 OpenBLAS LU factorization (getrf) in scipy.linalg.expm's Pade solve
 rounds differently with one and two threads from dimension ~100 up, and
 the gate maps have 126 (truncation 2) and 251 (truncation 3)
-dimensions.  Only gate-unitary and error-budget read --truncation; the
-others refuse a value other than 2.  Exit status: 0 on success, 2 for
-a config problem, 3 for an experiment failure.
+dimensions.  Only gate-unitary and error-budget read --truncation, and
+only they, rb, irb and bitflip read --include-static-kerr; the others
+refuse the flag instead of ignoring it.  Exit status: 0 on success, 2
+for a config problem or a bad flag value (a negative --seed included),
+3 when the experiment fails or refuses a flag.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def _run_rb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     noise = cfg.native_noise(include_cross_kerr=args.include_static_kerr)
     record = simulate_rb(noise, _RB_DEPTHS, _rb_seeds(args.seed),
                          spam=cfg.readout(2))
-    fit = fit_linear_fidelity(record, 2)
+    fit = fit_linear_fidelity(record)
     p, a, b, sigma = fit_exponential(record)
     rows = list(zip(record.depths, record.mean_raw(),
                     record.mean_postselected(), record.mean_kept()))
@@ -242,8 +244,8 @@ def _run_irb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     spam = cfg.readout(2)
     reference = simulate_rb(noise, _RB_DEPTHS, seeds, spam=spam)
     interleaved = simulate_rb(noise, _RB_DEPTHS, seeds, interleave="CZ", spam=spam)
-    fit_ref = fit_linear_fidelity(reference, 2)
-    fit_int = fit_linear_fidelity(interleaved, 2)
+    fit_ref = fit_linear_fidelity(reference)
+    fit_int = fit_linear_fidelity(interleaved)
     r_cz = interleaved_gate_error(fit_ref, fit_int)
     kept_ref, _ = _linear_slope(list(reference.depths),
                                 [float(v) for v in reference.mean_kept()])
@@ -269,7 +271,8 @@ def _run_irb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
 
 
 def _run_irb_accuracy(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
-    study = irb_accuracy_study(n_samples=40, seed=args.seed or 20260813)
+    study = irb_accuracy_study(cfg.channel_rates(), n_samples=40,
+                               seed=args.seed or 20260813)
     rows = list(zip(study.true_infidelity, study.inferred_infidelity))
     doc = {
         "slope": study.slope,
@@ -370,8 +373,13 @@ EXPERIMENTS = {
     "limits": _run_limits,
 }
 
-# the experiments that honour a truncation other than 2
-_READS_TRUNCATION = frozenset({"gate-unitary", "error-budget"})
+# option -> (default, the experiments that read it); the others refuse any
+# other value rather than ignore it
+_READERS = {
+    "truncation": (2, frozenset({"gate-unitary", "error-budget"})),
+    "include_static_kerr": (False, frozenset({"gate-unitary", "error-budget",
+                                              "rb", "irb", "bitflip"})),
+}
 
 
 def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
@@ -381,14 +389,27 @@ def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {', '.join(sorted(EXPERIMENTS))}")
-    if truncation != 2 and name not in _READS_TRUNCATION:
-        raise ValueError(f"experiment {name!r} runs at truncation 2 only; "
-                         f"--truncation is read by "
-                         f"{', '.join(sorted(_READS_TRUNCATION))}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     args = argparse.Namespace(seed=seed, truncation=truncation,
                               include_static_kerr=include_static_kerr)
+    for option, (default, readers) in _READERS.items():
+        if getattr(args, option) != default and name not in readers:
+            raise ValueError(f"experiment {name!r} does not read "
+                             f"--{option.replace('_', '-')}; it is read by "
+                             f"{', '.join(sorted(readers))}")
     header, rows, doc, title = EXPERIMENTS[name](config, args)
     return _write_outputs(Path(out_dir), name, header, rows, doc, title)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,12 +422,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="device config file (INI or JSON); built-in table values when omitted")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sequence selection (default: 0)")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative seed for sequence selection (default: 0)")
     parser.add_argument("--truncation", type=int, choices=(2, 3), default=2,
                         help="Fock levels per mode (gate-unitary and error-budget only)")
     parser.add_argument("--include-static-kerr", action="store_true",
-                        help="keep the always-on residual cross-Kerr terms in the schedule")
+                        help="keep the always-on residual cross-Kerr terms "
+                             "(gate-unitary, error-budget, rb, irb and bitflip only)")
     return parser
 
 

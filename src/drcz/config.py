@@ -126,11 +126,6 @@ def _readout(section: str, name: str, default: tuple[float, float]):
     return _key(section, (f"control_{name}", f"target_{name}"), default, **_PROBABILITY)
 
 
-_ONE_ROUND = ReadoutModel.single_round()
-_TWO_ROUND = ReadoutModel.two_round()
-_CZ = ChannelRates.benchmark_fit()
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     """Validated device parameters, grouped the way the config file is.
@@ -168,26 +163,24 @@ class DeviceConfig:
     control_x90_ns: float = _key("single_qubit_gates", "control_x90_ns", 208.0, **_POSITIVE)
     target_x90_ns: float = _key("single_qubit_gates", "target_x90_ns", 136.0, **_POSITIVE)
     one_round_misassignment: tuple[float, float] = _readout(
-        "readout_one_round", "misassignment", _ONE_ROUND.misassignment)
+        "readout_one_round", "misassignment", (2.0e-4, 2.3e-4))
     one_round_leak_detection_error: tuple[float, float] = _readout(
-        "readout_one_round", "leak_detection_error", _ONE_ROUND.leak_detection_error)
+        "readout_one_round", "leak_detection_error", (3.46e-3, 3.90e-3))
     one_round_erasure_assignment: tuple[float, float] = _readout(
-        "readout_one_round", "erasure_assignment", _ONE_ROUND.erasure_assignment)
+        "readout_one_round", "erasure_assignment", (6.79e-2, 6.43e-2))
     two_round_misassignment: tuple[float, float] = _readout(
-        "readout_two_round", "misassignment", _TWO_ROUND.misassignment)
+        "readout_two_round", "misassignment", (7e-6, 1.2e-5))
     two_round_leak_detection_error: tuple[float, float] = _readout(
-        "readout_two_round", "leak_detection_error", _TWO_ROUND.leak_detection_error)
+        "readout_two_round", "leak_detection_error", (1.5e-4, 1.5e-4))
     two_round_erasure_assignment: tuple[float, float] = _readout(
-        "readout_two_round", "erasure_assignment", _TWO_ROUND.erasure_assignment)
-    cz_leak_control: float = _key("short_depth_rates", "control_leak", _CZ.p_leak_control,
+        "readout_two_round", "erasure_assignment", (1.81e-1, 1.41e-1))
+    cz_leak_control: float = _key("short_depth_rates", "control_leak", 0.00400,
                                   **_PROBABILITY)
-    cz_leak_target: float = _key("short_depth_rates", "target_leak", _CZ.p_leak_target,
+    cz_leak_target: float = _key("short_depth_rates", "target_leak", 0.00096,
                                  **_PROBABILITY)
-    cz_z_control: float = _key("short_depth_rates", "control_z", _CZ.p_z_control,
-                               **_PROBABILITY)
-    cz_z_target: float = _key("short_depth_rates", "target_z", _CZ.p_z_target,
-                              **_PROBABILITY)
-    cz_zz: float = _key("short_depth_rates", "zz", _CZ.p_zz, **_PROBABILITY)
+    cz_z_control: float = _key("short_depth_rates", "control_z", 0.00039, **_PROBABILITY)
+    cz_z_target: float = _key("short_depth_rates", "target_z", 0.000112, **_PROBABILITY)
+    cz_zz: float = _key("short_depth_rates", "zz", 0.0, **_PROBABILITY)
     hybridization: float = _key("limits", "hybridization", 1.0, high=1.0, **_POSITIVE)
     coupler_anharmonicity_mhz: float = _key("limits", "coupler_anharmonicity_mhz", 150.0,
                                             **_POSITIVE)

@@ -18,11 +18,9 @@ from .channels import QuantumChannel
 __all__ = [
     "ChannelRates",
     "ReadoutModel",
-    "cz_phase_unitary",
     "leakage_averaged_channel",
     "leakage_averaged_coefficients",
     "leaked_partner_channel",
-    "digitized_channel",
     "qutrit_cz",
     "qutrit_dephasing_kraus",
     "embed_qubit_operator",
@@ -38,11 +36,6 @@ __all__ = [
 CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # two-qutrit basis |ij> with i,j in {0,1,2}; the logical block is i,j < 2
 QUBIT_BLOCK = [0, 1, 3, 4]
-
-
-def cz_phase_unitary(phi: float) -> np.ndarray:
-    """CZ of angle phi: diag(1, 1, 1, e^{+i phi})."""
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]).astype(complex)
 
 
 def leakage_averaged_coefficients() -> np.ndarray:
@@ -83,12 +76,6 @@ def leaked_partner_channel() -> QuantumChannel:
     return QuantumChannel(2, superop=s)
 
 
-def digitized_channel() -> QuantumChannel:
-    """50/50 mixture of I and CZ; the Clifford digitization of the above."""
-    return QuantumChannel(4, kraus=[np.eye(4, dtype=complex) / math.sqrt(2),
-                                    CZ4 / math.sqrt(2)])
-
-
 # --- qutrit leakage models ---------------------------------------------
 
 
@@ -110,12 +97,6 @@ class ChannelRates:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.p_z_control + self.p_z_target + self.p_zz > 1.0:
             raise ValueError("dephasing probabilities exceed 1")
-
-    @classmethod
-    def benchmark_fit(cls, p_zz: float = 0.0) -> "ChannelRates":
-        """Per-gate rates fitted from the leakage/dephasing decay experiments."""
-        return cls(p_leak_control=0.00400, p_leak_target=0.00096,
-                   p_z_control=0.00039, p_z_target=0.000112, p_zz=p_zz)
 
 
 def qutrit_cz() -> np.ndarray:
@@ -252,7 +233,8 @@ def echo_cancellation_check(kappa: float, tau: float, *, asymmetry: float = 1.0,
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Measured dual-rail assignment statistics, (control, target) pairs.
+    """Dual-rail assignment statistics, (control, target) pairs; the
+    measured ones come from `DeviceConfig.readout`.
 
     misassignment: P(logical bit read flipped) within the codespace;
     leak_detection_error: P(a leaked qubit is assigned to the codespace);
@@ -269,18 +251,6 @@ class ReadoutModel:
             if len(pair) != 2 or not all(0.0 <= p <= 1.0 for p in pair):
                 raise ValueError(f"{name} must be a (control, target) pair of "
                                  f"probabilities in [0, 1], got {pair!r}")
-
-    @classmethod
-    def single_round(cls) -> "ReadoutModel":
-        return cls(misassignment=(2.0e-4, 2.3e-4),
-                   leak_detection_error=(3.46e-3, 3.90e-3),
-                   erasure_assignment=(6.79e-2, 6.43e-2))
-
-    @classmethod
-    def two_round(cls) -> "ReadoutModel":
-        return cls(misassignment=(7e-6, 1.2e-5),
-                   leak_detection_error=(1.5e-4, 1.5e-4),
-                   erasure_assignment=(1.81e-1, 1.41e-1))
 
     @classmethod
     def perfect(cls) -> "ReadoutModel":

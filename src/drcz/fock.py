@@ -20,7 +20,6 @@ __all__ = [
     "DualRailCode",
     "build_mode_operator",
     "codespace_projector",
-    "truncated_commutator_defect",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -79,9 +78,6 @@ class ModeRegister:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown mode label {label!r}; register has {self.labels}") from None
-
-    def mode_dim(self, label: str) -> int:
-        return self.dims[self.index(label)]
 
     def basis_index(self, occupations: Sequence[int] | Mapping[str, int]) -> int:
         """Flat index of the Fock product state with the given occupations.
@@ -185,21 +181,6 @@ def build_mode_operator(register: ModeRegister, label: str, kind: str) -> Operat
         factor = _single_mode_matrix(dim, kind) if i == target else np.eye(dim, dtype=complex)
         out = np.kron(out, factor)
     return OperatorMatrix(register, out)
-
-
-def truncated_commutator_defect(register: ModeRegister, label: str) -> float:
-    """Max deviation of [a, a+] from identity below the truncation edge.
-
-    On a dim-d mode the commutator equals 1 on Fock levels 0..d-2 and
-    1-d on the top level; only the sub-edge block is checked.
-    """
-    a = build_mode_operator(register, label, "annihilate")
-    comm = (a @ a.dag() - a.dag() @ a).data
-    d = register.mode_dim(label)
-    # projector onto occupations below the edge of this mode
-    keep = register.occupation_table[:, register.index(label)] < d - 1
-    block = comm[np.ix_(keep, keep)] - np.eye(int(keep.sum()))
-    return float(np.max(np.abs(block)))
 
 
 class DensityMatrix:

@@ -39,7 +39,6 @@ __all__ = [
     "collapse_operators",
     "liouvillian",
     "propagate",
-    "condition",
     "gate_superoperator",
 ]
 
@@ -224,17 +223,3 @@ def propagate(schedule: GateSchedule, noise: NoiseModel, rho0: DensityMatrix,
             probs[name] = float(np.real(np.trace(proj.data @ rho)))
     return PropagationResult(state=state, probabilities=probs,
                              elapsed=schedule.total_duration)
-
-
-def condition(result: PropagationResult | DensityMatrix,
-              projector: OperatorMatrix) -> tuple[DensityMatrix, float]:
-    """Project and renormalize; returns (state, postselected fraction)."""
-    state = result.state if isinstance(result, PropagationResult) else result
-    p = projector.data
-    if np.max(np.abs(p @ p - p)) > 1e-10:
-        raise ValueError("projector is not idempotent")
-    sub = p @ state.data @ p
-    fraction = float(np.real(np.trace(sub)))
-    if fraction < 1e-15:
-        raise ValueError("conditioning on a null outcome (trace < 1e-15)")
-    return DensityMatrix(state.register, sub / fraction, validate=False), fraction

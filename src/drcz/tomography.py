@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,7 +36,6 @@ __all__ = [
     "process_tomography",
     "simulated_leak_process",
     "chi_error",
-    "error_fractions",
     "psd_project",
     "QUBIT_PAIR",
 ]
@@ -128,24 +126,24 @@ def bell_state_ideal() -> np.ndarray:
 def bell_circuit_record(n_gates: int = 1, *,
                         params: SystemParams | None = None,
                         noise: NoiseModel | None = None,
-                        readout: ReadoutModel | None = None,
-                        shots: int | None = None,
-                        rng: np.random.Generator | None = None) -> MeasurementRecord:
+                        readout: ReadoutModel | None = None) -> MeasurementRecord:
     """Simulate the repeated-gate Bell experiment and return its record.
 
     Circuit: Rx(pi/2) on both qubits, then n_gates >= 0 CZ gates (each
     followed by its virtual-Z frame correction), with an X x X echo
     inserted after the first (n_gates-1)/2 gates when n_gates is odd and
     >= 3.  Measurement applies the pre-rotation pair and reads each qubit
-    as {0, 1, erasure} through the readout confusion matrix.  shots=None
-    records exact outcome probabilities; otherwise multinomial samples.
+    as {0, 1, erasure} through the readout confusion matrix, and the
+    record holds the exact outcome probabilities.  params, noise and
+    readout default to the built-in device table, no noise, and the
+    table's two-round readout.
     """
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
     params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     noise = noise or NoiseModel.none()
-    readout = readout or ReadoutModel.two_round()
+    readout = readout or DeviceConfig.default().readout(2)
     schedule = build_schedule(params, register)
     frame = extract_local_frame(codespace_block(ideal_unitary(schedule)))
 
@@ -182,19 +180,9 @@ def bell_circuit_record(n_gates: int = 1, *,
             true_probs = np.clip(np.bincount(outcome_pair, weights=np.diag(rotated).real,
                                              minlength=9), 0.0, None).reshape(3, 3)
             observed = conf_c.T @ true_probs @ conf_t
-            if shots is None:
-                for i, oc in enumerate(OUTCOMES):
-                    for j, ot in enumerate(OUTCOMES):
-                        record.add(sc, st, oc, ot, observed[i, j])
-            else:
-                rng = rng or np.random.default_rng()
-                flat = observed.reshape(-1)
-                flat = flat / flat.sum()
-                samples = rng.multinomial(shots, flat).reshape(3, 3)
-                for i, oc in enumerate(OUTCOMES):
-                    for j, ot in enumerate(OUTCOMES):
-                        if samples[i, j]:
-                            record.add(sc, st, oc, ot, float(samples[i, j]))
+            for i, oc in enumerate(OUTCOMES):
+                for j, ot in enumerate(OUTCOMES):
+                    record.add(sc, st, oc, ot, observed[i, j])
     return record
 
 
@@ -268,29 +256,26 @@ _PREP_KETS = {
 }
 
 
-def process_tomography(channel: QuantumChannel | Callable[[np.ndarray], np.ndarray],
-                       postselect: bool = True) -> np.ndarray:
-    """Single-qubit chi matrix (plain Pauli basis) of a channel.
+def process_tomography(channel: QuantumChannel, postselect: bool = True) -> np.ndarray:
+    """Single-qubit chi matrix (plain Pauli basis) of a qubit channel.
 
     Each of the preparations {|0>, |1>, |+>, |+i>} is measured in every
-    pre-rotation setting.  The channel may act on dim 2 or on dim 3 (qubit
-    + detected-leak level, in which case outcome statistics include erasure
-    and postselect conditions them away).  Output is CP-projected and, when
-    postselect renormalized the data, trace-normalized.
+    pre-rotation setting.  With postselect each setting's two outcome
+    probabilities are renormalized, which conditions away the trace a
+    trace-decreasing channel loses; without it they are taken as they are.
+    Output is CP-projected and keeps the trace of the estimate.
     """
-    apply = channel.apply if isinstance(channel, QuantumChannel) else channel
-    dim = channel.dim if isinstance(channel, QuantumChannel) else 2
+    if channel.dim != 2:
+        raise ValueError(f"process tomography takes a qubit channel, got dim {channel.dim}")
 
     inputs, outputs = [], []
     for ket in _PREP_KETS.values():
         rho_in = np.outer(ket, ket.conj())
-        probe = rho_in if dim == 2 else _embed3(rho_in)
-        rho_out = np.asarray(apply(probe))
+        rho_out = channel.apply(rho_in)
         rows, freqs = [], []
         for label in SETTINGS:
             povm = _qubit_povm(label)
-            block = rho_out if dim == 2 else rho_out[:2, :2]
-            probs = {o: float(np.real(np.trace(m @ block))) for o, m in povm.items()}
+            probs = {o: float(np.real(np.trace(m @ rho_out))) for o, m in povm.items()}
             norm = sum(probs.values()) if postselect else 1.0
             if postselect and norm <= 0:
                 raise ValueError("postselection annihilated a preparation")
@@ -316,12 +301,6 @@ def _rowmajor_to_column(s_row: np.ndarray, d: int) -> np.ndarray:
     """Row-major transfer matrix (vec by rows) -> column-stacking superop."""
     s4 = s_row.reshape(d, d, d, d)        # [i, j, m, n] with E(|m><n|)_ij
     return s4.transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-
-def _embed3(rho2: np.ndarray) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = rho2
-    return out
 
 
 def simulated_leak_process(params: SystemParams | None = None,
@@ -442,12 +421,3 @@ def chi_error(chi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     v = np.array([[np.trace(em.conj().T @ en @ u_dag) / d for en in basis]
                   for em in basis])
     return v @ chi @ v.conj().T
-
-
-def error_fractions(chi_err: np.ndarray) -> np.ndarray:
-    """Pauli-error fractions: clipped, renormalized real diagonal."""
-    diag = np.clip(np.real(np.diag(chi_err)), 0.0, None)
-    total = diag.sum()
-    if total <= 0:
-        raise ValueError("chi-error diagonal vanished")
-    return diag / total

@@ -222,7 +222,8 @@ def test_10_interleaved_rb_accuracy_study():
     """Inferred-vs-true scatter over randomized rate draws: slope near one,
     with a systematic underestimate at the operating point.  Statistical
     bands, not point values — individual draws are sequence dependent."""
-    study = irb_accuracy_study(n_samples=40, seed=20260813)
+    study = irb_accuracy_study(DeviceConfig.default().channel_rates(),
+                               n_samples=40, seed=20260813)
     assert 0.6 <= study.slope <= 1.1
     assert 0.10 <= study.underestimate_at_operating_point <= 0.40
 

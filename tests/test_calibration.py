@@ -12,7 +12,6 @@ from drcz.calibration import (
     _ramsey_trace,
     chevron_scan,
     entangling_phase_scan,
-    excitation_bookkeeping,
     local_z_scan,
     run_calibration_flow,
     swap_duration_scan,
@@ -20,7 +19,6 @@ from drcz.calibration import (
 )
 from drcz.cli import run_experiment
 from drcz.config import DeviceConfig
-from drcz.fock import DensityMatrix
 from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
                        derive_gate_params, extract_local_frame, ideal_unitary,
                        wrap_angle)
@@ -155,21 +153,6 @@ def test_local_z_scan_recovers_the_gate_frame(table_params, register2):
                                                          abs=1e-9)
     with pytest.raises(ValueError, match="n_repeats"):
         local_z_scan(table_params, 0)
-
-
-def test_excitation_bookkeeping_partitions_the_trace(register2):
-    in_code = DensityMatrix.basis_state(register2, {"a1": 1, "b1": 1})
-    buckets = excitation_bookkeeping(in_code)
-    assert buckets == {"codespace": 1.0, "coupler_residual": 0.0,
-                       "photon_loss": 0.0}
-    in_coupler = DensityMatrix.basis_state(register2, {"a1": 1, "c": 1, "b1": 1})
-    assert excitation_bookkeeping(in_coupler)["coupler_residual"] == 1.0
-    vacuum = DensityMatrix.basis_state(register2, {})
-    assert excitation_bookkeeping(vacuum)["photon_loss"] == 1.0
-    mix = DensityMatrix(register2, 0.5 * in_code.data + 0.5 * in_coupler.data)
-    mixed = excitation_bookkeeping(mix)
-    assert sum(mixed.values()) == pytest.approx(1.0)
-    assert mixed["codespace"] == pytest.approx(0.5)
 
 
 def test_calibration_flow_recovers_the_operating_point(table_params):

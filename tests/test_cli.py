@@ -1,4 +1,5 @@
 """Command-line driver: experiment registry, report files, exit codes."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from drcz.cli import EXPERIMENTS, _circuit_bell_reference, main, run_experiment
 from drcz.config import DeviceConfig
+from drcz.error_channels import CZ4, postselected_fidelity, qutrit_gate_channel
 from drcz.gate import derive_gate_params
 from drcz.tomography import setting_unitary
 
@@ -207,6 +209,50 @@ def test_main_truncation_on_an_experiment_that_ignores_it_exits_3(tmp_path, caps
     code = main(["leakage-propagation", "--truncation", "3", "--out", str(tmp_path)])
     assert code == 3
     assert "leakage-propagation" in capsys.readouterr().err
+
+
+KERR_IGNORED = ("bell-tomography", "calibration", "irb-accuracy",
+                "leakage-propagation", "limits", "repeated-cz")
+
+
+@pytest.mark.parametrize("name", KERR_IGNORED)
+def test_static_kerr_is_refused_where_it_is_not_read(tmp_path, name):
+    with pytest.raises(ValueError, match=f"{name}.*--include-static-kerr"):
+        run_experiment(name, DeviceConfig.default(), tmp_path, include_static_kerr=True)
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_static_kerr_on_an_experiment_that_ignores_it_exits_3(tmp_path, capsys):
+    code = main(["limits", "--include-static-kerr", "--out", str(tmp_path)])
+    assert code == 3
+    assert "limits" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["rb", "irb", "irb-accuracy"])
+def test_a_negative_seed_is_refused(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--seed", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_experiment(name, DeviceConfig.default(), tmp_path, seed=-1)
+    assert not any(tmp_path.iterdir())
+
+
+def test_irb_accuracy_reads_its_operating_point_from_the_config(tmp_path, capsys):
+    # postselection discards a detected leak, so a dephasing rate is what
+    # moves the postselected infidelity
+    cfg = dataclasses.replace(DeviceConfig.default(), cz_z_control=0.002)
+    assert main(["irb-accuracy", "--config", str(cfg.save(tmp_path / "device.ini")),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    moved = _load(tmp_path, "irb-accuracy")["operating_point_true"]
+    want = 1.0 - postselected_fidelity(qutrit_gate_channel(cfg.channel_rates()), CZ4)
+    default = 1.0 - postselected_fidelity(
+        qutrit_gate_channel(DeviceConfig.default().channel_rates()), CZ4)
+    assert moved == pytest.approx(want, rel=1e-12)
+    assert abs(moved - default) > 1e-4
 
 
 def _report_bytes(out_dir, blas_threads, names):

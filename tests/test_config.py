@@ -32,11 +32,8 @@ def test_default_holds_the_measured_tables(default_cfg):
     assert (cfg.control_x90_ns, cfg.target_x90_ns) == (208.0, 136.0)
     assert cfg.hybridization == 1.0
     assert cfg.coupler_anharmonicity_mhz == 150.0
-    fit = ChannelRates.benchmark_fit()
-    assert (cfg.cz_leak_control, cfg.cz_leak_target) == (fit.p_leak_control,
-                                                         fit.p_leak_target)
-    assert (cfg.cz_z_control, cfg.cz_z_target, cfg.cz_zz) == (
-        fit.p_z_control, fit.p_z_target, fit.p_zz)
+    assert (cfg.cz_leak_control, cfg.cz_leak_target) == (0.00400, 0.00096)
+    assert (cfg.cz_z_control, cfg.cz_z_target, cfg.cz_zz) == (0.00039, 0.000112, 0.0)
 
 
 def test_ini_round_trip_is_exact_and_idempotent(default_cfg):
@@ -167,14 +164,20 @@ def test_dephasing_rail_conventions(default_cfg):
 
 
 def test_readout_builders(default_cfg):
-    assert default_cfg.readout(1) == ReadoutModel.single_round()
-    assert default_cfg.readout(2) == ReadoutModel.two_round()
+    assert default_cfg.readout(1) == ReadoutModel(
+        misassignment=(2.0e-4, 2.3e-4), leak_detection_error=(3.46e-3, 3.90e-3),
+        erasure_assignment=(6.79e-2, 6.43e-2))
+    assert default_cfg.readout(2) == ReadoutModel(
+        misassignment=(7e-6, 1.2e-5), leak_detection_error=(1.5e-4, 1.5e-4),
+        erasure_assignment=(1.81e-1, 1.41e-1))
     with pytest.raises(ConfigError, match="rounds must be 1 or 2"):
         default_cfg.readout(3)
 
 
 def test_channel_rates_builder(default_cfg):
-    assert default_cfg.channel_rates() == ChannelRates.benchmark_fit()
+    assert default_cfg.channel_rates() == ChannelRates(
+        p_leak_control=0.00400, p_leak_target=0.00096,
+        p_z_control=0.00039, p_z_target=0.000112, p_zz=0.0)
 
 
 def test_native_noise_builder(default_cfg):
@@ -182,7 +185,7 @@ def test_native_noise_builder(default_cfg):
     assert noise.dim == 9
     np.testing.assert_allclose(
         noise.superops["CZ"],
-        qutrit_gate_channel(ChannelRates.benchmark_fit()).superop, atol=1e-14)
+        qutrit_gate_channel(default_cfg.channel_rates()).superop, atol=1e-14)
     plain = default_cfg.native_noise(include_cross_kerr=False)
     assert np.max(np.abs(noise.superops["X90_c"] -
                          plain.superops["X90_c"])) > 1e-6

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from drcz.channels import QuantumChannel
+from drcz.config import DeviceConfig
 from drcz.error_channels import (
     CZ4,
     QUBIT_BLOCK,
     ChannelRates,
     ReadoutModel,
-    cz_phase_unitary,
-    digitized_channel,
     echo_cancellation_check,
     embed_qubit_operator,
     full_gate_channel,
@@ -55,12 +54,6 @@ def _phase_average_coefficients(points: int = 0) -> np.ndarray:
     return c
 
 
-def test_cz_phase_unitary():
-    u = cz_phase_unitary(0.4)
-    np.testing.assert_allclose(np.diag(u), [1, 1, 1, np.exp(0.4j)])
-    np.testing.assert_allclose(cz_phase_unitary(math.pi), CZ4, atol=1e-15)
-
-
 def test_leakage_coefficients_match_quadrature():
     closed = leakage_averaged_coefficients()
     oracle = _phase_average_coefficients()
@@ -77,7 +70,7 @@ def test_leakage_averaged_channel_is_tp_and_matches_quadrature():
     # superoperator-level quadrature: average the CZ(phi) conjugation
     def sup_entry(i, j, part):
         def integrand(phi):
-            u = cz_phase_unitary(phi)
+            u = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
             s = np.kron(u.conj(), u)
             return getattr(s[i, j], part) / math.pi
         return quad(integrand, 0.0, math.pi, epsabs=1e-13)[0]
@@ -103,27 +96,12 @@ def test_leaked_partner_channel_structure():
     assert abs(out[0, 1]) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
-def test_digitized_channel_is_even_mixture():
-    chan = digitized_channel()
-    rho = np.full((4, 4), 0.25, dtype=complex)
-    expected = (rho + CZ4 @ rho @ CZ4.conj().T) / 2
-    np.testing.assert_allclose(chan.apply(rho), expected, atol=1e-12)
-    assert chan.is_trace_preserving
-
-
 def test_channel_rates_validation():
     with pytest.raises(ValueError, match=r"p_leak_control must be in \[0, 1\]"):
         ChannelRates(p_leak_control=-0.1, p_leak_target=0, p_z_control=0, p_z_target=0)
     with pytest.raises(ValueError, match="exceed 1"):
         ChannelRates(p_leak_control=0, p_leak_target=0,
                      p_z_control=0.6, p_z_target=0.6)
-    fit = ChannelRates.benchmark_fit()
-    assert fit.p_leak_control == 0.00400
-    assert fit.p_leak_target == 0.00096
-    assert fit.p_z_control == 0.00039
-    assert fit.p_z_target == 0.000112
-    assert fit.p_zz == 0.0
-    assert ChannelRates.benchmark_fit(p_zz=1e-4).p_zz == 1e-4
 
 
 def test_qutrit_cz_flips_only_the_11_level():
@@ -136,7 +114,8 @@ def test_qutrit_cz_flips_only_the_11_level():
 
 
 def test_qutrit_dephasing_kraus_is_complete():
-    rates = ChannelRates.benchmark_fit(p_zz=2e-4)
+    rates = ChannelRates(p_leak_control=0.00400, p_leak_target=0.00096,
+                         p_z_control=0.00039, p_z_target=0.000112, p_zz=2e-4)
     ops = qutrit_dephasing_kraus(rates)
     total = sum(k.conj().T @ k for k in ops)
     np.testing.assert_allclose(total, np.eye(9), atol=1e-12)
@@ -227,8 +206,8 @@ def test_echoed_evolution_is_a_pure_decay_factor():
 
 
 @pytest.mark.parametrize("model,rows", [
-    (ReadoutModel.single_round(), 3),
-    (ReadoutModel.two_round(), 3),
+    (DeviceConfig.default().readout(1), 3),
+    (DeviceConfig.default().readout(2), 3),
     (ReadoutModel.perfect(), 3),
 ])
 def test_confusion_matrix_rows_are_distributions(model, rows):
@@ -259,8 +238,8 @@ def test_perfect_readout_is_the_identity_assignment():
 
 
 def test_measurement_operator_scales_by_assignment_rates():
-    model = ReadoutModel.two_round()
-    m = np.diag(ReadoutModel.two_round().measurement_operator()).real
+    model = DeviceConfig.default().readout(2)
+    m = np.diag(model.measurement_operator()).real
     expected00 = math.sqrt((1 - model.erasure_assignment[0]) *
                            (1 - model.erasure_assignment[1]))
     assert m[0] == pytest.approx(expected00, rel=1e-12)
@@ -272,7 +251,7 @@ def test_postselected_fidelity_of_exact_gate_is_one():
     exact9 = QuantumChannel(9, kraus=[qutrit_cz()])
     assert postselected_fidelity(exact9, CZ4) == pytest.approx(1.0, abs=1e-12)
     assert postselected_fidelity(exact9, CZ4,
-                                 ReadoutModel.two_round()) == pytest.approx(1.0, abs=1e-10)
+                                 DeviceConfig.default().readout(2)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_postselected_fidelity_validation():
@@ -284,9 +263,9 @@ def test_postselected_fidelity_validation():
 
 
 def test_fitted_rate_channel_infidelity_frozen():
-    chan = full_gate_channel(ChannelRates.benchmark_fit())
+    chan = full_gate_channel(DeviceConfig.default().channel_rates())
     infid = 1.0 - postselected_fidelity(chan, CZ4)
     assert infid == pytest.approx(INFIDELITY_AT_FIT_RATES, rel=1e-9)
     # two-round assignment errors barely move the postselected number
-    with_readout = 1.0 - postselected_fidelity(chan, CZ4, ReadoutModel.two_round())
+    with_readout = 1.0 - postselected_fidelity(chan, CZ4, DeviceConfig.default().readout(2))
     assert with_readout == pytest.approx(INFIDELITY_TWO_ROUND, rel=1e-9)

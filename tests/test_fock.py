@@ -11,7 +11,6 @@ from drcz.fock import (
     OperatorMatrix,
     build_mode_operator,
     codespace_projector,
-    truncated_commutator_defect,
 )
 
 
@@ -112,10 +111,13 @@ def test_embedded_number_operator_matches_occupations():
 
 def test_commutator_defect_vanishes_below_truncation_edge():
     reg = ModeRegister.from_dims(("m", "p"), (4, 2))
-    assert truncated_commutator_defect(reg, "m") < 1e-12
-    # the top Fock level of a dim-d mode carries [a, a+] = 1 - d
     a = build_mode_operator(reg, "m", "annihilate")
     comm = (a @ a.dag() - a.dag() @ a).data
+    # [a, a+] is the identity on every state below the top Fock level of m
+    below = reg.occupation_table[:, reg.index("m")] < 3
+    np.testing.assert_allclose(comm[np.ix_(below, below)], np.eye(int(below.sum())),
+                               rtol=0, atol=1e-12)
+    # the top Fock level of a dim-d mode carries [a, a+] = 1 - d
     top = reg.basis_index({"m": 3})
     assert comm[top, top] == pytest.approx(1 - 4, rel=1e-12)
 

@@ -26,7 +26,6 @@ from drcz.gate import (
 from drcz.lindblad import (
     NoiseModel,
     collapse_operators,
-    condition,
     gate_superoperator,
     liouvillian,
     propagate,
@@ -298,20 +297,3 @@ def test_error_budget_is_converged_in_truncation(table_params):
     at3 = compute_error_budget(table_params, truncation=3).as_dict()
     for key, value in at2.items():
         assert at3[key] == pytest.approx(value, rel=0, abs=1e-9), key
-
-
-def test_condition_projects_and_renormalizes(register2):
-    proj = codespace_projector(register2, (DualRailCode("a1", "a2"),
-                                           DualRailCode("b1", "b2")), "c")
-    inside = DensityMatrix.basis_state(register2, {"a1": 1, "b1": 1})
-    outside = DensityMatrix.basis_state(register2, {"c": 1})
-    mixed = DensityMatrix(register2, 0.25 * inside.data + 0.75 * outside.data)
-    state, fraction = condition(mixed, proj)
-    assert fraction == pytest.approx(0.25)
-    assert state.trace == pytest.approx(1.0)
-    np.testing.assert_allclose(state.data, inside.data, atol=1e-12)
-    with pytest.raises(ValueError, match="null outcome"):
-        condition(outside, proj)
-    bad = OperatorMatrix(register2, 0.5 * np.eye(register2.dim, dtype=complex))
-    with pytest.raises(ValueError, match="idempotent"):
-        condition(inside, bad)
