@@ -15,7 +15,7 @@ from .channels import QuantumChannel
 from .gate import (GateSchedule, LocalFrame, SystemParams, build_schedule,
                    derive_gate_params, extract_local_frame, ideal_unitary,
                    on_off_ratio)
-from .lindblad import NoiseModel, gate_superoperator, propagate
+from .lindblad import NoiseModel, gate_superoperator
 from .error_channels import ChannelRates, ReadoutModel
 from .calibration import CalibrationReport, SweepResult, run_calibration_flow
 from .config import ConfigError, DeviceConfig
@@ -29,7 +29,7 @@ __all__ = [
     "GateSchedule", "LocalFrame", "SystemParams", "build_schedule",
     "derive_gate_params", "extract_local_frame", "ideal_unitary",
     "on_off_ratio",
-    "NoiseModel", "gate_superoperator", "propagate",
+    "NoiseModel", "gate_superoperator",
     "ChannelRates", "ReadoutModel",
     "CalibrationReport", "SweepResult", "run_calibration_flow",
     "ConfigError", "DeviceConfig",

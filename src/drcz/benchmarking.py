@@ -4,7 +4,7 @@ Cliffords are generated by breadth-first closure over the native gateset
 {X(pi/2), Z(+-pi/2), Z(pi), CZ}.  Each is keyed by its signed
 Pauli-conjugation table, which fixes it exactly modulo global phase, so
 composing, inverting and finding a sequence's recovery are integer table
-lookups; a unitary is replayed from the element's word when wanted.  Noisy
+lookups; each element's word of native gates multiplies out to it.  Noisy
 sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.
@@ -164,16 +164,6 @@ class CliffordGroup:
     def inverse_of(self, table: tuple[int, ...]) -> int:
         """Index of the element that undoes the Clifford with this table."""
         return self.inverses[self._index[table]]
-
-    def unitary(self, i: int) -> np.ndarray:
-        """Element i as a unitary, replayed from its word."""
-        return self.replay(self.elements[i].word)
-
-    def replay(self, word: Iterable[str]) -> np.ndarray:
-        u = np.eye(2 ** self.n_qubits, dtype=complex)
-        for gate in word:
-            u = self.gateset[gate] @ u
-        return u
 
 
 _GROUP_CACHE: dict[int, CliffordGroup] = {}

@@ -217,10 +217,6 @@ class QuantumChannel:
         vals = np.linalg.eigvalsh(self.completeness - np.eye(self.dim))
         return float(vals.max())
 
-    @property
-    def is_trace_preserving(self) -> bool:
-        return bool(np.max(np.abs(self.completeness - np.eye(self.dim))) < 1e-9)
-
     # --- actions ----------------------------------------------------------
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ rounds differently with one and two threads from dimension ~100 up, and
 the gate maps have 126 (truncation 2) and 251 (truncation 3)
 dimensions.  Only gate-unitary and error-budget read --truncation, and
 only they, rb, irb and bitflip read --include-static-kerr; the others
-refuse the flag instead of ignoring it.  Exit status: 0 on success, 2
-for a config problem or a bad flag value (a negative --seed included),
-3 when the experiment fails or refuses a flag.
+refuse the flag instead of ignoring it.  irb-accuracy seeds its rate
+draws with 20260813 + --seed, so every seed draws its own rates.  Exit
+status: 0 on success, 2 for a config problem or a bad flag value (a
+negative --seed included), 3 when the experiment fails or refuses a flag.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _run_irb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
 
 def _run_irb_accuracy(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     study = irb_accuracy_study(cfg.channel_rates(), n_samples=40,
-                               seed=args.seed or 20260813)
+                               seed=20260813 + args.seed)
     rows = list(zip(study.true_infidelity, study.inferred_infidelity))
     doc = {
         "slope": study.slope,

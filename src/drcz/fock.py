@@ -54,12 +54,6 @@ class ModeRegister:
         """The five-mode register (a1, a2, c, b1, b2), uniform truncation."""
         return cls(tuple((label, dim) for label in ("a1", "a2", "c", "b1", "b2")))
 
-    @classmethod
-    def from_dims(cls, labels: Sequence[str], dims: int | Sequence[int]) -> "ModeRegister":
-        if isinstance(dims, int):
-            dims = [dims] * len(labels)
-        return cls(tuple(zip(labels, dims)))
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.modes)
@@ -220,12 +214,6 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         return float(np.real(np.trace(self.data @ self.data)))
-
-    def normalized(self) -> "DensityMatrix":
-        tr = self.trace
-        if tr <= 0:
-            raise ValueError("cannot normalize a zero-trace state")
-        return DensityMatrix(self.register, self.data / tr)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,13 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import (HERMITICITY_TOL, DensityMatrix, ModeRegister, OperatorMatrix,
-                   build_mode_operator)
+from .fock import ModeRegister, build_mode_operator
 from .gate import GateSchedule, SystemParams
 
 __all__ = [
     "NoiseModel",
-    "PropagationResult",
     "GateMap",
     "collapse_operators",
-    "liouvillian",
-    "propagate",
     "gate_superoperator",
 ]
 
@@ -70,19 +66,6 @@ class NoiseModel:
         deph = {m: 1.0 / t for m, t in p.tphi.items() if math.isfinite(t)}
         return cls(loss=loss, dephasing=deph)
 
-    def restricted(self, *, loss_modes: set[str] | None = None,
-                   dephasing_modes: set[str] | None = None) -> "NoiseModel":
-        """Keep only the listed modes per channel (None keeps all)."""
-        loss = {m: r for m, r in self.loss.items()
-                if loss_modes is None or m in loss_modes}
-        deph = {m: r for m, r in self.dephasing.items()
-                if dephasing_modes is None or m in dephasing_modes}
-        return NoiseModel(loss=loss, dephasing=deph)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not (any(self.loss.values()) or any(self.dephasing.values()))
-
 
 def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.ndarray]:
     ops: list[np.ndarray] = []
@@ -95,33 +78,6 @@ def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.nda
             n = build_mode_operator(register, label, "number").data
             ops.append(math.sqrt(2.0 * kphi) * n)
     return ops
-
-
-def _generator(hm: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10:
-        raise ValueError("Hamiltonian must be Hermitian")
-    ident = np.eye(hm.shape[0])
-    gen = -1j * (np.kron(ident, hm) - np.kron(hm.T, ident))
-    for c in collapse:
-        cdc = c.conj().T @ c
-        gen = gen + np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident)
-    return gen
-
-
-def liouvillian(h: OperatorMatrix, noise: NoiseModel) -> np.ndarray:
-    """Generator L with d(vec rho)/dt = L vec(rho) on the full register.
-
-    Includes -i[H, .], loss dissipators per mode, and number-operator
-    dephasing dissipators per mode.
-    """
-    return _generator(h.data, collapse_operators(h.register, noise))
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    state: DensityMatrix
-    probabilities: dict[str, float]
-    elapsed: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +118,11 @@ class GateMap:
 
 def _block_generator(hm: np.ndarray, collapse: list[np.ndarray],
                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """_generator's entries between the matrix entries (rows[k], cols[k]).
+    """Entries of the generator L, d(vec rho)/dt = L vec(rho), between the
+    matrix entries (rows[k], cols[k]).
 
-    With A = -iH - K/2 and K = sum c^dag c the generator is
+    L holds -i[H, .] and one dissipator per collapse operator c.  With
+    A = -iH - K/2 and K = sum c^dag c it is
     I kron A + A^* kron I + sum c^* kron c, so the entry from (k, l) to
     (i, j) is delta_jl A_ik + delta_ik A^*_jl + sum c^*_jl c_ik: gathered
     here without forming any Kronecker product.
@@ -202,24 +160,3 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
         superop = expm(_block_generator(h.data[block], collapse, rows, cols) * dt) @ superop
     return GateMap(register, sector, sector[rows], sector[cols], superop)
 
-
-def propagate(schedule: GateSchedule, noise: NoiseModel, rho0: DensityMatrix,
-              partition: Mapping[str, OperatorMatrix] | None = None) -> PropagationResult:
-    """One gate applied to rho0 through gate_superoperator's map; raises if
-    the output's asymmetry, such as a non-Hermitian input leaves, exceeds
-    HERMITICITY_TOL."""
-    if rho0.register != schedule.register:
-        raise ValueError("input state register does not match the schedule")
-    rho = gate_superoperator(schedule, noise).apply(rho0.data)
-    asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
-    if asymmetry > HERMITICITY_TOL:
-        raise ValueError(f"gate output not Hermitian: max asymmetry {asymmetry:.3e}")
-    rho = (rho + rho.conj().T) / 2  # strip the round-off asymmetry measured above
-    state = DensityMatrix(schedule.register, rho, validate=False)
-
-    probs: dict[str, float] = {}
-    if partition is not None:
-        for name, proj in partition.items():
-            probs[name] = float(np.real(np.trace(proj.data @ rho)))
-    return PropagationResult(state=state, probabilities=probs,
-                             elapsed=schedule.total_duration)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import drcz.calibration
-from drcz import ModeRegister, NoiseModel, SystemParams
+from drcz import ModeRegister
 from drcz.calibration import (
     SweepResult,
     _ramsey_trace,
@@ -22,7 +22,6 @@ from drcz.config import DeviceConfig
 from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
                        derive_gate_params, extract_local_frame, ideal_unitary,
                        wrap_angle)
-from drcz.lindblad import GateMap, gate_superoperator
 
 T_SWAP = 0.11820330969267138
 T_WAIT = 0.21292251812189816
@@ -47,7 +46,6 @@ def test_sweep_result_validation():
                         observable="y", axis_name="x")
     assert sweep.axis_step == 1.0
     assert sweep.argmin_axis() == 0.5
-    assert sweep.argmax_axis() == 0.0
     grid = SweepResult(axis=[0.0, 1.0], values=np.ones((2, 2)),
                        observable="y", axis_name="x", rows=[0.0, 1.0],
                        rows_name="r")
@@ -76,16 +74,6 @@ def test_chevron_empties_the_cavity_only_on_resonance(table_params):
     # detuned by g the transfer cannot exceed half
     assert sweep.values[1].min() > 0.45
     assert sweep.rows_name == "detuning_rad_per_us"
-
-
-def test_chevron_with_loss_decays(table_params):
-    durations = np.array([T_SWAP, 2 * T_SWAP])
-    noisy = chevron_scan(table_params, [0.0], durations,
-                         noise=NoiseModel.from_params(table_params))
-    clean = chevron_scan(table_params, [0.0], durations)
-    # full return at 2 t_swap is degraded by coupler and cavity loss
-    assert noisy.values[0, 1] < clean.values[0, 1]
-    assert 0.99 < noisy.values[0, 1] < 1.0
 
 
 def test_swap_duration_scan_matches_the_pulse_train_closed_form(table_params):
@@ -170,26 +158,11 @@ def test_calibration_flow_recovers_the_operating_point(table_params):
                                                          abs=1e-9)
 
 
-@pytest.mark.parametrize("perturbation", [0.0, math.nan])
-def test_calibration_flow_rejects_a_zero_perturbation(table_params, perturbation):
-    with pytest.raises(ValueError, match="perturbation"):
-        run_calibration_flow(table_params, perturbation=perturbation)
-
-
-@pytest.mark.parametrize("name", ["chevron_points", "duration_points",
-                                  "phase_points", "wait_points"])
-def test_calibration_flow_rejects_a_grid_of_one_point(table_params, name):
-    with pytest.raises(ValueError, match=name):
-        run_calibration_flow(table_params, **{name: 1})
-
-
 def test_calibration_report_carries_the_flow_phase_sweep(table_params):
-    report = run_calibration_flow(table_params, chevron_points=3,
-                                  duration_points=3, phase_points=8,
-                                  wait_points=3, ramsey_repeats=1)
+    report = run_calibration_flow(table_params)
     sweep = report.swapback_sweep
     assert sweep.axis_name == "swapback_pump_phase_rad"
-    assert sweep.axis.size == 8
+    assert sweep.axis.size == 128
     assert report.swapback_phase == sweep.argmin_axis()
     assert report.swapback_phase_step == sweep.axis_step
     other = SweepResult(axis=[0.0, 1.0], values=[0.0, 0.0],
@@ -223,67 +196,26 @@ def test_repeated_fringe_builds_one_gate_per_wait(table_params, schedule_builds)
     assert len(schedule_builds) == len(waits)
 
 
-@pytest.mark.parametrize("noisy", [False, True], ids=["unitary", "gate_map"])
-def test_ramsey_trace_matches_the_per_count_oracle(table_params, noisy):
+def test_ramsey_trace_matches_the_per_count_oracle(table_params):
     register = ModeRegister.standard(2)
-    noise = NoiseModel.from_params(table_params) if noisy else None
-
-    def rebuilt_gate():
-        schedule = build_schedule(table_params, register)
-        if noise is None:
-            return ideal_unitary(schedule).data
-        return gate_superoperator(schedule, noise)
 
     def phase_after(code, spectator_occ, n):
         # the per-count algorithm: rebuild the gate, apply it n times to |+>
-        gate = rebuilt_gate()
+        gate = ideal_unitary(build_schedule(table_params, register)).data
         lo = {label: 0 for label in register.labels}
         lo.update(spectator_occ)
         hi = dict(lo)
         lo.update(code.logical_occupations(0))
         hi.update(code.logical_occupations(1))
         i_lo, i_hi = register.basis_index(lo), register.basis_index(hi)
-        if noise is None:
-            psi = np.zeros(register.dim, dtype=complex)
-            psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
-            for _ in range(n):
-                psi = gate @ psi
-            return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
-        rho = np.zeros((register.dim, register.dim), dtype=complex)
-        for a in (i_lo, i_hi):
-            for b in (i_lo, i_hi):
-                rho[a, b] = 0.5
+        psi = np.zeros(register.dim, dtype=complex)
+        psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
         for _ in range(n):
-            rho = gate.apply(rho)
-        return float(np.angle(rho[i_hi, i_lo]))
+            psi = gate @ psi
+        return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
 
-    gate = rebuilt_gate()
-    assert isinstance(gate, GateMap) == noisy
+    gate = ideal_unitary(build_schedule(table_params, register)).data
     for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         spectator_occ = spectator.logical_occupations(0)
         trace = _ramsey_trace(register, code, spectator_occ, 4, gate)
         assert trace == [phase_after(code, spectator_occ, n) for n in range(1, 5)]
-
-
-def test_noisy_local_z_scan_keeps_the_gate_frame(table_params):
-    clean = local_z_scan(table_params)
-    noisy = local_z_scan(table_params, noise=NoiseModel.from_params(table_params))
-    assert abs(noisy.control_phase_per_gate - clean.control_phase_per_gate) < 1e-5
-    assert abs(noisy.target_phase_per_gate - clean.target_phase_per_gate) < 1e-5
-
-
-def test_noisy_repeated_fringe_keeps_the_entangling_phase(table_params):
-    waits = np.array([T_WAIT - 0.002, T_WAIT, T_WAIT + 0.002])
-    clean = entangling_phase_scan(table_params, waits, 2)
-    noisy = entangling_phase_scan(table_params, waits, 2,
-                                  noise=NoiseModel.from_params(table_params))
-    np.testing.assert_allclose(noisy.values, clean.values, rtol=0, atol=1e-5)
-
-
-def test_noisy_swap_duration_dip_is_lifted_by_loss(table_params):
-    durations = np.linspace(0.97, 1.03, 13) * T_SWAP
-    clean = swap_duration_scan(table_params, 5, durations)
-    noisy = swap_duration_scan(table_params, 5, durations,
-                               noise=NoiseModel.from_params(table_params))
-    assert clean.values.min() < 1e-12
-    assert 0.0 < noisy.values.min() < 1e-3

@@ -60,7 +60,7 @@ def test_identity_channel_representations():
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     np.testing.assert_allclose(chi, expected, atol=1e-12)
-    assert chan.is_trace_preserving
+    np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9)
 
 
 def test_depolarizing_channel_chi_diagonal():
@@ -70,7 +70,7 @@ def test_depolarizing_channel_chi_diagonal():
     chan = QuantumChannel(2, kraus=kraus)
     np.testing.assert_allclose(np.diag(chan.chi()),
                                [1 - 3 * p / 4, p / 4, p / 4, p / 4], atol=1e-12)
-    assert chan.is_trace_preserving
+    np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9)
 
 
 def test_apply_matches_kraus_sum():
@@ -111,7 +111,7 @@ def test_cp_and_tp_validation():
         QuantumChannel(2, kraus=[1.2 * np.eye(2, dtype=complex)])
     # trace-decreasing maps are allowed
     chan = QuantumChannel(2, kraus=[0.5 * np.eye(2, dtype=complex)])
-    assert not chan.is_trace_preserving
+    assert np.max(np.abs(chan.completeness - np.eye(2))) > 1e-9
     assert chan.cp_defect == 0.0
 
 
@@ -136,7 +136,7 @@ def test_chi_requires_basis_for_non_qubit_dimension():
 def test_unitary_channels_are_cptp(phases):
     u = np.diag(np.exp(1j * np.array(phases)))
     chan = QuantumChannel(4, kraus=[u])
-    assert chan.is_trace_preserving
+    np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9)
     # chi of a unitary channel is rank one
     vals = np.linalg.eigvalsh(chan.chi())
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)

@@ -198,6 +198,15 @@ def test_irb_accuracy_report(tmp_path):
     assert len(rows) == 40
 
 
+def test_irb_accuracy_seeds_draw_different_rates(tmp_path):
+    # the study's seed is 20260813 + --seed: --seed 0 must not collide with
+    # --seed 20260813
+    cfg = DeviceConfig.default()
+    csvs = [run_experiment("irb-accuracy", cfg, tmp_path / str(seed), seed=seed)[0]
+            for seed in (0, 20260813)]
+    assert csvs[0].read_bytes() != csvs[1].read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES - {"gate-unitary", "error-budget"}))
 def test_truncation_is_refused_where_it_is_not_read(tmp_path, name):
     with pytest.raises(ValueError, match=name):

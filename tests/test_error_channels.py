@@ -66,7 +66,7 @@ def test_leakage_coefficients_match_quadrature():
 
 def test_leakage_averaged_channel_is_tp_and_matches_quadrature():
     chan = leakage_averaged_channel()
-    assert chan.is_trace_preserving
+    np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9)
     # superoperator-level quadrature: average the CZ(phi) conjugation
     def sup_entry(i, j, part):
         def integrand(phi):
@@ -126,7 +126,7 @@ def test_gate_channel_leak_bookkeeping(factory):
     rates = ChannelRates(p_leak_control=0.02, p_leak_target=0.05,
                          p_z_control=1e-3, p_z_target=1e-3)
     chan = factory(rates)
-    assert chan.is_trace_preserving
+    np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9)
     rho = embed_qubit_operator(np.eye(4, dtype=complex) / 4)
     out = chan.apply(rho)
     kept = np.real(sum(out[i, i] for i in QUBIT_BLOCK))

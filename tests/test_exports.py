@@ -1,9 +1,12 @@
 """Every name a module exports resolves, so a deleted function cannot
 leave a stale entry in __all__ behind; and every exported function or
-class is used by the package or by an acceptance test, so none is kept
+class, and every public method, property and classmethod of an exported
+class, is used by the package or by an acceptance test, so none is kept
 only for its own test."""
 import ast
+import functools
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -16,6 +19,9 @@ MODULES = ["drcz"] + [f"drcz.{info.name}" for info in pkgutil.iter_modules(drcz.
 # where a use counts: the package's own modules and the acceptance claims
 USERS = [*sorted(Path(drcz.__file__).parent.glob("*.py")),
          Path(__file__).with_name("test_acceptance.py")]
+
+# public members kept without such a use, with the reason
+KEEP = {"DeviceConfig.save": "the user-facing config writer"}
 
 
 def _used_names() -> set[str]:
@@ -49,4 +55,25 @@ def test_every_exported_function_and_class_has_a_user():
             defined_here = getattr(obj, "__module__", None) == name
             if callable(obj) and defined_here and attr not in used:
                 unused.append(f"{name}.{attr}")
+    assert unused == []
+
+
+def _members(cls):
+    """Public methods, properties and class/static methods defined on cls."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    for attr, raw in vars(cls).items():
+        if not attr.startswith("_") and (inspect.isfunction(raw) or isinstance(raw, kinds)):
+            yield attr
+
+
+def test_every_public_member_of_an_exported_class_has_a_user():
+    used = _used_names()
+    unused = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            cls = getattr(module, attr)
+            if isinstance(cls, type) and cls.__module__ == name:
+                unused += [f"{attr}.{member}" for member in _members(cls)
+                           if member not in used and f"{attr}.{member}" not in KEEP]
     assert unused == []

@@ -94,7 +94,7 @@ def test_schedule_structure(table_params, register2):
 
 
 def test_schedule_requires_the_coupled_modes(table_params):
-    reg = ModeRegister.from_dims(("a1", "a2", "c"), 2)
+    reg = ModeRegister((("a1", 2), ("a2", 2), ("c", 2)))
     with pytest.raises(KeyError, match="b1"):
         build_schedule(table_params, reg)
 

@@ -1,0 +1,29 @@
+"""The benchmark in perfbench/ still runs against the package.
+
+One pass of each workload's calls, under perfbench's span tracer and at
+its reference seed, must reproduce perfbench/reference.json with no
+failed call.  The tracer wraps every public function and reads some of
+their arguments and results by name, so a changed signature that the
+benchmark depends on fails here rather than in a benchmark run.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_traced_pass_matches_the_reference(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    tracer = spans.Tracer()
+    with tracer:
+        ctx = workloads.Context(workloads.setup(workload), workloads.REFERENCE_SEED,
+                                tmp_path, workloads.load_reference())
+        for call in workload.calls:
+            assert workloads.check(call, call.run(ctx), ctx) == [], call.label
+    assert {m: n for m, n in tracer.take().errors.items() if n} == {}
