@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis
-from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel,
-                             postselected_fidelity, qutrit_gate_channel)
+from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _leakage_kraus,
+                             postselected_fidelity, qutrit_cz, qutrit_dephasing_kraus,
+                             qutrit_gate_channel)
 
 __all__ = [
     "CliffordElement",
@@ -203,11 +204,10 @@ def generate_clifford_group(n_qubits: int) -> CliffordGroup:
 
 # --- native-gate noise ------------------------------------------------------
 
-def _embed_unitary(u: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Act with u on the logical block of n_qubits qutrits; leaked states idle."""
-    block = [0, 1] if n_qubits == 1 else QUBIT_BLOCK
-    out = np.eye(3 ** n_qubits, dtype=complex)
-    out[np.ix_(block, block)] = u
+def _embed_unitary(u: np.ndarray) -> np.ndarray:
+    """Act with u on the two-qubit logical block; leaked states idle."""
+    out = np.eye(9, dtype=complex)
+    out[np.ix_(QUBIT_BLOCK, QUBIT_BLOCK)] = u
     return out
 
 
@@ -215,48 +215,20 @@ def _unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def _embedded_natives(n_qubits: int) -> dict[str, np.ndarray]:
-    """Every ideal native gate as a unitary on n_qubits qutrits.
+def _embedded_natives() -> dict[str, np.ndarray]:
+    """Every ideal native gate as a unitary on two qutrits.
 
     Single-qubit natives embed as tensor factors so they keep acting when
     the partner qutrit is leaked; CZ idles any leaked state."""
-    if n_qubits == 1:
-        return {name: _embed_unitary(u, 1) for name, u in _ONE_QUBIT_GATES.items()}
     eye = np.eye(3, dtype=complex)
     natives = {}
     for name, u2 in _ONE_QUBIT_GATES.items():
-        u1 = _embed_unitary(u2, 1)
+        u1 = np.eye(3, dtype=complex)
+        u1[:2, :2] = u2
         natives[name + "_c"] = np.kron(u1, eye)
         natives[name + "_t"] = np.kron(eye, u1)
-    natives["CZ"] = _embed_unitary(CZ4, 2)
+    natives["CZ"] = qutrit_cz()
     return natives
-
-
-def _leak_kraus(p: float) -> list[np.ndarray]:
-    """Photon-loss jump to the detected-leak level of one qutrit."""
-    if p == 0.0:
-        return [np.eye(3, dtype=complex)]
-    keep = np.diag([math.sqrt(1 - p), math.sqrt(1 - p), 1.0]).astype(complex)
-    j0 = np.zeros((3, 3), dtype=complex)
-    j0[2, 0] = math.sqrt(p)
-    j1 = np.zeros((3, 3), dtype=complex)
-    j1[2, 1] = math.sqrt(p)
-    return [keep, j0, j1]
-
-
-def _dephase_kraus(p: float) -> list[np.ndarray]:
-    if p == 0.0:
-        return [np.eye(3, dtype=complex)]
-    flip = np.diag([-1j, 1j, 1.0]).astype(complex)
-    return [math.sqrt(1 - p) * np.eye(3, dtype=complex),
-            math.sqrt(p) * flip]
-
-
-def _on_qubit(kraus: list[np.ndarray], qubit: int) -> list[np.ndarray]:
-    eye = np.eye(3, dtype=complex)
-    if qubit == 0:
-        return [np.kron(k, eye) for k in kraus]
-    return [np.kron(eye, k) for k in kraus]
 
 
 def embed_block_superop(s4: np.ndarray) -> np.ndarray:
@@ -264,17 +236,10 @@ def embed_block_superop(s4: np.ndarray) -> np.ndarray:
 
     The map acts on the codespace block and leaves every leak-level
     coherence untouched (identity elsewhere)."""
-    block = np.asarray(QUBIT_BLOCK)
-    out = np.zeros((81, 81), dtype=complex)
-    for col in range(81):
-        m = np.zeros(81, dtype=complex)
-        m[col] = 1.0
-        m = m.reshape(9, 9, order="F")
-        sub = m[np.ix_(block, block)]
-        mapped = (s4 @ sub.reshape(-1, order="F")).reshape(4, 4, order="F")
-        res = m.copy()
-        res[np.ix_(block, block)] = mapped
-        out[:, col] = res.reshape(-1, order="F")
+    # column-stacked positions of the codespace block's 16 entries
+    entries = np.add.outer(9 * np.asarray(QUBIT_BLOCK), QUBIT_BLOCK).reshape(-1)
+    out = np.eye(81, dtype=complex)
+    out[np.ix_(entries, entries)] = s4
     return out
 
 
@@ -291,23 +256,15 @@ def depolarizing_cz_channel(decay: float) -> np.ndarray:
 
 @dataclass
 class NativeGateNoise:
-    """Superoperators for every native gate, on n_qubits qutrits (level 2 is
-    the detected leak)."""
+    """Superoperators for every native gate on two qutrits (level 2 is the
+    detected leak)."""
 
     superops: dict[str, np.ndarray]
-    n_qubits: int
-
-    @property
-    def dim(self) -> int:
-        return 3 ** self.n_qubits
 
     @classmethod
-    def ideal(cls, n_qubits: int = 2) -> "NativeGateNoise":
-        if n_qubits not in (1, 2):
-            raise ValueError("only 1- or 2-qubit natives are built")
-        sup = {name: _unitary_superop(u)
-               for name, u in _embedded_natives(n_qubits).items()}
-        return cls(superops=sup, n_qubits=n_qubits)
+    def ideal(cls) -> "NativeGateNoise":
+        return cls(superops={name: _unitary_superop(u)
+                             for name, u in _embedded_natives().items()})
 
     @classmethod
     def coherence_limited(cls,
@@ -324,35 +281,41 @@ class NativeGateNoise:
         the average rail rate and pure dephasing at the dual-rail Ramsey
         rate, over that qubit's pulse duration; the always-on cross-Kerr
         adds a deterministic phase on the |1>_c|0>_t level during the pulse.
-        Z rotations are virtual and noiseless; CZ uses the fitted-rate
-        qutrit channel.  Unlike the tensor-factor natives of `ideal`, these
-        X(pi/2) pulses act on the two-qubit logical block only, so they
-        idle whenever the partner qudit is leaked.  The measured device
-        values come through `DeviceConfig.native_noise`.
+        The leakage and dephasing Kraus operators are the CZ channel's own
+        (`qutrit_gate_channel`), on the pulsed qubit only.  Z rotations are
+        virtual and noiseless; CZ uses the fitted-rate qutrit channel.
+        Unlike the tensor-factor natives of `ideal`, these X(pi/2) pulses
+        act on the two-qubit logical block only, so they idle whenever the
+        partner qudit is leaked.  The measured device values come through
+        `DeviceConfig.native_noise`.
         """
-        sup = dict(cls.ideal(2).superops)
+        sup = dict(cls.ideal().superops)
         for qubit, name in ((0, "X90_c"), (1, "X90_t")):
             t = x90_durations_us[qubit]
             kappa = 0.5 * (1.0 / rail_t1_us[qubit][0] + 1.0 / rail_t1_us[qubit][1])
             p_leak = 1.0 - math.exp(-kappa * t)
-            p_z = 0.5 * (1.0 - math.exp(-t / ramsey_tphi_us[qubit]))
-            u = _embed_unitary(_two_qubit_gateset()[name], 2)
+            p_z = [0.0, 0.0]
+            p_z[qubit] = 0.5 * (1.0 - math.exp(-t / ramsey_tphi_us[qubit]))
+            dephasing = ChannelRates(p_leak_control=0.0, p_leak_target=0.0,
+                                     p_z_control=p_z[0], p_z_target=p_z[1])
+            u = _embed_unitary(_two_qubit_gateset()[name])
             if include_cross_kerr:
                 phase = np.ones(9, dtype=complex)
                 phase[3 * 1 + 0] = np.exp(-1j * cross_kerr * t)
                 u = np.diag(phase) @ u
+            leak = _leakage_kraus(p_leak, qubit, correlated=False)
             chan = QuantumChannel(9, kraus=[u])
-            chan = QuantumChannel(9, kraus=_on_qubit(_leak_kraus(p_leak), qubit)).compose(chan)
-            chan = QuantumChannel(9, kraus=_on_qubit(_dephase_kraus(p_z), qubit)).compose(chan)
+            chan = QuantumChannel(9, kraus=leak).compose(chan)
+            chan = QuantumChannel(9, kraus=qutrit_dephasing_kraus(dephasing)).compose(chan)
             sup[name] = chan.superop
         sup["CZ"] = qutrit_gate_channel(cz_rates).superop
-        return cls(superops=sup, n_qubits=2)
+        return cls(superops=sup)
 
     def replace(self, **gates: np.ndarray | QuantumChannel) -> "NativeGateNoise":
         sup = dict(self.superops)
         for name, value in gates.items():
             sup[name] = value.superop if isinstance(value, QuantumChannel) else value
-        return NativeGateNoise(superops=sup, n_qubits=self.n_qubits)
+        return NativeGateNoise(superops=sup)
 
 
 # --- randomized benchmarking -------------------------------------------------
@@ -398,21 +361,11 @@ def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
     return indices, group.inverse_of(net)
 
 
-def _readout_stats(rho_vec: np.ndarray, n_qubits: int,
-                   spam: ReadoutModel | None) -> tuple[float, float]:
-    """(survival of |0..0> assignment, kept fraction) from the final state."""
-    dim = 3 ** n_qubits
-    probs = np.real(np.diag(rho_vec.reshape(dim, dim, order="F")))
-    probs = np.clip(probs, 0.0, None)
-    if n_qubits == 1:
-        observed = probs @ _confusion(spam, 1)
-        survival = observed[0]
-        kept = observed[0] + observed[1]
-    else:
-        observed = _confusion(spam, 0).T @ probs.reshape(3, 3) @ _confusion(spam, 1)
-        survival = observed[0, 0]
-        kept = observed[:2, :2].sum()
-    return float(survival), float(kept)
+def _readout_stats(rho_vec: np.ndarray, spam: ReadoutModel | None) -> tuple[float, float]:
+    """(survival of |00> assignment, kept fraction) from the final state."""
+    probs = np.clip(np.real(np.diag(rho_vec.reshape(9, 9, order="F"))), 0.0, None)
+    observed = _confusion(spam, 0).T @ probs.reshape(3, 3) @ _confusion(spam, 1)
+    return float(observed[0, 0]), float(observed[:2, :2].sum())
 
 
 def _confusion(spam: ReadoutModel | None, qubit: int) -> np.ndarray:
@@ -441,20 +394,23 @@ def simulate_rb(noise: NativeGateNoise,
         raise ValueError("depths must be positive")
     if not seeds:
         raise ValueError("at least one seed is required")
-    group = generate_clifford_group(noise.n_qubits)
+    group = generate_clifford_group(2)
     if interleave is not None:
         if interleave not in noise.superops:
             raise ValueError(f"unknown interleaved gate {interleave!r}")
         if interleave_unitary is None:
+            if interleave not in group.gateset:
+                raise ValueError(f"interleaved gate {interleave!r} is not native: "
+                                 "pass its ideal action as interleave_unitary")
             interleave_unitary = group.gateset[interleave]
         interleave_index = group.index_of(interleave_unitary)
+    elif interleave_unitary is not None:
+        raise ValueError("interleave_unitary needs interleave, the name of its channel")
     else:
         interleave_index = None
 
-    dim = noise.dim
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    vec0 = rho0.reshape(-1, order="F")
+    vec0 = np.zeros(81, dtype=complex)
+    vec0[0] = 1.0  # |00><00|
 
     raw = np.zeros((len(depths), len(seeds)))
     post = np.zeros_like(raw)
@@ -471,7 +427,7 @@ def simulate_rb(noise: NativeGateNoise,
                     vec = noise.superops[interleave] @ vec
             for gate in group.elements[recovery].word:
                 vec = noise.superops[gate] @ vec
-            survival, kept = _readout_stats(vec, noise.n_qubits, spam)
+            survival, kept = _readout_stats(vec, spam)
             raw[i, j] = survival
             kept_arr[i, j] = kept
             post[i, j] = survival / kept if kept > 0 else 0.0
@@ -575,7 +531,7 @@ def _interleaved_ideal_rb(superops: np.ndarray,
     once per sequence.
     """
     superops = np.asarray(superops)
-    natives = _embedded_natives(2)
+    natives = _embedded_natives()
     cz = group.index_of(CZ4)
 
     def conj_clifford(idx: int) -> np.ndarray:
@@ -644,7 +600,7 @@ def irb_accuracy_study(operating_point: ChannelRates,
     sequence_seeds = tuple(int(s) for s in sequence_seeds)
     group = generate_clifford_group(2)
     reference_fit = fit_linear_fidelity(
-        simulate_rb(NativeGateNoise.ideal(2), depths, sequence_seeds))
+        simulate_rb(NativeGateNoise.ideal(), depths, sequence_seeds))
 
     # One channel object at a time: only its superoperator is kept.
     superops = np.empty((len(samples), 81, 81), dtype=complex)
@@ -697,9 +653,8 @@ def simulate_bitflip_protocol(initial: str,
         raise ValueError("initial state must be '0' or '1'")
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
-    dim = noise.dim
     level = int(initial)
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((9, 9), dtype=complex)
     rho[3 * level, 3 * level] = 1.0
     vec = rho.reshape(-1, order="F")
     vec = noise.superops["X90_t"] @ vec
@@ -707,7 +662,7 @@ def simulate_bitflip_protocol(initial: str,
         vec = noise.superops["CZ"] @ vec
     vec = noise.superops["X90_t"] @ vec
 
-    probs = np.clip(np.real(np.diag(vec.reshape(dim, dim, order="F"))), 0.0, None)
+    probs = np.clip(np.real(np.diag(vec.reshape(9, 9, order="F"))), 0.0, None)
     marginal = probs.reshape(3, 3).sum(axis=1)
     observed = marginal @ _confusion(spam, 0)
     flipped = observed[1 - level]

@@ -154,8 +154,9 @@ def _run_bell_tomography(cfg: DeviceConfig, args) -> tuple[list, list, dict, str
                                  readout=cfg.readout(2))
     post = reconstruct_state(record, postselect=True)
     raw = reconstruct_state(record, postselect=False)
-    fid_post, purity_post = bell_metrics(post)
-    fid_raw, purity_raw = bell_metrics(raw)
+    reference = _circuit_bell_reference(1)
+    fid_post, purity_post = bell_metrics(post, reference)
+    fid_raw, purity_raw = bell_metrics(raw, reference)
     rows = [(sc, st, oc, ot, record.counts[(sc, st, oc, ot)])
             for (sc, st, oc, ot) in sorted(record.counts)]
     doc = {

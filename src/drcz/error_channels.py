@@ -2,8 +2,10 @@
 
 Two-qubit channels live on the 4-dim logical space; leakage models live on
 a two-qutrit space where level |2> is the detected leaked state of each
-dual-rail qubit (|0> = |0_L>, |1> = |1_L>).  CZ(phi) puts e^{+i phi} on
-|11>; this sign fixes the imaginary cross terms below.
+dual-rail qubit (|0> = |0_L>, |1> = |1_L>).  The randomized-benchmarking
+natives share this module's two-qutrit leakage, dephasing and CZ
+operators.  CZ(phi) puts e^{+i phi} on |11>; this sign fixes the
+imaginary cross terms below.
 """
 from __future__ import annotations
 
@@ -36,6 +38,13 @@ __all__ = [
 CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # two-qutrit basis |ij> with i,j in {0,1,2}; the logical block is i,j < 2
 QUBIT_BLOCK = [0, 1, 3, 4]
+# single-qubit preparations of process tomography and the fidelity expansion
+PREP_KETS = {
+    "0": np.array([1, 0], dtype=complex),
+    "1": np.array([0, 1], dtype=complex),
+    "+": np.array([1, 1], dtype=complex) / math.sqrt(2),
+    "+i": np.array([1, 1j], dtype=complex) / math.sqrt(2),
+}
 
 
 def leakage_averaged_coefficients() -> np.ndarray:
@@ -293,12 +302,10 @@ MAX_CONDITION = 1e8
 
 
 def _preparation_states() -> list[np.ndarray]:
-    kets1 = [np.array([1, 0]), np.array([0, 1]),
-             np.array([1, 1]) / math.sqrt(2), np.array([1, 1j]) / math.sqrt(2)]
     states = []
-    for a in kets1:
-        for b in kets1:
-            v = np.kron(a, b).astype(complex)
+    for a in PREP_KETS.values():
+        for b in PREP_KETS.values():
+            v = np.kron(a, b)
             states.append(np.outer(v, v.conj()))
     return states
 
@@ -310,24 +317,24 @@ def _pauli_4() -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _fidelity_expansion() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...],
-                                   tuple[np.ndarray, ...], np.ndarray, float]:
+                                   np.ndarray, float]:
     """The parts of postselected_fidelity that no argument changes.
 
-    (states, embedded states, Paulis, alpha, condition number): the 16
-    preparation states, the same on the two-qutrit space, the two-qubit
-    Paulis, alpha[k, j] expanding Pauli j over the states, and the
-    condition number of that expansion.  Built once; the Paulis are
-    pauli_basis's own cached arrays."""
-    states4 = tuple(_preparation_states())
+    (embedded states, Paulis, alpha, condition number): the 16 preparation
+    states on the two-qutrit space, the two-qubit Paulis, alpha[k, j]
+    expanding Pauli j over the states, and the condition number of that
+    expansion.  Built once; the Paulis are pauli_basis's own cached
+    arrays."""
+    states4 = _preparation_states()
     paulis = tuple(_pauli_4())
     basis_mat = np.column_stack([rho.reshape(-1) for rho in states4])
     cond = np.linalg.cond(basis_mat)
     alpha = np.linalg.pinv(basis_mat) @ np.column_stack(
         [u.reshape(-1) for u in paulis])  # alpha[k, j]
     embedded = tuple(embed_qubit_operator(rho) for rho in states4)
-    for array in (*states4, *embedded, alpha):
+    for array in (*embedded, alpha):
         array.setflags(write=False)
-    return states4, embedded, paulis, alpha, cond
+    return embedded, paulis, alpha, cond
 
 
 def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
@@ -338,31 +345,24 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
         / (d^3 Tr(M E(rho_k) M^dag))
     with U_j the two-qubit Paulis expanded over the 16 product states
     rho_k of {|0>,|1>,|+>,|+i>} per qubit, R the reference, and M the
-    codespace-assignment operator.  The channel may act on the 4-dim
-    logical space or the 9-dim two-qutrit space.
+    codespace-assignment operator.  The channel acts on the 9-dim
+    two-qutrit space.
     """
-    if channel.dim not in (4, 9):
-        raise ValueError("channel must act on 4-dim logical or 9-dim qutrit space")
+    if channel.dim != 9:
+        raise ValueError(f"channel must act on the 9-dim two-qutrit space, "
+                         f"got dim {channel.dim}")
     ref = np.asarray(reference, dtype=complex)
     if ref.shape != (4, 4):
         raise ValueError("reference must be a two-qubit unitary")
 
-    states4, embedded, paulis, alpha, cond = _fidelity_expansion()
+    embedded, paulis, alpha, cond = _fidelity_expansion()
     if cond > MAX_CONDITION:
         raise ValueError(f"state-basis expansion ill-conditioned (cond {cond:.3e})")
 
-    qutrit = channel.dim == 9
-    if qutrit:
-        m = (readout or ReadoutModel.perfect()).measurement_operator()
-        probes = [embed_qubit_operator(ref @ u @ ref.conj().T) for u in paulis]
-        states = embedded
-    else:
-        m = np.eye(4, dtype=complex)
-        probes = [ref @ u @ ref.conj().T for u in paulis]
-        states = states4
-
+    m = (readout or ReadoutModel.perfect()).measurement_operator()
+    probes = [embed_qubit_operator(ref @ u @ ref.conj().T) for u in paulis]
     total = 0.0 + 0.0j
-    for k, rho in enumerate(states):
+    for k, rho in enumerate(embedded):
         out = m @ channel.apply(rho) @ m.conj().T
         weight = np.trace(out)
         if abs(weight) < 1e-15:

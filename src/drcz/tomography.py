@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .channels import QuantumChannel, pauli_basis
 from .config import DeviceConfig
-from .error_channels import ReadoutModel
+from .error_channels import PREP_KETS, ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
                    extract_local_frame, ideal_unitary, codespace_block)
@@ -29,7 +29,6 @@ __all__ = [
     "setting_unitary",
     "dual_rail_rotation",
     "dual_rail_phase",
-    "bell_state_ideal",
     "bell_circuit_record",
     "reconstruct_state",
     "bell_metrics",
@@ -53,11 +52,7 @@ OUTCOMES = ("0", "1", "erasure")
 
 QUBIT_PAIR = ModeRegister((("qc", 2), ("qt", 2)))
 
-_SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_SIGMA = dict(zip("xyz", pauli_basis(1)[1:]))
 
 
 def setting_unitary(label: str) -> np.ndarray:
@@ -114,13 +109,6 @@ class MeasurementRecord:
     def total(self, sc: str, st: str) -> float:
         return sum(v for (s1, s2, _, _), v in self.counts.items()
                    if (s1, s2) == (sc, st))
-
-
-def bell_state_ideal() -> np.ndarray:
-    """Output of the one-gate circuit: CZ (Rx(pi/2) x Rx(pi/2)) |00>."""
-    r = setting_unitary("X90")
-    v = np.kron(r @ np.array([1, 0], dtype=complex), r @ np.array([1, 0], dtype=complex))
-    return np.diag([1, 1, 1, -1]).astype(complex) @ v
 
 
 def bell_circuit_record(n_gates: int = 1, *,
@@ -237,24 +225,15 @@ def reconstruct_state(record: MeasurementRecord, postselect: bool = True) -> Den
 
 
 def bell_metrics(rho: DensityMatrix | np.ndarray,
-                 reference: np.ndarray | None = None) -> tuple[float, float]:
-    """(fidelity, purity) against the circuit's ideal Bell state."""
+                 reference: np.ndarray) -> tuple[float, float]:
+    """(fidelity, purity) against the circuit's ideal output state."""
     mat = rho.data if isinstance(rho, DensityMatrix) else rho
-    ref = bell_state_ideal() if reference is None else reference
-    fidelity = float(np.real(ref.conj() @ mat @ ref))
+    fidelity = float(np.real(reference.conj() @ mat @ reference))
     purity = float(np.real(np.trace(mat @ mat)))
     return fidelity, purity
 
 
 # --- process tomography ----------------------------------------------------
-
-_PREP_KETS = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([1, 1], dtype=complex) / math.sqrt(2),
-    "+i": np.array([1, 1j], dtype=complex) / math.sqrt(2),
-}
-
 
 def process_tomography(channel: QuantumChannel, postselect: bool = True) -> np.ndarray:
     """Single-qubit chi matrix (plain Pauli basis) of a qubit channel.
@@ -269,7 +248,7 @@ def process_tomography(channel: QuantumChannel, postselect: bool = True) -> np.n
         raise ValueError(f"process tomography takes a qubit channel, got dim {channel.dim}")
 
     inputs, outputs = [], []
-    for ket in _PREP_KETS.values():
+    for ket in PREP_KETS.values():
         rho_in = np.outer(ket, ket.conj())
         rho_out = channel.apply(rho_in)
         rows, freqs = [], []

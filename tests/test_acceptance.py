@@ -203,7 +203,7 @@ def test_09_clifford_closure_and_rb_recovery():
     assert len(generate_clifford_group(1)) == 24
     assert len(generate_clifford_group(2)) == 11520
 
-    ideal = NativeGateNoise.ideal(2)
+    ideal = NativeGateNoise.ideal()
     record = simulate_rb(ideal, (1, 4, 9), (0, 1, 2))
     np.testing.assert_allclose(record.postselected, 1.0, atol=1e-10)
     np.testing.assert_allclose(record.kept_fraction, 1.0, atol=1e-10)

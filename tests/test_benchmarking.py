@@ -196,9 +196,8 @@ def test_sequence_indices_are_deterministic():
     assert len(_sequence_indices(11520, 5, 0)) == 5
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2])
-def test_ideal_rb_survival_is_identically_one(n_qubits):
-    noise = NativeGateNoise.ideal(n_qubits)
+def test_ideal_rb_survival_is_identically_one():
+    noise = NativeGateNoise.ideal()
     record = simulate_rb(noise, (1, 3, 6), (0, 1))
     np.testing.assert_allclose(record.raw, 1.0, atol=1e-10)
     np.testing.assert_allclose(record.postselected, 1.0, atol=1e-10)
@@ -206,13 +205,20 @@ def test_ideal_rb_survival_is_identically_one(n_qubits):
 
 
 def test_rb_validation():
-    noise = NativeGateNoise.ideal(2)
+    noise = NativeGateNoise.ideal()
     with pytest.raises(ValueError, match="depths must be positive"):
         simulate_rb(noise, (0, 2), (0,))
     with pytest.raises(ValueError, match="at least one seed"):
         simulate_rb(noise, (1, 2), ())
     with pytest.raises(ValueError, match="unknown interleaved gate"):
         simulate_rb(noise, (1,), (0,), interleave="CPHASE")
+    # a channel that is not a native gate needs its ideal action
+    with pytest.raises(ValueError, match="pass its ideal action as interleave_unitary"):
+        simulate_rb(noise.replace(CZ_dep=depolarizing_cz_channel(0.9)), (1,), (0,),
+                    interleave="CZ_dep")
+    # and an ideal action needs the channel it belongs to
+    with pytest.raises(ValueError, match="interleave_unitary needs interleave"):
+        simulate_rb(noise, (1,), (0,), interleave_unitary=CZ4)
 
 
 def test_interleaved_depolarizing_survival_is_exact():
@@ -220,7 +226,7 @@ def test_interleaved_depolarizing_survival_is_exact():
     # Clifford: postselected survival must equal 0.75 p^N + 0.25 exactly,
     # independent of the random sequence
     p = 0.98
-    noise = NativeGateNoise.ideal(2).replace(CZ_dep=depolarizing_cz_channel(p))
+    noise = NativeGateNoise.ideal().replace(CZ_dep=depolarizing_cz_channel(p))
     record = simulate_rb(noise, (1, 2, 4, 8), (0, 1, 2),
                          interleave="CZ_dep", interleave_unitary=CZ4)
     for i, depth in enumerate(record.depths):
@@ -274,7 +280,7 @@ def test_interleaved_gate_error_formula():
 
 def test_coherence_limited_natives():
     noise = DeviceConfig.default().native_noise()
-    assert noise.dim == 9
+    assert {sup.shape for sup in noise.superops.values()} == {(81, 81)}
     for name, sup in noise.superops.items():
         chan = QuantumChannel(9, superop=sup, validate=False)
         np.testing.assert_allclose(chan.completeness, np.eye(chan.dim), rtol=0, atol=1e-9,
@@ -288,12 +294,58 @@ def test_coherence_limited_natives():
     leaked = sum(np.real(out[i, i]) for i in (6, 7, 8))
     assert leaked == pytest.approx(expected_leak, rel=1e-9)
     # virtual Z stays noiseless
-    ideal_z = NativeGateNoise.ideal(2).superops["Z90_c"]
+    ideal_z = NativeGateNoise.ideal().superops["Z90_c"]
     np.testing.assert_allclose(noise.superops["Z90_c"], ideal_z, atol=1e-14)
 
 
+def _x90_diagonal_leak_oracle(cfg, qubit, include_cross_kerr):
+    """An X(pi/2) on one qubit, built with leak Kraus operators
+    diag(sqrt(1-p), sqrt(1-p), 1), |2><0| and |2><1| on that qutrit, which
+    damp a logical-leak coherence by sqrt(1-p) rather than 1-p."""
+    t = (cfg.control_x90_ns, cfg.target_x90_ns)[qubit] * 1e-3
+    t1 = cfg.rail_t1_us()[qubit]
+    p = 1 - math.exp(-0.5 * (1 / t1[0] + 1 / t1[1]) * t)
+    p_z = 0.5 * (1 - math.exp(-t / (cfg.control_ramsey_us, cfg.target_ramsey_us)[qubit]))
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    rx90 = math.cos(math.pi / 4) * eye2 - 1j * math.sin(math.pi / 4) * np.array([[0, 1], [1, 0]])
+    u = np.eye(9, dtype=complex)
+    u[np.ix_(QUBIT_BLOCK, QUBIT_BLOCK)] = np.kron(rx90, eye2) if qubit == 0 else np.kron(eye2, rx90)
+    if include_cross_kerr:
+        u[3] *= np.exp(-1j * 2 * math.pi * cfg.chi_ab_khz * 1e-3 * t)  # phase on |1>_c|0>_t
+    keep = np.diag([math.sqrt(1 - p), math.sqrt(1 - p), 1.0]).astype(complex)
+    jumps = [math.sqrt(p) * np.outer(eye3[2], eye3[i]) for i in (0, 1)]
+    leak = [keep, *jumps]
+    dephase = [math.sqrt(1 - p_z) * eye3, math.sqrt(p_z) * np.diag([-1j, 1j, 1.0])]
+
+    def superop(kraus):
+        kraus = [np.kron(k, eye3) if qubit == 0 else np.kron(eye3, k) for k in kraus]
+        return sum(np.kron(k.conj(), k) for k in kraus)
+    return superop(dephase) @ superop(leak) @ np.kron(u.conj(), u)
+
+
+@pytest.mark.parametrize("include_cross_kerr", [True, False])
+def test_x90_populations_match_the_diagonal_leak_oracle(include_cross_kerr):
+    # The X(pi/2) natives use the CZ channel's leak Kraus set, sqrt(1-p) I
+    # plus |2><i| for i = 0, 1, 2.  It differs from the oracle's only in
+    # how it damps coherences between a logical and a leaked level, and no
+    # native turns such a coherence into a population, which is all any
+    # readout sees.
+    cfg = DeviceConfig.default()
+    noise = cfg.native_noise(include_cross_kerr=include_cross_kerr)
+    populations = 10 * np.arange(9)  # column-stacked |k><k|
+    logical_leak = [i + 9 * j for i in range(9) for j in range(9)
+                    if (i in QUBIT_BLOCK) != (j in QUBIT_BLOCK)]
+    for qubit, name in ((0, "X90_c"), (1, "X90_t")):
+        oracle = _x90_diagonal_leak_oracle(cfg, qubit, include_cross_kerr)
+        sup = noise.superops[name]
+        np.testing.assert_allclose(sup[populations], oracle[populations],
+                                   rtol=0, atol=2e-16, err_msg=name)
+        for m in (sup, oracle):
+            assert not np.any(m[np.ix_(populations, logical_leak)]), name
+
+
 def test_replace_accepts_channels_and_arrays():
-    base = NativeGateNoise.ideal(2)
+    base = NativeGateNoise.ideal()
     swapped = base.replace(Z180_c=base.superops["X90_c"])
     np.testing.assert_allclose(swapped.superops["Z180_c"], base.superops["X90_c"])
     chan = QuantumChannel(9, superop=base.superops["CZ"], validate=False)
@@ -318,7 +370,7 @@ def test_bitflip_through_confusion_matrix_frozen():
 
 
 def test_bitflip_validation():
-    noise = NativeGateNoise.ideal(2)
+    noise = NativeGateNoise.ideal()
     with pytest.raises(ValueError, match="initial state"):
         simulate_bitflip_protocol("2", 1, noise=noise)
 
@@ -349,7 +401,7 @@ def test_batched_pass_matches_simulate_rb_sample_by_sample():
     u = expm(-0.05j * (h + h.conj().T)) @ np.diag(np.exp(1j * np.arange(9)))
     channels.append(np.kron(u.conj(), u))
     records = _interleaved_ideal_rb(channels, depths, seeds, group)
-    base = NativeGateNoise.ideal(2)
+    base = NativeGateNoise.ideal()
     for channel, record in zip(channels, records):
         oracle = simulate_rb(base.replace(CZ_sampled=channel), depths, seeds,
                              interleave="CZ_sampled", interleave_unitary=CZ4)

@@ -182,7 +182,7 @@ def test_channel_rates_builder(default_cfg):
 
 def test_native_noise_builder(default_cfg):
     noise = default_cfg.native_noise()
-    assert noise.dim == 9
+    assert {sup.shape for sup in noise.superops.values()} == {(81, 81)}
     np.testing.assert_allclose(
         noise.superops["CZ"],
         qutrit_gate_channel(default_cfg.channel_rates()).superop, atol=1e-14)

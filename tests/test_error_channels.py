@@ -246,8 +246,6 @@ def test_measurement_operator_scales_by_assignment_rates():
 
 
 def test_postselected_fidelity_of_exact_gate_is_one():
-    exact4 = QuantumChannel(4, kraus=[CZ4])
-    assert postselected_fidelity(exact4, CZ4) == pytest.approx(1.0, abs=1e-12)
     exact9 = QuantumChannel(9, kraus=[qutrit_cz()])
     assert postselected_fidelity(exact9, CZ4) == pytest.approx(1.0, abs=1e-12)
     assert postselected_fidelity(exact9, CZ4,
@@ -255,11 +253,10 @@ def test_postselected_fidelity_of_exact_gate_is_one():
 
 
 def test_postselected_fidelity_validation():
-    exact4 = leakage_averaged_channel()
     with pytest.raises(ValueError, match="two-qubit unitary"):
-        postselected_fidelity(exact4, np.eye(2))
-    with pytest.raises(ValueError, match="4-dim logical or 9-dim"):
-        postselected_fidelity(QuantumChannel.identity(2), CZ4)
+        postselected_fidelity(QuantumChannel(9, kraus=[qutrit_cz()]), np.eye(2))
+    with pytest.raises(ValueError, match="9-dim two-qutrit space"):
+        postselected_fidelity(leakage_averaged_channel(), CZ4)
 
 
 def test_fitted_rate_channel_infidelity_frozen():

@@ -2,7 +2,8 @@
 leave a stale entry in __all__ behind; and every exported function or
 class, and every public method, property and classmethod of an exported
 class, is used by the package or by an acceptance test, so none is kept
-only for its own test."""
+only for its own test; and every private module-level function or class
+is read by the package, so no dead helper stays behind."""
 import ast
 import functools
 import importlib
@@ -16,19 +17,19 @@ import drcz
 
 MODULES = ["drcz"] + [f"drcz.{info.name}" for info in pkgutil.iter_modules(drcz.__path__)]
 
-# where a use counts: the package's own modules and the acceptance claims
-USERS = [*sorted(Path(drcz.__file__).parent.glob("*.py")),
-         Path(__file__).with_name("test_acceptance.py")]
+PACKAGE = sorted(Path(drcz.__file__).parent.glob("*.py"))
+# where a use of a public name counts: the package and the acceptance claims
+USERS = [*PACKAGE, Path(__file__).with_name("test_acceptance.py")]
 
 # public members kept without such a use, with the reason
 KEEP = {"DeviceConfig.save": "the user-facing config writer"}
 
 
-def _used_names() -> set[str]:
+def _used_names(paths=USERS) -> set[str]:
     """Every name read as a variable or an attribute.  Import lines,
     def/class lines, __all__ strings, comments and docstrings add none."""
     used = set()
-    for path in USERS:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -77,3 +78,15 @@ def test_every_public_member_of_an_exported_class_has_a_user():
                 unused += [f"{attr}.{member}" for member in _members(cls)
                            if member not in used and f"{attr}.{member}" not in KEEP]
     assert unused == []
+
+
+def test_every_private_function_and_class_is_read_by_the_package():
+    used = _used_names(PACKAGE)
+    unread = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in used):
+                unread.append(f"{path.stem}.{node.name}")
+    assert unread == []

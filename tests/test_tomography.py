@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from drcz import ModeRegister, NoiseModel, SystemParams, tomography
 from drcz.benchmarking import NativeGateNoise, simulate_bitflip_protocol
 from drcz.channels import QuantumChannel
+from drcz.cli import _circuit_bell_reference
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
@@ -19,7 +20,6 @@ from drcz.tomography import (
     MeasurementRecord,
     bell_circuit_record,
     bell_metrics,
-    bell_state_ideal,
     chi_error,
     dual_rail_phase,
     dual_rail_rotation,
@@ -85,11 +85,11 @@ def test_dual_rail_phase_rotates_the_one_rail(register2):
     assert u[i_one, i_one] == pytest.approx(np.exp(0.3j), abs=1e-14)
 
 
-def test_bell_state_ideal_matches_direct_construction():
+def test_one_gate_bell_reference_matches_direct_construction():
     plus_i = np.array([1, -1j], dtype=complex) / math.sqrt(2)  # Rx(pi/2)|0>
     expected = np.diag([1, 1, 1, -1.0]) @ np.kron(plus_i, plus_i)
-    np.testing.assert_allclose(bell_state_ideal(), expected, atol=1e-15)
-    assert np.linalg.norm(bell_state_ideal()) == pytest.approx(1.0)
+    np.testing.assert_allclose(_circuit_bell_reference(1), expected, atol=1e-15)
+    assert np.linalg.norm(_circuit_bell_reference(1)) == pytest.approx(1.0)
 
 
 def test_measurement_record_bookkeeping():
@@ -107,7 +107,7 @@ def test_measurement_record_bookkeeping():
 
 @pytest.mark.parametrize("run", [
     lambda n: bell_circuit_record(n, readout=ReadoutModel.perfect()),
-    lambda n: simulate_bitflip_protocol("0", n, noise=NativeGateNoise.ideal(2)),
+    lambda n: simulate_bitflip_protocol("0", n, noise=NativeGateNoise.ideal()),
 ], ids=["bell_circuit_record", "simulate_bitflip_protocol"])
 def test_a_negative_gate_count_is_refused(run):
     with pytest.raises(ValueError, match="n_gates must be non-negative"):
@@ -117,14 +117,14 @@ def test_a_negative_gate_count_is_refused(run):
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
     rec = bell_circuit_record(1, readout=ReadoutModel.perfect())
-    fid, purity = bell_metrics(reconstruct_state(rec))
+    fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_echoed_three_gate_circuit_returns_to_the_bell_state():
     rec = bell_circuit_record(3, readout=ReadoutModel.perfect())
-    fid, purity = bell_metrics(reconstruct_state(rec))
+    fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
@@ -133,8 +133,8 @@ def test_noisy_record_frozen_metrics(table_params):
     rec = bell_circuit_record(1, params=table_params,
                               noise=NoiseModel.from_params(table_params),
                               readout=DeviceConfig.default().readout(2))
-    post = bell_metrics(reconstruct_state(rec, postselect=True))
-    raw = bell_metrics(reconstruct_state(rec, postselect=False))
+    post = bell_metrics(reconstruct_state(rec, postselect=True), _circuit_bell_reference(1))
+    raw = bell_metrics(reconstruct_state(rec, postselect=False), _circuit_bell_reference(1))
     assert post == pytest.approx(NOISY_POST, rel=1e-12)
     assert raw == pytest.approx(NOISY_RAW, rel=1e-12)
     # postselection discards the erasure-assignment shots; the raw state is
