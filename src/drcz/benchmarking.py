@@ -386,7 +386,8 @@ def simulate_rb(noise: NativeGateNoise,
     and reads out through the confusion matrices at the end only.  With
     interleave set (e.g. "CZ"), that gate's channel follows every
     Clifford; interleave_unitary supplies the ideal action when the name
-    is a dedicated channel rather than a member of the gateset.
+    is a dedicated channel rather than a member of the gateset, and must
+    equal the native's (up to global phase) when it is one.
     """
     depths = tuple(int(d) for d in depths)
     seeds = tuple(int(s) for s in seeds)
@@ -398,11 +399,15 @@ def simulate_rb(noise: NativeGateNoise,
     if interleave is not None:
         if interleave not in noise.superops:
             raise ValueError(f"unknown interleaved gate {interleave!r}")
+        native = group.gateset.get(interleave)
         if interleave_unitary is None:
-            if interleave not in group.gateset:
+            if native is None:
                 raise ValueError(f"interleaved gate {interleave!r} is not native: "
                                  "pass its ideal action as interleave_unitary")
-            interleave_unitary = group.gateset[interleave]
+            interleave_unitary = native
+        elif native is not None and group.index_of(interleave_unitary) != group.index_of(native):
+            raise ValueError(f"interleave_unitary is not the ideal action of the "
+                             f"native gate {interleave!r}")
         interleave_index = group.index_of(interleave_unitary)
     elif interleave_unitary is not None:
         raise ValueError("interleave_unitary needs interleave, the name of its channel")

@@ -59,7 +59,8 @@ def _superop_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     d = kraus[0].shape[0]
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in kraus:
-        s += np.kron(k.conj(), k)
+        # np.kron(k.conj(), k) as one broadcast product
+        s += (k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(d * d, d * d)
     return s
 
 

@@ -120,16 +120,6 @@ class ModeRegister:
         return occ
 
 
-def _single_mode_matrix(dim: int, kind: str) -> np.ndarray:
-    if kind == "annihilate":
-        return np.diag(np.sqrt(np.arange(1, dim)).astype(complex), k=1)
-    if kind == "number":
-        return np.diag(np.arange(dim).astype(complex))
-    if kind == "identity":
-        return np.eye(dim, dtype=complex)
-    raise ValueError(f"unsupported operator kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense operator tagged with the register it acts on."""
@@ -166,14 +156,24 @@ def build_mode_operator(register: ModeRegister, label: str, kind: str) -> Operat
     """Single-mode operator embedded in the register's tensor space.
 
     kind is one of {"annihilate", "number", "identity"}; the operator acts
-    on the named mode and as identity on every other mode, with Kronecker
-    factors taken in register order.
+    on the named mode and as identity on every other mode.  It is written
+    straight from the occupation table: a lowers the named mode's
+    occupation n by one, which moves the flat index down by the product of
+    the later modes' dims, with amplitude sqrt(n).
     """
     target = register.index(label)
-    out = np.eye(1, dtype=complex)
-    for i, (_, dim) in enumerate(register.modes):
-        factor = _single_mode_matrix(dim, kind) if i == target else np.eye(dim, dtype=complex)
-        out = np.kron(out, factor)
+    n = register.occupation_table[:, target]
+    if kind == "annihilate":
+        stride = math.prod(register.dims[target + 1:])
+        out = np.zeros((register.dim, register.dim), dtype=complex)
+        lowered = np.flatnonzero(n)
+        out[lowered - stride, lowered] = np.sqrt(n[lowered])
+    elif kind == "number":
+        out = np.diag(n.astype(complex))
+    elif kind == "identity":
+        out = np.eye(register.dim, dtype=complex)
+    else:
+        raise ValueError(f"unsupported operator kind {kind!r}")
     return OperatorMatrix(register, out)
 
 

@@ -288,62 +288,73 @@ def simulated_leak_process(params: SystemParams | None = None,
                            points: int = 801) -> QuantumChannel:
     """Target-qubit map conditioned on a control-side erasure during one gate.
 
-    A single loss jump (coupler or control-rail mode) is inserted on a time
-    grid across the piecewise schedule, weighted by the jump rate and the
-    mode occupancy at that instant, and the surviving target amplitudes are
-    collected as Kraus operators.  control_prep selects the control state:
-    "1" (photon in the swapped rail), "0" (photon in the idle rail), or
+    A single loss jump (coupler or control-rail mode) is inserted at each
+    node of a Simpson grid of `points` nodes across the piecewise schedule,
+    weighted by the jump rate and the node's quadrature weight, and the
+    surviving target amplitudes are collected as Kraus operators; a node
+    whose jumped state vanishes (max amplitude <= 1e-14) adds none.
+    Each segment Hamiltonian is diagonalized once, block by block over the
+    photon-number blocks the schedule couples, so a node at offset tau in a
+    segment of duration d only needs the eigenphases exp(-i lam tau) and
+    exp(-i lam (d - tau)).  control_prep selects the control state: "1"
+    (photon in the swapped rail), "0" (photon in the idle rail), or
     "erased" (no photon; the returned map is then the unconditioned one).
     The result is subnormalized by the erasure probability.
     """
     params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
-    hams = [(np.asarray(h.data, dtype=complex), d) for h, d, _ in schedule.segments]
-    total = sum(d for _, d in hams)
+    hams = [np.asarray(h.data, dtype=complex) for h, _, _ in schedule.segments]
+    durations = [d for _, d, _ in schedule.segments]
+    total = sum(durations)
 
     occ_c = {"1": (0, 1), "0": (1, 0), "erased": (0, 0)}
     if control_prep not in occ_c:
         raise ValueError(f"unknown control preparation {control_prep!r}")
     a1_n, a2_n = occ_c[control_prep]
 
-    tgt_in = {"0": (1, 0), "1": (0, 1)}
-    kets = {}
-    for bit, (b1, b2) in tgt_in.items():
-        v = np.zeros(register.dim, dtype=complex)
-        v[register.basis_index((a1_n, a2_n, 0, b1, b2))] = 1.0
-        kets[bit] = v
-    out_rows = {"0": register.basis_index((0, 0, 0, 1, 0)),
-                "1": register.basis_index((0, 0, 0, 0, 1))}
+    # one column per target input |0_L>, |1_L>; out_rows read the target
+    # photon back with the control register empty
+    kets = np.zeros((register.dim, 2), dtype=complex)
+    for j, (b1, b2) in enumerate(((1, 0), (0, 1))):
+        kets[register.basis_index((a1_n, a2_n, 0, b1, b2)), j] = 1.0
+    out_rows = [register.basis_index((0, 0, 0, 1, 0)),
+                register.basis_index((0, 0, 0, 0, 1))]
 
     if control_prep == "erased":
         u = ideal_unitary(schedule).data
-        k = np.zeros((2, 2), dtype=complex)
-        for j, bit_in in enumerate(("0", "1")):
-            col = u @ kets[bit_in]
-            for i, bit_out in enumerate(("0", "1")):
-                k[i, j] = col[out_rows[bit_out]]
+        k = np.column_stack([(u @ ket)[out_rows] for ket in kets.T])
         return QuantumChannel(2, kraus=[k], validate=False)
 
-    # Each whole segment is exponentiated once; a node only needs the two
-    # pieces of the segment it falls in.
-    whole = [expm(-1j * h * d) for h, d in hams]
+    # Block by block: one dense eigh per segment mixes degenerate
+    # eigenvectors across photon-number sectors, which leaves ~1e-66 where
+    # the channel has exact zeros.
+    blocks = _coupled_blocks(hams)
+    eigs = [_block_eigh(h, blocks) for h in hams]
+    whole = [(v * np.exp(-1j * lam * d)) @ v.conj().T
+             for (lam, v), d in zip(eigs, durations)]
+    eye = np.eye(register.dim, dtype=complex)
+    # before[s]: the segments ahead of segment s; after[s]: the ones past it
+    before, after = [eye], [eye]
+    for u in whole:
+        before.append(u @ before[-1])
+    for u in reversed(whole[1:]):
+        after.insert(0, after[0] @ u)
+    # The nodes at t = total start an empty segment after the last one.
+    eigs.append((np.zeros(register.dim), eye))
+    durations.append(0.0)
+    after.append(eye)
 
-    def split_unitaries(t: float) -> tuple[np.ndarray, np.ndarray]:
-        before = np.eye(register.dim, dtype=complex)
-        after = np.eye(register.dim, dtype=complex)
-        left = t
-        for (h, d), u in zip(hams, whole):
-            if left >= d:
-                before = u @ before
-                left -= d
-            elif left > 0:
-                before = expm(-1j * h * left) @ before
-                after = expm(-1j * h * (d - left)) @ after
-                left = 0.0
-            else:
-                after = u @ after
-        return before, after
+    times, weights = _simpson_grid(0.0, total, points)
+    # a node on a boundary opens the next segment (offset 0)
+    segment = np.full(points, len(whole))
+    offset = np.zeros(points)
+    left = times.copy()
+    for s, d in enumerate(durations[:-1]):
+        pending = segment == len(whole)
+        inside = pending & (left < d)
+        segment[inside], offset[inside] = s, left[inside]
+        left[pending & ~inside] -= d
 
     jump_specs = []
     for label in ("c", "a1", "a2"):
@@ -352,27 +363,58 @@ def simulated_leak_process(params: SystemParams | None = None,
             jump_specs.append((build_mode_operator(register, label, "annihilate").data,
                                1.0 / t1))
 
-    times, weights = _simpson_grid(0.0, total, points)
+    # Every node's state is a (dim, 2) slice of the (dim, nodes, 2) arrays
+    # below; per-node (dim, dim) propagators would take 13 MB per array at
+    # 801 nodes.
+    amps = np.zeros((len(jump_specs), points, 2, 2), dtype=complex)
+    hits = np.zeros((len(jump_specs), points), dtype=bool)
+    for s, ((lam, v), d) in enumerate(zip(eigs, durations)):
+        nodes = np.flatnonzero(segment == s)
+        if nodes.size == 0:
+            continue
+        v_dag = v.conj().T
+        into = np.exp(-1j * np.outer(lam, offset[nodes]))[:, :, None]
+        rest = np.exp(-1j * np.outer(lam, d - offset[nodes]))[:, :, None]
+        moved = v @ (into * (v_dag @ (before[s] @ kets))[:, None, :]).reshape(register.dim, -1)
+        after_v = after[s] @ v
+        for j, (jump_op, _) in enumerate(jump_specs):
+            jumped = (v_dag @ (jump_op @ moved)).reshape(register.dim, nodes.size, 2)
+            col = (after_v @ (rest * jumped).reshape(register.dim, -1)).reshape(jumped.shape)
+            amps[j, nodes] = col[out_rows].transpose(1, 0, 2)
+            hits[j, nodes] = np.abs(col).max(axis=(0, 2)) > 1e-14
     # Kraus operators per jump operator, joined jump by jump: the list order
     # fixes the summation order of every representation of the channel.
-    per_jump: list[list[np.ndarray]] = [[] for _ in jump_specs]
-    for t, w in zip(times, weights):
-        before, after = split_unitaries(t)
-        moved = [before @ kets[bit_in] for bit_in in ("0", "1")]
-        for (jump_op, rate), found in zip(jump_specs, per_jump):
-            k = np.zeros((2, 2), dtype=complex)
-            hit = False
-            for j, ket in enumerate(moved):
-                col = after @ (jump_op @ ket)
-                for i, bit_out in enumerate(("0", "1")):
-                    k[i, j] = col[out_rows[bit_out]]
-                hit = hit or bool(np.abs(col).max() > 1e-14)
-            if hit:
-                found.append(math.sqrt(rate * w) * k)
-    kraus = [k for found in per_jump for k in found]
+    kraus = [math.sqrt(rate * w) * k
+             for (_, rate), per_node, hit in zip(jump_specs, amps, hits)
+             for k, w, h in zip(per_node, weights, hit) if h]
     if not kraus:
         raise ValueError("no erasure pathway for this preparation")
     return QuantumChannel(2, kraus=kraus, validate=False)
+
+
+def _coupled_blocks(hams: list[np.ndarray]) -> list[np.ndarray]:
+    """Index sets of the basis states any of the Hamiltonians connect: the
+    connected components of their joint nonzero pattern."""
+    reach = np.eye(hams[0].shape[0], dtype=bool)
+    for h in hams:
+        reach |= h != 0
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1)  # lowest index in each state's component
+    return [np.flatnonzero(first == root) for root in np.unique(first)]
+
+
+def _block_eigh(h: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and a block-diagonal eigenvector matrix of Hermitian h;
+    entries outside the blocks are exact zeros."""
+    lam = np.zeros(h.shape[0])
+    v = np.zeros_like(h)
+    for idx in blocks:
+        lam[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(h[np.ix_(idx, idx)])
+    return lam, v
 
 
 def _simpson_grid(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:

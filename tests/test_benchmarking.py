@@ -219,6 +219,9 @@ def test_rb_validation():
     # and an ideal action needs the channel it belongs to
     with pytest.raises(ValueError, match="interleave_unitary needs interleave"):
         simulate_rb(noise, (1,), (0,), interleave_unitary=CZ4)
+    # a native's channel with another gate's ideal action would recover wrongly
+    with pytest.raises(ValueError, match="not the ideal action of the native gate"):
+        simulate_rb(noise, (1, 2, 3), (0, 1), interleave="X90_c", interleave_unitary=CZ4)
 
 
 def test_interleaved_depolarizing_survival_is_exact():

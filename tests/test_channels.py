@@ -8,6 +8,7 @@ from drcz.channels import (
     QuantumChannel,
     pauli_basis,
     pauli_labels,
+    _superop_from_kraus,
 )
 from drcz.error_channels import _pauli_4
 
@@ -82,6 +83,16 @@ def test_apply_matches_kraus_sum():
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     direct = sum(k @ rho @ k.conj().T for k in kraus)
     np.testing.assert_allclose(chan.apply(rho), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 9])
+def test_superop_from_kraus_equals_the_kron_sum(d):
+    rng = np.random.default_rng(d)
+    kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(5)]
+    want = np.zeros((d * d, d * d), dtype=complex)
+    for k in kraus:
+        want += np.kron(k.conj(), k)
+    assert np.array_equal(_superop_from_kraus(kraus), want)
 
 
 def test_representation_round_trips():

@@ -95,7 +95,9 @@ def test_leakage_propagation_report(tmp_path):
         1.0 / np.pi, rel=1e-15)
     one = doc["prep_1"]
     assert one["diagonal"][0] == pytest.approx(0.002410796357636249, rel=1e-9)
-    assert one["diagonal"][3] == one["diagonal"][0]
+    # chi_II = chi_ZZ exactly on paper (Re sum k00^* k11 = 0); the sum of
+    # 1,600 Kraus terms leaves a residual of a few ulps
+    assert one["diagonal"][3] == pytest.approx(one["diagonal"][0], rel=1e-15)
     assert one["iz_offdiag_imag"] == pytest.approx(-0.001497278859910507, rel=1e-9)
     zero = doc["prep_0"]
     assert zero["diagonal"][1:] == [0.0, 0.0, 0.0]

@@ -100,6 +100,34 @@ def test_annihilation_operator_matrix_elements():
         build_mode_operator(reg, "m", "squeeze")
 
 
+def _kron_mode_operator(register, label, kind):
+    """The operator built the Kronecker way: one factor per mode, in
+    register order, the single-mode matrix at the named mode."""
+    single = {
+        "annihilate": lambda d: np.diag(np.sqrt(np.arange(1, d)).astype(complex), k=1),
+        "number": lambda d: np.diag(np.arange(d).astype(complex)),
+        "identity": lambda d: np.eye(d, dtype=complex),
+    }[kind]
+    out = np.eye(1, dtype=complex)
+    for mode, dim in register.modes:
+        out = np.kron(out, single(dim) if mode == label else np.eye(dim, dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2,) * 5, (3,) * 5, (2, 3, 4), (4, 2)])
+def test_mode_operators_equal_the_kronecker_build(dims):
+    reg = ModeRegister(tuple((f"m{i}", d) for i, d in enumerate(dims)))
+    for label in reg.labels:
+        for kind in ("annihilate", "number", "identity"):
+            got = build_mode_operator(reg, label, kind).data
+            want = _kron_mode_operator(reg, label, kind)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (label, kind)
+            # the same signed zeros, not only the same values
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 def test_embedded_number_operator_matches_occupations():
     reg = ModeRegister.standard(2)
     n_c = build_mode_operator(reg, "c", "number").data
