@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import ERASURE, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
 
@@ -215,8 +214,39 @@ def ideal_unitary(schedule: GateSchedule) -> OperatorMatrix:
     """Exact closed-system propagator: product of segment exponentials."""
     u = np.eye(schedule.register.dim, dtype=complex)
     for h, dt, _ in schedule.segments:
-        u = expm(-1j * h.data * dt) @ u
+        u = _propagator(h.data, dt) @ u
     return OperatorMatrix(schedule.register, u)
+
+
+def _block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and block-diagonal eigenvectors of Hermitian h.  A block is
+    a connected component of h's nonzero pattern: each state takes the lowest
+    index it links to until no label moves.  One stacked eigh runs per block
+    size; entries off the blocks stay exact zeros, where a dense eigh would
+    mix degenerate eigenvectors across blocks."""
+    n = h.shape[0]
+    linked = h != 0
+    root = np.arange(n)
+    while True:
+        lower = np.minimum(root, np.where(linked, root, n).min(axis=1))
+        if np.array_equal(lower, root):
+            break
+        root = lower
+    size = np.bincount(root, minlength=n)[root]
+    order = np.argsort(root, kind="stable")
+    lam = np.zeros(n)
+    v = np.zeros_like(h)
+    for m in np.unique(size):
+        idx = order[size[order] == m].reshape(-1, m)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        lam[idx], v[rows, cols] = np.linalg.eigh(h[rows, cols])
+    return lam, v
+
+
+def _propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of Hermitian h, from its block eigendecomposition."""
+    lam, v = _block_eigh(h)
+    return (v * np.exp(-1j * lam * t)) @ v.conj().T
 
 
 def codespace_basis_indices(register: ModeRegister,

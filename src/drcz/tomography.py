@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import QuantumChannel, pauli_basis
 from .config import DeviceConfig
 from .error_channels import PREP_KETS, ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
-                   extract_local_frame, ideal_unitary, codespace_block)
+from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
+                   build_schedule, codespace_block, extract_local_frame, ideal_unitary)
 from .lindblad import NoiseModel, gate_superoperator
 
 __all__ = [
@@ -61,7 +60,7 @@ def setting_unitary(label: str) -> np.ndarray:
     if spec is None:
         return np.eye(2, dtype=complex)
     axis, angle = spec
-    return expm(-0.5j * angle * _SIGMA[axis])
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _SIGMA[axis]
 
 
 def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
@@ -80,14 +79,14 @@ def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
         gen = n0 - n1
     else:
         raise ValueError(f"unknown axis {axis!r}")
-    return OperatorMatrix(register, expm(-0.5j * angle * gen))
+    return OperatorMatrix(register, _propagator(gen, angle / 2))
 
 
 def dual_rail_phase(register: ModeRegister, code: DualRailCode,
                     theta: float) -> OperatorMatrix:
     """Virtual-Z of angle theta: |1_L> gains e^{i theta} (frame update)."""
     n1 = build_mode_operator(register, code.rail1, "number").data
-    return OperatorMatrix(register, expm(1j * theta * n1))
+    return OperatorMatrix(register, np.diag(np.exp(1j * theta * np.diag(n1))))
 
 
 @dataclass
@@ -294,7 +293,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     surviving target amplitudes are collected as Kraus operators; a node
     whose jumped state vanishes (max amplitude <= 1e-14) adds none.
     Each segment Hamiltonian is diagonalized once, block by block over the
-    photon-number blocks the schedule couples, so a node at offset tau in a
+    states it couples (`gate._block_eigh`), so a node at offset tau in a
     segment of duration d only needs the eigenphases exp(-i lam tau) and
     exp(-i lam (d - tau)).  control_prep selects the control state: "1"
     (photon in the swapped rail), "0" (photon in the idle rail), or
@@ -326,11 +325,7 @@ def simulated_leak_process(params: SystemParams | None = None,
         k = np.column_stack([(u @ ket)[out_rows] for ket in kets.T])
         return QuantumChannel(2, kraus=[k], validate=False)
 
-    # Block by block: one dense eigh per segment mixes degenerate
-    # eigenvectors across photon-number sectors, which leaves ~1e-66 where
-    # the channel has exact zeros.
-    blocks = _coupled_blocks(hams)
-    eigs = [_block_eigh(h, blocks) for h in hams]
+    eigs = [_block_eigh(h) for h in hams]
     whole = [(v * np.exp(-1j * lam * d)) @ v.conj().T
              for (lam, v), d in zip(eigs, durations)]
     eye = np.eye(register.dim, dtype=complex)
@@ -390,31 +385,6 @@ def simulated_leak_process(params: SystemParams | None = None,
     if not kraus:
         raise ValueError("no erasure pathway for this preparation")
     return QuantumChannel(2, kraus=kraus, validate=False)
-
-
-def _coupled_blocks(hams: list[np.ndarray]) -> list[np.ndarray]:
-    """Index sets of the basis states any of the Hamiltonians connect: the
-    connected components of their joint nonzero pattern."""
-    reach = np.eye(hams[0].shape[0], dtype=bool)
-    for h in hams:
-        reach |= h != 0
-    while True:
-        wider = (reach.astype(int) @ reach.astype(int)) > 0
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    first = reach.argmax(axis=1)  # lowest index in each state's component
-    return [np.flatnonzero(first == root) for root in np.unique(first)]
-
-
-def _block_eigh(h: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and a block-diagonal eigenvector matrix of Hermitian h;
-    entries outside the blocks are exact zeros."""
-    lam = np.zeros(h.shape[0])
-    v = np.zeros_like(h)
-    for idx in blocks:
-        lam[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(h[np.ix_(idx, idx)])
-    return lam, v
 
 
 def _simpson_grid(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:

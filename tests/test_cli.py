@@ -266,14 +266,18 @@ def test_irb_accuracy_reads_its_operating_point_from_the_config(tmp_path, capsys
     assert abs(moved - default) > 1e-4
 
 
-def _report_bytes(out_dir, blas_threads, names):
+def _report_bytes(out_dir, blas_threads, runs):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    for name in names:
-        subprocess.run([sys.executable, "-m", "drcz.cli", name, "--out", str(out_dir)],
+    reports = {}
+    for run in runs:
+        run_dir = out_dir / "_".join(run)
+        subprocess.run([sys.executable, "-m", "drcz.cli", *run, "--out", str(run_dir)],
                        env=env, check=True, capture_output=True)
-    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        reports.update({f"{run_dir.name}/{p.name}": p.read_bytes()
+                        for p in sorted(run_dir.iterdir())})
+    return reports
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -282,11 +286,14 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # factorization (getrf) in scipy.linalg.expm's Pade solve rounds
     # differently with one and two threads from dimension ~100 up, and
     # their maps have 126 and 251 dimensions, so their last digits can
-    # depend on the thread count.
-    names = ("leakage-propagation", "calibration", "rb", "irb", "irb-accuracy", "bitflip")
-    one = _report_bytes(tmp_path / "one", 1, names)
-    two = _report_bytes(tmp_path / "two", 2, names)
-    assert len(one) == 3 * len(names)
+    # depend on the thread count.  gate-unitary takes its exponentials
+    # from small eigh blocks and is checked at both truncations.
+    runs = [(name,) for name in ("leakage-propagation", "calibration", "rb", "irb",
+                                 "irb-accuracy", "bitflip", "gate-unitary")]
+    runs.append(("gate-unitary", "--truncation", "3"))
+    one = _report_bytes(tmp_path / "one", 1, runs)
+    two = _report_bytes(tmp_path / "two", 2, runs)
+    assert len(one) == 3 * len(runs)
     assert one == two
 
 

@@ -3,7 +3,8 @@ leave a stale entry in __all__ behind; and every exported function or
 class, and every public method, property and classmethod of an exported
 class, is used by the package or by an acceptance test, so none is kept
 only for its own test; and every private module-level function or class
-is read by the package, so no dead helper stays behind."""
+is read by the package, so no dead helper stays behind; and only
+`lindblad` loads scipy when the package is imported."""
 import ast
 import functools
 import importlib
@@ -90,3 +91,28 @@ def test_every_private_function_and_class_is_read_by_the_package():
                     and node.name not in used):
                 unread.append(f"{path.stem}.{node.name}")
     assert unread == []
+
+
+def _import_time_modules(tree):
+    """Absolute module names imported by the statements that run when the
+    module is imported: everything outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_lindblad_imports_scipy_at_module_level():
+    # Closed-system exponentials come from gate's block eigendecomposition;
+    # the open-system gate map is the one user of scipy.linalg.expm, and
+    # benchmarking imports curve_fit inside the fit that uses it.
+    importers = sorted(path.stem for path in PACKAGE
+                       if any(module.split(".")[0] == "scipy"
+                              for module in _import_time_modules(ast.parse(path.read_text()))))
+    assert importers == ["lindblad"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from drcz.fock import ModeRegister
 from drcz.gate import (
@@ -11,6 +12,7 @@ from drcz.gate import (
     TARGET_CODE,
     GateSchedule,
     SystemParams,
+    _block_eigh,
     build_schedule,
     codespace_basis_indices,
     codespace_block,
@@ -122,6 +124,41 @@ def test_static_crosskerr_terms_enter_every_segment(table_params, register2):
 def test_ideal_unitary_is_unitary(table_params, register2):
     u = ideal_unitary(build_schedule(table_params, register2)).data
     np.testing.assert_allclose(u.conj().T @ u, np.eye(register2.dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("crosskerr", [False, True])
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_ideal_unitary_matches_the_expm_product(table_params, truncation, crosskerr):
+    schedule = build_schedule(table_params, ModeRegister.standard(truncation),
+                              include_static_crosskerr=crosskerr)
+    want = np.eye(schedule.register.dim, dtype=complex)
+    for h, dt, _ in schedule.segments:
+        want = expm(-1j * h.data * dt) @ want
+    got = ideal_unitary(schedule).data
+    assert np.array_equal(got == 0, want == 0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_block_eigh_finds_chain_blocks_under_a_permutation():
+    # Each block is a path i - i+1 - ... ; after the permutation a path
+    # visits its indices out of order, so the lowest label needs several
+    # passes to reach every state of its block.
+    rng = np.random.default_rng(5)
+    sizes = (1, 6, 2, 9, 1, 3, 7)
+    n = sum(sizes)
+    ends = np.cumsum(sizes)
+    h = np.diag(rng.normal(size=n)).astype(complex)
+    for i in np.setdiff1d(np.arange(n - 1), ends - 1):
+        h[i, i + 1] = rng.normal() + 1j * rng.normal()
+        h[i + 1, i] = np.conj(h[i, i + 1])
+    perm = rng.permutation(n)
+    h = h[np.ix_(perm, perm)]
+    block = np.repeat(np.arange(len(sizes)), sizes)[perm]
+
+    lam, v = _block_eigh(h)
+    assert np.all(v[block[:, None] != block[None, :]] == 0)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(n), rtol=0, atol=1e-14)
+    np.testing.assert_allclose((v * lam) @ v.conj().T, h, rtol=0, atol=1e-14)
 
 
 def test_codespace_basis_indices_control_major(register2):

@@ -4,14 +4,17 @@ One pass of each workload's calls, under perfbench's span tracer and at
 its reference seed, must reproduce perfbench/reference.json with no
 failed call.  The tracer wraps every public function and reads some of
 their arguments and results by name, so a changed signature that the
-benchmark depends on fails here rather than in a benchmark run.
+benchmark depends on fails here rather than in a benchmark run.  Every
+recorded BENCH_*.json at the repository root must parse as JSON.
 """
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -27,3 +30,8 @@ def test_one_traced_pass_matches_the_reference(name, tmp_path):
         for call in workload.calls:
             assert workloads.check(call, call.run(ctx), ctx) == [], call.label
     assert {m: n for m, n in tracer.take().errors.items() if n} == {}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_is_valid_json(path):
+    assert isinstance(json.loads(path.read_text()), dict)
