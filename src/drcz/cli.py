@@ -5,14 +5,12 @@
 
 Each experiment writes three files into the output directory:
 ``<experiment>.csv`` with the data rows, ``<experiment>.json`` with a
-summary, and ``<experiment>.txt`` with a readable table.  At a fixed
-BLAS thread count, output bytes depend only on the config contents and
-the seed.  Across thread counts the gate-map experiments (error-budget,
-bell-tomography, repeated-cz) can differ in their last digits: the
-OpenBLAS LU factorization (getrf) in scipy.linalg.expm's Pade solve
-rounds differently with one and two threads from dimension ~100 up, and
-the gate maps have 126 (truncation 2) and 251 (truncation 3)
-dimensions.  Only gate-unitary and error-budget read --truncation, and
+summary, and ``<experiment>.txt`` with a readable table.  Output bytes
+depend only on the config contents and the seed, not on the BLAS thread
+count: the gate map's exponentials act on blocks of at most 35
+dimensions and the closed-system ones on small eigh blocks, below the
+sizes where the threaded OpenBLAS LU in scipy.linalg.expm rounds
+differently.  Only gate-unitary and error-budget read --truncation, and
 only they, rb, irb and bitflip read --include-static-kerr; the others
 refuse the flag instead of ignoring it.  irb-accuracy seeds its rate
 draws with 20260813 + --seed, so every seed draws its own rates.  Exit

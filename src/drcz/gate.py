@@ -218,14 +218,12 @@ def ideal_unitary(schedule: GateSchedule) -> OperatorMatrix:
     return OperatorMatrix(schedule.register, u)
 
 
-def _block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and block-diagonal eigenvectors of Hermitian h.  A block is
-    a connected component of h's nonzero pattern: each state takes the lowest
-    index it links to until no label moves.  One stacked eigh runs per block
-    size; entries off the blocks stay exact zeros, where a dense eigh would
-    mix degenerate eigenvectors across blocks."""
-    n = h.shape[0]
-    linked = h != 0
+def _connected_blocks(linked: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean pattern, grouped by size:
+    one (count, size) array of ascending indices per block size, sizes
+    ascending.  Each index takes the lowest index it links to until no
+    label moves."""
+    n = linked.shape[0]
     root = np.arange(n)
     while True:
         lower = np.minimum(root, np.where(linked, root, n).min(axis=1))
@@ -234,10 +232,17 @@ def _block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         root = lower
     size = np.bincount(root, minlength=n)[root]
     order = np.argsort(root, kind="stable")
-    lam = np.zeros(n)
+    return [order[size[order] == m].reshape(-1, m) for m in np.unique(size)]
+
+
+def _block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and block-diagonal eigenvectors of Hermitian h.  A block is
+    a connected component of h's nonzero pattern.  One stacked eigh runs per
+    block size; entries off the blocks stay exact zeros, where a dense eigh
+    would mix degenerate eigenvectors across blocks."""
+    lam = np.zeros(h.shape[0])
     v = np.zeros_like(h)
-    for m in np.unique(size):
-        idx = order[size[order] == m].reshape(-1, m)
+    for idx in _connected_blocks(h != 0):
         rows, cols = idx[:, :, None], idx[:, None, :]
         lam[idx], v[rows, cols] = np.linalg.eigh(h[rows, cols])
     return lam, v

@@ -281,16 +281,16 @@ def _report_bytes(out_dir, blas_threads, runs):
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # The gate-map experiments (error-budget at either truncation,
-    # bell-tomography, repeated-cz) are left out: the OpenBLAS LU
-    # factorization (getrf) in scipy.linalg.expm's Pade solve rounds
-    # differently with one and two threads from dimension ~100 up, and
-    # their maps have 126 and 251 dimensions, so their last digits can
-    # depend on the thread count.  gate-unitary takes its exponentials
-    # from small eigh blocks and is checked at both truncations.
+    # Every experiment but limits, at both truncations where it reads the
+    # flag.  The LU factorization in scipy.linalg.expm's Pade solve rounds
+    # differently with one and two OpenBLAS threads at large dimensions;
+    # the gate map exponentiates blocks of at most 35 entries and
+    # gate-unitary takes its exponentials from small eigh blocks, so the
+    # last digits must not depend on the thread count.
     runs = [(name,) for name in ("leakage-propagation", "calibration", "rb", "irb",
-                                 "irb-accuracy", "bitflip", "gate-unitary")]
-    runs.append(("gate-unitary", "--truncation", "3"))
+                                 "irb-accuracy", "bitflip", "gate-unitary",
+                                 "error-budget", "bell-tomography", "repeated-cz")]
+    runs += [(name, "--truncation", "3") for name in ("gate-unitary", "error-budget")]
     one = _report_bytes(tmp_path / "one", 1, runs)
     two = _report_bytes(tmp_path / "two", 2, runs)
     assert len(one) == 3 * len(runs)

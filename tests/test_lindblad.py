@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from drcz import lindblad
 from drcz.budget import compute_error_budget
 from drcz.fock import (
     DensityMatrix,
@@ -27,6 +28,8 @@ from drcz.gate import (
 from drcz.lindblad import (
     NoiseModel,
     _block_generator,
+    _drift,
+    _generator_blocks,
     collapse_operators,
     gate_superoperator,
 )
@@ -53,7 +56,8 @@ def _every_entry(dim):
 
 def _one_mode_generator(h, noise):
     """The production generator on every entry of a one-mode register."""
-    return _block_generator(h.data, collapse_operators(h.register, noise),
+    collapse = collapse_operators(h.register, noise)
+    return _block_generator(_drift(h.data, collapse), collapse,
                             *_every_entry(h.register.dim))
 
 
@@ -223,6 +227,82 @@ def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(table_pa
         whole = expm(_kron_generator(h.data[block], collapse) * dt) @ whole
     gate = gate_superoperator(schedule, noise)
     assert whole.shape == (441, 441)
+    for rho0 in _codespace_units(reg) + [_bell_input(reg)]:
+        out = (whole @ rho0[block].reshape(-1, order="F")).reshape(n, n, order="F")
+        expected = np.zeros_like(rho0)
+        expected[block] = out
+        np.testing.assert_allclose(gate.apply(rho0), expected, rtol=0, atol=1e-12)
+
+
+def _production_blocks(schedule, noise, gate):
+    """The blocks gate_superoperator exponentiates, as indices into the
+    map's kept entries, and each segment's generator on all of them."""
+    collapse = collapse_operators(schedule.register, noise)
+    drifts = [_drift(h.data, collapse) for h, _, _ in schedule.segments]
+    blocks = _generator_blocks(drifts, collapse, gate.rows, gate.cols)
+    gens = [_block_generator(a, collapse, gate.rows, gate.cols) for a in drifts]
+    return blocks, gens
+
+
+@pytest.mark.parametrize("kerr", [False, True])
+@pytest.mark.parametrize("truncation, count, largest", [(2, 25, 24), (3, 55, 35)])
+def test_gate_map_is_an_exact_direct_sum_of_small_blocks(table_params, monkeypatch,
+                                                        truncation, count, largest, kerr):
+    # one block per difference of the conserved charges n_a1, n_b1, n_b2 and
+    # n_a2 + n_c between row and column, found from the generator's pattern
+    schedule = build_schedule(table_params, ModeRegister.standard(truncation),
+                              include_static_crosskerr=kerr)
+    noise = NoiseModel.from_params(table_params)
+    widths = []
+
+    def recording_expm(m):
+        widths.append(m.shape[-1])
+        return expm(m)
+
+    monkeypatch.setattr(lindblad, "expm", recording_expm)
+    gate = gate_superoperator(schedule, noise)
+    blocks, gens = _production_blocks(schedule, noise, gate)
+    assert sum(idx.shape[0] for idx in blocks) == count
+    assert max(idx.shape[1] for idx in blocks) == largest
+    kept = np.concatenate([idx.ravel() for idx in blocks])
+    np.testing.assert_array_equal(np.sort(kept), np.arange(gate.rows.size))
+    label = np.empty(gate.rows.size, dtype=int)
+    start = 0
+    for idx in blocks:
+        label[idx] = start + np.arange(idx.shape[0])[:, None]
+        start += idx.shape[0]
+    between = label[:, None] != label[None, :]
+    for gen in gens:
+        assert np.all(gen[between] == 0)
+    assert np.all(gate.superop[between] == 0)
+    assert 0 < len(widths) and max(widths) == largest
+
+
+def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params):
+    # an a1-b1 beamsplitter in the wait conserves photon number but not n_a1
+    # or n_b1: the blocks must merge, and the map still match the 441-dim
+    # whole-sector Kronecker construction
+    reg = ModeRegister.standard(3)
+    schedule = build_schedule(table_params, reg)
+    a1 = build_mode_operator(reg, "a1", "annihilate")
+    b1 = build_mode_operator(reg, "b1", "annihilate")
+    h, dt, tag = schedule.segments[1]
+    mixed = OperatorMatrix(reg, h.data + 0.5 * table_params.chi_bc
+                           * ((a1.dag() @ b1).data + (b1.dag() @ a1).data))
+    schedule = dataclasses.replace(
+        schedule, segments=(schedule.segments[0], (mixed, dt, tag), schedule.segments[2]))
+    noise = NoiseModel.from_params(table_params)
+    gate = gate_superoperator(schedule, noise)
+    blocks, _ = _production_blocks(schedule, noise, gate)
+    assert sum(idx.shape[0] for idx in blocks) < 55
+    photons = reg.occupation_table.sum(axis=1)
+    sector = np.flatnonzero(photons <= 2)
+    block = np.ix_(sector, sector)
+    n = sector.size
+    collapse = [c[block] for c in collapse_operators(reg, noise)]
+    whole = np.eye(n * n, dtype=complex)
+    for h, dt, _ in schedule.segments:
+        whole = expm(_kron_generator(h.data[block], collapse) * dt) @ whole
     for rho0 in _codespace_units(reg) + [_bell_input(reg)]:
         out = (whole @ rho0[block].reshape(-1, order="F")).reshape(n, n, order="F")
         expected = np.zeros_like(rho0)
