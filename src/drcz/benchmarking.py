@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis
-from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _leakage_kraus,
-                             postselected_fidelity, qutrit_cz, qutrit_dephasing_kraus,
-                             qutrit_gate_channel)
+from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _layered_channel,
+                             _leakage_kraus, postselected_fidelity, qutrit_cz,
+                             qutrit_dephasing_kraus, qutrit_gate_channel)
 
 __all__ = [
     "CliffordElement",
@@ -211,10 +211,6 @@ def _embed_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unitary_superop(u: np.ndarray) -> np.ndarray:
-    return np.kron(u.conj(), u)
-
-
 def _embedded_natives() -> dict[str, np.ndarray]:
     """Every ideal native gate as a unitary on two qutrits.
 
@@ -251,7 +247,7 @@ def depolarizing_cz_channel(decay: float) -> np.ndarray:
     eye4 = np.eye(4, dtype=complex)
     dep = decay * np.eye(16, dtype=complex) + (1 - decay) * np.outer(
         eye4.reshape(-1, order="F") / 4.0, eye4.reshape(-1, order="F").conj())
-    return embed_block_superop(dep @ _unitary_superop(CZ4))
+    return embed_block_superop(dep @ QuantumChannel(4, kraus=[CZ4]).superop)
 
 
 @dataclass
@@ -263,7 +259,7 @@ class NativeGateNoise:
 
     @classmethod
     def ideal(cls) -> "NativeGateNoise":
-        return cls(superops={name: _unitary_superop(u)
+        return cls(superops={name: QuantumChannel(9, kraus=[u]).superop
                              for name, u in _embedded_natives().items()})
 
     @classmethod
@@ -281,9 +277,10 @@ class NativeGateNoise:
         the average rail rate and pure dephasing at the dual-rail Ramsey
         rate, over that qubit's pulse duration; the always-on cross-Kerr
         adds a deterministic phase on the |1>_c|0>_t level during the pulse.
-        The leakage and dephasing Kraus operators are the CZ channel's own
-        (`qutrit_gate_channel`), on the pulsed qubit only.  Z rotations are
-        virtual and noiseless; CZ uses the fitted-rate qutrit channel.
+        The leakage and dephasing layers are the CZ channel's own, on the
+        pulsed qubit only, and compose as `qutrit_gate_channel`'s do.  Z
+        rotations are virtual and noiseless; CZ uses the fitted-rate qutrit
+        channel.
         Unlike the tensor-factor natives of `ideal`, these X(pi/2) pulses
         act on the two-qubit logical block only, so they idle whenever the
         partner qudit is leaked.  The measured device values come through
@@ -303,11 +300,8 @@ class NativeGateNoise:
                 phase = np.ones(9, dtype=complex)
                 phase[3 * 1 + 0] = np.exp(-1j * cross_kerr * t)
                 u = np.diag(phase) @ u
-            leak = _leakage_kraus(p_leak, qubit, correlated=False)
-            chan = QuantumChannel(9, kraus=[u])
-            chan = QuantumChannel(9, kraus=leak).compose(chan)
-            chan = QuantumChannel(9, kraus=qutrit_dephasing_kraus(dephasing)).compose(chan)
-            sup[name] = chan.superop
+            sup[name] = _layered_channel(u, _leakage_kraus(p_leak, qubit, correlated=False),
+                                         qutrit_dephasing_kraus(dephasing)).superop
         sup["CZ"] = qutrit_gate_channel(cz_rates).superop
         return cls(superops=sup)
 

@@ -16,7 +16,7 @@ over the four Z-type entries makes the nine classes an exact partition.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,17 +68,7 @@ class ErrorBudget:
             raise ValueError(f"budget entries sum to {total!r}, not 1")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "control_loss": self.control_loss,
-            "target_loss": self.target_loss,
-            "double_loss": self.double_loss,
-            "stuck_in_coupler": self.stuck_in_coupler,
-            "lone_coupler_excitation": self.lone_coupler_excitation,
-            "control_z": self.control_z,
-            "target_z": self.target_z,
-            "zz": self.zz,
-            "no_error": self.no_error,
-        }
+        return asdict(self)
 
     @property
     def total(self) -> float:
@@ -185,13 +175,7 @@ class CoherenceLimits:
     bias_bound: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "erasure_control": self.erasure_control,
-            "erasure_target": self.erasure_target,
-            "dephasing_control": self.dephasing_control,
-            "dephasing_target": self.dephasing_target,
-            "bias_bound": self.bias_bound,
-        }
+        return asdict(self)
 
 
 def fundamental_limits(hybridization: float, anharmonicity: float,

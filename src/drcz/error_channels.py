@@ -2,10 +2,11 @@
 
 Two-qubit channels live on the 4-dim logical space; leakage models live on
 a two-qutrit space where level |2> is the detected leaked state of each
-dual-rail qubit (|0> = |0_L>, |1> = |1_L>).  The randomized-benchmarking
-natives share this module's two-qutrit leakage, dephasing and CZ
-operators.  CZ(phi) puts e^{+i phi} on |11>; this sign fixes the
-imaginary cross terms below.
+dual-rail qubit (|0> = |0_L>, |1> = |1_L>).  Every two-qutrit gate
+channel, the CZ here and the randomized-benchmarking X(pi/2) natives, is
+a unitary followed by validated Kraus layers (dephasing, leakage) that
+multiply as 81x81 superoperators.  CZ(phi) puts e^{+i phi} on |11>; this
+sign fixes the imaginary cross terms below.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, pauli_basis
 
 __all__ = [
     "ChannelRates",
@@ -156,31 +157,29 @@ def _leakage_kraus(p: float, qubit: int, *, correlated: bool) -> list[np.ndarray
     return ops
 
 
-def _compose_kraus(layers: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Kraus set of layer_n o ... o layer_1 (layers given first-to-last)."""
-    ops = [np.eye(layers[0][0].shape[0], dtype=complex)]
-    for layer in layers:
-        ops = [k @ op for op in ops for k in layer]
-    return [op for op in ops if np.any(op)]
+def _layered_channel(unitary: np.ndarray, *layers: list[np.ndarray]) -> QuantumChannel:
+    """The unitary, then each Kraus layer in turn, as one superoperator.
+
+    Each layer is checked CPTP on its own, so their product is CPTP."""
+    chan = QuantumChannel(9, kraus=[unitary])
+    for kraus in layers:
+        chan = QuantumChannel(9, kraus=kraus).compose(chan)
+    return chan
 
 
 def qutrit_gate_channel(rates: ChannelRates) -> QuantumChannel:
     """CZ, then dephasing, then target leakage, then control leakage."""
-    layers = [[qutrit_cz()],
-              qutrit_dephasing_kraus(rates),
-              _leakage_kraus(rates.p_leak_target, 1, correlated=False),
-              _leakage_kraus(rates.p_leak_control, 0, correlated=False)]
-    return QuantumChannel(9, kraus=_compose_kraus(layers))
+    return _layered_channel(qutrit_cz(), qutrit_dephasing_kraus(rates),
+                            _leakage_kraus(rates.p_leak_target, 1, correlated=False),
+                            _leakage_kraus(rates.p_leak_control, 0, correlated=False))
 
 
 def full_gate_channel(rates: ChannelRates) -> QuantumChannel:
     """As qutrit_gate_channel but each leakage jump carries the digitized
     CZ correlation of a mid-gate leak."""
-    layers = [[qutrit_cz()],
-              qutrit_dephasing_kraus(rates),
-              _leakage_kraus(rates.p_leak_target, 1, correlated=True),
-              _leakage_kraus(rates.p_leak_control, 0, correlated=True)]
-    return QuantumChannel(9, kraus=_compose_kraus(layers))
+    return _layered_channel(qutrit_cz(), qutrit_dephasing_kraus(rates),
+                            _leakage_kraus(rates.p_leak_target, 1, correlated=True),
+                            _leakage_kraus(rates.p_leak_control, 0, correlated=True))
 
 
 # --- no-jump backaction --------------------------------------------------
@@ -257,7 +256,11 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         for name in ("misassignment", "leak_detection_error", "erasure_assignment"):
             pair = getattr(self, name)
-            if len(pair) != 2 or not all(0.0 <= p <= 1.0 for p in pair):
+            try:
+                valid = len(pair) == 2 and all(0.0 <= p <= 1.0 for p in pair)
+            except TypeError:  # not a sequence, or entries that are not numbers
+                valid = False
+            if not valid:
                 raise ValueError(f"{name} must be a (control, target) pair of "
                                  f"probabilities in [0, 1], got {pair!r}")
 
@@ -296,45 +299,25 @@ def embed_qubit_operator(op4: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest condition number accepted for the expansion of the Paulis over
-# the 16 product preparation states.
-MAX_CONDITION = 1e8
-
-
-def _preparation_states() -> list[np.ndarray]:
-    states = []
-    for a in PREP_KETS.values():
-        for b in PREP_KETS.values():
-            v = np.kron(a, b)
-            states.append(np.outer(v, v.conj()))
-    return states
-
-
-def _pauli_4() -> list[np.ndarray]:
-    from .channels import pauli_basis
-    return list(pauli_basis(2))
-
-
 @lru_cache(maxsize=None)
-def _fidelity_expansion() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...],
-                                   np.ndarray, float]:
+def _fidelity_expansion() -> tuple[np.ndarray, np.ndarray]:
     """The parts of postselected_fidelity that no argument changes.
 
-    (embedded states, Paulis, alpha, condition number): the 16 preparation
-    states on the two-qutrit space, the two-qubit Paulis, alpha[k, j]
-    expanding Pauli j over the states, and the condition number of that
-    expansion.  Built once; the Paulis are pauli_basis's own cached
-    arrays."""
-    states4 = _preparation_states()
-    paulis = tuple(_pauli_4())
-    basis_mat = np.column_stack([rho.reshape(-1) for rho in states4])
-    cond = np.linalg.cond(basis_mat)
-    alpha = np.linalg.pinv(basis_mat) @ np.column_stack(
-        [u.reshape(-1) for u in paulis])  # alpha[k, j]
-    embedded = tuple(embed_qubit_operator(rho) for rho in states4)
-    for array in (*embedded, alpha):
+    (preparations, duals): the 16 product preparation states rho_k of
+    PREP_KETS, embedded in the two-qutrit space and column-stacked as the
+    columns of an 81x16 array; and the 16 two-qubit operators
+    sum_j alpha_kj U_j, where alpha[k, j] expands the Pauli U_j over the
+    rho_k.  The rho_k are a fixed basis (condition number 10.4)."""
+    kets = np.array([np.kron(a, b) for a in PREP_KETS.values() for b in PREP_KETS.values()])
+    states = kets[:, :, None] * kets[:, None, :].conj()
+    paulis = np.stack(pauli_basis(2))
+    alpha = np.linalg.solve(states.reshape(16, 16).T, paulis.reshape(16, 16).T)
+    duals = np.einsum("kj,jab->kab", alpha, paulis)
+    preparations = np.column_stack([embed_qubit_operator(rho).reshape(-1, order="F")
+                                    for rho in states])
+    for array in (preparations, duals):
         array.setflags(write=False)
-    return embedded, paulis, alpha, cond
+    return preparations, duals
 
 
 def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
@@ -346,7 +329,8 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
     with U_j the two-qubit Paulis expanded over the 16 product states
     rho_k of {|0>,|1>,|+>,|+i>} per qubit, R the reference, and M the
     codespace-assignment operator.  The channel acts on the 9-dim
-    two-qutrit space.
+    two-qutrit space; all 16 rho_k go through it as one product, and each
+    output is contracted with its dual sum_j alpha_kj R U_j R^dag.
     """
     if channel.dim != 9:
         raise ValueError(f"channel must act on the 9-dim two-qutrit space, "
@@ -355,18 +339,15 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
     if ref.shape != (4, 4):
         raise ValueError("reference must be a two-qubit unitary")
 
-    embedded, paulis, alpha, cond = _fidelity_expansion()
-    if cond > MAX_CONDITION:
-        raise ValueError(f"state-basis expansion ill-conditioned (cond {cond:.3e})")
-
+    preparations, duals = _fidelity_expansion()
     m = (readout or ReadoutModel.perfect()).measurement_operator()
-    probes = [embed_qubit_operator(ref @ u @ ref.conj().T) for u in paulis]
-    total = 0.0 + 0.0j
-    for k, rho in enumerate(embedded):
-        out = m @ channel.apply(rho) @ m.conj().T
-        weight = np.trace(out)
-        if abs(weight) < 1e-15:
-            raise ValueError("postselection annihilated a preparation state")
-        for j, probe in enumerate(probes):
-            total += alpha[k, j] * np.trace(probe @ out) / (64.0 * weight)
-    return float(np.real(total))
+    # column k of the product is vec(E(rho_k)): its row-major reshape is E(rho_k)^T
+    outputs = (channel.superop @ preparations).T.reshape(16, 9, 9).transpose(0, 2, 1)
+    outputs = m @ outputs @ m.conj().T
+    weights = np.trace(outputs, axis1=1, axis2=2)
+    if np.any(np.abs(weights) < 1e-15):
+        raise ValueError("postselection annihilated a preparation state")
+    probes = ref @ duals @ ref.conj().T
+    block = outputs[np.ix_(range(16), QUBIT_BLOCK, QUBIT_BLOCK)]
+    overlaps = np.einsum("kab,kba->k", probes, block)
+    return float(np.real(np.sum(overlaps / (64.0 * weights))))

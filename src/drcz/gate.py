@@ -254,23 +254,19 @@ def _propagator(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * lam * t)) @ v.conj().T
 
 
-def codespace_basis_indices(register: ModeRegister,
-                            control: DualRailCode = CONTROL_CODE,
-                            target: DualRailCode = TARGET_CODE) -> list[int]:
+def codespace_basis_indices(register: ModeRegister) -> list[int]:
     """Flat indices of (|0L 0L>, |0L 1L>, |1L 0L>, |1L 1L>), coupler in ground."""
     out = []
     for x in (0, 1):
         for y in (0, 1):
-            occ = {**control.logical_occupations(x), **target.logical_occupations(y)}
+            occ = {**CONTROL_CODE.logical_occupations(x), **TARGET_CODE.logical_occupations(y)}
             out.append(register.basis_index(occ))
     return out
 
 
-def codespace_block(u: OperatorMatrix,
-                    control: DualRailCode = CONTROL_CODE,
-                    target: DualRailCode = TARGET_CODE) -> np.ndarray:
+def codespace_block(u: OperatorMatrix) -> np.ndarray:
     """4x4 restriction of a register operator to the dual-rail codespace."""
-    idx = codespace_basis_indices(u.register, control, target)
+    idx = codespace_basis_indices(u.register)
     return u.data[np.ix_(idx, idx)]
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from drcz.channels import QuantumChannel
@@ -222,6 +222,8 @@ def test_confusion_matrix_rows_are_distributions(model, rows):
     ("misassignment", (1.5, 0.0)),
     ("leak_detection_error", (0.0, -0.1)),
     ("erasure_assignment", (0.1,)),
+    ("misassignment", 0.1),
+    ("misassignment", ("0.1", "0.2")),
 ])
 def test_readout_model_rejects_what_is_not_a_probability_pair(field, value):
     fields = {"misassignment": (0.0, 0.0), "leak_detection_error": (0.0, 0.0),
@@ -266,3 +268,104 @@ def test_fitted_rate_channel_infidelity_frozen():
     # two-round assignment errors barely move the postselected number
     with_readout = 1.0 - postselected_fidelity(chan, CZ4, DeviceConfig.default().readout(2))
     assert with_readout == pytest.approx(INFIDELITY_TWO_ROUND, rel=1e-9)
+
+
+# --- gate channels and the fidelity against rebuilt oracles ---------------
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _channel_rates(draw):
+    p_z_control = draw(_PROBABILITY)
+    p_z_target = draw(st.floats(min_value=0.0, max_value=1.0 - p_z_control))
+    p_zz = draw(st.floats(min_value=0.0, max_value=max(0.0, 1.0 - p_z_control - p_z_target)))
+    assume(p_z_control + p_z_target + p_zz <= 1.0)
+    return ChannelRates(p_leak_control=draw(_PROBABILITY), p_leak_target=draw(_PROBABILITY),
+                        p_z_control=p_z_control, p_z_target=p_z_target, p_zz=p_zz)
+
+
+def _kraus_product_superop(rates: ChannelRates, *, correlated: bool) -> np.ndarray:
+    """The gate channel as the sum over every product of one Kraus operator
+    per layer (CZ, dephasing, target leak, control leak), written out from
+    the operators' definitions."""
+    eye3 = np.eye(3, dtype=complex)
+    k3 = np.diag([-1j, 1j, 1.0])
+    cz = np.eye(9, dtype=complex)
+    cz[4, 4] = -1.0
+    p0 = 1.0 - rates.p_z_control - rates.p_z_target - rates.p_zz
+    dephasing = [math.sqrt(p0) * np.eye(9), math.sqrt(rates.p_z_control) * np.kron(k3, eye3),
+                 math.sqrt(rates.p_z_target) * np.kron(eye3, k3),
+                 math.sqrt(rates.p_zz) * np.kron(k3, k3)]
+
+    def leak(p, qubit):
+        jumps = [np.kron(np.outer(eye3[2], eye3[i]), eye3) if qubit == 0
+                 else np.kron(eye3, np.outer(eye3[2], eye3[i])) for i in range(3)]
+        if correlated:
+            return [math.sqrt(1 - p) * np.eye(9)] + [math.sqrt(p / 2) * k for j in jumps
+                                                     for k in (j, j @ cz)]
+        return [math.sqrt(1 - p) * np.eye(9)] + [math.sqrt(p) * j for j in jumps]
+
+    ops = [cz]
+    for layer in (dephasing, leak(rates.p_leak_target, 1), leak(rates.p_leak_control, 0)):
+        ops = [k @ op for op in ops for k in layer]
+    return sum(np.kron(op.conj(), op) for op in ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rates=_channel_rates())
+@pytest.mark.parametrize("factory", [qutrit_gate_channel, full_gate_channel])
+def test_gate_channel_superop_is_cptp_and_matches_the_kraus_products(factory, rates):
+    superop = factory(rates).superop
+    rebuilt = QuantumChannel(9, superop=superop, validate=True)
+    np.testing.assert_allclose(rebuilt.completeness, np.eye(9), rtol=0, atol=1e-9)
+    oracle = _kraus_product_superop(rates, correlated=factory is full_gate_channel)
+    np.testing.assert_allclose(superop, oracle, rtol=0, atol=1e-14)
+
+
+def _fidelity_by_preparation(channel: QuantumChannel, reference: np.ndarray,
+                             readout: ReadoutModel | None = None) -> float:
+    """postselected_fidelity's formula, one preparation and one trace per
+    (k, j), with the Paulis expanded over the preparations by pinv."""
+    kets = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / math.sqrt(2),
+            np.array([1, 1j]) / math.sqrt(2)]
+    products = [np.kron(a, b) for a in kets for b in kets]
+    states = [np.outer(v, v.conj()) for v in products]
+    one_qubit = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.diag([1.0, -1.0])]
+    paulis = [np.kron(a, b) for a in one_qubit for b in one_qubit]
+    alpha = np.linalg.pinv(np.column_stack([rho.reshape(-1) for rho in states])) @ \
+        np.column_stack([u.reshape(-1) for u in paulis])
+    m = (readout or ReadoutModel.perfect()).measurement_operator()
+    total = 0.0
+    for k, rho in enumerate(states):
+        out = m @ channel.apply(embed_qubit_operator(rho)) @ m.conj().T
+        weight = np.trace(out)
+        for j, u in enumerate(paulis):
+            probe = embed_qubit_operator(reference @ u @ reference.conj().T)
+            total += alpha[k, j] * np.trace(probe @ out) / (64.0 * weight)
+    return float(np.real(total))
+
+
+_RX90 = (np.eye(2) - 1j * np.array([[0, 1], [1, 0]])) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("readout", [None, DeviceConfig.default().readout(2)],
+                         ids=["perfect", "two-round"])
+@pytest.mark.parametrize("reference", [CZ4, np.kron(_RX90, np.eye(2))], ids=["CZ", "X90_c"])
+def test_postselected_fidelity_matches_the_per_preparation_loop(readout, reference):
+    rates = ChannelRates(p_leak_control=0.03, p_leak_target=0.01, p_z_control=0.02,
+                         p_z_target=0.005, p_zz=0.001)
+    x90_c = DeviceConfig.default().native_noise().superops["X90_c"]
+    for channel in (full_gate_channel(DeviceConfig.default().channel_rates()),
+                    qutrit_gate_channel(rates), full_gate_channel(rates),
+                    QuantumChannel(9, superop=x90_c)):
+        assert postselected_fidelity(channel, reference, readout) == pytest.approx(
+            _fidelity_by_preparation(channel, reference, readout), rel=0, abs=1e-13)
+
+
+def test_postselected_fidelity_refuses_a_channel_that_leaks_every_preparation():
+    everything_leaks = qutrit_gate_channel(ChannelRates(
+        p_leak_control=1.0, p_leak_target=0.0, p_z_control=0.0, p_z_target=0.0))
+    with pytest.raises(ValueError, match="annihilated a preparation"):
+        postselected_fidelity(everything_leaks, CZ4)
