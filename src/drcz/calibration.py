@@ -7,6 +7,15 @@ erasure dip versus the swap-back pump phase, the conditional-phase
 Ramsey versus wait duration, and the single-qubit Ramsey slopes.
 run_calibration_flow chains them in tune-up order starting from
 deliberately perturbed guesses.
+
+The pump-phase and wait-duration scans decompose one Hamiltonian, the
+swap-in segment of the operating-point schedule, and read every grid
+point off it.  The swap-back segment at pump phase phi is a rotated copy
+of it, H(phi) = D^dag H(0) D with D = exp(i phi n_c), because the
+dispersive term commutes with n_c; so its propagator is D^dag U_swap D.
+The wait Hamiltonian holds only number-operator products, so it is
+diagonal and its propagator is a phase per Fock state.  A grid point
+then costs diagonal phases and one 32x32 product.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ import numpy as np
 
 from .fock import (DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator,
                    codespace_projector)
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, build_schedule,
-                   derive_gate_params, ideal_unitary, wrap_angle)
+from .gate import (CONTROL_CODE, COUPLER, TARGET_CODE, GateSchedule, SystemParams,
+                   _propagator, _tracked_pump_phase, build_schedule, derive_gate_params,
+                   ideal_unitary, wrap_angle)
 
 __all__ = [
     "SweepResult",
@@ -112,20 +122,19 @@ def _pair_populations(p: SystemParams, detunings: np.ndarray,
     """a2 population after n equal swap pulses, per (detuning, duration).
 
     One photon starts in a2.  The pulse train is one phase
-    exp(-i lambda n t) in the eigenbasis of the pair Hamiltonian.
+    exp(-i lambda n t) in the eigenbasis of the pair Hamiltonian; one
+    stacked eigh serves every detuning.
     """
     register = _swap_pair_register()
     psi0 = register.basis_state({"a2": 1, "c": 0})
-    n_a2 = build_mode_operator(register, "a2", "number").data
-    values = np.empty((detunings.size, durations.size))
-    for i, delta in enumerate(detunings):
-        h = _pair_hamiltonian(register, p.g_ac, delta)
-        evals, vecs = np.linalg.eigh(h.data)
-        coeffs = vecs.conj().T @ psi0
-        for j, t in enumerate(n_repeats * durations):
-            psi = vecs @ (np.exp(-1j * evals * t) * coeffs)
-            values[i, j] = float(np.real(psi.conj() @ n_a2 @ psi))
-    return values
+    n_a2 = np.real(np.diag(build_mode_operator(register, "a2", "number").data))
+    hams = np.stack([_pair_hamiltonian(register, p.g_ac, delta).data
+                     for delta in detunings])
+    evals, vecs = np.linalg.eigh(hams)
+    coeffs = vecs.conj().swapaxes(1, 2) @ psi0
+    phases = np.exp(-1j * evals[:, :, None] * (n_repeats * durations))
+    psi = vecs @ (phases * coeffs[:, :, None])
+    return np.einsum("k,dkt->dt", n_a2, np.abs(psi) ** 2)
 
 
 def chevron_scan(p: SystemParams, detunings: Sequence[float],
@@ -173,6 +182,20 @@ def _gate_input(register: ModeRegister, control_bit: int,
     return occ
 
 
+def _operating_point(p: SystemParams, register: ModeRegister
+                      ) -> tuple[GateSchedule, np.ndarray, np.ndarray, np.ndarray]:
+    """The calibrated schedule, its swap-in propagator U_swap, the diagonal
+    of its wait Hamiltonian and the coupler occupation of each basis state.
+
+    The swap-in segment is the schedule's one decomposition; every gate a
+    scan probes is read off it (see the module docstring).
+    """
+    schedule = build_schedule(p, register)
+    (h_swap, t_swap, _), (h_wait, _, _), _ = schedule.segments
+    n_c = register.occupation_table[:, register.index(COUPLER)]
+    return schedule, _propagator(h_swap.data, t_swap), np.real(np.diag(h_wait.data)), n_c
+
+
 def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
                         target_interacting: bool = True) -> SweepResult:
     """Erasure fraction of the full gate versus the swap-back pump phase.
@@ -182,6 +205,12 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
     the second pump phase matches the derived value, so the erasure
     fraction dips there and peaks half a turn away.  With the target in
     the idle rail the transfer is resonant and the curve is flat.
+
+    Only the swap-back segment depends on the phase, and it is
+    D^dag U_swap D with D = exp(i phi n_c).  The state after the swap-in
+    and the wait is computed once, and one product of U_swap with the
+    D-rotated copies of it, one column per phase, gives every point.
+    The final D^dag is a phase per Fock state and moves no population.
     """
     register = ModeRegister.standard(2)
     phases = np.asarray(phases, dtype=float)
@@ -189,13 +218,13 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
         raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {phases.shape}")
     target_bit = 0 if target_interacting else 1
     occ = _gate_input(register, 1, target_bit)
-    proj = codespace_projector(register, (CONTROL_CODE, TARGET_CODE), "c").data
-    values = np.empty(phases.size)
-    for j, phi in enumerate(phases):
-        schedule = build_schedule(p, register, phi_swap=float(phi))
-        psi = ideal_unitary(schedule).data @ register.basis_state(occ)
-        values[j] = 1.0 - float(np.real(psi.conj() @ proj @ psi))
-    fixed = {"t_swap": derive_gate_params(p)[0],
+    keep = np.real(np.diag(codespace_projector(register, (CONTROL_CODE, TARGET_CODE),
+                                               COUPLER).data))
+    schedule, u_swap, wait_diag, n_c = _operating_point(p, register)
+    waited = np.exp(-1j * wait_diag * schedule.t_wait) * (u_swap @ register.basis_state(occ))
+    psi = u_swap @ (np.exp(1j * np.outer(n_c, phases)) * waited[:, None])
+    values = 1.0 - keep @ np.abs(psi) ** 2
+    fixed = {"t_swap": schedule.t_swap,
              "t_wait": schedule.t_wait,
              "target_bit": float(target_bit)}
     return SweepResult(axis=phases, values=values,
@@ -232,14 +261,24 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     onto the branch nearest the single-gate fringe; the curve crosses pi
     at the derived wait with slope equal to the coupler-target
     dispersive rate.
+
+    The wait only rescales the diagonal wait phases and sets the tracked
+    pump phase phi, so each gate is (D^dag U_swap D)(W U_swap) with
+    D = exp(i phi n_c) and W = exp(-i H_wait t_wait), both diagonal:
+    one 32x32 product per wait, all from one decomposition.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
     register = ModeRegister.standard(2)
     wait_times = np.asarray(wait_times, dtype=float)
+    if np.any(wait_times <= 0):
+        raise ValueError("wait times must be positive")
+    _, u_swap, wait_diag, n_c = _operating_point(p, register)
     values = np.empty(wait_times.size)
     for j, tw in enumerate(wait_times):
-        gate = ideal_unitary(build_schedule(p, register, t_wait=float(tw))).data
+        rot = np.exp(1j * _tracked_pump_phase(p, float(tw)) * n_c)
+        swap_back = rot.conj()[:, None] * u_swap * rot
+        gate = swap_back @ (np.exp(-1j * wait_diag * tw)[:, None] * u_swap)
         zero, one = (_ramsey_trace(register, CONTROL_CODE,
                                    TARGET_CODE.logical_occupations(target_bit),
                                    n_repeats, gate)

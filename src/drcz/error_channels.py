@@ -103,8 +103,12 @@ class ChannelRates:
         for name in ("p_leak_control", "p_leak_target", "p_z_control",
                      "p_z_target", "p_zz"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            try:
+                valid = 0.0 <= v <= 1.0
+            except TypeError:  # not a number
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
         if self.p_z_control + self.p_z_target + self.p_zz > 1.0:
             raise ValueError("dephasing probabilities exceed 1")
 

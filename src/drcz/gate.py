@@ -160,6 +160,13 @@ def derive_gate_params(p: SystemParams) -> tuple[float, float, float]:
     return t_swap, t_wait, wrap_angle(phi)
 
 
+def _tracked_pump_phase(p: SystemParams, t_wait: float) -> float:
+    """Calibrated swap-back pump phase for a wait of t_wait: it tracks the
+    wait duration linearly, at the coupler-target dispersive rate."""
+    _, t_wait_cal, phi_swap_cal = derive_gate_params(p)
+    return wrap_angle(phi_swap_cal + p.chi_bc * (t_wait - t_wait_cal))
+
+
 def build_schedule(p: SystemParams, register: ModeRegister, *,
                    include_static_crosskerr: bool = False,
                    t_wait: float | None = None,
@@ -180,12 +187,11 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
     n_b1 = build_mode_operator(register, "b1", "number")
     n_c = build_mode_operator(register, "c", "number")
 
-    t_swap, t_wait_cal, phi_swap_cal = derive_gate_params(p)
+    t_swap, t_wait_cal, _ = derive_gate_params(p)
     if t_wait is None:
         t_wait = t_wait_cal
     if phi_swap is None:
-        # the calibrated pump phase tracks the wait duration linearly
-        phi_swap = wrap_angle(phi_swap_cal + p.chi_bc * (t_wait - t_wait_cal))
+        phi_swap = _tracked_pump_phase(p, t_wait)
     if t_wait <= 0:
         raise ValueError("t_wait must be positive")
     disp = p.chi_bc * (n_b1 @ n_c).data

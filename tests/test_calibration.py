@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import drcz.calibration
+import drcz.gate
 from drcz import ModeRegister
 from drcz.calibration import (
     SweepResult,
@@ -19,6 +19,7 @@ from drcz.calibration import (
 )
 from drcz.cli import run_experiment
 from drcz.config import DeviceConfig
+from drcz.fock import codespace_projector
 from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
                        derive_gate_params, extract_local_frame, ideal_unitary,
                        wrap_angle)
@@ -171,29 +172,120 @@ def test_calibration_report_carries_the_flow_phase_sweep(table_params):
 
 
 @pytest.fixture()
-def schedule_builds(monkeypatch):
-    """Count the schedules the calibration module builds."""
-    calls = []
-    original = drcz.calibration.build_schedule
+def decompositions(monkeypatch):
+    """Record every Hamiltonian the closed-system propagator decomposes and
+    every eigh call underneath or beside it."""
+    calls = {"block_eigh": 0, "eigh": 0}
+    block_eigh, eigh = drcz.gate._block_eigh, np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_block_eigh(h):
+        calls["block_eigh"] += 1
+        return block_eigh(h)
 
-    monkeypatch.setattr(drcz.calibration, "build_schedule", counting)
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(drcz.gate, "_block_eigh", counting_block_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
 
 
-def test_calibration_report_builds_each_gate_once(tmp_path, schedule_builds):
+def _counts_of(calls, scan):
+    before = dict(calls)
+    scan()
+    return {key: calls[key] - before[key] for key in calls}
+
+
+def test_calibration_report_decomposes_five_hamiltonians(tmp_path, decompositions):
     run_experiment("calibration", DeviceConfig.default(), tmp_path)
-    # local Z scan + 128 pump phases + 41 waits
-    assert len(schedule_builds) == 1 + 128 + 41
+    # pump-phase and wait scans: the swap-in segment once each; local Z
+    # scan: the three segments of the operating-point gate
+    assert decompositions["block_eigh"] == 2 + 3
 
 
-def test_repeated_fringe_builds_one_gate_per_wait(table_params, schedule_builds):
-    waits = np.array([T_WAIT - 0.002, T_WAIT, T_WAIT + 0.002])
-    entangling_phase_scan(table_params, waits, 2)
-    assert len(schedule_builds) == len(waits)
+def test_scan_decompositions_do_not_depend_on_the_grid(table_params, decompositions):
+    def phase_scan(n):
+        return lambda: swapback_phase_scan(table_params, np.linspace(-math.pi, math.pi, n))
+
+    def wait_scan(n):
+        return lambda: entangling_phase_scan(
+            table_params, np.linspace(0.97, 1.03, n) * T_WAIT, 2)
+
+    def pair_scan(n):
+        return lambda: chevron_scan(table_params, np.linspace(-0.2, 0.2, n) * table_params.g_ac,
+                                    np.linspace(0.8, 1.25, 7 * n) * T_SWAP)
+
+    for scan in (phase_scan, wait_scan):
+        small, large = _counts_of(decompositions, scan(9)), _counts_of(decompositions, scan(128))
+        assert small == large
+        assert small["block_eigh"] == 1
+    # the coupler-pair scans stack every detuning into one eigh
+    assert (_counts_of(decompositions, pair_scan(2)) == _counts_of(decompositions, pair_scan(9))
+            == {"block_eigh": 0, "eigh": 1})
+
+
+def _per_point_erasure(p, phases, target_bit):
+    """The per-point algorithm: rebuild the whole gate at every pump phase."""
+    register = ModeRegister.standard(2)
+    occ = {label: 0 for label in register.labels}
+    occ.update(CONTROL_CODE.logical_occupations(1))
+    occ.update(TARGET_CODE.logical_occupations(target_bit))
+    proj = codespace_projector(register, (CONTROL_CODE, TARGET_CODE), "c").data
+    values = []
+    for phi in phases:
+        psi = ideal_unitary(build_schedule(p, register, phi_swap=float(phi))).data \
+            @ register.basis_state(occ)
+        values.append(1.0 - float(np.real(psi.conj() @ proj @ psi)))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("target_interacting", [True, False])
+def test_swapback_phase_scan_matches_the_per_point_oracle(table_params, target_interacting):
+    phases = np.linspace(-math.pi, math.pi, 128, endpoint=False)
+    sweep = swapback_phase_scan(table_params, phases, target_interacting=target_interacting)
+    oracle = _per_point_erasure(table_params, phases, 0 if target_interacting else 1)
+    np.testing.assert_allclose(sweep.values, oracle, rtol=0, atol=1e-13)
+    if target_interacting:  # the idle-target curve is flat, its argmin is roundoff
+        assert sweep.argmin_axis() == phases[int(np.argmin(oracle))]
+
+
+def _per_point_fringe(p, wait_times, n_repeats):
+    """The per-point algorithm: rebuild the whole gate at every wait, with the
+    schedule's own tracked pump phase."""
+    register = ModeRegister.standard(2)
+    values = []
+    for tw in wait_times:
+        gate = ideal_unitary(build_schedule(p, register, t_wait=float(tw))).data
+        zero, one = (_ramsey_trace(register, CONTROL_CODE,
+                                   TARGET_CODE.logical_occupations(target_bit),
+                                   n_repeats, gate)
+                     for target_bit in (0, 1))
+        theta = wrap_angle(one[-1] - zero[-1])
+        if n_repeats > 1:
+            anchor = n_repeats * wrap_angle(one[0] - zero[0])
+            theta += 2.0 * math.pi * round((anchor - theta) / (2.0 * math.pi))
+        values.append(theta / n_repeats)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n_repeats", [1, 2])
+def test_entangling_phase_scan_matches_the_per_point_oracle(table_params, n_repeats):
+    waits = np.linspace(0.97, 1.03, 41) * T_WAIT * 1.01
+    sweep = entangling_phase_scan(table_params, waits, n_repeats)
+    oracle = _per_point_fringe(table_params, waits, n_repeats)
+    np.testing.assert_allclose(sweep.values, oracle, rtol=0, atol=1e-13)
+    assert sweep.argmin_axis() == waits[int(np.argmin(oracle))]
+
+    def pi_crossing(values):
+        return int(np.argmin([abs(wrap_angle(v - math.pi)) for v in values]))
+
+    assert pi_crossing(sweep.values) == pi_crossing(oracle)
+
+
+def test_entangling_phase_scan_refuses_a_wait_that_is_not_positive(table_params):
+    with pytest.raises(ValueError, match="wait times must be positive"):
+        entangling_phase_scan(table_params, [-0.1, T_WAIT])
 
 
 def test_ramsey_trace_matches_the_per_count_oracle(table_params):

@@ -104,6 +104,12 @@ def test_channel_rates_validation():
                      p_z_control=0.6, p_z_target=0.6)
 
 
+@pytest.mark.parametrize("value", ["0.1", None], ids=["str", "None"])
+def test_channel_rates_refuse_a_probability_that_is_not_a_number(value):
+    with pytest.raises(ValueError, match=r"p_leak_control must be in \[0, 1\]"):
+        ChannelRates(p_leak_control=value, p_leak_target=0, p_z_control=0, p_z_target=0)
+
+
 def test_qutrit_cz_flips_only_the_11_level():
     u = qutrit_cz()
     diag = np.diag(u).copy()
