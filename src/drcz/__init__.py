@@ -9,8 +9,7 @@ sweeps, and an error-budget report.
 
 __version__ = "0.1.0"
 
-from .fock import (DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix,
-                   build_mode_operator, codespace_projector)
+from .fock import DensityMatrix, DualRailCode, ModeRegister, build_mode_operator
 from .channels import QuantumChannel
 from .gate import (GateSchedule, LocalFrame, SystemParams, build_schedule,
                    derive_gate_params, extract_local_frame, ideal_unitary,
@@ -23,8 +22,7 @@ from .budget import (CoherenceLimits, ErrorBudget, compute_error_budget,
                      fundamental_limits)
 
 __all__ = [
-    "DensityMatrix", "DualRailCode", "ModeRegister", "OperatorMatrix",
-    "build_mode_operator", "codespace_projector",
+    "DensityMatrix", "DualRailCode", "ModeRegister", "build_mode_operator",
     "QuantumChannel",
     "GateSchedule", "LocalFrame", "SystemParams", "build_schedule",
     "derive_gate_params", "extract_local_frame", "ideal_unitary",

@@ -143,7 +143,7 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
     for col, out in enumerate(outs):
         s4[:, col] = out[np.ix_(idx, idx)].reshape(-1, order="F")
     conditioned = QuantumChannel(4, superop=s4, validate=False)
-    reference = codespace_block(ideal_unitary(schedule))
+    reference = codespace_block(register, ideal_unitary(schedule))
     chi_err = chi_error(conditioned.chi(), reference)
     diag = np.clip(np.real(np.diag(chi_err)), 0.0, None)
     z_diag = diag[[_IDX_II, _IDX_IZ, _IDX_ZI, _IDX_ZZ]]

@@ -26,11 +26,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import (DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator,
-                   codespace_projector)
+from .fock import DualRailCode, ModeRegister, build_mode_operator
 from .gate import (CONTROL_CODE, COUPLER, TARGET_CODE, GateSchedule, SystemParams,
                    _propagator, _tracked_pump_phase, build_schedule, derive_gate_params,
-                   ideal_unitary, wrap_angle)
+                   ideal_unitary, occupancy_classes, wrap_angle)
 
 __all__ = [
     "SweepResult",
@@ -107,14 +106,14 @@ def _swap_pair_register() -> ModeRegister:
     return ModeRegister((("a2", 2), ("c", 2)))
 
 
-def _pair_hamiltonian(register: ModeRegister, g: float, detuning: float) -> OperatorMatrix:
+def _pair_hamiltonian(register: ModeRegister, g: float, detuning: float) -> np.ndarray:
     """(g/2)(a2^dag c + h.c.) + detuning * n_c on the reduced pair."""
     a2 = build_mode_operator(register, "a2", "annihilate")
     c = build_mode_operator(register, "c", "annihilate")
     n_c = build_mode_operator(register, "c", "number")
-    term = a2.dag().data @ c.data
+    term = a2.conj().T @ c
     coupling = 0.5 * g * (term + term.conj().T)
-    return OperatorMatrix(register, coupling + detuning * n_c.data)
+    return coupling + detuning * n_c
 
 
 def _pair_populations(p: SystemParams, detunings: np.ndarray,
@@ -127,9 +126,8 @@ def _pair_populations(p: SystemParams, detunings: np.ndarray,
     """
     register = _swap_pair_register()
     psi0 = register.basis_state({"a2": 1, "c": 0})
-    n_a2 = np.real(np.diag(build_mode_operator(register, "a2", "number").data))
-    hams = np.stack([_pair_hamiltonian(register, p.g_ac, delta).data
-                     for delta in detunings])
+    n_a2 = np.real(np.diag(build_mode_operator(register, "a2", "number")))
+    hams = np.stack([_pair_hamiltonian(register, p.g_ac, delta) for delta in detunings])
     evals, vecs = np.linalg.eigh(hams)
     coeffs = vecs.conj().swapaxes(1, 2) @ psi0
     phases = np.exp(-1j * evals[:, :, None] * (n_repeats * durations))
@@ -174,14 +172,6 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
                        fixed={"g_ac": p.g_ac, "n_repeats": float(n_repeats)})
 
 
-def _gate_input(register: ModeRegister, control_bit: int,
-                target_bit: int) -> dict[str, int]:
-    occ = {label: 0 for label in register.labels}
-    occ.update(CONTROL_CODE.logical_occupations(control_bit))
-    occ.update(TARGET_CODE.logical_occupations(target_bit))
-    return occ
-
-
 def _operating_point(p: SystemParams, register: ModeRegister
                       ) -> tuple[GateSchedule, np.ndarray, np.ndarray, np.ndarray]:
     """The calibrated schedule, its swap-in propagator U_swap, the diagonal
@@ -193,7 +183,7 @@ def _operating_point(p: SystemParams, register: ModeRegister
     schedule = build_schedule(p, register)
     (h_swap, t_swap, _), (h_wait, _, _), _ = schedule.segments
     n_c = register.occupation_table[:, register.index(COUPLER)]
-    return schedule, _propagator(h_swap.data, t_swap), np.real(np.diag(h_wait.data)), n_c
+    return schedule, _propagator(h_swap, t_swap), np.real(np.diag(h_wait)), n_c
 
 
 def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
@@ -217,9 +207,8 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
     if phases.ndim != 1 or phases.size == 0:
         raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {phases.shape}")
     target_bit = 0 if target_interacting else 1
-    occ = _gate_input(register, 1, target_bit)
-    keep = np.real(np.diag(codespace_projector(register, (CONTROL_CODE, TARGET_CODE),
-                                               COUPLER).data))
+    occ = {**CONTROL_CODE.logical_occupations(1), **TARGET_CODE.logical_occupations(target_bit)}
+    keep = occupancy_classes(register) == 0
     schedule, u_swap, wait_diag, n_c = _operating_point(p, register)
     waited = np.exp(-1j * wait_diag * schedule.t_wait) * (u_swap @ register.basis_state(occ))
     psi = u_swap @ (np.exp(1j * np.outer(n_c, phases)) * waited[:, None])
@@ -232,17 +221,20 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
                        axis_name="swapback_pump_phase_rad", fixed=fixed)
 
 
-def _ramsey_trace(register: ModeRegister, code: DualRailCode,
-                  spectator_occ: Mapping[str, int], n_repeats: int,
-                  gate: np.ndarray) -> list[float]:
-    """Coherence phase of one dual-rail qubit in |+> after each of n gates."""
-    lo = {label: 0 for label in register.labels}
-    lo.update(spectator_occ)
-    hi = dict(lo)
-    lo.update(code.logical_occupations(0))
-    hi.update(code.logical_occupations(1))
-    i_lo, i_hi = register.basis_index(lo), register.basis_index(hi)
-    psi = np.zeros(register.dim, dtype=complex)
+def _ramsey_pair(register: ModeRegister, code: DualRailCode,
+                 spectator_occ: Mapping[str, int]) -> tuple[int, int]:
+    """Basis indices of the qubit's |0_L> and |1_L> with the spectator set
+    and every other mode empty."""
+    lo, hi = (register.basis_index({**spectator_occ, **code.logical_occupations(bit)})
+              for bit in (0, 1))
+    return lo, hi
+
+
+def _ramsey_trace(pair: tuple[int, int], n_repeats: int, gate: np.ndarray) -> list[float]:
+    """Coherence phase of one dual-rail qubit in |+>, on the (|0_L>, |1_L>)
+    index pair from `_ramsey_pair`, after each of n gates."""
+    i_lo, i_hi = pair
+    psi = np.zeros(gate.shape[0], dtype=complex)
     psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
     trace = []
     for _ in range(n_repeats):
@@ -274,15 +266,14 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     if np.any(wait_times <= 0):
         raise ValueError("wait times must be positive")
     _, u_swap, wait_diag, n_c = _operating_point(p, register)
+    pairs = [_ramsey_pair(register, CONTROL_CODE, TARGET_CODE.logical_occupations(target_bit))
+             for target_bit in (0, 1)]
     values = np.empty(wait_times.size)
     for j, tw in enumerate(wait_times):
         rot = np.exp(1j * _tracked_pump_phase(p, float(tw)) * n_c)
         swap_back = rot.conj()[:, None] * u_swap * rot
         gate = swap_back @ (np.exp(-1j * wait_diag * tw)[:, None] * u_swap)
-        zero, one = (_ramsey_trace(register, CONTROL_CODE,
-                                   TARGET_CODE.logical_occupations(target_bit),
-                                   n_repeats, gate)
-                     for target_bit in (0, 1))
+        zero, one = (_ramsey_trace(pair, n_repeats, gate) for pair in pairs)
         theta = wrap_angle(one[-1] - zero[-1])
         if n_repeats > 1:
             anchor = n_repeats * wrap_angle(one[0] - zero[0])
@@ -313,13 +304,13 @@ def local_z_scan(p: SystemParams, n_repeats: int = 4) -> LocalPhaseSlopes:
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
     register = ModeRegister.standard(2)
-    gate = ideal_unitary(build_schedule(p, register)).data
+    gate = ideal_unitary(build_schedule(p, register))
     counts = np.arange(1, n_repeats + 1, dtype=float)
     slopes = []
     for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         unwrapped = []
-        for theta in _ramsey_trace(register, code, spectator.logical_occupations(0),
-                                   n_repeats, gate):
+        pair = _ramsey_pair(register, code, spectator.logical_occupations(0))
+        for theta in _ramsey_trace(pair, n_repeats, gate):
             anchor = unwrapped[-1] + unwrapped[0] if unwrapped else theta
             theta += TWO_PI * round((anchor - theta) / TWO_PI)
             unwrapped.append(theta)

@@ -230,7 +230,3 @@ class QuantumChannel:
         """Channel equal to `self` applied after `earlier`."""
         return QuantumChannel(self.dim, superop=self.superop @ earlier.superop,
                               validate=False)
-
-    @classmethod
-    def identity(cls, dim: int) -> "QuantumChannel":
-        return cls(dim, kraus=[np.eye(dim, dtype=complex)])

@@ -99,7 +99,7 @@ def _run_gate_unitary(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     register = ModeRegister.standard(args.truncation)
     schedule = build_schedule(p, register,
                               include_static_crosskerr=args.include_static_kerr)
-    block = codespace_block(ideal_unitary(schedule))
+    block = codespace_block(register, ideal_unitary(schedule))
     frame = extract_local_frame(block)
     correction = np.exp(-1j * np.array([
         0.0, frame.phi_target, frame.phi_control,

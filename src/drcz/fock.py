@@ -2,7 +2,9 @@
 
 Everything is dense: the largest register used anywhere is five modes at
 truncation 3 (total dimension 243), far below any scale where sparsity pays.
-All containers are immutable after construction; functions are pure.
+An operator is a plain (dim, dim) complex array in the register's basis;
+the register travels beside it, as an argument, wherever a caller needs
+it.  All containers are immutable after construction; functions are pure.
 """
 from __future__ import annotations
 
@@ -15,11 +17,9 @@ import numpy as np
 
 __all__ = [
     "ModeRegister",
-    "OperatorMatrix",
     "DensityMatrix",
     "DualRailCode",
     "build_mode_operator",
-    "codespace_projector",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -46,8 +46,8 @@ class ModeRegister:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
         for label, dim in self.modes:
-            if dim < 2:
-                raise ValueError(f"mode {label!r} needs dim >= 2, got {dim}")
+            if not isinstance(dim, (int, np.integer)) or dim < 2:
+                raise ValueError(f"mode {label!r} needs an integer dim >= 2, got {dim!r}")
 
     @classmethod
     def standard(cls, dim: int = 2) -> "ModeRegister":
@@ -120,46 +120,14 @@ class ModeRegister:
         return occ
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator tagged with the register it acts on."""
-
-    register: ModeRegister
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.register.dim
-        if self.data.shape != (d, d):
-            raise ValueError(f"operator shape {self.data.shape} != register dim {d}")
-
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, self.data.conj().T)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.register != self.register:
-            raise ValueError("operators act on different registers")
-        return OperatorMatrix(self.register, self.data @ other.data)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.register != self.register:
-            raise ValueError("operators act on different registers")
-        return OperatorMatrix(self.register, self.data + other.data)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, complex(scalar) * self.data)
-
-
-def build_mode_operator(register: ModeRegister, label: str, kind: str) -> OperatorMatrix:
+def build_mode_operator(register: ModeRegister, label: str, kind: str) -> np.ndarray:
     """Single-mode operator embedded in the register's tensor space.
 
-    kind is one of {"annihilate", "number", "identity"}; the operator acts
-    on the named mode and as identity on every other mode.  It is written
-    straight from the occupation table: a lowers the named mode's
-    occupation n by one, which moves the flat index down by the product of
-    the later modes' dims, with amplitude sqrt(n).
+    kind is "annihilate" or "number"; the operator acts on the named mode
+    and as identity on every other mode.  It is written straight from the
+    occupation table: a lowers the named mode's occupation n by one, which
+    moves the flat index down by the product of the later modes' dims, with
+    amplitude sqrt(n).
     """
     target = register.index(label)
     n = register.occupation_table[:, target]
@@ -170,11 +138,9 @@ def build_mode_operator(register: ModeRegister, label: str, kind: str) -> Operat
         out[lowered - stride, lowered] = np.sqrt(n[lowered])
     elif kind == "number":
         out = np.diag(n.astype(complex))
-    elif kind == "identity":
-        out = np.eye(register.dim, dtype=complex)
     else:
         raise ValueError(f"unsupported operator kind {kind!r}")
-    return OperatorMatrix(register, out)
+    return out
 
 
 class DensityMatrix:
@@ -211,10 +177,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
 
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.data @ self.data)))
-
 
 @dataclass(frozen=True)
 class DualRailCode:
@@ -248,25 +210,3 @@ class DualRailCode:
         out[(n0 == 0) & (n1 == 1)] = 1
         return out
 
-
-def codespace_projector(register: ModeRegister, codes: Sequence[DualRailCode],
-                        coupler_label: str | None = None) -> OperatorMatrix:
-    """Projector onto one photon per dual-rail with the coupler in ground.
-
-    Rank is 2 per code (4 for the standard two-qubit register). Modes not
-    mentioned in any code and not the coupler are unconstrained.
-    """
-    used: list[str] = []
-    for code in codes:
-        used.extend(code.labels)
-    if len(set(used)) != len(used):
-        raise ValueError("dual-rail codes share a mode")
-    if coupler_label is not None and coupler_label in used:
-        raise ValueError("coupler mode cannot belong to a dual-rail code")
-
-    keep = np.ones(register.dim, dtype=bool)
-    for code in codes:
-        keep &= code.outcomes(register) != ERASURE
-    if coupler_label is not None:
-        keep &= register.occupation_table[:, register.index(coupler_label)] == 0
-    return OperatorMatrix(register, np.diag(keep.astype(complex)))

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import ERASURE, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
+from .fock import ERASURE, DualRailCode, ModeRegister, build_mode_operator
 
 __all__ = [
     "SystemParams",
@@ -84,14 +84,26 @@ class SystemParams:
     tphi: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("chi_bc", "chi_ac", "chi_ab", "g_ac"):
+            v = getattr(self, name)
+            try:
+                valid = math.isfinite(v)
+            except TypeError:  # not a number
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.g_ac <= 0:
             raise ValueError("g_ac must be positive (phase convention absorbs sign)")
         if self.chi_bc == 0:
             raise ValueError("chi_bc must be nonzero")
         for name, table in (("t1", self.t1), ("tphi", self.tphi)):
             for label, t in table.items():
-                if not t > 0:
-                    raise ValueError(f"{name}[{label!r}] must be positive, got {t}")
+                try:
+                    valid = t > 0
+                except TypeError:  # not a number
+                    valid = False
+                if not valid:
+                    raise ValueError(f"{name}[{label!r}] must be positive, got {t!r}")
 
     @classmethod
     def from_mhz(cls, *, chi_bc: float, chi_ac: float = 0.0, chi_ab: float = 0.0,
@@ -108,7 +120,7 @@ class GateSchedule:
     """Three piecewise-constant segments: swap-in, wait, swap-back."""
 
     register: ModeRegister
-    segments: tuple[tuple[OperatorMatrix, float, str], ...]
+    segments: tuple[tuple[np.ndarray, float, str], ...]
     t_swap: float
     t_wait: float
     phi_swap: float
@@ -179,9 +191,6 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
     t_wait and phi_swap default to the calibrated values; calibration
     sweeps override them to probe miscalibrated schedules.
     """
-    for label in ("a2", "c", "b1"):
-        register.index(label)  # raises KeyError with a useful message
-
     a2 = build_mode_operator(register, "a2", "annihilate")
     c = build_mode_operator(register, "c", "annihilate")
     n_b1 = build_mode_operator(register, "b1", "number")
@@ -194,21 +203,21 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
         phi_swap = _tracked_pump_phase(p, t_wait)
     if t_wait <= 0:
         raise ValueError("t_wait must be positive")
-    disp = p.chi_bc * (n_b1 @ n_c).data
+    disp = p.chi_bc * (n_b1 @ n_c)
     if include_static_crosskerr:
         n_a2 = build_mode_operator(register, "a2", "number")
-        disp = disp + p.chi_ac * (n_a2 @ n_c).data + p.chi_ab * (n_a2 @ n_b1).data
+        disp = disp + p.chi_ac * (n_a2 @ n_c) + p.chi_ab * (n_a2 @ n_b1)
 
-    swap_term = a2.dag().data @ c.data  # a2^dag c
+    swap_term = a2.conj().T @ c  # a2^dag c
 
-    def swap_h(pump_phase: float) -> OperatorMatrix:
+    def swap_h(pump_phase: float) -> np.ndarray:
         coupling = 0.5 * p.g_ac * (np.exp(1j * pump_phase) * swap_term
                                    + np.exp(-1j * pump_phase) * swap_term.conj().T)
-        return OperatorMatrix(register, coupling + disp)
+        return coupling + disp
 
     segments = (
         (swap_h(0.0), t_swap, "swap1"),
-        (OperatorMatrix(register, disp.copy()), t_wait, "wait"),
+        (disp, t_wait, "wait"),
         (swap_h(phi_swap), t_swap, "swap2"),
     )
     return GateSchedule(register=register, segments=segments, t_swap=t_swap,
@@ -216,12 +225,12 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
                         includes_static_crosskerr=include_static_crosskerr)
 
 
-def ideal_unitary(schedule: GateSchedule) -> OperatorMatrix:
+def ideal_unitary(schedule: GateSchedule) -> np.ndarray:
     """Exact closed-system propagator: product of segment exponentials."""
     u = np.eye(schedule.register.dim, dtype=complex)
     for h, dt, _ in schedule.segments:
-        u = _propagator(h.data, dt) @ u
-    return OperatorMatrix(schedule.register, u)
+        u = _propagator(h, dt) @ u
+    return u
 
 
 def _connected_blocks(linked: np.ndarray) -> list[np.ndarray]:
@@ -270,14 +279,13 @@ def codespace_basis_indices(register: ModeRegister) -> list[int]:
     return out
 
 
-def codespace_block(u: OperatorMatrix) -> np.ndarray:
+def codespace_block(register: ModeRegister, u: np.ndarray) -> np.ndarray:
     """4x4 restriction of a register operator to the dual-rail codespace."""
-    idx = codespace_basis_indices(u.register)
-    return u.data[np.ix_(idx, idx)]
+    idx = codespace_basis_indices(register)
+    return u[np.ix_(idx, idx)]
 
 
-def extract_local_frame(u: np.ndarray | OperatorMatrix, *,
-                        tol: float = 1e-8) -> LocalFrame:
+def extract_local_frame(mat: np.ndarray, *, tol: float = 1e-8) -> LocalFrame:
     """Read the Z-frame phases off a diagonal codespace unitary.
 
     For diag(u00, u11, u22, u33) in (|00>,|01>,|10>,|11>) logical order
@@ -286,7 +294,6 @@ def extract_local_frame(u: np.ndarray | OperatorMatrix, *,
     - arg(u11) + arg(u00) (the frame-free entangling phase).  The input
     must be diagonal to `tol`.
     """
-    mat = codespace_block(u) if isinstance(u, OperatorMatrix) else np.asarray(u)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 codespace block, got {mat.shape}")
     off = mat - np.diag(np.diag(mat))

@@ -64,8 +64,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name, rates in (("loss", self.loss), ("dephasing", self.dephasing)):
             for label, rate in rates.items():
-                if rate < 0:
-                    raise ValueError(f"{name}[{label!r}] must be >= 0, got {rate}")
+                try:
+                    valid = 0 <= rate < math.inf
+                except TypeError:  # not a number
+                    valid = False
+                if not valid:
+                    raise ValueError(f"{name}[{label!r}] must be >= 0 and finite, got {rate!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -83,11 +87,11 @@ def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.nda
     ops: list[np.ndarray] = []
     for label, kappa in noise.loss.items():
         if kappa > 0:
-            a = build_mode_operator(register, label, "annihilate").data
+            a = build_mode_operator(register, label, "annihilate")
             ops.append(math.sqrt(kappa) * a)
     for label, kphi in noise.dephasing.items():
         if kphi > 0:
-            n = build_mode_operator(register, label, "number").data
+            n = build_mode_operator(register, label, "number")
             ops.append(math.sqrt(2.0 * kphi) * n)
     return ops
 
@@ -186,9 +190,9 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
     collapse = [c[block] for c in collapse_operators(register, noise)]
     drifts = []
     for h, _, tag in schedule.segments:
-        if np.any(h.data[:, sector][changing]):
+        if np.any(h[:, sector][changing]):
             raise ValueError(f"segment {tag!r} does not conserve photon number")
-        drifts.append(_drift(h.data[block], collapse))
+        drifts.append(_drift(h[block], collapse))
     superop = np.zeros((rows.size, rows.size), dtype=complex)
     for idx in _generator_blocks(drifts, collapse, rows, cols):
         product = np.eye(idx.shape[1], dtype=complex)

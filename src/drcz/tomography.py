@@ -16,7 +16,7 @@ import numpy as np
 from .channels import QuantumChannel, pauli_basis
 from .config import DeviceConfig
 from .error_channels import PREP_KETS, ReadoutModel
-from .fock import DensityMatrix, DualRailCode, ModeRegister, OperatorMatrix, build_mode_operator
+from .fock import DensityMatrix, DualRailCode, ModeRegister, build_mode_operator
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
                    build_schedule, codespace_block, extract_local_frame, ideal_unitary)
 from .lindblad import NoiseModel, gate_superoperator
@@ -64,29 +64,29 @@ def setting_unitary(label: str) -> np.ndarray:
 
 
 def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
-                       axis: str, angle: float) -> OperatorMatrix:
+                       axis: str, angle: float) -> np.ndarray:
     """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter."""
-    r0 = build_mode_operator(register, code.rail0, "annihilate").data
-    r1 = build_mode_operator(register, code.rail1, "annihilate").data
+    r0 = build_mode_operator(register, code.rail0, "annihilate")
+    r1 = build_mode_operator(register, code.rail1, "annihilate")
     hop = r0.conj().T @ r1
     if axis == "x":
         gen = hop + hop.conj().T
     elif axis == "y":
         gen = -1j * hop + 1j * hop.conj().T
     elif axis == "z":
-        n0 = build_mode_operator(register, code.rail0, "number").data
-        n1 = build_mode_operator(register, code.rail1, "number").data
+        n0 = build_mode_operator(register, code.rail0, "number")
+        n1 = build_mode_operator(register, code.rail1, "number")
         gen = n0 - n1
     else:
         raise ValueError(f"unknown axis {axis!r}")
-    return OperatorMatrix(register, _propagator(gen, angle / 2))
+    return _propagator(gen, angle / 2)
 
 
 def dual_rail_phase(register: ModeRegister, code: DualRailCode,
-                    theta: float) -> OperatorMatrix:
+                    theta: float) -> np.ndarray:
     """Virtual-Z of angle theta: |1_L> gains e^{i theta} (frame update)."""
-    n1 = build_mode_operator(register, code.rail1, "number").data
-    return OperatorMatrix(register, np.diag(np.exp(1j * theta * np.diag(n1))))
+    n1 = build_mode_operator(register, code.rail1, "number")
+    return np.diag(np.exp(1j * theta * np.diag(n1)))
 
 
 @dataclass
@@ -97,8 +97,14 @@ class MeasurementRecord:
     counts: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
 
     def add(self, sc: str, st: str, oc: str, ot: str, count: float) -> None:
-        if count < 0:
-            raise ValueError("counts must be non-negative")
+        if not ({sc, st} <= SETTINGS.keys() and {oc, ot} <= set(OUTCOMES)):
+            raise ValueError(f"unknown setting or outcome in {(sc, st, oc, ot)!r}")
+        try:
+            valid = 0 <= count < math.inf
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
+            raise ValueError(f"counts must be non-negative and finite, got {count!r}")
         key = (sc, st, oc, ot)
         self.counts[key] = self.counts.get(key, 0.0) + float(count)
 
@@ -132,14 +138,14 @@ def bell_circuit_record(n_gates: int = 1, *,
     noise = noise or NoiseModel.none()
     readout = readout or DeviceConfig.default().readout(2)
     schedule = build_schedule(params, register)
-    frame = extract_local_frame(codespace_block(ideal_unitary(schedule)))
+    frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
 
-    prep_c = dual_rail_rotation(register, CONTROL_CODE, "x", math.pi / 2).data
-    prep_t = dual_rail_rotation(register, TARGET_CODE, "x", math.pi / 2).data
-    wrong_c = dual_rail_phase(register, CONTROL_CODE, -frame.phi_control).data
-    wrong_t = dual_rail_phase(register, TARGET_CODE, -frame.phi_target).data
-    echo_u = (dual_rail_rotation(register, CONTROL_CODE, "x", math.pi).data
-              @ dual_rail_rotation(register, TARGET_CODE, "x", math.pi).data)
+    prep_c = dual_rail_rotation(register, CONTROL_CODE, "x", math.pi / 2)
+    prep_t = dual_rail_rotation(register, TARGET_CODE, "x", math.pi / 2)
+    wrong_c = dual_rail_phase(register, CONTROL_CODE, -frame.phi_control)
+    wrong_t = dual_rail_phase(register, TARGET_CODE, -frame.phi_target)
+    echo_u = (dual_rail_rotation(register, CONTROL_CODE, "x", math.pi)
+              @ dual_rail_rotation(register, TARGET_CODE, "x", math.pi))
 
     rho = DensityMatrix.basis_state(register, {CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1}).data
     rho = prep_t @ prep_c @ rho @ prep_c.conj().T @ prep_t.conj().T
@@ -154,7 +160,7 @@ def bell_circuit_record(n_gates: int = 1, *,
     conf_c = readout.confusion_matrix(0)
     conf_t = readout.confusion_matrix(1)
 
-    rot_c, rot_t = ({label: (dual_rail_rotation(register, code, *spec).data
+    rot_c, rot_t = ({label: (dual_rail_rotation(register, code, *spec)
                              if spec else np.eye(register.dim))
                      for label, spec in SETTINGS.items()}
                     for code in (CONTROL_CODE, TARGET_CODE))
@@ -303,7 +309,6 @@ def simulated_leak_process(params: SystemParams | None = None,
     params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
-    hams = [np.asarray(h.data, dtype=complex) for h, _, _ in schedule.segments]
     durations = [d for _, d, _ in schedule.segments]
     total = sum(durations)
 
@@ -321,11 +326,11 @@ def simulated_leak_process(params: SystemParams | None = None,
                 register.basis_index((0, 0, 0, 0, 1))]
 
     if control_prep == "erased":
-        u = ideal_unitary(schedule).data
+        u = ideal_unitary(schedule)
         k = np.column_stack([(u @ ket)[out_rows] for ket in kets.T])
         return QuantumChannel(2, kraus=[k], validate=False)
 
-    eigs = [_block_eigh(h) for h in hams]
+    eigs = [_block_eigh(h) for h, _, _ in schedule.segments]
     whole = [(v * np.exp(-1j * lam * d)) @ v.conj().T
              for (lam, v), d in zip(eigs, durations)]
     eye = np.eye(register.dim, dtype=complex)
@@ -355,8 +360,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     for label in ("c", "a1", "a2"):
         t1 = params.t1.get(label, math.inf)
         if math.isfinite(t1):
-            jump_specs.append((build_mode_operator(register, label, "annihilate").data,
-                               1.0 / t1))
+            jump_specs.append((build_mode_operator(register, label, "annihilate"), 1.0 / t1))
 
     # Every node's state is a (dim, 2) slice of the (dim, nodes, 2) arrays
     # below; per-node (dim, dim) propagators would take 13 MB per array at

@@ -46,7 +46,7 @@ def test_01_codespace_propagation_is_cz_up_to_local_z(params):
     schedule = build_schedule(params, ModeRegister.standard(2))
     assert abs(schedule.total_duration - 0.4493) <= 1e-4
     assert 0.40 < schedule.total_duration < 0.55
-    block = codespace_block(ideal_unitary(schedule))
+    block = codespace_block(schedule.register, ideal_unitary(schedule))
     frame = extract_local_frame(block)
     undo = np.exp(-1j * np.array([0.0, frame.phi_target, frame.phi_control,
                                   frame.phi_target + frame.phi_control]))
@@ -238,7 +238,7 @@ def test_11_calibration_flow_recovers_operating_point(params):
     assert abs(wrap_angle(report.swapback_phase - phi_swap)) \
         <= report.swapback_phase_step
     assert abs(report.wait_duration - t_wait) <= report.wait_duration_step
-    frame = extract_local_frame(codespace_block(ideal_unitary(
+    frame = extract_local_frame(codespace_block(ModeRegister.standard(2), ideal_unitary(
         build_schedule(params, ModeRegister.standard(2)))))
     assert report.control_phase_per_gate == pytest.approx(frame.phi_control,
                                                           rel=1e-6)

@@ -64,7 +64,7 @@ def test_noiseless_budget_has_no_error_only():
     # oracle off the Lindblad path: the exact unitary's output populations of
     # the four codespace inputs, averaged and summed by occupancy class
     register = ModeRegister.standard(2)
-    u = ideal_unitary(build_schedule(clean, register)).data
+    u = ideal_unitary(build_schedule(clean, register))
     idx = codespace_basis_indices(register)
     pops = np.mean(np.abs(u[:, idx]) ** 2, axis=1)
     oracle = dict(zip(OCCUPANCY_CLASSES, np.bincount(

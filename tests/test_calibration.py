@@ -9,6 +9,7 @@ import drcz.gate
 from drcz import ModeRegister
 from drcz.calibration import (
     SweepResult,
+    _ramsey_pair,
     _ramsey_trace,
     chevron_scan,
     entangling_phase_scan,
@@ -19,7 +20,6 @@ from drcz.calibration import (
 )
 from drcz.cli import run_experiment
 from drcz.config import DeviceConfig
-from drcz.fock import codespace_projector
 from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
                        derive_gate_params, extract_local_frame, ideal_unitary,
                        wrap_angle)
@@ -134,7 +134,7 @@ def test_repeated_fringe_unwraps_onto_the_single_gate_branch(table_params):
 
 def test_local_z_scan_recovers_the_gate_frame(table_params, register2):
     frame = extract_local_frame(
-        codespace_block(ideal_unitary(build_schedule(table_params, register2))))
+        codespace_block(register2, ideal_unitary(build_schedule(table_params, register2))))
     slopes = local_z_scan(table_params)
     assert slopes.control_phase_per_gate == pytest.approx(frame.phi_control,
                                                           rel=1e-9)
@@ -151,8 +151,9 @@ def test_calibration_flow_recovers_the_operating_point(table_params):
     assert abs(report.swap_duration - t_swap) <= report.swap_duration_step
     assert abs(wrap_angle(report.swapback_phase - phi_swap)) <= report.swapback_phase_step
     assert abs(report.wait_duration - t_wait) <= report.wait_duration_step
-    frame = extract_local_frame(codespace_block(ideal_unitary(
-        build_schedule(table_params, ModeRegister.standard(2)))))
+    register = ModeRegister.standard(2)
+    frame = extract_local_frame(codespace_block(register, ideal_unitary(
+        build_schedule(table_params, register))))
     assert report.control_phase_per_gate == pytest.approx(frame.phi_control,
                                                           rel=1e-9)
     assert report.target_phase_per_gate == pytest.approx(frame.phi_target,
@@ -231,10 +232,13 @@ def _per_point_erasure(p, phases, target_bit):
     occ = {label: 0 for label in register.labels}
     occ.update(CONTROL_CODE.logical_occupations(1))
     occ.update(TARGET_CODE.logical_occupations(target_bit))
-    proj = codespace_projector(register, (CONTROL_CODE, TARGET_CODE), "c").data
+    # one photon in each dual-rail pair, none in the coupler
+    rails = ((1, 0), (0, 1))
+    proj = np.diag([float((a1, a2) in rails and (b1, b2) in rails and c == 0)
+                    for a1, a2, c, b1, b2 in map(register.occupations, range(register.dim))])
     values = []
     for phi in phases:
-        psi = ideal_unitary(build_schedule(p, register, phi_swap=float(phi))).data \
+        psi = ideal_unitary(build_schedule(p, register, phi_swap=float(phi))) \
             @ register.basis_state(occ)
         values.append(1.0 - float(np.real(psi.conj() @ proj @ psi)))
     return np.array(values)
@@ -256,9 +260,9 @@ def _per_point_fringe(p, wait_times, n_repeats):
     register = ModeRegister.standard(2)
     values = []
     for tw in wait_times:
-        gate = ideal_unitary(build_schedule(p, register, t_wait=float(tw))).data
-        zero, one = (_ramsey_trace(register, CONTROL_CODE,
-                                   TARGET_CODE.logical_occupations(target_bit),
+        gate = ideal_unitary(build_schedule(p, register, t_wait=float(tw)))
+        zero, one = (_ramsey_trace(_ramsey_pair(register, CONTROL_CODE,
+                                                TARGET_CODE.logical_occupations(target_bit)),
                                    n_repeats, gate)
                      for target_bit in (0, 1))
         theta = wrap_angle(one[-1] - zero[-1])
@@ -293,7 +297,7 @@ def test_ramsey_trace_matches_the_per_count_oracle(table_params):
 
     def phase_after(code, spectator_occ, n):
         # the per-count algorithm: rebuild the gate, apply it n times to |+>
-        gate = ideal_unitary(build_schedule(table_params, register)).data
+        gate = ideal_unitary(build_schedule(table_params, register))
         lo = {label: 0 for label in register.labels}
         lo.update(spectator_occ)
         hi = dict(lo)
@@ -306,8 +310,8 @@ def test_ramsey_trace_matches_the_per_count_oracle(table_params):
             psi = gate @ psi
         return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
 
-    gate = ideal_unitary(build_schedule(table_params, register)).data
+    gate = ideal_unitary(build_schedule(table_params, register))
     for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         spectator_occ = spectator.logical_occupations(0)
-        trace = _ramsey_trace(register, code, spectator_occ, 4, gate)
+        trace = _ramsey_trace(_ramsey_pair(register, code, spectator_occ), 4, gate)
         assert trace == [phase_after(code, spectator_occ, n) for n in range(1, 5)]

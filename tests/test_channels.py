@@ -54,7 +54,7 @@ def test_constructor_requires_exactly_one_representation():
 
 
 def test_identity_channel_representations():
-    chan = QuantumChannel.identity(2)
+    chan = QuantumChannel(2, kraus=[np.eye(2, dtype=complex)])
     np.testing.assert_allclose(chan.superop, np.eye(4), atol=1e-14)
     chi = chan.chi()
     expected = np.zeros((4, 4))
@@ -136,7 +136,7 @@ def test_compose_order():
 
 
 def test_chi_requires_basis_for_non_qubit_dimension():
-    chan = QuantumChannel.identity(3)
+    chan = QuantumChannel(3, kraus=[np.eye(3, dtype=complex)])
     with pytest.raises(ValueError, match="operator basis"):
         chan.chi()
 

@@ -8,9 +8,7 @@ from drcz.fock import (
     DensityMatrix,
     DualRailCode,
     ModeRegister,
-    OperatorMatrix,
     build_mode_operator,
-    codespace_projector,
 )
 
 
@@ -27,6 +25,14 @@ def test_register_rejects_duplicates_and_tiny_modes():
         ModeRegister((("a", 2), ("a", 2)))
     with pytest.raises(ValueError, match="dim >= 2"):
         ModeRegister((("a", 1),))
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
+def test_register_refuses_a_dim_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match="integer dim >= 2"):
+        ModeRegister((("a", dim),))
+    # numpy integers are integers
+    assert ModeRegister((("a", np.int64(3)),)).dim == 3
 
 
 def test_basis_index_sequence_and_mapping_agree():
@@ -91,13 +97,15 @@ def test_basis_state_is_one_hot():
 
 def test_annihilation_operator_matrix_elements():
     reg = ModeRegister((("m", 3),))
-    a = build_mode_operator(reg, "m", "annihilate").data
+    a = build_mode_operator(reg, "m", "annihilate")
     expected = np.diag(np.sqrt([1.0, 2.0]), k=1)
     np.testing.assert_allclose(a, expected)
-    n = build_mode_operator(reg, "m", "number").data
+    n = build_mode_operator(reg, "m", "number")
     np.testing.assert_allclose(n, np.diag([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="unsupported operator kind"):
         build_mode_operator(reg, "m", "squeeze")
+    with pytest.raises(ValueError, match="unsupported operator kind"):
+        build_mode_operator(reg, "m", "identity")
 
 
 def _kron_mode_operator(register, label, kind):
@@ -106,7 +114,6 @@ def _kron_mode_operator(register, label, kind):
     single = {
         "annihilate": lambda d: np.diag(np.sqrt(np.arange(1, d)).astype(complex), k=1),
         "number": lambda d: np.diag(np.arange(d).astype(complex)),
-        "identity": lambda d: np.eye(d, dtype=complex),
     }[kind]
     out = np.eye(1, dtype=complex)
     for mode, dim in register.modes:
@@ -118,8 +125,8 @@ def _kron_mode_operator(register, label, kind):
 def test_mode_operators_equal_the_kronecker_build(dims):
     reg = ModeRegister(tuple((f"m{i}", d) for i, d in enumerate(dims)))
     for label in reg.labels:
-        for kind in ("annihilate", "number", "identity"):
-            got = build_mode_operator(reg, label, kind).data
+        for kind in ("annihilate", "number"):
+            got = build_mode_operator(reg, label, kind)
             want = _kron_mode_operator(reg, label, kind)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (label, kind)
@@ -130,7 +137,7 @@ def test_mode_operators_equal_the_kronecker_build(dims):
 
 def test_embedded_number_operator_matches_occupations():
     reg = ModeRegister.standard(2)
-    n_c = build_mode_operator(reg, "c", "number").data
+    n_c = build_mode_operator(reg, "c", "number")
     i_c = reg.index("c")
     diag = np.real(np.diag(n_c))
     for flat in range(reg.dim):
@@ -140,7 +147,7 @@ def test_embedded_number_operator_matches_occupations():
 def test_commutator_defect_vanishes_below_truncation_edge():
     reg = ModeRegister((("m", 4), ("p", 2)))
     a = build_mode_operator(reg, "m", "annihilate")
-    comm = (a @ a.dag() - a.dag() @ a).data
+    comm = a @ a.conj().T - a.conj().T @ a
     # [a, a+] is the identity on every state below the top Fock level of m
     below = reg.occupation_table[:, reg.index("m")] < 3
     np.testing.assert_allclose(comm[np.ix_(below, below)], np.eye(int(below.sum())),
@@ -150,23 +157,13 @@ def test_commutator_defect_vanishes_below_truncation_edge():
     assert comm[top, top] == pytest.approx(1 - 4, rel=1e-12)
 
 
-def test_operator_register_mismatch_raises():
-    a = build_mode_operator(ModeRegister((("m", 2),)), "m", "number")
-    b = build_mode_operator(ModeRegister((("p", 2),)), "p", "number")
-    with pytest.raises(ValueError, match="different registers"):
-        a @ b
-    with pytest.raises(ValueError, match="different registers"):
-        a + b
-
-
 def test_operator_algebra():
     reg = ModeRegister((("m", 3),))
     a = build_mode_operator(reg, "m", "annihilate")
     n = build_mode_operator(reg, "m", "number")
-    np.testing.assert_allclose((a.dag() @ a).data, n.data, atol=1e-14)
-    np.testing.assert_allclose((2.0 * n - n).data, n.data)
+    np.testing.assert_allclose(a.conj().T @ a, n, atol=1e-14)
     rho = DensityMatrix.basis_state(reg, {"m": 2})
-    assert np.trace(n.data @ rho.data) == pytest.approx(2.0)
+    assert np.trace(n @ rho.data) == pytest.approx(2.0)
 
 
 def test_density_matrix_validation():
@@ -189,9 +186,8 @@ def test_density_matrix_helpers():
     reg = ModeRegister((("m", 2),))
     rho = DensityMatrix.from_state_vector(reg, np.array([1, 1]) / np.sqrt(2))
     assert rho.trace == pytest.approx(1.0)
-    assert rho.purity == pytest.approx(1.0)
-    mixed = DensityMatrix(reg, np.eye(2) / 2)
-    assert mixed.purity == pytest.approx(0.5)
+    np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-15)
+    assert DensityMatrix(reg, np.eye(2) / 4, validate=False).trace == pytest.approx(0.5)
 
 
 def test_dual_rail_classify():
@@ -212,23 +208,3 @@ def test_dual_rail_classify():
     with pytest.raises(ValueError, match="logical bit"):
         code.logical_occupations(2)
 
-
-def test_codespace_projector_rank_and_idempotence():
-    reg = ModeRegister.standard(2)
-    proj = codespace_projector(reg, (DualRailCode("a1", "a2"), DualRailCode("b1", "b2")), "c")
-    p = proj.data
-    np.testing.assert_allclose(p @ p, p, atol=1e-14)
-    assert np.real(np.trace(p)) == pytest.approx(4.0)
-    with pytest.raises(ValueError, match="share a mode"):
-        codespace_projector(reg, (DualRailCode("a1", "a2"), DualRailCode("a2", "b1")))
-    with pytest.raises(ValueError, match="coupler"):
-        codespace_projector(reg, (DualRailCode("a1", "a2"),), "a1")
-
-
-def test_codespace_projector_leaves_unmentioned_modes_free():
-    reg = ModeRegister.standard(2)
-    proj = codespace_projector(reg, (DualRailCode("a1", "a2"),)).data
-    # no coupler constraint: both coupler levels of a codespace pattern pass
-    assert proj[reg.basis_index({"a1": 1}), reg.basis_index({"a1": 1})] == 1.0
-    hot = reg.basis_index({"a1": 1, "c": 1})
-    assert proj[hot, hot] == 1.0

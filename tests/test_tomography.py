@@ -61,7 +61,7 @@ def test_setting_unitaries():
 
 def test_dual_rail_rotation_acts_as_logical_pulse(register2):
     # X(pi) swaps the rails of the target qubit (up to the -i of a half turn)
-    u = dual_rail_rotation(register2, TARGET_CODE, "x", math.pi).data
+    u = dual_rail_rotation(register2, TARGET_CODE, "x", math.pi)
     ket10 = np.zeros(register2.dim, dtype=complex)
     ket10[register2.basis_index({"a1": 1, "b1": 1})] = 1.0
     out = u @ ket10
@@ -69,7 +69,7 @@ def test_dual_rail_rotation_acts_as_logical_pulse(register2):
     target[register2.basis_index({"a1": 1, "b2": 1})] = -1j
     np.testing.assert_allclose(out, target, atol=1e-14)
     # z-axis generator is the rail population difference
-    uz = dual_rail_rotation(register2, TARGET_CODE, "z", 0.8).data
+    uz = dual_rail_rotation(register2, TARGET_CODE, "z", 0.8)
     assert uz[register2.basis_index({"a1": 1, "b1": 1}),
               register2.basis_index({"a1": 1, "b1": 1})] == pytest.approx(
         np.exp(-0.4j), abs=1e-14)
@@ -83,23 +83,23 @@ def test_rotations_match_expm(register2):
         want = expm(-0.5j * angle * {"x": X, "y": Y}[axis])
         np.testing.assert_allclose(setting_unitary(label), want, rtol=0, atol=1e-16)
     for code in (CONTROL_CODE, TARGET_CODE):
-        r0, r1 = (build_mode_operator(register2, rail, "annihilate").data
+        r0, r1 = (build_mode_operator(register2, rail, "annihilate")
                   for rail in code.labels)
-        n0, n1 = (build_mode_operator(register2, rail, "number").data
+        n0, n1 = (build_mode_operator(register2, rail, "number")
                   for rail in code.labels)
         hop = r0.conj().T @ r1
         gens = {"x": hop + hop.conj().T, "y": -1j * hop + 1j * hop.conj().T, "z": n0 - n1}
         for axis, gen in gens.items():
             for angle in (math.pi / 2, -math.pi / 2, math.pi, 0.3):
-                got = dual_rail_rotation(register2, code, axis, angle).data
+                got = dual_rail_rotation(register2, code, axis, angle)
                 np.testing.assert_allclose(got, expm(-0.5j * angle * gen),
                                            rtol=0, atol=1e-15)
-        got = dual_rail_phase(register2, code, 0.3).data
+        got = dual_rail_phase(register2, code, 0.3)
         np.testing.assert_allclose(got, expm(0.3j * n1), rtol=0, atol=1e-16)
 
 
 def test_dual_rail_phase_rotates_the_one_rail(register2):
-    u = dual_rail_phase(register2, CONTROL_CODE, 0.3).data
+    u = dual_rail_phase(register2, CONTROL_CODE, 0.3)
     i_zero = register2.basis_index({"a1": 1, "b1": 1})
     i_one = register2.basis_index({"a2": 1, "b1": 1})
     assert u[i_zero, i_zero] == pytest.approx(1.0)
@@ -124,6 +124,22 @@ def test_measurement_record_bookkeeping():
     assert rec.settings() == [("I", "X90"), ("Y90", "I")]
     with pytest.raises(ValueError, match="non-negative"):
         rec.add("I", "I", "0", "0", -1.0)
+
+
+@pytest.mark.parametrize("entry, match", [
+    (("Q", "I", "0", "0", 1.0), "unknown setting or outcome"),
+    (("I", "X45", "0", "0", 1.0), "unknown setting or outcome"),
+    (("I", "I", "2", "0", 1.0), "unknown setting or outcome"),
+    (("I", "I", "0", "leak", 1.0), "unknown setting or outcome"),
+    (("I", "I", "0", "0", math.nan), "non-negative and finite"),
+    (("I", "I", "0", "0", math.inf), "non-negative and finite"),
+    (("I", "I", "0", "0", "1.0"), "non-negative and finite"),
+])
+def test_measurement_record_refuses_what_reconstruction_cannot_use(entry, match):
+    rec = MeasurementRecord()
+    with pytest.raises(ValueError, match=match):
+        rec.add(*entry)
+    assert rec.counts == {}
 
 
 @pytest.mark.parametrize("run", [
@@ -199,7 +215,7 @@ def test_process_tomography_of_x90():
 
 def test_process_tomography_refuses_a_channel_that_is_not_on_a_qubit():
     with pytest.raises(ValueError, match="qubit channel, got dim 3"):
-        process_tomography(QuantumChannel.identity(3))
+        process_tomography(QuantumChannel(3, kraus=[np.eye(3, dtype=complex)]))
 
 
 def test_chi_error_reports_identity_for_a_perfect_gate():
@@ -258,8 +274,7 @@ def _leak_kraus_oracle(params, control_prep, points):
     """The leak-conditioned Kraus list built the direct way: every segment
     exponentiated afresh at every node, jump operators outside, nodes inside."""
     register = ModeRegister.standard(2)
-    hams = [(np.asarray(h.data, dtype=complex), d)
-            for h, d, _ in build_schedule(params, register).segments]
+    hams = [(h, d) for h, d, _ in build_schedule(params, register).segments]
     a1, a2 = {"1": (0, 1), "0": (1, 0)}[control_prep]
     kets = []
     for b1, b2 in ((1, 0), (0, 1)):
@@ -276,7 +291,7 @@ def _leak_kraus_oracle(params, control_prep, points):
 
     kraus = []
     for label in ("c", "a1", "a2"):
-        jump = build_mode_operator(register, label, "annihilate").data
+        jump = build_mode_operator(register, label, "annihilate")
         rate = 1.0 / params.t1[label]
         for t, w in zip(times, weights):
             before = np.eye(register.dim, dtype=complex)
