@@ -8,8 +8,10 @@ maximum-likelihood iteration).
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,14 +40,16 @@ __all__ = [
     "QUBIT_PAIR",
 ]
 
-# (axis, angle) of each pre-rotation; None = no pulse
+# (axis, angle) of each pre-rotation; None = no pulse.  Sorted by label: the
+# order of a record's axes and of the state-tomography fit's rows, whose
+# order sets the last digits of the fit.
 SETTINGS: dict[str, tuple[str, float] | None] = {
     "I": None,
-    "X90": ("x", math.pi / 2),
     "X-90": ("x", -math.pi / 2),
     "X180": ("x", math.pi),
-    "Y90": ("y", math.pi / 2),
+    "X90": ("x", math.pi / 2),
     "Y-90": ("y", -math.pi / 2),
+    "Y90": ("y", math.pi / 2),
 }
 OUTCOMES = ("0", "1", "erasure")
 
@@ -89,31 +93,29 @@ def dual_rail_phase(register: ModeRegister, code: DualRailCode,
     return np.diag(np.exp(1j * theta * np.diag(n1)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Counts per (setting_control, setting_target, outcome_control,
-    outcome_target).  Counts may be fractional (exact probabilities)."""
+    """Counts, possibly fractional (exact probabilities), as a read-only
+    (6, 6, 3, 3) array indexed [setting_c, setting_t, outcome_c, outcome_t]
+    in SETTINGS and OUTCOMES order."""
 
-    counts: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
+    data: np.ndarray
 
-    def add(self, sc: str, st: str, oc: str, ot: str, count: float) -> None:
-        if not ({sc, st} <= SETTINGS.keys() and {oc, ot} <= set(OUTCOMES)):
-            raise ValueError(f"unknown setting or outcome in {(sc, st, oc, ot)!r}")
-        try:
-            valid = 0 <= count < math.inf
-        except TypeError:  # not a number
-            valid = False
-        if not valid:
-            raise ValueError(f"counts must be non-negative and finite, got {count!r}")
-        key = (sc, st, oc, ot)
-        self.counts[key] = self.counts.get(key, 0.0) + float(count)
+    def __post_init__(self):
+        data = np.asarray(self.data)
+        if data.shape != (6, 6, 3, 3):
+            raise ValueError(f"a record is a (6, 6, 3, 3) array, got shape {data.shape}")
+        if data.dtype.kind not in "iuf" or not (np.isfinite(data) & (data >= 0)).all():
+            raise ValueError("counts must be non-negative and finite real numbers")
+        data = data.astype(float)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
-    def settings(self) -> list[tuple[str, str]]:
-        return sorted({(sc, st) for sc, st, _, _ in self.counts})
-
-    def total(self, sc: str, st: str) -> float:
-        return sum(v for (s1, s2, _, _), v in self.counts.items()
-                   if (s1, s2) == (sc, st))
+    @cached_property
+    def counts(self) -> dict[tuple[str, str, str, str], float]:
+        """{(setting_c, setting_t, outcome_c, outcome_t): count}, built once."""
+        keys = itertools.product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES)
+        return dict(zip(keys, self.data.ravel().tolist()))
 
 
 def bell_circuit_record(n_gates: int = 1, *,
@@ -160,23 +162,15 @@ def bell_circuit_record(n_gates: int = 1, *,
     conf_c = readout.confusion_matrix(0)
     conf_t = readout.confusion_matrix(1)
 
-    rot_c, rot_t = ({label: (dual_rail_rotation(register, code, *spec)
-                             if spec else np.eye(register.dim))
-                     for label, spec in SETTINGS.items()}
+    rot_c, rot_t = ([dual_rail_rotation(register, code, *spec) if spec
+                     else np.eye(register.dim) for spec in SETTINGS.values()]
                     for code in (CONTROL_CODE, TARGET_CODE))
-
-    record = MeasurementRecord()
-    for sc in SETTINGS:
-        for st in SETTINGS:
-            u = rot_t[st] @ rot_c[sc]
-            rotated = u @ rho @ u.conj().T
-            true_probs = np.clip(np.bincount(outcome_pair, weights=np.diag(rotated).real,
-                                             minlength=9), 0.0, None).reshape(3, 3)
-            observed = conf_c.T @ true_probs @ conf_t
-            for i, oc in enumerate(OUTCOMES):
-                for j, ot in enumerate(OUTCOMES):
-                    record.add(sc, st, oc, ot, observed[i, j])
-    return record
+    # the 36 pre-rotation pairs in (sc, st) order, the target pulse after the control one
+    pulses = (r_t @ r_c for r_c, r_t in itertools.product(rot_c, rot_t))
+    true_probs = np.array([np.bincount(outcome_pair, weights=np.diag(u @ rho @ u.conj().T).real,
+                                       minlength=9) for u in pulses])
+    true_probs = np.clip(true_probs, 0.0, None).reshape(6, 6, 3, 3)
+    return MeasurementRecord(conf_c.T @ true_probs @ conf_t)
 
 
 def psd_project(mat: np.ndarray, trace: float | None = None) -> np.ndarray:
@@ -190,10 +184,20 @@ def psd_project(mat: np.ndarray, trace: float | None = None) -> np.ndarray:
     return out
 
 
-def _qubit_povm(label: str) -> dict[str, np.ndarray]:
-    r = setting_unitary(label)
-    return {"0": r.conj().T @ np.diag([1.0, 0.0]).astype(complex) @ r,
-            "1": r.conj().T @ np.diag([0.0, 1.0]).astype(complex) @ r}
+@lru_cache(maxsize=None)
+def _design() -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the tomography fit, built once: the conjugated, flattened
+    codespace POVM elements E, so that rows @ rho.reshape(-1) = Tr(E rho).
+    (6, 2, 4) on one qubit, [setting, outcome]; (6, 6, 2, 2, 16) on two,
+    [sc, st, oc, ot], each element the kron of the two one-qubit ones."""
+    rows = np.array([[(r.conj().T @ np.diag(p).astype(complex) @ r).conj()
+                      for p in ([1.0, 0.0], [0.0, 1.0])]
+                     for r in map(setting_unitary, SETTINGS)])
+    # [sc, st, oc, ot, i, k, j, l] -> row i*2+k, column j*2+l: np.kron's layout
+    pair = rows[:, None, :, None, :, None, :, None] * rows[None, :, None, :, None, :, None, :]
+    one, two = rows.reshape(6, 2, 4), pair.reshape(6, 6, 2, 2, 16)
+    one.flags.writeable = two.flags.writeable = False
+    return one, two
 
 
 def reconstruct_state(record: MeasurementRecord, postselect: bool = True) -> DensityMatrix:
@@ -202,39 +206,29 @@ def reconstruct_state(record: MeasurementRecord, postselect: bool = True) -> Den
     With postselect, erasure outcomes are dropped and each setting's
     codespace outcomes are renormalized, giving a unit-trace estimate;
     otherwise codespace frequencies stay referred to all shots and the
-    returned state is subnormalized by the erasure fraction.
+    returned state is subnormalized by the erasure fraction.  Setting
+    pairs with no shots to refer to are left out of the fit.
     """
-    rows: list[np.ndarray] = []
-    freqs: list[float] = []
-    for sc, st in record.settings():
-        total = record.total(sc, st)
-        if total <= 0:
-            continue
-        if postselect:
-            total = sum(record.counts.get((sc, st, oc, ot), 0.0)
-                        for oc in ("0", "1") for ot in ("0", "1"))
-            if total <= 0:
-                continue
-        povm_c, povm_t = _qubit_povm(sc), _qubit_povm(st)
-        for oc in ("0", "1"):
-            for ot in ("0", "1"):
-                rows.append(np.kron(povm_c[oc], povm_t[ot]).conj().reshape(-1))
-                freqs.append(record.counts.get((sc, st, oc, ot), 0.0) / total)
-    design = np.array(rows)
+    codespace = record.data[:, :, :2, :2]
+    shots = codespace if postselect else record.data
+    # cells added one by one in OUTCOMES order: numpy's pairwise sum would
+    # round the totals, and so the reported digits, differently
+    total = np.cumsum(shots.reshape(6, 6, -1), axis=-1)[..., -1]
+    kept = total > 0
+    design = _design()[1][kept].reshape(-1, 16)
     if np.linalg.matrix_rank(design) < 16:
         raise ValueError("measurement settings do not span the operator space")
-    vec, *_ = np.linalg.lstsq(design, np.array(freqs), rcond=None)
+    freqs = (codespace[kept] / total[kept][:, None, None]).reshape(-1)
+    vec, *_ = np.linalg.lstsq(design, freqs, rcond=None)
     rho = vec.reshape(4, 4)
     rho = psd_project(rho, trace=1.0 if postselect else min(np.real(rho.trace()), 1.0))
     return DensityMatrix(QUBIT_PAIR, rho, validate=False)
 
 
-def bell_metrics(rho: DensityMatrix | np.ndarray,
-                 reference: np.ndarray) -> tuple[float, float]:
+def bell_metrics(rho: DensityMatrix, reference: np.ndarray) -> tuple[float, float]:
     """(fidelity, purity) against the circuit's ideal output state."""
-    mat = rho.data if isinstance(rho, DensityMatrix) else rho
-    fidelity = float(np.real(reference.conj() @ mat @ reference))
-    purity = float(np.real(np.trace(mat @ mat)))
+    fidelity = float(np.real(reference.conj() @ rho.data @ reference))
+    purity = float(np.real(np.trace(rho.data @ rho.data)))
     return fidelity, purity
 
 
@@ -252,21 +246,15 @@ def process_tomography(channel: QuantumChannel, postselect: bool = True) -> np.n
     if channel.dim != 2:
         raise ValueError(f"process tomography takes a qubit channel, got dim {channel.dim}")
 
+    rows = _design()[0]
     inputs, outputs = [], []
     for ket in PREP_KETS.values():
         rho_in = np.outer(ket, ket.conj())
-        rho_out = channel.apply(rho_in)
-        rows, freqs = [], []
-        for label in SETTINGS:
-            povm = _qubit_povm(label)
-            probs = {o: float(np.real(np.trace(m @ rho_out))) for o, m in povm.items()}
-            norm = sum(probs.values()) if postselect else 1.0
-            if postselect and norm <= 0:
-                raise ValueError("postselection annihilated a preparation")
-            for o in ("0", "1"):
-                rows.append(povm[o].conj().reshape(-1))
-                freqs.append(probs[o] / norm)
-        vec, *_ = np.linalg.lstsq(np.array(rows), np.array(freqs), rcond=None)
+        probs = (rows @ channel.apply(rho_in).reshape(-1)).real
+        norm = probs.sum(axis=1, keepdims=True) if postselect else 1.0
+        if postselect and (norm <= 0).any():
+            raise ValueError("postselection annihilated a preparation")
+        vec, *_ = np.linalg.lstsq(rows.reshape(-1, 4), (probs / norm).reshape(-1), rcond=None)
         est = vec.reshape(2, 2)
         inputs.append(rho_in.reshape(-1))
         outputs.append(psd_project(est, trace=np.real(est.trace())).reshape(-1))

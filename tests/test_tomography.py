@@ -1,4 +1,5 @@
 """Erasure-aware state/process tomography and the simulated Bell circuit."""
+import itertools
 import math
 
 import numpy as np
@@ -113,33 +114,47 @@ def test_one_gate_bell_reference_matches_direct_construction():
     assert np.linalg.norm(_circuit_bell_reference(1)) == pytest.approx(1.0)
 
 
+RECORD_SHAPE = (6, 6, 3, 3)
+
+
 def test_measurement_record_bookkeeping():
-    rec = MeasurementRecord()
-    rec.add("I", "X90", "0", "1", 12.5)
-    rec.add("I", "X90", "0", "1", 2.5)
-    rec.add("I", "X90", "erasure", "0", 5.0)
-    rec.add("Y90", "I", "1", "1", 7.0)
-    assert rec.counts[("I", "X90", "0", "1")] == 15.0
-    assert rec.total("I", "X90") == 20.0
-    assert rec.settings() == [("I", "X90"), ("Y90", "I")]
-    with pytest.raises(ValueError, match="non-negative"):
-        rec.add("I", "I", "0", "0", -1.0)
+    data = np.arange(np.prod(RECORD_SHAPE)).reshape(RECORD_SHAPE)
+    rec = MeasurementRecord(data)
+    # integer counts are stored as a read-only float copy
+    assert rec.data.dtype == float and not rec.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rec.data[0, 0, 0, 0] = 1.0
+    data[0, 0, 0, 0] = 99
+    assert rec.data[0, 0, 0, 0] == 0.0
+    # the mapping reads the array in SETTINGS x SETTINGS x OUTCOMES x OUTCOMES
+    # order, as Python floats (the reports print them), and is built once
+    keys = list(itertools.product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES))
+    assert list(rec.counts) == keys
+    assert [rec.counts[k] for k in keys] == list(range(len(keys)))
+    assert all(type(v) is float for v in rec.counts.values())
+    i, j = list(SETTINGS).index("X-90"), list(SETTINGS).index("Y90")
+    assert rec.counts[("X-90", "Y90", "erasure", "0")] == data[i, j, 2, 0]
+    assert rec.counts is rec.counts
 
 
-@pytest.mark.parametrize("entry, match", [
-    (("Q", "I", "0", "0", 1.0), "unknown setting or outcome"),
-    (("I", "X45", "0", "0", 1.0), "unknown setting or outcome"),
-    (("I", "I", "2", "0", 1.0), "unknown setting or outcome"),
-    (("I", "I", "0", "leak", 1.0), "unknown setting or outcome"),
-    (("I", "I", "0", "0", math.nan), "non-negative and finite"),
-    (("I", "I", "0", "0", math.inf), "non-negative and finite"),
-    (("I", "I", "0", "0", "1.0"), "non-negative and finite"),
+def _record_list_with(entry):
+    data = np.full(RECORD_SHAPE, 0.25).tolist()
+    data[1][2][0][1] = entry
+    return data
+
+
+@pytest.mark.parametrize("data, match", [
+    pytest.param(np.full((6, 6, 2, 2), 0.25), "shape", id="wrong-shape"),
+    pytest.param(_record_list_with(math.nan), "finite", id="nan"),
+    pytest.param(_record_list_with(math.inf), "finite", id="inf"),
+    pytest.param(_record_list_with(-1e-300), "non-negative", id="negative"),
+    # dtypes are refused, not cast: 0.25 + 0j and "1.0" are not counts
+    pytest.param(np.full(RECORD_SHAPE, 0.25, dtype=complex), "real numbers", id="complex"),
+    pytest.param(_record_list_with("1.0"), "real numbers", id="string"),
 ])
-def test_measurement_record_refuses_what_reconstruction_cannot_use(entry, match):
-    rec = MeasurementRecord()
+def test_measurement_record_refuses_what_reconstruction_cannot_use(data, match):
     with pytest.raises(ValueError, match=match):
-        rec.add(*entry)
-    assert rec.counts == {}
+        MeasurementRecord(data)
 
 
 @pytest.mark.parametrize("run", [
@@ -195,12 +210,62 @@ def test_psd_project_clips_and_renormalizes(seed):
 
 
 def test_reconstruct_requires_a_spanning_setting_set():
-    rec = MeasurementRecord()
-    for oc in ("0", "1"):
-        for ot in ("0", "1"):
-            rec.add("I", "I", oc, ot, 0.25)
-    with pytest.raises(ValueError, match="span"):
-        reconstruct_state(rec)
+    # only (I, I) has shots; the other 35 pairs are left out of the fit
+    data = np.zeros(RECORD_SHAPE)
+    i = list(SETTINGS).index("I")
+    data[i, i, :2, :2] = 0.25
+    for postselect in (True, False):
+        with pytest.raises(ValueError, match="span"):
+            reconstruct_state(MeasurementRecord(data), postselect=postselect)
+
+
+def _perfect_readout_record(rho, trace):
+    """Exact outcome probabilities of a two-qubit codespace block rho read
+    out perfectly: Tr(P_oc x P_ot . U rho U^dag) with U the pre-rotation
+    pair, and the missing trace 1 - trace on (erasure, erasure)."""
+    projectors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    data = np.zeros(RECORD_SHAPE)
+    for a, sc in enumerate(SETTINGS):
+        for b, st in enumerate(SETTINGS):
+            u = np.kron(setting_unitary(sc), setting_unitary(st))
+            rotated = u @ rho @ u.conj().T
+            for oc, p_c in enumerate(projectors):
+                for ot, p_t in enumerate(projectors):
+                    data[a, b, oc, ot] = np.trace(np.kron(p_c, p_t) @ rotated).real
+            data[a, b, 2, 2] = 1.0 - trace
+    return MeasurementRecord(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_returns_the_measured_state(seed):
+    # direct-state oracle: the record is built here from the state with
+    # kron products and traces, not from the fit's design rows
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    trace = rng.uniform(0.5, 1.0)
+    rho = trace * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
+    rec = _perfect_readout_record(rho, trace)
+    raw = reconstruct_state(rec, postselect=False).data
+    post = reconstruct_state(rec, postselect=True).data
+    np.testing.assert_allclose(raw, rho, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(post, rho / trace, rtol=0, atol=1e-14)
+
+
+def test_reconstruct_state_builds_no_kron_products(monkeypatch):
+    rec = bell_circuit_record(1, readout=ReadoutModel.perfect())
+    reconstruct_state(rec)  # a one-time design build would not count
+    kron_calls = []
+    kron = np.kron
+
+    def counting_kron(a, b):
+        kron_calls.append((np.shape(a), np.shape(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    reconstruct_state(rec, postselect=True)
+    reconstruct_state(rec, postselect=False)
+    assert kron_calls == []
 
 
 def test_process_tomography_of_x90():
@@ -216,6 +281,13 @@ def test_process_tomography_of_x90():
 def test_process_tomography_refuses_a_channel_that_is_not_on_a_qubit():
     with pytest.raises(ValueError, match="qubit channel, got dim 3"):
         process_tomography(QuantumChannel(3, kraus=[np.eye(3, dtype=complex)]))
+
+
+def test_process_tomography_refuses_a_channel_that_annihilates_a_preparation():
+    # nothing is left to postselect on, so no outcome can be renormalized
+    zero = QuantumChannel(2, kraus=[np.zeros((2, 2))], validate=False)
+    with pytest.raises(ValueError, match="postselection annihilated a preparation"):
+        process_tomography(zero, postselect=True)
 
 
 def test_chi_error_reports_identity_for_a_perfect_gate():
