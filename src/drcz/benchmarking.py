@@ -1,10 +1,11 @@
 """Clifford machinery and randomized benchmarking with erasure postselection.
 
 Cliffords are generated by breadth-first closure over the native gateset
-{X(pi/2), Z(+-pi/2), Z(pi), CZ}.  Each is keyed by its signed
-Pauli-conjugation table, which fixes it exactly modulo global phase, so
-composing, inverting and finding a sequence's recovery are integer table
-lookups; each element's word of native gates multiplies out to it.  Noisy
+{X(pi/2), Z(+-pi/2), Z(pi), CZ}.  A group is one read-only int8 array of
+signed Pauli-conjugation tables, one row per element, which fix the
+elements exactly modulo global phase: composing two is one gather, and an
+element is found by one integer key, its images of X and Z on every qubit.
+Each element keeps a word of native gates that multiplies out to it.  Noisy
 sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.
@@ -16,10 +17,10 @@ one batched pass and one recovery Clifford computed per sequence.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _laye
                              qutrit_dephasing_kraus, qutrit_gate_channel)
 
 __all__ = [
-    "CliffordElement",
     "CliffordGroup",
     "generate_clifford_group",
     "NativeGateNoise",
@@ -76,10 +76,11 @@ def _two_qubit_gateset() -> dict[str, np.ndarray]:
     return gates
 
 
-# A Clifford modulo global phase is fixed by how it conjugates the Paulis,
-# signs included.  Its table has one entry per Pauli P_p (pauli_basis
-# order): q + 4^n s when u P_p u^dag = (-1)^s P_q.  Composing two Cliffords
-# is then indexing one table with the other.
+# A signed table has one entry per signed Pauli, P_p at p < 4^n (pauli_basis
+# order) and -P_p at p + 4^n: entry p is q + 4^n s when u P_p u^dag =
+# (-1)^s P_q, so composing two Cliffords is indexing one table with the
+# other.  The images of X and Z on every qubit (the stabilizer tableau)
+# already fix the Clifford; packed five bits each, they are its key.
 
 @lru_cache(maxsize=None)
 def _paulis(n_qubits: int) -> np.ndarray:
@@ -88,65 +89,44 @@ def _paulis(n_qubits: int) -> np.ndarray:
     return paulis
 
 
-def _pauli_table(u: np.ndarray, n_qubits: int) -> tuple[int, ...] | None:
-    """The signed Pauli image of unitary u, or None if u is not a Clifford.
+def _pauli_table(u: np.ndarray, n_qubits: int) -> np.ndarray | None:
+    """The signed table of unitary u, or None if u is not a Clifford.
 
     Read from the trace overlaps tr(P_q u P_p u^dag)/d, which are +-1 for
-    one q and 0 for the rest exactly when u is a Clifford."""
+    one q and 0 for the rest exactly when u is a Clifford (a unitary's
+    squared overlaps sum to one, so integer overlaps are one +-1)."""
     paulis = _paulis(n_qubits)
     n, d = paulis.shape[:2]
     images = u @ paulis @ u.conj().T
     overlaps = np.einsum("qji,pij->pq", paulis, images).real / d
-    rows = np.arange(n)
-    hit = np.argmax(np.abs(overlaps), axis=1)
-    negative = overlaps[rows, hit] < 0
-    signed = np.zeros_like(overlaps)
-    signed[rows, hit] = np.where(negative, -1.0, 1.0)
+    signed = np.round(overlaps)
     if np.max(np.abs(overlaps - signed)) > 1e-6:
         return None
-    return tuple(int(q) + n * int(s) for q, s in zip(hit, negative))
+    table = np.argmax(np.abs(signed), axis=1) + n * (signed.sum(axis=1) < 0)
+    return np.concatenate([table, (table + n) % (2 * n)]).astype(np.int8)
 
 
-def _signed(table: tuple[int, ...]) -> tuple[int, ...]:
-    """The table extended to the negated Paulis, so it can be indexed by
-    any signed Pauli."""
-    n = len(table)
-    return table + tuple((k + n) % (2 * n) for k in table)
+def _keys(tables: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The integer key of each signed table (last axis): the images of X
+    and Z on every qubit (IX, IZ, XI, ZI on two)."""
+    columns = [pauli * 4 ** k for k in range(n_qubits) for pauli in (1, 3)]
+    return tables[..., columns] @ 32 ** np.arange(2 * n_qubits)
 
 
-def _then(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    """Table of the Clifford inner followed by outer."""
-    return tuple(map(_signed(outer).__getitem__, inner))
-
-
-def _inverse_table(table: tuple[int, ...]) -> tuple[int, ...]:
-    """u P_p u^dag = (-1)^s P_q means u^dag P_q u = (-1)^s P_p."""
-    n = len(table)
-    inverse = [0] * n
-    for p, k in enumerate(table):
-        inverse[k % n] = p + k - k % n
-    return tuple(inverse)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class CliffordElement:
-    """Signed Pauli-conjugation table plus one generator word that
-    replays to the element."""
-
-    table: tuple[int, ...]
-    word: tuple[str, ...]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CliffordGroup:
+    """Read-only: row i of `tables` is element i's signed table, `words[i]`
+    a generator word that replays to it, `inverses[i]` its inverse's index."""
+
     n_qubits: int
-    gateset: dict[str, np.ndarray]
-    elements: list[CliffordElement]
-    inverses: list[int]
-    _index: dict[tuple[int, ...], int]
+    gateset: Mapping[str, np.ndarray]
+    tables: np.ndarray
+    words: tuple[tuple[str, ...], ...]
+    inverses: np.ndarray
+    _index: Mapping[int, int]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def index_of(self, u: np.ndarray) -> int:
         """Index of the element equal to u up to global phase."""
@@ -158,48 +138,56 @@ class CliffordGroup:
         if not np.allclose(u.conj().T @ u, np.eye(dim), rtol=0, atol=1e-6):
             raise ValueError("matrix is not unitary")
         table = _pauli_table(u, self.n_qubits)
-        if table not in self._index:
+        index = None if table is None else self._index.get(int(_keys(table, self.n_qubits)))
+        if index is None:
             raise ValueError("unitary is not in the generated Clifford group")
-        return self._index[table]
+        return index
 
-    def inverse_of(self, table: tuple[int, ...]) -> int:
+    def inverse_of(self, table: np.ndarray) -> int:
         """Index of the element that undoes the Clifford with this table."""
-        return self.inverses[self._index[table]]
+        return int(self.inverses[self._index[int(_keys(table, self.n_qubits))]])
 
 
-_GROUP_CACHE: dict[int, CliffordGroup] = {}
-
-
+@lru_cache(maxsize=None)
 def generate_clifford_group(n_qubits: int) -> CliffordGroup:
     """Breadth-first closure of the native gateset; 24 or 11520 elements.
 
-    The search composes Pauli tables only; the order in which it meets
-    the elements fixes which sequence each RB seed draws."""
+    The search composes a whole layer at a time and meets its products by
+    parent, then by generator, as a first-in-first-out queue would; that
+    order fixes which sequence each RB seed draws.  Built once per process."""
     if n_qubits not in (1, 2):
         raise ValueError("only 1- or 2-qubit groups are generated")
-    if n_qubits in _GROUP_CACHE:
-        return _GROUP_CACHE[n_qubits]
     gateset = dict(_ONE_QUBIT_GATES) if n_qubits == 1 else _two_qubit_gateset()
-    generators = {name: _signed(_pauli_table(gate, n_qubits)) for name, gate in gateset.items()}
+    for gate in gateset.values():
+        gate.setflags(write=False)
+    names = tuple(gateset)
+    generators = np.stack([_pauli_table(gate, n_qubits) for gate in gateset.values()])
 
-    identity = tuple(range(4 ** n_qubits))
-    elements = [CliffordElement(identity, ())]
-    index = {identity: 0}
-    queue: deque[int] = deque([0])
-    while queue:
-        base = elements[queue.popleft()]
-        for name, generator in generators.items():
-            table = tuple(map(generator.__getitem__, base.table))
-            if table not in index:
-                index[table] = len(elements)
-                queue.append(len(elements))
-                elements.append(CliffordElement(table, base.word + (name,)))
+    n = 4 ** n_qubits
+    layer = np.arange(2 * n, dtype=np.int8)[None]
+    layers, words = [layer], [()]
+    index = {int(_keys(layer[0], n_qubits)): 0}
+    while len(layer):
+        first = len(words) - len(layer)
+        products = np.swapaxes(generators[:, layer], 0, 1).reshape(-1, 2 * n)
+        kept = []
+        for pos, key in enumerate(_keys(products, n_qubits).tolist()):
+            if key not in index:
+                index[key] = len(index)
+                kept.append(pos)
+        words += [words[first + pos // len(names)] + (names[pos % len(names)],) for pos in kept]
+        layer = products[kept]
+        layers.append(layer)
+    tables = np.concatenate(layers)
 
-    inverses = [index[_inverse_table(e.table)] for e in elements]
-    group = CliffordGroup(n_qubits=n_qubits, gateset=gateset,
-                          elements=elements, inverses=inverses, _index=index)
-    _GROUP_CACHE[n_qubits] = group
-    return group
+    # u P_p u^dag = (-1)^s P_q means u^dag P_q u = (-1)^s P_p
+    unsigned = tables[:, :n]
+    inverse = np.empty_like(unsigned)
+    np.put_along_axis(inverse, unsigned % n, np.arange(n) + unsigned - unsigned % n, axis=1)
+    inverses = np.array([index[key] for key in _keys(inverse, n_qubits).tolist()])
+    tables.flags.writeable = inverses.flags.writeable = False
+    return CliffordGroup(n_qubits=n_qubits, gateset=MappingProxyType(gateset), tables=tables,
+                         words=tuple(words), inverses=inverses, _index=MappingProxyType(index))
 
 
 # --- native-gate noise ------------------------------------------------------
@@ -333,6 +321,14 @@ class RBRecord:
         return self.kept_fraction.mean(axis=1)
 
 
+def _integers(values: Iterable, name: str) -> tuple[int, ...]:
+    """The values as ints; a bool or a non-integer is refused, not truncated."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return tuple(map(int, values))
+
+
 def _sequence_indices(group_size: int, depth: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, depth])
     return rng.integers(0, group_size, size=depth)
@@ -345,13 +341,13 @@ def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
 
     The recovery inverts the ideal net Clifford of the sequence, with group
     element interleave (if given) after every Clifford; the net Clifford
-    is tracked as a Pauli table."""
+    is tracked as a signed table, one gather per Clifford."""
     indices = _sequence_indices(len(group), depth, seed)
-    net = group.elements[0].table
+    net = group.tables[0]
     for idx in indices:
-        net = _then(group.elements[idx].table, net)
+        net = group.tables[idx][net]
         if interleave is not None:
-            net = _then(group.elements[interleave].table, net)
+            net = group.tables[interleave][net]
     return indices, group.inverse_of(net)
 
 
@@ -383,8 +379,8 @@ def simulate_rb(noise: NativeGateNoise,
     is a dedicated channel rather than a member of the gateset, and must
     equal the native's (up to global phase) when it is one.
     """
-    depths = tuple(int(d) for d in depths)
-    seeds = tuple(int(s) for s in seeds)
+    depths = _integers(depths, "depths")
+    seeds = _integers(seeds, "seeds")
     if not depths or min(depths) < 1:
         raise ValueError("depths must be positive")
     if not seeds:
@@ -420,11 +416,11 @@ def simulate_rb(noise: NativeGateNoise,
                 group, depth, seed, interleave_index)
             vec = vec0
             for idx in indices:
-                for gate in group.elements[idx].word:
+                for gate in group.words[idx]:
                     vec = noise.superops[gate] @ vec
                 if interleave is not None:
                     vec = noise.superops[interleave] @ vec
-            for gate in group.elements[recovery].word:
+            for gate in group.words[recovery]:
                 vec = noise.superops[gate] @ vec
             survival, kept = _readout_stats(vec, spam)
             raw[i, j] = survival
@@ -535,7 +531,7 @@ def _interleaved_ideal_rb(superops: np.ndarray,
 
     def conj_clifford(idx: int) -> np.ndarray:
         u = np.eye(9, dtype=complex)
-        for gate in group.elements[idx].word:
+        for gate in group.words[idx]:
             u = natives[gate] @ u
         return u.conj()
 
@@ -594,9 +590,9 @@ def irb_accuracy_study(operating_point: ChannelRates,
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
+    depths = _integers(depths, "depths")
+    sequence_seeds = _integers(sequence_seeds, "sequence_seeds")
     samples = _draw_rates(n_samples, seed) + [operating_point]
-    depths = tuple(int(d) for d in depths)
-    sequence_seeds = tuple(int(s) for s in sequence_seeds)
     group = generate_clifford_group(2)
     reference_fit = fit_linear_fidelity(
         simulate_rb(NativeGateNoise.ideal(), depths, sequence_seeds))
@@ -650,6 +646,8 @@ def simulate_bitflip_protocol(initial: str,
     """
     if initial not in ("0", "1"):
         raise ValueError("initial state must be '0' or '1'")
+    if isinstance(n_gates, bool) or not isinstance(n_gates, (int, np.integer)):
+        raise ValueError(f"n_gates must be an integer, got {n_gates!r}")
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
     level = int(initial)

@@ -52,6 +52,23 @@ def test_clifford_group_sizes():
         generate_clifford_group(3)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_the_cached_group_is_shared_and_cannot_be_written(n_qubits):
+    # every RB run in a process reads this one object, so no caller may
+    # change what the next one draws
+    group = generate_clifford_group(n_qubits)
+    assert generate_clifford_group(n_qubits) is group
+    assert isinstance(group.words, tuple)
+    for array in (group.tables, group.inverses, *group.gateset.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    with pytest.raises(TypeError):
+        group.gateset["T"] = np.eye(2 ** n_qubits)
+    with pytest.raises(AttributeError):
+        group.inverses = np.zeros(len(group), dtype=int)
+    assert len(generate_clifford_group(n_qubits)) == (24, 11520)[n_qubits - 1]
+
+
 def _replay(group, word):
     """The unitary of a word of native gates, applied left to right."""
     u = np.eye(2 ** group.n_qubits, dtype=complex)
@@ -64,18 +81,17 @@ def test_clifford_words_replay_to_their_unitaries():
     group = generate_clifford_group(2)
     picks = [0, 1, 17, 523, 4096, 11519]
     for i in picks:
-        element = group.elements[i]
-        assert group.index_of(_replay(group, element.word)) == i
+        assert group.index_of(_replay(group, group.words[i])) == i
     # inverse table really inverts: the product is the identity up to phase
     for i in picks:
-        product = (_replay(group, group.elements[group.inverses[i]].word)
-                   @ _replay(group, group.elements[i].word))
+        product = (_replay(group, group.words[group.inverses[i]])
+                   @ _replay(group, group.words[i]))
         np.testing.assert_allclose(product / product[0, 0], np.eye(4), rtol=0, atol=1e-9)
 
 
 def test_index_of_is_phase_invariant():
     group = generate_clifford_group(2)
-    u = _replay(group, group.elements[37].word)
+    u = _replay(group, group.words[37])
     assert group.index_of(np.exp(0.3j) * u) == 37
     t_gate = np.kron(np.diag([1.0, np.exp(0.25j * math.pi)]), np.eye(2))
     with pytest.raises(ValueError, match="not in the generated"):
@@ -115,7 +131,7 @@ def _pauli_strings(n_qubits):
 def _replayed(n_qubits):
     """Every element's unitary, replayed gate by gate from its word."""
     group = generate_clifford_group(n_qubits)
-    return np.array([_replay(group, e.word) for e in group.elements])
+    return np.array([_replay(group, word) for word in group.words])
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -134,7 +150,7 @@ def test_clifford_tables_are_the_pauli_conjugation_of_the_words(n_qubits):
         np.testing.assert_allclose(np.abs(overlaps).sum(axis=2), 1.0, atol=1e-9)
         np.testing.assert_allclose(np.abs(sign), 1.0, atol=1e-9)
         expected = q + n * (sign < 0)
-        got = np.array([e.table for e in group.elements[start:start + 1024]])
+        got = group.tables[start:start + 1024, :n]
         np.testing.assert_array_equal(got, expected)
 
 
@@ -153,7 +169,7 @@ GROUP_DIGESTS = {
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_clifford_order_words_and_inverses_are_frozen(n_qubits):
     group = generate_clifford_group(n_qubits)
-    words = "\n".join(" ".join(e.word) for e in group.elements)
+    words = "\n".join(" ".join(word) for word in group.words)
     inverses = ",".join(str(int(k)) for k in group.inverses)
     assert (hashlib.sha256(words.encode()).hexdigest(),
             hashlib.sha256(inverses.encode()).hexdigest()) == GROUP_DIGESTS[n_qubits]
@@ -438,6 +454,38 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
                        sequence_seeds=tuple(range(4)))
     # 12 sequences for the reference run plus 12 for all four channels at once
     assert len(calls) == 24
+
+
+@pytest.mark.parametrize("run, match", [
+    pytest.param(lambda: simulate_rb(NativeGateNoise.ideal(), (1.7, 2.2), (0,)),
+                 "depths must be integers", id="rb-fractional-depths"),
+    pytest.param(lambda: simulate_rb(NativeGateNoise.ideal(), (1, 2), (0.9,)),
+                 "seeds must be integers", id="rb-fractional-seed"),
+    pytest.param(lambda: simulate_rb(NativeGateNoise.ideal(), (True, 2), (0,)),
+                 "depths must be integers", id="rb-bool-depth"),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2, depths=(1, 2, 3.5),
+                                            sequence_seeds=(0,)),
+                 "depths must be integers", id="irb-accuracy-fractional-depth"),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2, depths=(1, 2, 3),
+                                            sequence_seeds=(False, 1)),
+                 "sequence_seeds must be integers", id="irb-accuracy-bool-seed"),
+    pytest.param(lambda: simulate_bitflip_protocol("0", True, noise=NativeGateNoise.ideal()),
+                 "n_gates must be an integer", id="bitflip-bool-count"),
+    pytest.param(lambda: simulate_bitflip_protocol("0", 2.5, noise=NativeGateNoise.ideal()),
+                 "n_gates must be an integer", id="bitflip-fractional-count"),
+])
+def test_rb_inputs_refuse_what_is_not_an_integer(run, match):
+    # refused, not truncated: int() would run depths (1, 2) and seed 0
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
+def test_rb_inputs_take_numpy_integers():
+    noise = NativeGateNoise.ideal()
+    record = simulate_rb(noise, np.array([1, 2]), np.arange(2))
+    assert record.depths == (1, 2) and record.seeds == (0, 1)
+    assert all(type(k) is int for k in record.depths + record.seeds)
+    assert simulate_bitflip_protocol("0", np.int64(3), noise=noise).apparent_flip == 0.0
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -14,7 +14,9 @@ from drcz.cli import _circuit_bell_reference
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
-from drcz.gate import CONTROL_CODE, TARGET_CODE, build_schedule
+from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
+                       extract_local_frame, ideal_unitary)
+from drcz.lindblad import gate_superoperator
 from drcz.tomography import (
     OUTCOMES,
     SETTINGS,
@@ -250,6 +252,50 @@ def test_reconstruction_returns_the_measured_state(seed):
     post = reconstruct_state(rec, postselect=True).data
     np.testing.assert_allclose(raw, rho, rtol=0, atol=1e-14)
     np.testing.assert_allclose(post, rho / trace, rtol=0, atol=1e-14)
+
+
+def _bell_circuit_block(n_gates, params, noise):
+    """Codespace block of the Bell circuit's register state before readout,
+    composed here in Fock space one step at a time: X(pi/2) on both qubits,
+    then each noisy gate and its frame correction, with the X(pi) x X(pi)
+    echo after gate (n_gates - 1) / 2 when n_gates is odd and at least 3."""
+    register = ModeRegister.standard(2)
+    schedule = build_schedule(params, register)
+    frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
+    gate = gate_superoperator(schedule, noise)
+
+    def pulse(rho, code, axis, angle):
+        u = dual_rail_rotation(register, code, axis, angle)
+        return u @ rho @ u.conj().T
+
+    ket = register.basis_state({CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1})
+    rho = pulse(pulse(np.outer(ket, ket.conj()), CONTROL_CODE, "x", math.pi / 2),
+                TARGET_CODE, "x", math.pi / 2)
+    for k in range(1, n_gates + 1):
+        rho = gate.apply(rho)
+        for code, phi in ((CONTROL_CODE, frame.phi_control), (TARGET_CODE, frame.phi_target)):
+            z = dual_rail_phase(register, code, -phi)
+            rho = z @ rho @ z.conj().T
+        if n_gates >= 3 and n_gates % 2 == 1 and k == (n_gates - 1) // 2:
+            rho = pulse(pulse(rho, CONTROL_CODE, "x", math.pi), TARGET_CODE, "x", math.pi)
+    return codespace_block(register, rho)
+
+
+@pytest.mark.parametrize("n_gates", [1, 2, 3, 5])
+def test_circuit_reconstruction_returns_the_circuit_state(table_params, n_gates):
+    # circuit-level oracle: with perfect readout, the tomography of the
+    # simulated record is the circuit's own codespace block, renormalized
+    # when postselected
+    noise = NoiseModel.from_params(table_params)
+    block = _bell_circuit_block(n_gates, table_params, noise)
+    trace = np.trace(block).real
+    assert trace < 1.0 - 1e-3  # the device noise loses photons
+    rec = bell_circuit_record(n_gates, params=table_params, noise=noise,
+                              readout=ReadoutModel.perfect())
+    np.testing.assert_allclose(reconstruct_state(rec, postselect=False).data, block,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(reconstruct_state(rec, postselect=True).data, block / trace,
+                               rtol=0, atol=1e-14)
 
 
 def test_reconstruct_state_builds_no_kron_products(monkeypatch):
