@@ -588,6 +588,8 @@ def irb_accuracy_study(operating_point: ChannelRates,
     value is the postselected entanglement infidelity of the channel; the
     operating point takes no part in the slope fit.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
     depths = _integers(depths, "depths")

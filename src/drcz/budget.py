@@ -12,6 +12,10 @@ channel, referenced to the exact noiseless gate so the deterministic
 local frame does not count as error.  (The chi-error diagonal carries no
 measurable X/Y weight at the calibrated operating point; renormalizing
 over the four Z-type entries makes the nine classes an exact partition.)
+
+Both are read off the whole-gate map (`lindblad.GateMap`): the channel
+is its block of codespace columns and rows, the populations are its
+diagonal rows of the four diagonal-unit columns.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .config import DeviceConfig
 from .fock import ModeRegister
-from .gate import (OCCUPANCY_CLASSES, GateSchedule, SystemParams, build_schedule,
+from .gate import (OCCUPANCY_CLASSES, SystemParams, build_schedule,
                    codespace_basis_indices, codespace_block, ideal_unitary,
                    occupancy_classes)
 from .lindblad import NoiseModel, gate_superoperator
@@ -61,6 +65,8 @@ class ErrorBudget:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         total = self.total
@@ -81,21 +87,6 @@ class ErrorBudget:
                 + self.stuck_in_coupler + self.lone_coupler_excitation)
 
 
-def _gate_outputs(schedule: GateSchedule, noise: NoiseModel,
-                  inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Apply the whole-gate map to a batch of (not necessarily Hermitian)
-    input matrices."""
-    gate = gate_superoperator(schedule, noise)
-    outs = [gate.apply(m) for m in inputs]
-    if schedule.register.dim > 64:
-        # Known defect, recorded in perfbench/reference.json: Hermitizing the
-        # image of a non-Hermitian unit |i><j| mixes in that of |j><i| and
-        # spoils the truncation-3 Z split.  Its fix re-records the reference
-        # and flips the strict xfail in tests/test_lindblad.py.
-        outs = [(o + o.conj().T) / 2 for o in outs]
-    return outs
-
-
 def compute_error_budget(config: DeviceConfig | SystemParams, *,
                          ensemble: Sequence[float] | None = None,
                          truncation: int = 2,
@@ -111,7 +102,6 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
     register = ModeRegister.standard(truncation)
     schedule = build_schedule(p, register,
                               include_static_crosskerr=include_static_crosskerr)
-    noise = NoiseModel.from_params(p)
     idx = codespace_basis_indices(register)
 
     if ensemble is None:
@@ -120,28 +110,35 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
         weights = np.asarray(ensemble, dtype=float)
         if weights.shape != (4,) or np.any(weights < 0.0):
             raise ValueError("ensemble must be four nonnegative weights")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"ensemble weights must be finite, got {weights!r}")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {weights.sum()!r}, not 1")
 
-    d = register.dim
-    units = []
-    for b in range(4):
-        for a in range(4):
-            m = np.zeros((d, d), dtype=complex)
-            m[idx[a], idx[b]] = 1.0
-            units.append(m)
-    outs = _gate_outputs(schedule, noise, units)
+    gate = gate_superoperator(schedule, NoiseModel.from_params(p))
+    # positions of the 16 codespace units |i><j| in column-stacking order
+    position = {rc: k for k, rc in enumerate(zip(gate.rows.tolist(), gate.cols.tolist()))}
+    code = [position[i, j] for j in idx for i in idx]
+    s4 = gate.superop[np.ix_(code, code)]
+    if register.dim > 64:
+        # Known defect, recorded in perfbench/reference.json: Hermitizing the
+        # image of a non-Hermitian unit |i><j| mixes in that of |j><i| and
+        # spoils the truncation-3 Z split.  Its fix re-records the reference
+        # and flips the strict xfail in tests/test_lindblad.py.
+        blocks = s4.T.reshape(16, 4, 4)
+        s4 = ((blocks + blocks.conj().transpose(0, 2, 1)) / 2).reshape(16, 16).T
 
-    rho_mix = sum(w * outs[5 * k] for k, w in enumerate(weights))
+    # output populations of the diagonal inputs; Hermitizing keeps them exact
+    diagonal = gate.rows == gate.cols
+    populations = np.zeros(register.dim)
+    populations[gate.rows[diagonal]] = np.real(sum(
+        w * gate.superop[diagonal, code[5 * k]] for k, w in enumerate(weights)))
     # bincount adds in basis-index order, so the class sums are reproducible
     pops = dict(zip(OCCUPANCY_CLASSES, np.bincount(
-        occupancy_classes(register), weights=np.real(np.diag(rho_mix)),
+        occupancy_classes(register), weights=populations,
         minlength=len(OCCUPANCY_CLASSES))))
     code_mass = pops.pop("codespace")
 
-    s4 = np.zeros((16, 16), dtype=complex)
-    for col, out in enumerate(outs):
-        s4[:, col] = out[np.ix_(idx, idx)].reshape(-1, order="F")
     conditioned = QuantumChannel(4, superop=s4, validate=False)
     reference = codespace_block(register, ideal_unitary(schedule))
     chi_err = chi_error(conditioned.chi(), reference)

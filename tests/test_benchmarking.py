@@ -469,6 +469,15 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
     pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2, depths=(1, 2, 3),
                                             sequence_seeds=(False, 1)),
                  "sequence_seeds must be integers", id="irb-accuracy-bool-seed"),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2.5, depths=(1, 2, 3),
+                                            sequence_seeds=(0,)),
+                 "n_samples must be an integer", id="irb-accuracy-fractional-samples"),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=3.0, depths=(1, 2, 3),
+                                            sequence_seeds=(0,)),
+                 "n_samples must be an integer", id="irb-accuracy-float-samples"),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=True, depths=(1, 2, 3),
+                                            sequence_seeds=(0,)),
+                 "n_samples must be an integer", id="irb-accuracy-bool-samples"),
     pytest.param(lambda: simulate_bitflip_protocol("0", True, noise=NativeGateNoise.ideal()),
                  "n_gates must be an integer", id="bitflip-bool-count"),
     pytest.param(lambda: simulate_bitflip_protocol("0", 2.5, noise=NativeGateNoise.ideal()),

@@ -1,5 +1,6 @@
 """Nine-class per-gate error budget and coherence-limit scalings."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from drcz import ModeRegister, SystemParams
 from drcz.budget import (CoherenceLimits, ErrorBudget, compute_error_budget,
                          fundamental_limits)
+from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
 from drcz.gate import (OCCUPANCY_CLASSES, build_schedule, codespace_basis_indices,
-                       ideal_unitary, occupancy_classes)
+                       codespace_block, ideal_unitary, occupancy_classes)
+from drcz.lindblad import NoiseModel, gate_superoperator
+from drcz.tomography import chi_error
 
 # Frozen budget of the measured device (listed t1 order, split dephasing).
 FROZEN = {
@@ -46,6 +50,12 @@ def test_budget_is_an_exact_partition(budget):
 
 
 def test_budget_validation():
+    with pytest.raises(ValueError, match="control_loss must be finite"):
+        ErrorBudget(*[math.nan] * 9)
+    with pytest.raises(ValueError, match="zz must be finite"):
+        ErrorBudget(control_loss=0.0, target_loss=0, double_loss=0,
+                    stuck_in_coupler=0, lone_coupler_excitation=0,
+                    control_z=0, target_z=0, zz=math.nan, no_error=1.0)
     with pytest.raises(ValueError, match="must be nonnegative"):
         ErrorBudget(control_loss=-0.1, target_loss=0, double_loss=0,
                     stuck_in_coupler=0, lone_coupler_excitation=0,
@@ -54,6 +64,51 @@ def test_budget_validation():
         ErrorBudget(control_loss=0.0, target_loss=0, double_loss=0,
                     stuck_in_coupler=0, lone_coupler_excitation=0,
                     control_z=0, target_z=0, zz=0, no_error=0.9)
+
+
+def _budget_oracle(params, truncation, include_static_crosskerr):
+    """The budget the long way round: each of the 16 codespace units |i><j|
+    pushed through the whole-gate map as a register matrix, the outputs
+    Hermitized above dimension 64 (the truncation-3 defect the budget keeps),
+    then the occupancy sums and the chi-error Z split."""
+    register = ModeRegister.standard(truncation)
+    schedule = build_schedule(params, register,
+                              include_static_crosskerr=include_static_crosskerr)
+    gate = gate_superoperator(schedule, NoiseModel.from_params(params))
+    idx = codespace_basis_indices(register)
+    d = register.dim
+    outs = []
+    for j in idx:
+        for i in idx:
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            out = gate.apply(unit)
+            outs.append((out + out.conj().T) / 2 if d > 64 else out)
+    rho = sum(w * outs[5 * k] for k, w in enumerate(np.full(4, 0.25)))
+    pops = dict(zip(OCCUPANCY_CLASSES, np.bincount(
+        occupancy_classes(register), weights=np.real(np.diag(rho)),
+        minlength=len(OCCUPANCY_CLASSES))))
+    code_mass = pops.pop("codespace")
+    s4 = np.array([out[np.ix_(idx, idx)].reshape(-1, order="F") for out in outs]).T
+    chi_err = chi_error(QuantumChannel(4, superop=s4, validate=False).chi(),
+                        codespace_block(register, ideal_unitary(schedule)))
+    # II, IZ, ZI, ZZ in the lexicographic two-qubit Pauli order
+    z_diag = np.clip(np.real(np.diag(chi_err)), 0.0, None)[[0, 3, 12, 15]]
+    split = dict(zip(("no_error", "target_z", "control_z", "zz"),
+                     code_mass * (z_diag / z_diag.sum())))
+    return {name: max(0.0, float(v)) for name, v in {**pops, **split}.items()}
+
+
+@pytest.mark.parametrize("truncation, static_kerr", [
+    pytest.param(2, False, id="truncation-2"),
+    pytest.param(3, False, id="truncation-3"),
+    pytest.param(2, True, id="static-kerr"),
+])
+def test_budget_equals_the_unit_matrix_oracle(table_params, truncation, static_kerr):
+    budget = compute_error_budget(table_params, truncation=truncation,
+                                  include_static_crosskerr=static_kerr)
+    oracle = _budget_oracle(table_params, truncation, static_kerr)
+    assert budget.as_dict() == oracle
 
 
 def test_noiseless_budget_has_no_error_only():
@@ -96,6 +151,11 @@ def test_ensemble_validation():
         compute_error_budget(cfg, ensemble=(-0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="weights sum to"):
         compute_error_budget(cfg, ensemble=(0.5, 0.5, 0.5, 0.5))
+    # refused where they enter, not after the gate map is built
+    with pytest.raises(ValueError, match="weights must be finite"):
+        compute_error_budget(cfg, ensemble=(math.nan, 0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        compute_error_budget(cfg, ensemble=(math.inf, 0.0, 0.0, 0.0))
 
 
 def test_swapped_t1_order_moves_entries_less_than_ten_percent(budget):
