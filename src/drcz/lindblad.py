@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import ModeRegister, build_mode_operator
 from .gate import GateSchedule, SystemParams, _connected_blocks
@@ -52,6 +51,12 @@ __all__ = [
 
 # photons in two dual-rail qubits: the gate map acts on states with at most this many
 SECTOR_PHOTONS = 2
+
+
+def expm(a):
+    """scipy.linalg.expm, imported on first use so `import drcz` loads no scipy."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)

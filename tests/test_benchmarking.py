@@ -2,10 +2,6 @@
 import functools
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +27,6 @@ from drcz.benchmarking import (_draw_rates, _interleaved_ideal_rb, _sequence_ind
 from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, QUBIT_BLOCK, qutrit_gate_channel
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Frozen apparent bit-flip fraction of an idle |0_L> spectator after 50
 # gates, read through the one-round confusion matrix.
@@ -505,11 +499,3 @@ def test_irb_accuracy_study_validates_inputs(kwargs, match):
     with pytest.raises(ValueError, match=match):
         irb_accuracy_study(OPERATING_POINT, depths=(1, 2, 3), sequence_seeds=(0,), **kwargs)
 
-
-def test_import_leaves_scipy_optimize_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, drcz; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"

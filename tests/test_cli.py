@@ -266,10 +266,14 @@ def test_irb_accuracy_reads_its_operating_point_from_the_config(tmp_path, capsys
     assert abs(moved - default) > 1e-4
 
 
+def _env(**extra):
+    """This environment with the checkout's src first on the import path."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _report_bytes(out_dir, blas_threads, runs):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _env(OPENBLAS_NUM_THREADS=str(blas_threads))
     reports = {}
     for run in runs:
         run_dir = out_dir / "_".join(run)
@@ -278,6 +282,30 @@ def _report_bytes(out_dir, blas_threads, runs):
         reports.update({f"{run_dir.name}/{p.name}": p.read_bytes()
                         for p in sorted(run_dir.iterdir())})
     return reports
+
+
+# the experiments that build no open-system gate map and fit no free decay
+SCIPY_FREE = ("gate-unitary", "leakage-propagation", "calibration", "limits",
+              "bitflip", "irb", "irb-accuracy")
+
+
+def _scipy_modules_after(code):
+    code += "\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
+def test_import_and_the_scipy_free_experiments_load_no_scipy(tmp_path):
+    # scipy is imported only inside the functions that call it
+    # (lindblad.expm and the rb fit), so neither importing the package nor
+    # running an experiment that never reaches them loads any scipy module
+    assert _scipy_modules_after("import sys, drcz") == "[]"
+    runs = "\n".join(f"run_experiment({name!r}, cfg, {str(tmp_path / name)!r})"
+                      for name in SCIPY_FREE)
+    code = ("import sys\nfrom drcz.cli import run_experiment\n"
+            f"from drcz.config import DeviceConfig\ncfg = DeviceConfig.default()\n{runs}")
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):

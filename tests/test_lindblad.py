@@ -244,6 +244,14 @@ def _production_blocks(schedule, noise, gate):
     return blocks, gens
 
 
+def test_expm_is_scipy_expm_on_a_stacked_input():
+    # the wrapper only defers scipy's import: a stacked (B, m, m) complex
+    # input gives scipy's result bit for bit
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(5, 24, 24)) + 1j * rng.normal(size=(5, 24, 24))
+    assert np.array_equal(lindblad.expm(stack), expm(stack))
+
+
 @pytest.mark.parametrize("kerr", [False, True])
 @pytest.mark.parametrize("truncation, count, largest", [(2, 25, 24), (3, 55, 35)])
 def test_gate_map_is_an_exact_direct_sum_of_small_blocks(table_params, monkeypatch,
