@@ -14,8 +14,9 @@ point off it.  The swap-back segment at pump phase phi is a rotated copy
 of it, H(phi) = D^dag H(0) D with D = exp(i phi n_c), because the
 dispersive term commutes with n_c; so its propagator is D^dag U_swap D.
 The wait Hamiltonian holds only number-operator products, so it is
-diagonal and its propagator is a phase per Fock state.  A grid point
-then costs diagonal phases and one 32x32 product.
+diagonal and its propagator is a phase per Fock state.  Everything runs
+on the schedule's 16-state photon sector (`gate.GateSchedule`), so a
+grid point then costs diagonal phases and one 16x16 product.
 """
 
 from __future__ import annotations
@@ -175,14 +176,14 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
 def _operating_point(p: SystemParams, register: ModeRegister
                       ) -> tuple[GateSchedule, np.ndarray, np.ndarray, np.ndarray]:
     """The calibrated schedule, its swap-in propagator U_swap, the diagonal
-    of its wait Hamiltonian and the coupler occupation of each basis state.
+    of its wait Hamiltonian and the coupler occupation of each sector state.
 
     The swap-in segment is the schedule's one decomposition; every gate a
     scan probes is read off it (see the module docstring).
     """
     schedule = build_schedule(p, register)
     (h_swap, t_swap, _), (h_wait, _, _), _ = schedule.segments
-    n_c = register.occupation_table[:, register.index(COUPLER)]
+    n_c = register.occupation_table[schedule.sector, register.index(COUPLER)]
     return schedule, _propagator(h_swap, t_swap), np.real(np.diag(h_wait)), n_c
 
 
@@ -208,9 +209,10 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
         raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {phases.shape}")
     target_bit = 0 if target_interacting else 1
     occ = {**CONTROL_CODE.logical_occupations(1), **TARGET_CODE.logical_occupations(target_bit)}
-    keep = occupancy_classes(register) == 0
     schedule, u_swap, wait_diag, n_c = _operating_point(p, register)
-    waited = np.exp(-1j * wait_diag * schedule.t_wait) * (u_swap @ register.basis_state(occ))
+    keep = occupancy_classes(register)[schedule.sector] == 0
+    swapped = u_swap[:, np.searchsorted(schedule.sector, register.basis_index(occ))]
+    waited = np.exp(-1j * wait_diag * schedule.t_wait) * swapped
     psi = u_swap @ (np.exp(1j * np.outer(n_c, phases)) * waited[:, None])
     values = 1.0 - keep @ np.abs(psi) ** 2
     fixed = {"t_swap": schedule.t_swap,
@@ -221,12 +223,13 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
                        axis_name="swapback_pump_phase_rad", fixed=fixed)
 
 
-def _ramsey_pair(register: ModeRegister, code: DualRailCode,
+def _ramsey_pair(schedule: GateSchedule, code: DualRailCode,
                  spectator_occ: Mapping[str, int]) -> tuple[int, int]:
-    """Basis indices of the qubit's |0_L> and |1_L> with the spectator set
-    and every other mode empty."""
-    lo, hi = (register.basis_index({**spectator_occ, **code.logical_occupations(bit)})
-              for bit in (0, 1))
+    """Positions in the schedule's sector of the qubit's |0_L> and |1_L> with
+    the spectator set and every other mode empty."""
+    lo, hi = np.searchsorted(schedule.sector, [
+        schedule.register.basis_index({**spectator_occ, **code.logical_occupations(bit)})
+        for bit in (0, 1)])
     return lo, hi
 
 
@@ -257,7 +260,7 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     The wait only rescales the diagonal wait phases and sets the tracked
     pump phase phi, so each gate is (D^dag U_swap D)(W U_swap) with
     D = exp(i phi n_c) and W = exp(-i H_wait t_wait), both diagonal:
-    one 32x32 product per wait, all from one decomposition.
+    one 16x16 product per wait, all from one decomposition.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
@@ -265,8 +268,8 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     wait_times = np.asarray(wait_times, dtype=float)
     if np.any(wait_times <= 0):
         raise ValueError("wait times must be positive")
-    _, u_swap, wait_diag, n_c = _operating_point(p, register)
-    pairs = [_ramsey_pair(register, CONTROL_CODE, TARGET_CODE.logical_occupations(target_bit))
+    schedule, u_swap, wait_diag, n_c = _operating_point(p, register)
+    pairs = [_ramsey_pair(schedule, CONTROL_CODE, TARGET_CODE.logical_occupations(target_bit))
              for target_bit in (0, 1)]
     values = np.empty(wait_times.size)
     for j, tw in enumerate(wait_times):
@@ -303,13 +306,13 @@ def local_z_scan(p: SystemParams, n_repeats: int = 4) -> LocalPhaseSlopes:
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
-    register = ModeRegister.standard(2)
-    gate = ideal_unitary(build_schedule(p, register))
+    schedule = build_schedule(p, ModeRegister.standard(2))
+    gate = ideal_unitary(schedule)
     counts = np.arange(1, n_repeats + 1, dtype=float)
     slopes = []
     for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         unwrapped = []
-        pair = _ramsey_pair(register, code, spectator.logical_occupations(0))
+        pair = _ramsey_pair(schedule, code, spectator.logical_occupations(0))
         for theta in _ramsey_trace(pair, n_repeats, gate):
             anchor = unwrapped[-1] + unwrapped[0] if unwrapped else theta
             theta += TWO_PI * round((anchor - theta) / TWO_PI)

@@ -1,10 +1,13 @@
 """Bosonic mode registers, Fock-space operators, states, and dual-rail codes.
 
-Everything is dense: the largest register used anywhere is five modes at
-truncation 3 (total dimension 243), far below any scale where sparsity pays.
-An operator is a plain (dim, dim) complex array in the register's basis;
-the register travels beside it, as an argument, wherever a caller needs
-it.  All containers are immutable after construction; functions are pure.
+Everything is dense.  The largest register used anywhere is five modes at
+truncation 3 (total dimension 243).  The gate builds its mode operators at
+that size and slices each to its 21-state photon sector before any product
+(`gate.GateSchedule`), so none of its products, eigendecompositions or
+exponentials is register-size.  An operator is a plain (dim, dim) complex
+array in the register's basis; the register travels beside it, as an
+argument, wherever a caller needs it.  All containers are immutable after
+construction; functions are pure.
 """
 from __future__ import annotations
 
@@ -102,6 +105,10 @@ class ModeRegister:
 
     def occupations(self, flat_index: int) -> tuple[int, ...]:
         """Inverse of basis_index."""
+        if isinstance(flat_index, bool) or not isinstance(flat_index, (int, np.integer)):
+            raise ValueError(f"flat index must be an integer, got {flat_index!r}")
+        if not 0 <= flat_index < self.dim:
+            raise ValueError(f"flat index {flat_index} out of range [0, {self.dim})")
         occ = []
         for d in reversed(self.dims):
             occ.append(flat_index % d)
@@ -113,11 +120,15 @@ class ModeRegister:
             unknown = set(occupations) - set(self.labels)
             if unknown:
                 raise KeyError(f"unknown mode labels {sorted(unknown)}")
-            return tuple(int(occupations.get(label, 0)) for label in self.labels)
-        occ = tuple(int(n) for n in occupations)
+            occ = tuple(occupations.get(label, 0) for label in self.labels)
+        else:
+            occ = tuple(occupations)
         if len(occ) != len(self.modes):
             raise ValueError(f"expected {len(self.modes)} occupations, got {len(occ)}")
-        return occ
+        # a bool or a non-integer is refused, not truncated
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in occ):
+            raise ValueError(f"occupations must be integers, got {occ!r}")
+        return tuple(map(int, occ))
 
 
 def build_mode_operator(register: ModeRegister, label: str, kind: str) -> np.ndarray:

@@ -5,6 +5,15 @@ lets a dispersive shift imprint a target-conditioned phase, and swaps the
 photon back with a shifted pump phase.  All rates are angular (rad/µs);
 device sheets in MHz enter through `from_mhz` exactly once, and the
 measured device values come from `drcz.config.DeviceConfig`.
+
+Two dual-rail qubits hold at most two photons, and every segment
+Hamiltonian conserves the total photon number, so the gate never leaves
+the register's sector of basis states with at most SECTOR_PHOTONS
+photons: 16 of the 32 states at truncation 2, 21 of 243 at truncation 3.
+Every gate operator is a (sector, sector) array, built by slicing each
+mode operator to the sector before any product, and every product and
+eigendecomposition runs there.  The sector's register indices are
+ascending, so np.searchsorted(sector, register_index) finds a state in it.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ __all__ = [
     "COUPLER",
     "OCCUPANCY_CLASSES",
     "occupancy_classes",
+    "SECTOR_PHOTONS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +50,9 @@ TWO_PI = 2.0 * math.pi
 CONTROL_CODE = DualRailCode("a1", "a2")
 TARGET_CODE = DualRailCode("b1", "b2")
 COUPLER = "c"
+
+# photons in two dual-rail qubits: the gate acts on states with at most this many
+SECTOR_PHOTONS = 2
 
 # photon-occupancy classes of a two-qubit basis state, by occupancy_classes label
 OCCUPANCY_CLASSES = ("codespace", "control_loss", "target_loss", "double_loss",
@@ -58,6 +71,14 @@ def occupancy_classes(register: ModeRegister) -> np.ndarray:
     target_erased = TARGET_CODE.outcomes(register) == ERASURE
     coupler = register.occupation_table[:, register.index(COUPLER)] > 0
     return np.where(coupler, 4 + target_erased, control_erased + 2 * target_erased)
+
+
+def _photon_sector(register: ModeRegister) -> np.ndarray:
+    """Ascending register indices of the basis states with at most
+    SECTOR_PHOTONS photons, read-only."""
+    sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= SECTOR_PHOTONS)
+    sector.flags.writeable = False
+    return sector
 
 
 def wrap_angle(theta: float) -> float:
@@ -117,7 +138,13 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Three piecewise-constant segments: swap-in, wait, swap-back."""
+    """Three piecewise-constant segments: swap-in, wait, swap-back.
+
+    `sector` holds the ascending register indices of the basis states with
+    at most SECTOR_PHOTONS photons, and each segment Hamiltonian is a
+    (sector, sector) array that conserves the photon number, so the
+    sector is closed under the gate.
+    """
 
     register: ModeRegister
     segments: tuple[tuple[np.ndarray, float, str], ...]
@@ -125,6 +152,7 @@ class GateSchedule:
     t_wait: float
     phi_swap: float
     includes_static_crosskerr: bool = False
+    sector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tags = tuple(tag for _, _, tag in self.segments)
@@ -132,6 +160,17 @@ class GateSchedule:
             raise ValueError(f"expected segment tags (swap1, wait, swap2), got {tags}")
         if any(dt <= 0 for _, dt, _ in self.segments):
             raise ValueError("segment durations must be positive")
+        sector = _photon_sector(self.register)
+        object.__setattr__(self, "sector", sector)
+        photons = self.register.occupation_table[sector].sum(axis=1)
+        changing = photons[:, None] != photons[None, :]
+        for h, _, tag in self.segments:
+            if np.shape(h) != changing.shape:
+                raise ValueError(f"segment {tag!r} has shape {np.shape(h)}, expected "
+                                 f"{changing.shape} on the sector of at most "
+                                 f"{SECTOR_PHOTONS} photons")
+            if np.any(h[changing]):
+                raise ValueError(f"segment {tag!r} does not conserve photon number")
 
     @property
     def total_duration(self) -> float:
@@ -183,7 +222,7 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
                    include_static_crosskerr: bool = False,
                    t_wait: float | None = None,
                    phi_swap: float | None = None) -> GateSchedule:
-    """Assemble the three segment Hamiltonians on the given register.
+    """Assemble the three segment Hamiltonians on the register's photon sector.
 
     Needs modes a2, c, b1.  With include_static_crosskerr the always-on
     chi_ac*n_a2*n_c and chi_ab*n_a2*n_b1 terms are added to every segment
@@ -191,10 +230,12 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
     t_wait and phi_swap default to the calibrated values; calibration
     sweeps override them to probe miscalibrated schedules.
     """
-    a2 = build_mode_operator(register, "a2", "annihilate")
-    c = build_mode_operator(register, "c", "annihilate")
-    n_b1 = build_mode_operator(register, "b1", "number")
-    n_c = build_mode_operator(register, "c", "number")
+    sector = _photon_sector(register)
+    block = np.ix_(sector, sector)
+    a2 = build_mode_operator(register, "a2", "annihilate")[block]
+    c = build_mode_operator(register, "c", "annihilate")[block]
+    n_b1 = build_mode_operator(register, "b1", "number")[block]
+    n_c = build_mode_operator(register, "c", "number")[block]
 
     t_swap, t_wait_cal, _ = derive_gate_params(p)
     if t_wait is None:
@@ -205,7 +246,7 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
         raise ValueError("t_wait must be positive")
     disp = p.chi_bc * (n_b1 @ n_c)
     if include_static_crosskerr:
-        n_a2 = build_mode_operator(register, "a2", "number")
+        n_a2 = build_mode_operator(register, "a2", "number")[block]
         disp = disp + p.chi_ac * (n_a2 @ n_c) + p.chi_ab * (n_a2 @ n_b1)
 
     swap_term = a2.conj().T @ c  # a2^dag c
@@ -226,8 +267,9 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
 
 
 def ideal_unitary(schedule: GateSchedule) -> np.ndarray:
-    """Exact closed-system propagator: product of segment exponentials."""
-    u = np.eye(schedule.register.dim, dtype=complex)
+    """Exact closed-system propagator on the schedule's sector: product of
+    segment exponentials."""
+    u = np.eye(schedule.sector.size, dtype=complex)
     for h, dt, _ in schedule.segments:
         u = _propagator(h, dt) @ u
     return u
@@ -280,8 +322,13 @@ def codespace_basis_indices(register: ModeRegister) -> list[int]:
 
 
 def codespace_block(register: ModeRegister, u: np.ndarray) -> np.ndarray:
-    """4x4 restriction of a register operator to the dual-rail codespace."""
-    idx = codespace_basis_indices(register)
+    """4x4 restriction to the dual-rail codespace of an operator on the
+    register's photon sector, such as `ideal_unitary`'s."""
+    sector = _photon_sector(register)
+    if u.shape != (sector.size, sector.size):
+        raise ValueError(f"expected an operator on the {sector.size}-state sector, "
+                         f"got shape {u.shape}")
+    idx = np.searchsorted(sector, codespace_basis_indices(register))
     return u[np.ix_(idx, idx)]
 
 

@@ -5,19 +5,22 @@ vec(X)) and exponentiated exactly per piecewise-constant segment.  The
 dephasing dissipator is sqrt(2/Tphi) * n so that a lone dephasing channel
 decays a Fock-adjacent coherence as exactly exp(-t/Tphi).
 
-A gate is propagated on the sector of basis states holding at most two
-photons, the photon count of two dual-rail qubits, and within it only on
-the density-matrix entries whose row and column hold the same number of
-photons.  The segment Hamiltonians conserve the total photon number N,
-loss lowers it by one and dephasing keeps it, so the block with N photons
-in the rows and M in the columns feeds only itself and the (N-1, M-1)
-block: the generator commutes with rho -> [N, rho], the weak U(1)
-symmetry of Buča & Prosen (NJP 14, 073007 (2012)).  The union of the
+A gate is propagated on the schedule's sector (`gate.GateSchedule`) of
+basis states holding at most SECTOR_PHOTONS = 2 photons, the photon count
+of two dual-rail qubits, and within it only on the density-matrix entries
+whose row and column hold the same number of photons.  The segment
+Hamiltonians conserve the total photon number N (`GateSchedule` refuses
+one that does not), loss lowers it by one and dephasing keeps it, so the
+block with N photons in the rows and M in the columns feeds only itself
+and the (N-1, M-1) block: the generator commutes with rho -> [N, rho],
+the weak U(1) symmetry of Buča & Prosen (NJP 14, 073007 (2012)).  The union of the
 N = M blocks of the sector is therefore closed under the gate, and every
 state or unit |i><j| with equal photon counts in i and j stays in it, so
 restricting the generator to it is exact.  That keeps 126 of the 256
 entries of the 16-state sector at truncation 2 and 251 of 441 (21
-states) at truncation 3.
+states) at truncation 3.  The segment Hamiltonians and the collapse
+operators are built on the sector, so no register-size matrix enters the
+map; only `GateMap` reads and writes register matrices, by index.
 
 Within the kept entries the map is a direct sum over the connected
 components of the generators' joint nonzero pattern, taken over all
@@ -40,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .fock import ModeRegister, build_mode_operator
-from .gate import GateSchedule, SystemParams, _connected_blocks
+from .gate import SECTOR_PHOTONS, GateSchedule, SystemParams, _connected_blocks, _photon_sector
 
 __all__ = [
     "NoiseModel",
@@ -48,10 +51,6 @@ __all__ = [
     "collapse_operators",
     "gate_superoperator",
 ]
-
-# photons in two dual-rail qubits: the gate map acts on states with at most this many
-SECTOR_PHOTONS = 2
-
 
 def expm(a):
     """scipy.linalg.expm, imported on first use so `import drcz` loads no scipy."""
@@ -89,14 +88,19 @@ class NoiseModel:
 
 
 def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.ndarray]:
+    """Loss and dephasing operators on the register's photon sector, the
+    states of `GateSchedule.sector`: each mode operator is sliced to the
+    sector before it is scaled."""
+    sector = _photon_sector(register)
+    block = np.ix_(sector, sector)
     ops: list[np.ndarray] = []
     for label, kappa in noise.loss.items():
         if kappa > 0:
-            a = build_mode_operator(register, label, "annihilate")
+            a = build_mode_operator(register, label, "annihilate")[block]
             ops.append(math.sqrt(kappa) * a)
     for label, kphi in noise.dephasing.items():
         if kphi > 0:
-            n = build_mode_operator(register, label, "number")
+            n = build_mode_operator(register, label, "number")[block]
             ops.append(math.sqrt(2.0 * kphi) * n)
     return ops
 
@@ -184,20 +188,12 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
     """Whole-gate map: ordered product of the segment exponentials of the
     Liouvillian restricted to the N = M entries of the sector of at most
     SECTOR_PHOTONS, built block by block."""
-    register = schedule.register
-    photons = register.occupation_table.sum(axis=1)
-    sector = np.flatnonzero(photons <= SECTOR_PHOTONS)
-    block = np.ix_(sector, sector)
+    register, sector = schedule.register, schedule.sector
+    photons = register.occupation_table[sector].sum(axis=1)
     # column-stacking order: the column index is the slow one
-    cols, rows = np.nonzero(photons[sector][:, None] == photons[sector][None, :])
-    # Hamiltonian entries from a sector state to a state of another photon count
-    changing = photons[:, None] != photons[None, sector]
-    collapse = [c[block] for c in collapse_operators(register, noise)]
-    drifts = []
-    for h, _, tag in schedule.segments:
-        if np.any(h[:, sector][changing]):
-            raise ValueError(f"segment {tag!r} does not conserve photon number")
-        drifts.append(_drift(h[block], collapse))
+    cols, rows = np.nonzero(photons[:, None] == photons[None, :])
+    collapse = collapse_operators(register, noise)
+    drifts = [_drift(h, collapse) for h, _, _ in schedule.segments]
     superop = np.zeros((rows.size, rows.size), dtype=complex)
     for idx in _generator_blocks(drifts, collapse, rows, cols):
         product = np.eye(idx.shape[1], dtype=complex)

@@ -286,9 +286,10 @@ def simulated_leak_process(params: SystemParams | None = None,
     weighted by the jump rate and the node's quadrature weight, and the
     surviving target amplitudes are collected as Kraus operators; a node
     whose jumped state vanishes (max amplitude <= 1e-14) adds none.
-    Each segment Hamiltonian is diagonalized once, block by block over the
-    states it couples (`gate._block_eigh`), so a node at offset tau in a
-    segment of duration d only needs the eigenphases exp(-i lam tau) and
+    Everything runs on the schedule's 16-state photon sector.  Each segment
+    Hamiltonian is diagonalized once, block by block over the states it
+    couples (`gate._block_eigh`), so a node at offset tau in a segment of
+    duration d only needs the eigenphases exp(-i lam tau) and
     exp(-i lam (d - tau)).  control_prep selects the control state: "1"
     (photon in the swapped rail), "0" (photon in the idle rail), or
     "erased" (no photon; the returned map is then the unconditioned one).
@@ -299,6 +300,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     schedule = build_schedule(params, register)
     durations = [d for _, d, _ in schedule.segments]
     total = sum(durations)
+    dim = schedule.sector.size
 
     occ_c = {"1": (0, 1), "0": (1, 0), "erased": (0, 0)}
     if control_prep not in occ_c:
@@ -306,12 +308,12 @@ def simulated_leak_process(params: SystemParams | None = None,
     a1_n, a2_n = occ_c[control_prep]
 
     # one column per target input |0_L>, |1_L>; out_rows read the target
-    # photon back with the control register empty
-    kets = np.zeros((register.dim, 2), dtype=complex)
-    for j, (b1, b2) in enumerate(((1, 0), (0, 1))):
-        kets[register.basis_index((a1_n, a2_n, 0, b1, b2)), j] = 1.0
-    out_rows = [register.basis_index((0, 0, 0, 1, 0)),
-                register.basis_index((0, 0, 0, 0, 1))]
+    # photon back with the control register empty; both are sector positions
+    inputs = [register.basis_index((a1_n, a2_n, 0, b1, b2)) for b1, b2 in ((1, 0), (0, 1))]
+    kets = np.zeros((dim, 2), dtype=complex)
+    kets[np.searchsorted(schedule.sector, inputs), [0, 1]] = 1.0
+    out_rows = np.searchsorted(schedule.sector, [register.basis_index((0, 0, 0, 1, 0)),
+                                                 register.basis_index((0, 0, 0, 0, 1))])
 
     if control_prep == "erased":
         u = ideal_unitary(schedule)
@@ -321,7 +323,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     eigs = [_block_eigh(h) for h, _, _ in schedule.segments]
     whole = [(v * np.exp(-1j * lam * d)) @ v.conj().T
              for (lam, v), d in zip(eigs, durations)]
-    eye = np.eye(register.dim, dtype=complex)
+    eye = np.eye(dim, dtype=complex)
     # before[s]: the segments ahead of segment s; after[s]: the ones past it
     before, after = [eye], [eye]
     for u in whole:
@@ -329,7 +331,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     for u in reversed(whole[1:]):
         after.insert(0, after[0] @ u)
     # The nodes at t = total start an empty segment after the last one.
-    eigs.append((np.zeros(register.dim), eye))
+    eigs.append((np.zeros(dim), eye))
     durations.append(0.0)
     after.append(eye)
 
@@ -348,11 +350,12 @@ def simulated_leak_process(params: SystemParams | None = None,
     for label in ("c", "a1", "a2"):
         t1 = params.t1.get(label, math.inf)
         if math.isfinite(t1):
-            jump_specs.append((build_mode_operator(register, label, "annihilate"), 1.0 / t1))
+            jump = build_mode_operator(register, label, "annihilate")
+            jump_specs.append((jump[np.ix_(schedule.sector, schedule.sector)], 1.0 / t1))
 
     # Every node's state is a (dim, 2) slice of the (dim, nodes, 2) arrays
-    # below; per-node (dim, dim) propagators would take 13 MB per array at
-    # 801 nodes.
+    # below; per-node (dim, dim) propagators would take 3.3 MB per array at
+    # 801 nodes on the 16-state sector.
     amps = np.zeros((len(jump_specs), points, 2, 2), dtype=complex)
     hits = np.zeros((len(jump_specs), points), dtype=bool)
     for s, ((lam, v), d) in enumerate(zip(eigs, durations)):
@@ -362,11 +365,11 @@ def simulated_leak_process(params: SystemParams | None = None,
         v_dag = v.conj().T
         into = np.exp(-1j * np.outer(lam, offset[nodes]))[:, :, None]
         rest = np.exp(-1j * np.outer(lam, d - offset[nodes]))[:, :, None]
-        moved = v @ (into * (v_dag @ (before[s] @ kets))[:, None, :]).reshape(register.dim, -1)
+        moved = v @ (into * (v_dag @ (before[s] @ kets))[:, None, :]).reshape(dim, -1)
         after_v = after[s] @ v
         for j, (jump_op, _) in enumerate(jump_specs):
-            jumped = (v_dag @ (jump_op @ moved)).reshape(register.dim, nodes.size, 2)
-            col = (after_v @ (rest * jumped).reshape(register.dim, -1)).reshape(jumped.shape)
+            jumped = (v_dag @ (jump_op @ moved)).reshape(dim, nodes.size, 2)
+            col = (after_v @ (rest * jumped).reshape(dim, -1)).reshape(jumped.shape)
             amps[j, nodes] = col[out_rows].transpose(1, 0, 2)
             hits[j, nodes] = np.abs(col).max(axis=(0, 2)) > 1e-14
     # Kraus operators per jump operator, joined jump by jump: the list order

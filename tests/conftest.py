@@ -1,7 +1,11 @@
-"""Shared fixtures: measured-device parameters and standard registers."""
+"""Shared fixtures: measured-device parameters, standard registers, and a
+register-size oracle for the gate's Hamiltonians."""
+import numpy as np
 import pytest
 
 from drcz import DeviceConfig, ModeRegister
+from drcz.fock import build_mode_operator
+from drcz.gate import derive_gate_params
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +16,32 @@ def table_params():
 @pytest.fixture()
 def register2():
     return ModeRegister.standard(2)
+
+
+def _register_hamiltonians(params, register, include_static_crosskerr=False):
+    """The swap-in, wait and swap-back Hamiltonians with their durations, at
+    the calibrated operating point, as (dim, dim) arrays on the whole
+    register: written from products of register-size mode operators, with
+    no sector code."""
+    t_swap, t_wait, phi_swap = derive_gate_params(params)
+    a2 = build_mode_operator(register, "a2", "annihilate")
+    c = build_mode_operator(register, "c", "annihilate")
+    n_a2 = build_mode_operator(register, "a2", "number")
+    n_b1 = build_mode_operator(register, "b1", "number")
+    n_c = build_mode_operator(register, "c", "number")
+    disp = params.chi_bc * (n_b1 @ n_c)
+    if include_static_crosskerr:
+        disp = disp + params.chi_ac * (n_a2 @ n_c) + params.chi_ab * (n_a2 @ n_b1)
+    hop = a2.conj().T @ c
+
+    def swap(phase):
+        return 0.5 * params.g_ac * (np.exp(1j * phase) * hop
+                                    + np.exp(-1j * phase) * hop.conj().T) + disp
+
+    return [(swap(0.0), t_swap), (disp, t_wait), (swap(phi_swap), t_swap)]
+
+
+@pytest.fixture(scope="session")
+def register_hamiltonians():
+    """`_register_hamiltonians(params, register, include_static_crosskerr=False)`."""
+    return _register_hamiltonians

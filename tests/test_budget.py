@@ -119,11 +119,13 @@ def test_noiseless_budget_has_no_error_only():
     # oracle off the Lindblad path: the exact unitary's output populations of
     # the four codespace inputs, averaged and summed by occupancy class
     register = ModeRegister.standard(2)
-    u = ideal_unitary(build_schedule(clean, register))
-    idx = codespace_basis_indices(register)
+    schedule = build_schedule(clean, register)
+    u = ideal_unitary(schedule)
+    idx = np.searchsorted(schedule.sector, codespace_basis_indices(register))
     pops = np.mean(np.abs(u[:, idx]) ** 2, axis=1)
     oracle = dict(zip(OCCUPANCY_CLASSES, np.bincount(
-        occupancy_classes(register), weights=pops, minlength=len(OCCUPANCY_CLASSES))))
+        occupancy_classes(register)[schedule.sector], weights=pops,
+        minlength=len(OCCUPANCY_CLASSES))))
     for name in OCCUPANCY_CLASSES[1:]:
         assert getattr(b, name) == pytest.approx(oracle[name], rel=0, abs=1e-15), name
     # round-off residues, not exact zeros: no map in floating point gives 0.0

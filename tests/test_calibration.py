@@ -226,6 +226,13 @@ def test_scan_decompositions_do_not_depend_on_the_grid(table_params, decompositi
             == {"block_eigh": 0, "eigh": 1})
 
 
+def _register_unitary(schedule):
+    """The schedule's sector propagator written into a register-size matrix."""
+    u = np.zeros((schedule.register.dim,) * 2, dtype=complex)
+    u[np.ix_(schedule.sector, schedule.sector)] = ideal_unitary(schedule)
+    return u
+
+
 def _per_point_erasure(p, phases, target_bit):
     """The per-point algorithm: rebuild the whole gate at every pump phase."""
     register = ModeRegister.standard(2)
@@ -238,7 +245,7 @@ def _per_point_erasure(p, phases, target_bit):
                     for a1, a2, c, b1, b2 in map(register.occupations, range(register.dim))])
     values = []
     for phi in phases:
-        psi = ideal_unitary(build_schedule(p, register, phi_swap=float(phi))) \
+        psi = _register_unitary(build_schedule(p, register, phi_swap=float(phi))) \
             @ register.basis_state(occ)
         values.append(1.0 - float(np.real(psi.conj() @ proj @ psi)))
     return np.array(values)
@@ -260,8 +267,9 @@ def _per_point_fringe(p, wait_times, n_repeats):
     register = ModeRegister.standard(2)
     values = []
     for tw in wait_times:
-        gate = ideal_unitary(build_schedule(p, register, t_wait=float(tw)))
-        zero, one = (_ramsey_trace(_ramsey_pair(register, CONTROL_CODE,
+        schedule = build_schedule(p, register, t_wait=float(tw))
+        gate = ideal_unitary(schedule)
+        zero, one = (_ramsey_trace(_ramsey_pair(schedule, CONTROL_CODE,
                                                 TARGET_CODE.logical_occupations(target_bit)),
                                    n_repeats, gate)
                      for target_bit in (0, 1))
@@ -297,7 +305,7 @@ def test_ramsey_trace_matches_the_per_count_oracle(table_params):
 
     def phase_after(code, spectator_occ, n):
         # the per-count algorithm: rebuild the gate, apply it n times to |+>
-        gate = ideal_unitary(build_schedule(table_params, register))
+        gate = _register_unitary(build_schedule(table_params, register))
         lo = {label: 0 for label in register.labels}
         lo.update(spectator_occ)
         hi = dict(lo)
@@ -310,8 +318,9 @@ def test_ramsey_trace_matches_the_per_count_oracle(table_params):
             psi = gate @ psi
         return float(np.angle(psi[i_hi]) - np.angle(psi[i_lo]))
 
-    gate = ideal_unitary(build_schedule(table_params, register))
+    schedule = build_schedule(table_params, register)
+    gate = ideal_unitary(schedule)
     for code, spectator in ((CONTROL_CODE, TARGET_CODE), (TARGET_CODE, CONTROL_CODE)):
         spectator_occ = spectator.logical_occupations(0)
-        trace = _ramsey_trace(_ramsey_pair(register, code, spectator_occ), 4, gate)
+        trace = _ramsey_trace(_ramsey_pair(schedule, code, spectator_occ), 4, gate)
         assert trace == [phase_after(code, spectator_occ, n) for n in range(1, 5)]

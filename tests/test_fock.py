@@ -56,6 +56,43 @@ def test_basis_index_validation():
         reg.index("q7")
 
 
+@pytest.mark.parametrize("flat", [32, -1, 100])
+def test_occupations_refuse_an_index_outside_the_register(flat):
+    with pytest.raises(ValueError, match=r"out of range \[0, 32\)"):
+        ModeRegister.standard(2).occupations(flat)
+
+
+@pytest.mark.parametrize("flat", [True, False, 3.0, 3.5, "3", None])
+def test_occupations_refuse_what_is_not_an_integer(flat):
+    with pytest.raises(ValueError, match="flat index must be an integer"):
+        ModeRegister.standard(2).occupations(flat)
+
+
+def test_occupations_take_numpy_integers():
+    reg = ModeRegister.standard(2)
+    assert reg.occupations(np.int64(17)) == reg.occupations(17) == (1, 0, 0, 0, 1)
+    assert reg.occupations(31) == (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("occ", [
+    (1, 0, 0, 0, True),
+    (1, 0, 0, 0, 1.0),
+    (1, 0, 0, 0, 0.5),
+    (1, 0, 0, 0, "1"),
+    {"a1": 1, "b2": True},
+    {"a1": 1.0},
+])
+def test_basis_index_refuses_an_occupation_that_is_not_an_integer(occ):
+    with pytest.raises(ValueError, match="occupations must be integers"):
+        ModeRegister.standard(2).basis_index(occ)
+
+
+def test_basis_index_takes_numpy_integers():
+    reg = ModeRegister.standard(2)
+    assert reg.basis_index(np.array([1, 0, 0, 0, 1])) == 17
+    assert reg.basis_index({"a1": np.int64(1), "b2": np.int8(1)}) == 17
+
+
 @pytest.mark.parametrize("register", [
     ModeRegister.standard(2),
     ModeRegister.standard(3),

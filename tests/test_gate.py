@@ -1,4 +1,5 @@
 """Swap-wait-swap schedule synthesis and the derived operating point."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from drcz.fock import ModeRegister
+from drcz import gate, lindblad
+from drcz.fock import ModeRegister, build_mode_operator
 from drcz.gate import (
     CONTROL_CODE,
     TARGET_CODE,
@@ -112,6 +114,19 @@ def test_schedule_structure(table_params, register2):
                      phi_swap=schedule.phi_swap)
 
 
+def test_schedule_refuses_a_segment_that_is_not_sector_size(table_params,
+                                                           register_hamiltonians, register2):
+    schedule = build_schedule(table_params, register2)
+    whole = tuple((h, dt, tag) for (h, dt), (_, _, tag)
+                  in zip(register_hamiltonians(table_params, register2), schedule.segments))
+    with pytest.raises(ValueError, match=r"'swap1' has shape \(32, 32\), expected \(16, 16\)"):
+        dataclasses.replace(schedule, segments=whole)
+    _, dt, tag = schedule.segments[1]
+    with pytest.raises(ValueError, match=r"'wait' has shape \(16, 15\), expected \(16, 16\)"):
+        dataclasses.replace(schedule, segments=(
+            schedule.segments[0], (np.zeros((16, 15)), dt, tag), schedule.segments[2]))
+
+
 def test_schedule_requires_the_coupled_modes(table_params):
     reg = ModeRegister((("a1", 2), ("a2", 2), ("c", 2)))
     with pytest.raises(KeyError, match="b1"):
@@ -140,20 +155,80 @@ def test_static_crosskerr_terms_enter_every_segment(table_params, register2):
 
 def test_ideal_unitary_is_unitary(table_params, register2):
     u = ideal_unitary(build_schedule(table_params, register2))
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(register2.dim), atol=1e-12)
+    assert u.shape == (16, 16)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-12)
 
 
 @pytest.mark.parametrize("crosskerr", [False, True])
 @pytest.mark.parametrize("truncation", [2, 3])
-def test_ideal_unitary_matches_the_expm_product(table_params, truncation, crosskerr):
-    schedule = build_schedule(table_params, ModeRegister.standard(truncation),
-                              include_static_crosskerr=crosskerr)
-    want = np.eye(schedule.register.dim, dtype=complex)
-    for h, dt, _ in schedule.segments:
-        want = expm(-1j * h * dt) @ want
+def test_ideal_unitary_matches_the_expm_product(table_params, register_hamiltonians,
+                                                truncation, crosskerr):
+    # oracle: the expm product of the register-size Hamiltonians, which maps
+    # the sector into itself; the sector propagator is its sector block
+    register = ModeRegister.standard(truncation)
+    schedule = build_schedule(table_params, register, include_static_crosskerr=crosskerr)
+    whole = np.eye(register.dim, dtype=complex)
+    for h, dt in register_hamiltonians(table_params, register, crosskerr):
+        whole = expm(-1j * h * dt) @ whole
+    sector = schedule.sector
+    outside = np.setdiff1d(np.arange(register.dim), sector)
+    assert sector.size == {2: 16, 3: 21}[truncation]
+    assert np.all(whole[np.ix_(outside, sector)] == 0)
+    want = whole[np.ix_(sector, sector)]
     got = ideal_unitary(schedule)
     assert np.array_equal(got == 0, want == 0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_the_gate_runs_on_the_photon_sector_at_truncation_3(table_params, monkeypatch):
+    # Mode operators come back as arrays that log every matrix product they
+    # enter; the block decomposition, eigh and the Lindblad exponential log
+    # their input widths.  None may be register-size (243).
+    products, decomposed, eighs, expms, used_collapse = [], [], [], [], []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(max(max(np.shape(x)) for x in inputs))
+            plain = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return result.view(Logged) if isinstance(result, np.ndarray) else result
+
+    def log_widths(log, fn):
+        def logged(a):
+            log.append(a.shape[-1])
+            return fn(a)
+        return logged
+
+    collapse_operators = lindblad.collapse_operators
+
+    def recorded_collapse(register, noise):
+        ops = collapse_operators(register, noise)
+        used_collapse.extend(ops)
+        return ops
+
+    for module in (gate, lindblad):
+        monkeypatch.setattr(module, "build_mode_operator",
+                            lambda *args: build_mode_operator(*args).view(Logged))
+    monkeypatch.setattr(gate, "_block_eigh", log_widths(decomposed, gate._block_eigh))
+    monkeypatch.setattr(np.linalg, "eigh", log_widths(eighs, np.linalg.eigh))
+    monkeypatch.setattr(lindblad, "expm", log_widths(expms, lindblad.expm))
+    monkeypatch.setattr(lindblad, "collapse_operators", recorded_collapse)
+
+    register = ModeRegister.standard(3)
+    schedule = build_schedule(table_params, register, include_static_crosskerr=True)
+    u = ideal_unitary(schedule)
+    noise = lindblad.NoiseModel.from_params(table_params)
+    gate_map = lindblad.gate_superoperator(schedule, noise)
+    assert {h.shape for h, _, _ in schedule.segments} == {(21, 21)}
+    assert u.shape == (21, 21)
+    assert len(used_collapse) == 10
+    assert {c.shape for c in used_collapse} == {(21, 21)}
+    assert gate_map.sector is schedule.sector
+    assert max(products) == 21
+    assert decomposed == [21, 21, 21] and max(eighs) <= 21
+    # the map's exponentials act on blocks of sector matrix entries
+    assert max(expms) == 35
 
 
 def test_block_eigh_finds_chain_blocks_under_a_permutation():
@@ -181,6 +256,16 @@ def test_block_eigh_finds_chain_blocks_under_a_permutation():
 def test_codespace_basis_indices_control_major(register2):
     # |control target> order: (a1, a2, c, b1, b2) occupations flattened
     assert codespace_basis_indices(register2) == [18, 17, 10, 9]
+
+
+def test_codespace_block_reads_the_sector_operator(table_params, register2):
+    schedule = build_schedule(table_params, register2)
+    u = ideal_unitary(schedule)
+    pos = [int(np.flatnonzero(schedule.sector == i)[0])
+           for i in codespace_basis_indices(register2)]
+    assert np.array_equal(codespace_block(register2, u), u[np.ix_(pos, pos)])
+    with pytest.raises(ValueError, match=r"16-state sector, got shape \(32, 32\)"):
+        codespace_block(register2, np.eye(32))
 
 
 def test_codespace_block_is_diagonal_cz_frame(table_params, register2):

@@ -122,7 +122,8 @@ def test_dephasing_analytic_decay():
 
 def test_noiseless_propagation_matches_unitary(table_params, register2):
     schedule = build_schedule(table_params, register2)
-    u = ideal_unitary(schedule)
+    u = np.zeros((register2.dim, register2.dim), dtype=complex)
+    u[np.ix_(schedule.sector, schedule.sector)] = ideal_unitary(schedule)
     rho0 = DensityMatrix.basis_state(register2, {"a2": 1, "b1": 1})
     out = gate_superoperator(schedule, NoiseModel.none()).apply(rho0.data)
     expected = u @ rho0.data @ u.conj().T
@@ -153,13 +154,22 @@ def _sector_mask(register):
     return np.outer(inside, inside)
 
 
-def test_gate_superoperator_matches_full_register_oracle(table_params, register2):
+def _register_collapse(register, noise):
+    """Loss and dephasing operators on the whole register, with no sector code."""
+    return ([math.sqrt(k) * build_mode_operator(register, m, "annihilate")
+             for m, k in noise.loss.items() if k > 0]
+            + [math.sqrt(2.0 * k) * build_mode_operator(register, m, "number")
+               for m, k in noise.dephasing.items() if k > 0])
+
+
+def test_gate_superoperator_matches_full_register_oracle(table_params, register2,
+                                                         register_hamiltonians):
     # oracle: the full 1024-dim superoperator, built without any sector code
     schedule = build_schedule(table_params, register2)
     noise = NoiseModel.from_params(table_params)
-    collapse = collapse_operators(register2, noise)
+    collapse = _register_collapse(register2, noise)
     full = np.eye(register2.dim ** 2, dtype=complex)
-    for h, dt, _ in schedule.segments:
+    for h, dt in register_hamiltonians(table_params, register2):
         full = expm(_kron_generator(h, collapse) * dt) @ full
     gate = gate_superoperator(schedule, noise)
     d = register2.dim
@@ -211,7 +221,8 @@ def test_gate_map_keeps_the_equal_photon_number_block(table_params, truncation,
     assert np.all(photons[gate.rows] <= 2)
 
 
-def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(table_params):
+def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(
+        table_params, register_hamiltonians):
     # oracle: the 441-dim map on every entry of the 21-state sector, each
     # segment's generator assembled from Kronecker products
     reg = ModeRegister.standard(3)
@@ -221,9 +232,9 @@ def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(table_pa
     sector = np.flatnonzero(photons <= 2)
     block = np.ix_(sector, sector)
     n = sector.size
-    collapse = [c[block] for c in collapse_operators(reg, noise)]
+    collapse = [c[block] for c in _register_collapse(reg, noise)]
     whole = np.eye(n * n, dtype=complex)
-    for h, dt, _ in schedule.segments:
+    for h, dt in register_hamiltonians(table_params, reg):
         whole = expm(_kron_generator(h[block], collapse) * dt) @ whole
     gate = gate_superoperator(schedule, noise)
     assert whole.shape == (441, 441)
@@ -239,8 +250,9 @@ def _production_blocks(schedule, noise, gate):
     map's kept entries, and each segment's generator on all of them."""
     collapse = collapse_operators(schedule.register, noise)
     drifts = [_drift(h, collapse) for h, _, _ in schedule.segments]
-    blocks = _generator_blocks(drifts, collapse, gate.rows, gate.cols)
-    gens = [_block_generator(a, collapse, gate.rows, gate.cols) for a in drifts]
+    rows, cols = (np.searchsorted(schedule.sector, k) for k in (gate.rows, gate.cols))
+    blocks = _generator_blocks(drifts, collapse, rows, cols)
+    gens = [_block_generator(a, collapse, rows, cols) for a in drifts]
     return blocks, gens
 
 
@@ -292,8 +304,9 @@ def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params):
     # whole-sector Kronecker construction
     reg = ModeRegister.standard(3)
     schedule = build_schedule(table_params, reg)
-    a1 = build_mode_operator(reg, "a1", "annihilate")
-    b1 = build_mode_operator(reg, "b1", "annihilate")
+    on_sector = np.ix_(schedule.sector, schedule.sector)
+    a1 = build_mode_operator(reg, "a1", "annihilate")[on_sector]
+    b1 = build_mode_operator(reg, "b1", "annihilate")[on_sector]
     h, dt, tag = schedule.segments[1]
     mixed = h + 0.5 * table_params.chi_bc * (a1.conj().T @ b1 + b1.conj().T @ a1)
     schedule = dataclasses.replace(
@@ -306,10 +319,10 @@ def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params):
     sector = np.flatnonzero(photons <= 2)
     block = np.ix_(sector, sector)
     n = sector.size
-    collapse = [c[block] for c in collapse_operators(reg, noise)]
+    collapse = [c[block] for c in _register_collapse(reg, noise)]
     whole = np.eye(n * n, dtype=complex)
     for h, dt, _ in schedule.segments:
-        whole = expm(_kron_generator(h[block], collapse) * dt) @ whole
+        whole = expm(_kron_generator(h, collapse) * dt) @ whole
     for rho0 in _codespace_units(reg) + [_bell_input(reg)]:
         out = (whole @ rho0[block].reshape(-1, order="F")).reshape(n, n, order="F")
         expected = np.zeros_like(rho0)
@@ -320,13 +333,13 @@ def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params):
 def test_gate_superoperator_rejects_a_photon_number_drive(table_params, register2):
     # a drive on the coupler would carry a two-photon state out of the sector
     schedule = build_schedule(table_params, register2)
-    c = build_mode_operator(register2, "c", "annihilate")
+    c = build_mode_operator(register2, "c", "annihilate")[np.ix_(schedule.sector,
+                                                                 schedule.sector)]
     h, dt, tag = schedule.segments[1]
     driven = h + c + c.conj().T
-    schedule = dataclasses.replace(
-        schedule, segments=(schedule.segments[0], (driven, dt, tag), schedule.segments[2]))
     with pytest.raises(ValueError, match="'wait' does not conserve photon number"):
-        gate_superoperator(schedule, NoiseModel.none())
+        gate_superoperator(dataclasses.replace(schedule, segments=(
+            schedule.segments[0], (driven, dt, tag), schedule.segments[2])), NoiseModel.none())
 
 
 def test_propagation_at_truncation_3(table_params):

@@ -14,8 +14,8 @@ from drcz.cli import _circuit_bell_reference
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
-from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_block,
-                       extract_local_frame, ideal_unitary)
+from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_basis_indices,
+                       codespace_block, extract_local_frame, ideal_unitary)
 from drcz.lindblad import gate_superoperator
 from drcz.tomography import (
     OUTCOMES,
@@ -278,7 +278,8 @@ def _bell_circuit_block(n_gates, params, noise):
             rho = z @ rho @ z.conj().T
         if n_gates >= 3 and n_gates % 2 == 1 and k == (n_gates - 1) // 2:
             rho = pulse(pulse(rho, CONTROL_CODE, "x", math.pi), TARGET_CODE, "x", math.pi)
-    return codespace_block(register, rho)
+    idx = codespace_basis_indices(register)
+    return rho[np.ix_(idx, idx)]
 
 
 @pytest.mark.parametrize("n_gates", [1, 2, 3, 5])
@@ -388,11 +389,12 @@ def test_leak_process_validation(table_params):
         simulated_leak_process(table_params, "1", points=100)
 
 
-def _leak_kraus_oracle(params, control_prep, points):
-    """The leak-conditioned Kraus list built the direct way: every segment
-    exponentiated afresh at every node, jump operators outside, nodes inside."""
+def _leak_kraus_oracle(params, control_prep, points, register_hamiltonians):
+    """The leak-conditioned Kraus list built the direct way, on the whole
+    register: every segment exponentiated afresh at every node, jump
+    operators outside, nodes inside."""
     register = ModeRegister.standard(2)
-    hams = [(h, d) for h, d, _ in build_schedule(params, register).segments]
+    hams = register_hamiltonians(params, register)
     a1, a2 = {"1": (0, 1), "0": (1, 0)}[control_prep]
     kets = []
     for b1, b2 in ((1, 0), (0, 1)):
@@ -437,10 +439,10 @@ def _leak_kraus_oracle(params, control_prep, points):
 
 
 @pytest.mark.parametrize("prep", ["1", "0"])
-def test_leak_process_matches_the_per_node_oracle(table_params, prep):
+def test_leak_process_matches_the_per_node_oracle(table_params, register_hamiltonians, prep):
     assert all(math.isfinite(table_params.t1[m]) for m in ("c", "a1", "a2"))
     got = simulated_leak_process(table_params, prep, points=41).kraus
-    want = _leak_kraus_oracle(table_params, prep, 41)
+    want = _leak_kraus_oracle(table_params, prep, 41, register_hamiltonians)
     assert len(got) == len(want) > 0
     largest = max(np.abs(k).max() for k in want)
     for k_got, k_want in zip(got, want):
