@@ -55,13 +55,15 @@ def pauli_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def _superop_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    d = kraus[0].shape[0]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus:
-        # np.kron(k.conj(), k) as one broadcast product
-        s += (k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(d * d, d * d)
-    return s
+def _superop_from_kraus(kraus: np.ndarray) -> np.ndarray:
+    """sum_k kron(conj(K_k), K_k) over a (K, d, d) stack.
+
+    One broadcast product per operator, summed over the leading axis: numpy
+    adds an outer-axis reduction term by term in stack order, so the sum is
+    bit-identical to accumulating the np.kron products one by one."""
+    n, d, _ = kraus.shape
+    terms = kraus.conj()[:, :, None, :, None] * kraus[:, None, :, None, :]
+    return terms.reshape(n, d * d, d * d).sum(axis=0)
 
 
 def _choi_from_superop(superop: np.ndarray) -> np.ndarray:
@@ -72,19 +74,19 @@ def _choi_from_superop(superop: np.ndarray) -> np.ndarray:
     return s4.transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
-def _kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> tuple[list[np.ndarray], float]:
-    """Eigendecompose the Choi matrix; returns (kraus list, min eigenvalue)."""
+def _kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+    """Eigendecompose the Choi matrix into a (K, d, d) Kraus stack, one
+    operator per eigenvalue above tol in ascending order (one zero operator
+    if there is none)."""
     d2 = choi.shape[0]
     d = int(round(np.sqrt(d2)))
     herm = (choi + choi.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
-    kraus = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > tol:
-            kraus.append(np.sqrt(lam) * v.reshape(d, d).T)
-    if not kraus:
-        kraus.append(np.zeros((d, d), dtype=complex))
-    return kraus, float(vals.min())
+    keep = vals > tol
+    if not keep.any():
+        return np.zeros((1, d, d), dtype=complex)
+    scaled = np.sqrt(vals[keep])[:, None] * vecs.T[keep]
+    return scaled.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -123,28 +125,39 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kraus_stack(kraus: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
+    """One read-only (K, dim, dim) copy of the given Kraus operators."""
+    if len(kraus) == 0:
+        raise ValueError("a channel needs at least one Kraus operator, got none")
+    try:
+        stack = _frozen(kraus)
+    except ValueError:  # operators of different shapes do not stack
+        stack = None
+    if stack is None or stack.shape[1:] != (dim, dim):
+        shape = next(np.shape(k) for k in kraus if np.shape(k) != (dim, dim))
+        raise ValueError(f"Kraus operator shape {shape} != ({dim}, {dim})")
+    return stack
+
+
 class QuantumChannel:
     """A completely positive map, possibly trace-decreasing.
 
-    Construct from exactly one of `kraus` or `superop`; the other, the
-    Choi matrix and (for a power-of-two dimension) the process matrix over
-    the plain Pauli strings are derived on demand.  Kraus operators
-    recovered from the Choi matrix reproduce the superoperator to 1e-10.
+    Construct from exactly one of `kraus` (a sequence of dim x dim
+    operators or a (K, dim, dim) stack) or `superop`; the other, the Choi
+    matrix and (for a power-of-two dimension) the process matrix over the
+    plain Pauli strings are derived on demand.  Kraus operators recovered
+    from the Choi matrix reproduce the superoperator to 1e-10.
     """
 
-    def __init__(self, dim: int, *, kraus: Sequence[np.ndarray] | None = None,
+    def __init__(self, dim: int, *, kraus: Sequence[np.ndarray] | np.ndarray | None = None,
                  superop: np.ndarray | None = None, validate: bool = True):
         if (kraus is None) == (superop is None):
             raise ValueError("provide exactly one of kraus, superop")
         self.dim = dim
         # private read-only copies: every representation built later, and the
         # cached diagnostics, stay images of the one given
-        self._kraus = None if kraus is None else tuple(_frozen(k) for k in kraus)
+        self._kraus = None if kraus is None else _kraus_stack(kraus, dim)
         self._superop = None if superop is None else _frozen(superop)
-        if self._kraus is not None:
-            for k in self._kraus:
-                if k.shape != (dim, dim):
-                    raise ValueError(f"Kraus operator shape {k.shape} != ({dim}, {dim})")
         if self._superop is not None and self._superop.shape != (dim * dim, dim * dim):
             raise ValueError("superoperator has wrong shape")
         self._cp_defect: float | None = None
@@ -175,12 +188,11 @@ class QuantumChannel:
         return self._superop
 
     @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
+    def kraus(self) -> np.ndarray:
+        """The Kraus operators as one read-only (K, dim, dim) stack."""
         if self._kraus is None:
-            ops, _ = _kraus_from_choi(_choi_from_superop(self.superop))
-            for k in ops:
-                k.setflags(write=False)
-            self._kraus = tuple(ops)
+            self._kraus = _kraus_from_choi(_choi_from_superop(self.superop))
+            self._kraus.setflags(write=False)
         return self._kraus
 
     @property
@@ -207,10 +219,8 @@ class QuantumChannel:
     @property
     def completeness(self) -> np.ndarray:
         """sum_k K_k^dag K_k; equals identity for trace-preserving maps."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus:
-            out += k.conj().T @ k
-        return out
+        k = self.kraus
+        return (k.conj().transpose(0, 2, 1) @ k).sum(axis=0)
 
     @property
     def completeness_defect(self) -> float:

@@ -284,8 +284,10 @@ def simulated_leak_process(params: SystemParams | None = None,
     A single loss jump (coupler or control-rail mode) is inserted at each
     node of a Simpson grid of `points` nodes across the piecewise schedule,
     weighted by the jump rate and the node's quadrature weight, and the
-    surviving target amplitudes are collected as Kraus operators; a node
-    whose jumped state vanishes (max amplitude <= 1e-14) adds none.
+    surviving target amplitudes, scaled by sqrt(rate * weight), form the
+    channel's (K, 2, 2) Kraus stack, jump by jump and node by node, in one
+    array step; a node whose jumped state vanishes (max amplitude <= 1e-14)
+    adds none.
     Everything runs on the schedule's 16-state photon sector.  Each segment
     Hamiltonian is diagonalized once, block by block over the states it
     couples (`gate._block_eigh`), so a node at offset tau in a segment of
@@ -371,15 +373,14 @@ def simulated_leak_process(params: SystemParams | None = None,
             jumped = (v_dag @ (jump_op @ moved)).reshape(dim, nodes.size, 2)
             col = (after_v @ (rest * jumped).reshape(dim, -1)).reshape(jumped.shape)
             amps[j, nodes] = col[out_rows].transpose(1, 0, 2)
-            hits[j, nodes] = np.abs(col).max(axis=(0, 2)) > 1e-14
-    # Kraus operators per jump operator, joined jump by jump: the list order
-    # fixes the summation order of every representation of the channel.
-    kraus = [math.sqrt(rate * w) * k
-             for (_, rate), per_node, hit in zip(jump_specs, amps, hits)
-             for k, w, h in zip(per_node, weights, hit) if h]
-    if not kraus:
+            hits[j, nodes] = np.abs(col).max(axis=0).max(axis=1) > 1e-14
+    if not hits.any():
         raise ValueError("no erasure pathway for this preparation")
-    return QuantumChannel(2, kraus=kraus, validate=False)
+    # Kraus operators per jump operator, joined jump by jump: the stack order
+    # fixes the summation order of every representation of the channel.
+    rates = np.array([rate for _, rate in jump_specs])
+    scale = np.sqrt(rates[:, None] * weights)[:, :, None, None]
+    return QuantumChannel(2, kraus=(scale * amps)[hits], validate=False)
 
 
 def _simpson_grid(a: float, b: float, points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from drcz.channels import (
     pauli_labels,
     _superop_from_kraus,
 )
+from drcz.tomography import simulated_leak_process
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,6 +50,11 @@ def test_constructor_requires_exactly_one_representation():
         QuantumChannel(2)
     with pytest.raises(ValueError, match="Kraus operator shape"):
         QuantumChannel(2, kraus=[np.eye(3, dtype=complex)])
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) != \(2, 2\)"):
+        QuantumChannel(2, kraus=[eye, np.eye(3, dtype=complex)])
+    for empty in ([], np.zeros((0, 2, 2), dtype=complex)):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            QuantumChannel(2, kraus=empty, validate=False)
     with pytest.raises(ValueError, match="superoperator"):
         QuantumChannel(2, superop=np.eye(3))
 
@@ -91,7 +97,21 @@ def test_superop_from_kraus_equals_the_kron_sum(d):
     want = np.zeros((d * d, d * d), dtype=complex)
     for k in kraus:
         want += np.kron(k.conj(), k)
-    assert np.array_equal(_superop_from_kraus(kraus), want)
+    assert np.array_equal(_superop_from_kraus(np.array(kraus)), want)
+
+
+def test_leak_superop_equals_the_kron_sum_at_full_size(table_params):
+    chan = simulated_leak_process(table_params, "1")
+    kraus = chan.kraus
+    assert type(kraus) is np.ndarray and kraus.shape == (1600, 2, 2)
+    assert not kraus.flags.writeable
+    want = np.zeros((4, 4), dtype=complex)
+    for k in kraus:
+        want += np.kron(k.conj(), k)
+    assert np.array_equal(chan.superop, want)
+    for part in ("real", "imag"):
+        np.testing.assert_array_equal(np.signbit(getattr(chan.superop, part)),
+                                      np.signbit(getattr(want, part)))
 
 
 def test_representation_round_trips():
@@ -163,13 +183,24 @@ def test_cached_pauli_arrays_are_read_only():
 def test_a_channel_keeps_private_read_only_copies_of_its_input():
     u = np.diag([1.0, 1j]).astype(complex)
     s = np.kron(u.conj(), u)
+    ops = [u, 0 * u]
+    stack = np.array(ops)
     by_superop = QuantumChannel(2, superop=s)
     by_kraus = QuantumChannel(2, kraus=[u])
+    by_list = QuantumChannel(2, kraus=ops)
+    by_stack = QuantumChannel(2, kraus=stack)
     assert by_superop.superop is not s and by_kraus.kraus[0] is not u
-    s[0, 0] = u[0, 0] = 0.5  # the caller's arrays stay the caller's
+    assert by_stack.kraus is not stack
+    s[0, 0] = u[0, 0] = stack[0, 0, 0] = 0.5  # the caller's arrays stay the caller's
+    ops[1] = np.eye(2)
+    ops.append(np.eye(2))
     assert by_superop.superop[0, 0] == by_kraus.kraus[0][0, 0] == 1.0
-    for chan in (by_superop, by_kraus):
-        for stored in (chan.superop, chan.kraus[0]):
+    for chan in (by_list, by_stack):
+        assert chan.kraus.shape == (2, 2, 2)
+        assert chan.kraus[0, 0, 0] == 1.0 and not chan.kraus[1].any()
+    for chan in (by_superop, by_kraus, by_list, by_stack):
+        assert chan.kraus.ndim == 3
+        for stored in (chan.superop, chan.kraus, chan.kraus[0]):
             with pytest.raises(ValueError, match="read-only"):
                 stored[0, 0] = 0.5
 

@@ -1,4 +1,5 @@
 """Erasure-aware state/process tomography and the simulated Bell circuit."""
+import dataclasses
 import itertools
 import math
 
@@ -453,6 +454,14 @@ def test_leak_process_matches_the_per_node_oracle(table_params, register_hamilto
             # eigenphases instead of expm: the same zeros, the rest to rounding
             assert np.array_equal(k_got == 0, k_want == 0)
             np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14 * largest)
+
+
+@pytest.mark.parametrize("prep", ["1", "0"])
+def test_leak_process_refuses_a_preparation_without_a_lossy_mode(table_params, prep):
+    # only the target rails decay: no control-side jump can herald an erasure
+    lossless = dataclasses.replace(table_params, t1={m: table_params.t1[m] for m in ("b1", "b2")})
+    with pytest.raises(ValueError, match="no erasure pathway"):
+        simulated_leak_process(lossless, prep)
 
 
 @pytest.mark.parametrize("prep", ["1", "0", "erased"])
