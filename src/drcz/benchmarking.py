@@ -28,6 +28,7 @@ from .channels import QuantumChannel, pauli_basis
 from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _layered_channel,
                              _leakage_kraus, postselected_fidelity, qutrit_cz,
                              qutrit_dephasing_kraus, qutrit_gate_channel)
+from .fock import _integer
 
 __all__ = [
     "CliffordGroup",
@@ -588,8 +589,7 @@ def irb_accuracy_study(operating_point: ChannelRates,
     value is the postselected entanglement infidelity of the channel; the
     operating point takes no part in the slope fit.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
     depths = _integers(depths, "depths")
@@ -648,8 +648,7 @@ def simulate_bitflip_protocol(initial: str,
     """
     if initial not in ("0", "1"):
         raise ValueError("initial state must be '0' or '1'")
-    if isinstance(n_gates, bool) or not isinstance(n_gates, (int, np.integer)):
-        raise ValueError(f"n_gates must be an integer, got {n_gates!r}")
+    n_gates = _integer(n_gates, "n_gates")
     if n_gates < 0:
         raise ValueError(f"n_gates must be non-negative, got {n_gates}")
     level = int(initial)

@@ -102,7 +102,7 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
     register = ModeRegister.standard(truncation)
     schedule = build_schedule(p, register,
                               include_static_crosskerr=include_static_crosskerr)
-    idx = codespace_basis_indices(register)
+    idx = np.searchsorted(schedule.sector, codespace_basis_indices(register)).tolist()
 
     if ensemble is None:
         weights = np.full(4, 0.25)
@@ -130,12 +130,12 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
 
     # output populations of the diagonal inputs; Hermitizing keeps them exact
     diagonal = gate.rows == gate.cols
-    populations = np.zeros(register.dim)
+    populations = np.zeros(schedule.sector.size)
     populations[gate.rows[diagonal]] = np.real(sum(
         w * gate.superop[diagonal, code[5 * k]] for k, w in enumerate(weights)))
     # bincount adds in basis-index order, so the class sums are reproducible
     pops = dict(zip(OCCUPANCY_CLASSES, np.bincount(
-        occupancy_classes(register), weights=populations,
+        occupancy_classes(register)[schedule.sector], weights=populations,
         minlength=len(OCCUPANCY_CLASSES))))
     code_mass = pops.pop("codespace")
 

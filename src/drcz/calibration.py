@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import DualRailCode, ModeRegister, build_mode_operator
+from .fock import DualRailCode, ModeRegister, _integer, build_mode_operator
 from .gate import (CONTROL_CODE, COUPLER, TARGET_CODE, GateSchedule, SystemParams,
                    _propagator, _tracked_pump_phase, build_schedule, derive_gate_params,
                    ideal_unitary, occupancy_classes, wrap_angle)
@@ -162,6 +162,7 @@ def swap_duration_scan(p: SystemParams, n_repeats: int,
     sharpens linearly with the repeat count.  Even counts are rejected
     because they return the photon regardless of duration.
     """
+    n_repeats = _integer(n_repeats, "n_repeats")
     if n_repeats < 1 or n_repeats % 2 == 0:
         raise ValueError(f"n_repeats must be a positive odd integer, "
                          f"got {n_repeats}")
@@ -262,6 +263,7 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     D = exp(i phi n_c) and W = exp(-i H_wait t_wait), both diagonal:
     one 16x16 product per wait, all from one decomposition.
     """
+    n_repeats = _integer(n_repeats, "n_repeats")
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
     register = ModeRegister.standard(2)
@@ -304,6 +306,7 @@ def local_z_scan(p: SystemParams, n_repeats: int = 4) -> LocalPhaseSlopes:
     continues from the previous one plus the single-gate increment) and
     the slope of the line through the origin is returned per qubit.
     """
+    n_repeats = _integer(n_repeats, "n_repeats")
     if n_repeats < 1:
         raise ValueError("n_repeats must be a positive integer")
     schedule = build_schedule(p, ModeRegister.standard(2))

@@ -40,8 +40,8 @@ from .fock import ModeRegister
 from .gate import (build_schedule, codespace_block, derive_gate_params,
                    extract_local_frame, ideal_unitary, on_off_ratio)
 from .lindblad import NoiseModel
-from .tomography import (bell_circuit_record, bell_metrics, reconstruct_state,
-                         setting_unitary, simulated_leak_process)
+from .tomography import (_bell_circuit_records, bell_circuit_record, bell_metrics,
+                         reconstruct_state, setting_unitary, simulated_leak_process)
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
@@ -189,9 +189,8 @@ def _run_repeated_cz(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     depths = (1, 3, 5, 7, 9)
     rows = []
     fidelities, kept = [], []
-    for n in depths:
-        record = bell_circuit_record(n, params=p, noise=noise,
-                                     readout=cfg.readout(2))
+    records = _bell_circuit_records(depths, params=p, noise=noise, readout=cfg.readout(2))
+    for n, record in zip(depths, records):
         post = reconstruct_state(record, postselect=True)
         fid, purity = bell_metrics(post, reference=_circuit_bell_reference(n))
         raw = reconstruct_state(record, postselect=False)

@@ -105,8 +105,7 @@ class ModeRegister:
 
     def occupations(self, flat_index: int) -> tuple[int, ...]:
         """Inverse of basis_index."""
-        if isinstance(flat_index, bool) or not isinstance(flat_index, (int, np.integer)):
-            raise ValueError(f"flat index must be an integer, got {flat_index!r}")
+        flat_index = _integer(flat_index, "flat index")
         if not 0 <= flat_index < self.dim:
             raise ValueError(f"flat index {flat_index} out of range [0, {self.dim})")
         occ = []
@@ -129,6 +128,13 @@ class ModeRegister:
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in occ):
             raise ValueError(f"occupations must be integers, got {occ!r}")
         return tuple(map(int, occ))
+
+
+def _integer(value, name: str) -> int:
+    """The value as an int; a bool or a non-integer is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def build_mode_operator(register: ModeRegister, label: str, kind: str) -> np.ndarray:
@@ -173,16 +179,6 @@ class DensityMatrix:
                 raise ValueError(f"density matrix trace {tr} outside [0, 1]")
         self.register = register
         self.data = data
-
-    @classmethod
-    def from_state_vector(cls, register: ModeRegister, vec: np.ndarray) -> "DensityMatrix":
-        vec = np.asarray(vec, dtype=complex)
-        return cls(register, np.outer(vec, vec.conj()))
-
-    @classmethod
-    def basis_state(cls, register: ModeRegister,
-                    occupations: Sequence[int] | Mapping[str, int]) -> "DensityMatrix":
-        return cls.from_state_vector(register, register.basis_state(occupations))
 
     @property
     def trace(self) -> float:

@@ -20,7 +20,7 @@ restricting the generator to it is exact.  That keeps 126 of the 256
 entries of the 16-state sector at truncation 2 and 251 of 441 (21
 states) at truncation 3.  The segment Hamiltonians and the collapse
 operators are built on the sector, so no register-size matrix enters the
-map; only `GateMap` reads and writes register matrices, by index.
+map, and `GateMap` takes and returns sector matrices, by sector position.
 
 Within the kept entries the map is a direct sum over the connected
 components of the generators' joint nonzero pattern, taken over all
@@ -111,32 +111,32 @@ class GateMap:
     sector of at most SECTOR_PHOTONS.
 
     `sector` lists the register's basis indices with at most SECTOR_PHOTONS
-    photons.  `superop` acts on the vector of the entries (rows[k], cols[k])
-    of a register matrix: the sector pairs whose row and column hold equal
-    photon numbers, in column-stacking order.  The sector's other entries
-    never feed these, and no input of the gate has weight on them.  `superop`
-    is block diagonal over the connected components of the segment
-    generators, with exact zeros between blocks (see the module docstring).
+    photons, and a matrix on the sector is indexed by position in it.
+    `superop` acts on the vector of the entries (rows[k], cols[k]) of such a
+    matrix: the sector positions whose states hold equal photon numbers, in
+    column-stacking order.  The sector's other entries never feed these, and
+    no input of the gate has weight on them.  `superop` is block diagonal
+    over the connected components of the segment generators, with exact
+    zeros between blocks (see the module docstring).
     """
 
-    register: ModeRegister
     sector: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     superop: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Gate output of a (not necessarily Hermitian) register matrix; raises
-        if the input has weight off the kept entries, which the map cannot
-        carry."""
-        d = self.register.dim
+        """Gate output of a (not necessarily Hermitian) matrix on the sector;
+        raises if the input has weight off the kept entries, which the map
+        cannot carry."""
+        d = self.sector.size
         if rho.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
+            raise ValueError(f"expected a {d}x{d} matrix on the sector of at most "
+                             f"{SECTOR_PHOTONS} photons, got shape {rho.shape}")
         inside = rho[self.rows, self.cols]
         if np.count_nonzero(inside) != np.count_nonzero(rho):
-            raise ValueError(
-                f"input has weight outside the sector of at most {SECTOR_PHOTONS} "
-                "photons or between different photon numbers")
+            raise ValueError("input has weight outside the map's entries, between "
+                             "different photon numbers")
         out = np.zeros((d, d), dtype=complex)
         out[self.rows, self.cols] = self.superop @ inside
         return out
@@ -200,4 +200,4 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
         for a, (_, dt, _) in zip(drifts, schedule.segments):
             product = expm(_block_generator(a, collapse, rows[idx], cols[idx]) * dt) @ product
         superop[idx[:, :, None], idx[:, None, :]] = product
-    return GateMap(register, sector, sector[rows], sector[cols], superop)
+    return GateMap(sector, rows, cols, superop)

@@ -12,15 +12,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis
 from .config import DeviceConfig
 from .error_channels import PREP_KETS, ReadoutModel
-from .fock import DensityMatrix, DualRailCode, ModeRegister, build_mode_operator
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
-                   build_schedule, codespace_block, extract_local_frame, ideal_unitary)
+from .fock import DensityMatrix, DualRailCode, ModeRegister, _integer, build_mode_operator
+from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _photon_sector,
+                   _propagator, build_schedule, codespace_block, extract_local_frame,
+                   ideal_unitary)
 from .lindblad import NoiseModel, gate_superoperator
 
 __all__ = [
@@ -69,17 +71,16 @@ def setting_unitary(label: str) -> np.ndarray:
 
 def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
                        axis: str, angle: float) -> np.ndarray:
-    """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter."""
-    r0 = build_mode_operator(register, code.rail0, "annihilate")
-    r1 = build_mode_operator(register, code.rail1, "annihilate")
+    """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter on the photon sector."""
+    block = np.ix_(*[_photon_sector(register)] * 2)
+    r0, r1 = (build_mode_operator(register, rail, "annihilate")[block] for rail in code.labels)
     hop = r0.conj().T @ r1
     if axis == "x":
         gen = hop + hop.conj().T
     elif axis == "y":
         gen = -1j * hop + 1j * hop.conj().T
     elif axis == "z":
-        n0 = build_mode_operator(register, code.rail0, "number")
-        n1 = build_mode_operator(register, code.rail1, "number")
+        n0, n1 = (build_mode_operator(register, rail, "number")[block] for rail in code.labels)
         gen = n0 - n1
     else:
         raise ValueError(f"unknown axis {axis!r}")
@@ -88,8 +89,9 @@ def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
 
 def dual_rail_phase(register: ModeRegister, code: DualRailCode,
                     theta: float) -> np.ndarray:
-    """Virtual-Z of angle theta: |1_L> gains e^{i theta} (frame update)."""
-    n1 = build_mode_operator(register, code.rail1, "number")
+    """Virtual-Z of angle theta on the photon sector: |1_L> gains e^{i theta} (frame update)."""
+    block = np.ix_(*[_photon_sector(register)] * 2)
+    n1 = build_mode_operator(register, code.rail1, "number")[block]
     return np.diag(np.exp(1j * theta * np.diag(n1)))
 
 
@@ -131,46 +133,61 @@ def bell_circuit_record(n_gates: int = 1, *,
     as {0, 1, erasure} through the readout confusion matrix, and the
     record holds the exact outcome probabilities.  params, noise and
     readout default to the built-in device table, no noise, and the
-    table's two-round readout.
+    table's two-round readout.  One depth of `_bell_circuit_records`.
     """
-    if n_gates < 0:
-        raise ValueError(f"n_gates must be non-negative, got {n_gates}")
+    return _bell_circuit_records([n_gates], params=params, noise=noise, readout=readout)[0]
+
+
+def _bell_circuit_records(depths: Sequence[int], *,
+                          params: SystemParams | None = None,
+                          noise: NoiseModel | None = None,
+                          readout: ReadoutModel | None = None) -> list[MeasurementRecord]:
+    """`bell_circuit_record` at each depth, from one build of the schedule,
+    frame, gate map and pulses.  The pulses conserve photon number, so the
+    circuit runs on the schedule's photon sector."""
+    depths = [_integer(n, "n_gates") for n in depths]
+    if min(depths, default=0) < 0:
+        raise ValueError(f"n_gates must be non-negative, got {min(depths)}")
     params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     noise = noise or NoiseModel.none()
     readout = readout or DeviceConfig.default().readout(2)
     schedule = build_schedule(params, register)
+    sector = schedule.sector
     frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
+    gate = gate_superoperator(schedule, noise)
 
-    prep_c = dual_rail_rotation(register, CONTROL_CODE, "x", math.pi / 2)
-    prep_t = dual_rail_rotation(register, TARGET_CODE, "x", math.pi / 2)
+    rot_c, rot_t = ({label: dual_rail_rotation(register, code, *spec) if spec
+                     else np.eye(sector.size) for label, spec in SETTINGS.items()}
+                    for code in (CONTROL_CODE, TARGET_CODE))
+    prep_c, prep_t = rot_c["X90"], rot_t["X90"]
+    echo_u = rot_c["X180"] @ rot_t["X180"]
     wrong_c = dual_rail_phase(register, CONTROL_CODE, -frame.phi_control)
     wrong_t = dual_rail_phase(register, TARGET_CODE, -frame.phi_target)
-    echo_u = (dual_rail_rotation(register, CONTROL_CODE, "x", math.pi)
-              @ dual_rail_rotation(register, TARGET_CODE, "x", math.pi))
+    # the 36 pre-rotation pairs in (sc, st) order, the target pulse after the control one
+    pulses = [r_t @ r_c for r_c, r_t in itertools.product(rot_c.values(), rot_t.values())]
 
-    rho = DensityMatrix.basis_state(register, {CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1}).data
-    rho = prep_t @ prep_c @ rho @ prep_c.conj().T @ prep_t.conj().T
-    echo_after = (n_gates - 1) // 2 if (n_gates >= 3 and n_gates % 2 == 1) else None
-    gate = gate_superoperator(schedule, noise)
-    for k in range(n_gates):
-        rho = wrong_t @ wrong_c @ gate.apply(rho) @ wrong_c.conj().T @ wrong_t.conj().T
-        if echo_after is not None and k + 1 == echo_after:
-            rho = echo_u @ rho @ echo_u.conj().T
-
-    outcome_pair = 3 * CONTROL_CODE.outcomes(register) + TARGET_CODE.outcomes(register)
+    ground = register.basis_index({CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1})
+    prepared = np.diag((sector == ground).astype(complex))
+    prepared = prep_t @ prep_c @ prepared @ prep_c.conj().T @ prep_t.conj().T
+    outcome_pair = (3 * CONTROL_CODE.outcomes(register) + TARGET_CODE.outcomes(register))[sector]
     conf_c = readout.confusion_matrix(0)
     conf_t = readout.confusion_matrix(1)
 
-    rot_c, rot_t = ([dual_rail_rotation(register, code, *spec) if spec
-                     else np.eye(register.dim) for spec in SETTINGS.values()]
-                    for code in (CONTROL_CODE, TARGET_CODE))
-    # the 36 pre-rotation pairs in (sc, st) order, the target pulse after the control one
-    pulses = (r_t @ r_c for r_c, r_t in itertools.product(rot_c, rot_t))
-    true_probs = np.array([np.bincount(outcome_pair, weights=np.diag(u @ rho @ u.conj().T).real,
-                                       minlength=9) for u in pulses])
-    true_probs = np.clip(true_probs, 0.0, None).reshape(6, 6, 3, 3)
-    return MeasurementRecord(conf_c.T @ true_probs @ conf_t)
+    records = []
+    for n_gates in depths:
+        rho = prepared
+        echo_after = (n_gates - 1) // 2 if (n_gates >= 3 and n_gates % 2 == 1) else None
+        for k in range(n_gates):
+            rho = wrong_t @ wrong_c @ gate.apply(rho) @ wrong_c.conj().T @ wrong_t.conj().T
+            if echo_after is not None and k + 1 == echo_after:
+                rho = echo_u @ rho @ echo_u.conj().T
+        true_probs = np.array([np.bincount(outcome_pair, minlength=9,
+                                           weights=np.diag(u @ rho @ u.conj().T).real)
+                               for u in pulses])
+        true_probs = np.clip(true_probs, 0.0, None).reshape(6, 6, 3, 3)
+        records.append(MeasurementRecord(conf_c.T @ true_probs @ conf_t))
+    return records
 
 
 def psd_project(mat: np.ndarray, trace: float | None = None) -> np.ndarray:

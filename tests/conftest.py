@@ -1,5 +1,6 @@
-"""Shared fixtures: measured-device parameters, standard registers, and a
-register-size oracle for the gate's Hamiltonians."""
+"""Shared fixtures: measured-device parameters, standard registers, a
+register-size oracle for the gate's Hamiltonians, and the one embedding
+of the gate map between its photon sector and the register."""
 import numpy as np
 import pytest
 
@@ -45,3 +46,22 @@ def _register_hamiltonians(params, register, include_static_crosskerr=False):
 def register_hamiltonians():
     """`_register_hamiltonians(params, register, include_static_crosskerr=False)`."""
     return _register_hamiltonians
+
+
+def _apply_on_register(gate, rho):
+    """`gate.apply` on a register matrix: rho's block on the gate's sector
+    goes through the map, and the output comes back embedded in a register
+    matrix, zero off that block.  Asserts that rho has no weight off it."""
+    block = np.ix_(gate.sector, gate.sector)
+    off_block = rho.copy()
+    off_block[block] = 0
+    assert not off_block.any(), "input has weight outside the gate's sector"
+    out = np.zeros(rho.shape, dtype=complex)
+    out[block] = gate.apply(rho[block])
+    return out
+
+
+@pytest.fixture(scope="session")
+def apply_on_register():
+    """`_apply_on_register(gate, rho)`."""
+    return _apply_on_register

@@ -66,9 +66,10 @@ def test_budget_validation():
                     control_z=0, target_z=0, zz=0, no_error=0.9)
 
 
-def _budget_oracle(params, truncation, include_static_crosskerr):
+def _budget_oracle(params, truncation, include_static_crosskerr, apply_on_register):
     """The budget the long way round: each of the 16 codespace units |i><j|
-    pushed through the whole-gate map as a register matrix, the outputs
+    pushed through the whole-gate map as a register matrix (embedded by
+    `apply_on_register`), the outputs
     Hermitized above dimension 64 (the truncation-3 defect the budget keeps),
     then the occupancy sums and the chi-error Z split."""
     register = ModeRegister.standard(truncation)
@@ -82,7 +83,7 @@ def _budget_oracle(params, truncation, include_static_crosskerr):
         for i in idx:
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
-            out = gate.apply(unit)
+            out = apply_on_register(gate, unit)
             outs.append((out + out.conj().T) / 2 if d > 64 else out)
     rho = sum(w * outs[5 * k] for k, w in enumerate(np.full(4, 0.25)))
     pops = dict(zip(OCCUPANCY_CLASSES, np.bincount(
@@ -104,10 +105,11 @@ def _budget_oracle(params, truncation, include_static_crosskerr):
     pytest.param(3, False, id="truncation-3"),
     pytest.param(2, True, id="static-kerr"),
 ])
-def test_budget_equals_the_unit_matrix_oracle(table_params, truncation, static_kerr):
+def test_budget_equals_the_unit_matrix_oracle(table_params, truncation, static_kerr,
+                                              apply_on_register):
     budget = compute_error_budget(table_params, truncation=truncation,
                                   include_static_crosskerr=static_kerr)
-    oracle = _budget_oracle(table_params, truncation, static_kerr)
+    oracle = _budget_oracle(table_params, truncation, static_kerr, apply_on_register)
     assert budget.as_dict() == oracle
 
 

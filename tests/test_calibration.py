@@ -144,6 +144,32 @@ def test_local_z_scan_recovers_the_gate_frame(table_params, register2):
         local_z_scan(table_params, 0)
 
 
+_REPEATED_SCANS = {
+    "swap_duration_scan": lambda p, n: swap_duration_scan(p, n, [0.1, 0.2]),
+    "entangling_phase_scan": lambda p, n: entangling_phase_scan(p, [T_WAIT], n),
+    "local_z_scan": lambda p, n: local_z_scan(p, n),
+}
+
+
+@pytest.mark.parametrize("n_repeats", [True, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("scan", sorted(_REPEATED_SCANS))
+def test_a_repeat_count_that_is_not_an_integer_is_refused(table_params, scan, n_repeats):
+    # refused, not run as one repeat, recorded as 2.5 or died on inside range()
+    with pytest.raises(ValueError, match="n_repeats must be an integer"):
+        _REPEATED_SCANS[scan](table_params, n_repeats)
+
+
+@pytest.mark.parametrize("scan", sorted(_REPEATED_SCANS))
+def test_a_numpy_repeat_count_is_taken(table_params, scan):
+    run = _REPEATED_SCANS[scan]
+    got, want = run(table_params, np.int64(3)), run(table_params, 3)
+    if isinstance(want, SweepResult):
+        assert np.array_equal(got.values, want.values)
+        assert got.fixed == want.fixed and got.fixed["n_repeats"] == 3.0
+    else:
+        assert got == want
+
+
 def test_calibration_flow_recovers_the_operating_point(table_params):
     t_swap, t_wait, phi_swap = derive_gate_params(table_params)
     report = run_calibration_flow(table_params)

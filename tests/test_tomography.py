@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from drcz import ModeRegister, NoiseModel, SystemParams, tomography
 from drcz.benchmarking import NativeGateNoise, simulate_bitflip_protocol
 from drcz.channels import QuantumChannel
-from drcz.cli import _circuit_bell_reference
+from drcz.cli import _circuit_bell_reference, run_experiment
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
@@ -63,49 +63,75 @@ def test_setting_unitaries():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
 
+def _sector_position(register, occupations):
+    """Position of a basis state among the register's states with at most
+    two photons, in ascending basis-index order."""
+    sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= 2)
+    return int(np.searchsorted(sector, register.basis_index(occupations)))
+
+
+def _register_pulse(register, code, axis, angle):
+    """Oracle: the rail rotation exp(-i angle/2 G) on the whole register,
+    from register-size mode operators and scipy's expm."""
+    r0, r1 = (build_mode_operator(register, rail, "annihilate") for rail in code.labels)
+    n0, n1 = (build_mode_operator(register, rail, "number") for rail in code.labels)
+    hop = r0.conj().T @ r1
+    gen = {"x": hop + hop.conj().T, "y": -1j * hop + 1j * hop.conj().T, "z": n0 - n1}[axis]
+    return expm(-0.5j * angle * gen)
+
+
 def test_dual_rail_rotation_acts_as_logical_pulse(register2):
     # X(pi) swaps the rails of the target qubit (up to the -i of a half turn)
+    i10 = _sector_position(register2, {"a1": 1, "b1": 1})
+    i01 = _sector_position(register2, {"a1": 1, "b2": 1})
     u = dual_rail_rotation(register2, TARGET_CODE, "x", math.pi)
-    ket10 = np.zeros(register2.dim, dtype=complex)
-    ket10[register2.basis_index({"a1": 1, "b1": 1})] = 1.0
+    ket10 = np.zeros(16, dtype=complex)
+    ket10[i10] = 1.0
     out = u @ ket10
     target = np.zeros_like(out)
-    target[register2.basis_index({"a1": 1, "b2": 1})] = -1j
+    target[i01] = -1j
     np.testing.assert_allclose(out, target, atol=1e-14)
     # z-axis generator is the rail population difference
     uz = dual_rail_rotation(register2, TARGET_CODE, "z", 0.8)
-    assert uz[register2.basis_index({"a1": 1, "b1": 1}),
-              register2.basis_index({"a1": 1, "b1": 1})] == pytest.approx(
-        np.exp(-0.4j), abs=1e-14)
+    assert uz[i10, i10] == pytest.approx(np.exp(-0.4j), abs=1e-14)
     with pytest.raises(ValueError, match="unknown axis"):
         dual_rail_rotation(register2, TARGET_CODE, "w", 1.0)
 
 
-def test_rotations_match_expm(register2):
+def test_rotations_match_expm():
     for label, spec in SETTINGS.items():
         axis, angle = spec or ("x", 0.0)
         want = expm(-0.5j * angle * {"x": X, "y": Y}[axis])
         np.testing.assert_allclose(setting_unitary(label), want, rtol=0, atol=1e-16)
-    for code in (CONTROL_CODE, TARGET_CODE):
-        r0, r1 = (build_mode_operator(register2, rail, "annihilate")
-                  for rail in code.labels)
-        n0, n1 = (build_mode_operator(register2, rail, "number")
-                  for rail in code.labels)
-        hop = r0.conj().T @ r1
-        gens = {"x": hop + hop.conj().T, "y": -1j * hop + 1j * hop.conj().T, "z": n0 - n1}
-        for axis, gen in gens.items():
-            for angle in (math.pi / 2, -math.pi / 2, math.pi, 0.3):
-                got = dual_rail_rotation(register2, code, axis, angle)
-                np.testing.assert_allclose(got, expm(-0.5j * angle * gen),
-                                           rtol=0, atol=1e-15)
-        got = dual_rail_phase(register2, code, 0.3)
-        np.testing.assert_allclose(got, expm(0.3j * n1), rtol=0, atol=1e-16)
+    # the rail pulses are operators on the sector of at most two photons:
+    # the sector block of the register-size expm oracle.  The rail
+    # generator's eigenvalues are +-1 at truncation 2 and reach +-2 at
+    # truncation 3 (two photons in one qubit's rails); the eigh path's
+    # rounding grows with them, to 1.06e-15 at X(pi) (the same on the
+    # whole register)
+    for truncation, size, atol in ((2, 16, 1e-15), (3, 21, 2e-15)):
+        register = ModeRegister.standard(truncation)
+        sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= 2)
+        block = np.ix_(sector, sector)
+        assert sector.size == size
+        for code in (CONTROL_CODE, TARGET_CODE):
+            for axis in "xyz":
+                for angle in (math.pi / 2, -math.pi / 2, math.pi, 0.3):
+                    got = dual_rail_rotation(register, code, axis, angle)
+                    assert got.shape == (size, size)
+                    np.testing.assert_allclose(
+                        got, _register_pulse(register, code, axis, angle)[block],
+                        rtol=0, atol=atol)
+            n1 = build_mode_operator(register, code.rail1, "number")
+            got = dual_rail_phase(register, code, 0.3)
+            assert got.shape == (size, size)
+            np.testing.assert_allclose(got, expm(0.3j * n1)[block], rtol=0, atol=1e-16)
 
 
 def test_dual_rail_phase_rotates_the_one_rail(register2):
     u = dual_rail_phase(register2, CONTROL_CODE, 0.3)
-    i_zero = register2.basis_index({"a1": 1, "b1": 1})
-    i_one = register2.basis_index({"a2": 1, "b1": 1})
+    i_zero = _sector_position(register2, {"a1": 1, "b1": 1})
+    i_one = _sector_position(register2, {"a2": 1, "b1": 1})
     assert u[i_zero, i_zero] == pytest.approx(1.0)
     assert u[i_one, i_one] == pytest.approx(np.exp(0.3j), abs=1e-14)
 
@@ -168,6 +194,43 @@ def test_a_negative_gate_count_is_refused(run):
     with pytest.raises(ValueError, match="n_gates must be non-negative"):
         run(-2)
     assert run(0) is not None  # zero gates is a valid circuit
+
+
+@pytest.mark.parametrize("n_gates", [True, False, 2.5, 3.0, "3", None])
+def test_a_gate_count_that_is_not_an_integer_is_refused(n_gates):
+    # refused, not run as one gate or died on inside range()
+    with pytest.raises(ValueError, match="n_gates must be an integer"):
+        bell_circuit_record(n_gates, readout=ReadoutModel.perfect())
+    with pytest.raises(ValueError, match="n_gates must be an integer"):
+        tomography._bell_circuit_records([1, n_gates], readout=ReadoutModel.perfect())
+
+
+def test_a_numpy_gate_count_is_taken():
+    rec = bell_circuit_record(np.int64(3), readout=ReadoutModel.perfect())
+    assert np.array_equal(rec.data, bell_circuit_record(3, readout=ReadoutModel.perfect()).data)
+
+
+def test_the_circuit_is_built_once_per_run(table_params, monkeypatch, tmp_path):
+    # every depth of one build gives the one-depth record, bit for bit
+    noise = NoiseModel.from_params(table_params)
+    readout = DeviceConfig.default().readout(2)
+    depths = (0, 1, 2, 3, 5, 9)
+    records = tomography._bell_circuit_records(depths, params=table_params, noise=noise,
+                                               readout=readout)
+    assert len(records) == len(depths)
+    for n, record in zip(depths, records):
+        alone = bell_circuit_record(n, params=table_params, noise=noise, readout=readout)
+        assert np.array_equal(record.data, alone.data), n
+    # one repeated-cz run over five depths builds one gate map and the ten
+    # distinct rail rotations: five non-trivial pre-rotations per qubit
+    calls = {"gate_superoperator": 0, "dual_rail_rotation": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(tomography, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(tomography, name, counting)
+    run_experiment("repeated-cz", DeviceConfig.default(), tmp_path)
+    assert calls == {"gate_superoperator": 1, "dual_rail_rotation": 10}
 
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
@@ -255,27 +318,28 @@ def test_reconstruction_returns_the_measured_state(seed):
     np.testing.assert_allclose(post, rho / trace, rtol=0, atol=1e-14)
 
 
-def _bell_circuit_block(n_gates, params, noise):
+def _bell_circuit_block(n_gates, params, noise, apply_on_register):
     """Codespace block of the Bell circuit's register state before readout,
-    composed here in Fock space one step at a time: X(pi/2) on both qubits,
-    then each noisy gate and its frame correction, with the X(pi) x X(pi)
-    echo after gate (n_gates - 1) / 2 when n_gates is odd and at least 3."""
+    composed here on the whole 32-state register one step at a time, from
+    register-size expm pulses: X(pi/2) on both qubits, then each noisy gate
+    and its frame correction, with the X(pi) x X(pi) echo after gate
+    (n_gates - 1) / 2 when n_gates is odd and at least 3."""
     register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
     frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
     gate = gate_superoperator(schedule, noise)
 
     def pulse(rho, code, axis, angle):
-        u = dual_rail_rotation(register, code, axis, angle)
+        u = _register_pulse(register, code, axis, angle)
         return u @ rho @ u.conj().T
 
     ket = register.basis_state({CONTROL_CODE.rail0: 1, TARGET_CODE.rail0: 1})
     rho = pulse(pulse(np.outer(ket, ket.conj()), CONTROL_CODE, "x", math.pi / 2),
                 TARGET_CODE, "x", math.pi / 2)
     for k in range(1, n_gates + 1):
-        rho = gate.apply(rho)
+        rho = apply_on_register(gate, rho)
         for code, phi in ((CONTROL_CODE, frame.phi_control), (TARGET_CODE, frame.phi_target)):
-            z = dual_rail_phase(register, code, -phi)
+            z = expm(-1j * phi * build_mode_operator(register, code.rail1, "number"))
             rho = z @ rho @ z.conj().T
         if n_gates >= 3 and n_gates % 2 == 1 and k == (n_gates - 1) // 2:
             rho = pulse(pulse(rho, CONTROL_CODE, "x", math.pi), TARGET_CODE, "x", math.pi)
@@ -284,12 +348,13 @@ def _bell_circuit_block(n_gates, params, noise):
 
 
 @pytest.mark.parametrize("n_gates", [1, 2, 3, 5])
-def test_circuit_reconstruction_returns_the_circuit_state(table_params, n_gates):
+def test_circuit_reconstruction_returns_the_circuit_state(table_params, n_gates,
+                                                          apply_on_register):
     # circuit-level oracle: with perfect readout, the tomography of the
     # simulated record is the circuit's own codespace block, renormalized
     # when postselected
     noise = NoiseModel.from_params(table_params)
-    block = _bell_circuit_block(n_gates, table_params, noise)
+    block = _bell_circuit_block(n_gates, table_params, noise, apply_on_register)
     trace = np.trace(block).real
     assert trace < 1.0 - 1e-3  # the device noise loses photons
     rec = bell_circuit_record(n_gates, params=table_params, noise=noise,
