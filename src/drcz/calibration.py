@@ -15,8 +15,8 @@ of it, H(phi) = D^dag H(0) D with D = exp(i phi n_c), because the
 dispersive term commutes with n_c; so its propagator is D^dag U_swap D.
 The wait Hamiltonian holds only number-operator products, so it is
 diagonal and its propagator is a phase per Fock state.  Everything runs
-on the schedule's 16-state photon sector (`gate.GateSchedule`), so a
-grid point then costs diagonal phases and one 16x16 product.
+on the schedule's 12-state dual-rail space (`gate.GateSchedule`), so a
+grid point then costs diagonal phases and one 12x12 product.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
     The wait only rescales the diagonal wait phases and sets the tracked
     pump phase phi, so each gate is (D^dag U_swap D)(W U_swap) with
     D = exp(i phi n_c) and W = exp(-i H_wait t_wait), both diagonal:
-    one 16x16 product per wait, all from one decomposition.
+    one 12x12 product per wait, all from one decomposition.
     """
     n_repeats = _integer(n_repeats, "n_repeats")
     if n_repeats < 1:

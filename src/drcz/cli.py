@@ -7,7 +7,7 @@ Each experiment writes three files into the output directory:
 ``<experiment>.csv`` with the data rows, ``<experiment>.json`` with a
 summary, and ``<experiment>.txt`` with a readable table.  Output bytes
 depend only on the config contents and the seed, not on the BLAS thread
-count: the gate map's exponentials act on blocks of at most 35
+count: the gate map's exponentials act on blocks of at most 18
 dimensions and the closed-system ones on small eigh blocks, below the
 sizes where the threaded OpenBLAS LU in scipy.linalg.expm rounds
 differently.  Only gate-unitary and error-budget read --truncation, and
@@ -40,8 +40,9 @@ from .fock import ModeRegister
 from .gate import (build_schedule, codespace_block, derive_gate_params,
                    extract_local_frame, ideal_unitary, on_off_ratio)
 from .lindblad import NoiseModel
-from .tomography import (_bell_circuit_records, bell_circuit_record, bell_metrics,
-                         reconstruct_state, setting_unitary, simulated_leak_process)
+from .tomography import (_bell_circuit_records, _echo_after, bell_circuit_record,
+                         bell_metrics, reconstruct_state, setting_unitary,
+                         simulated_leak_process)
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
@@ -171,11 +172,10 @@ def _circuit_bell_reference(n_gates: int) -> np.ndarray:
     r = setting_unitary("X90")
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     v = np.kron(r[:, 0], r[:, 0])
-    echoed = n_gates % 2 == 1 and n_gates >= 3
-    first = (n_gates - 1) // 2 if echoed else 0
+    first = _echo_after(n_gates)
     for _ in range(first):
         v = cz @ v
-    if echoed:
+    if first:
         x = setting_unitary("X180")
         v = np.kron(x, x) @ v
     for _ in range(n_gates - first):

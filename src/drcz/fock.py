@@ -2,9 +2,9 @@
 
 Everything is dense.  The largest register used anywhere is five modes at
 truncation 3 (total dimension 243).  The gate builds its mode operators at
-that size and slices each to its 21-state photon sector before any product
-(`gate.GateSchedule`), so none of its products, eigendecompositions or
-exponentials is register-size.  An operator is a plain (dim, dim) complex
+that size and slices each to its 12-state dual-rail space before any
+product (`gate.GateSchedule`), so none of its products, eigendecompositions
+or exponentials is register-size.  An operator is a plain (dim, dim) complex
 array in the register's basis; the register travels beside it, as an
 argument, wherever a caller needs it.  All containers are immutable after
 construction; functions are pure.

@@ -6,19 +6,22 @@ photon back with a shifted pump phase.  All rates are angular (rad/µs);
 device sheets in MHz enter through `from_mhz` exactly once, and the
 measured device values come from `drcz.config.DeviceConfig`.
 
-Two dual-rail qubits hold at most two photons, and every segment
-Hamiltonian conserves the total photon number, so the gate never leaves
-the register's sector of basis states with at most SECTOR_PHOTONS
-photons: 16 of the 32 states at truncation 2, 21 of 243 at truncation 3.
-Every gate operator is a (sector, sector) array, built by slicing each
-mode operator to the sector before any product, and every product and
-eigendecomposition runs there.  The sector's register indices are
-ascending, so np.searchsorted(sector, register_index) finds a state in it.
+Each dual-rail qubit holds at most one photon: the control's in its rails
+(a1, a2) or the coupler c, the target's in its rails (b1, b2).  Every
+segment Hamiltonian keeps each qubit's photon count, and loss only lowers
+it, so the gate never leaves the register's dual-rail space of basis
+states where each qubit holds at most one photon: 12 states at every
+truncation, in the same order.  Every gate operator is a (space, space)
+array, built by slicing each mode operator to the space before any
+product (`_space_operator`), and every product and eigendecomposition
+runs there.  The space's register indices are ascending, so
+np.searchsorted(sector, register_index) finds a state in it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -42,7 +45,6 @@ __all__ = [
     "COUPLER",
     "OCCUPANCY_CLASSES",
     "occupancy_classes",
-    "SECTOR_PHOTONS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -50,9 +52,6 @@ TWO_PI = 2.0 * math.pi
 CONTROL_CODE = DualRailCode("a1", "a2")
 TARGET_CODE = DualRailCode("b1", "b2")
 COUPLER = "c"
-
-# photons in two dual-rail qubits: the gate acts on states with at most this many
-SECTOR_PHOTONS = 2
 
 # photon-occupancy classes of a two-qubit basis state, by occupancy_classes label
 OCCUPANCY_CLASSES = ("codespace", "control_loss", "target_loss", "double_loss",
@@ -73,12 +72,29 @@ def occupancy_classes(register: ModeRegister) -> np.ndarray:
     return np.where(coupler, 4 + target_erased, control_erased + 2 * target_erased)
 
 
-def _photon_sector(register: ModeRegister) -> np.ndarray:
-    """Ascending register indices of the basis states with at most
-    SECTOR_PHOTONS photons, read-only."""
-    sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= SECTOR_PHOTONS)
-    sector.flags.writeable = False
-    return sector
+def _qubit_photons(register: ModeRegister) -> np.ndarray:
+    """(dim, 2) photon counts of the control (a1, a2, c) and the target
+    (b1, b2) in every basis state, over the modes the register has; any
+    other mode counts for neither."""
+    columns = [[register.index(m) for m in modes if m in register.labels]
+               for modes in ((*CONTROL_CODE.labels, COUPLER), TARGET_CODE.labels)]
+    return np.column_stack([register.occupation_table[:, c].sum(axis=1) for c in columns])
+
+
+@lru_cache(maxsize=8)
+def _dual_rail_space(register: ModeRegister) -> np.ndarray:
+    """Ascending register indices of the basis states where each qubit
+    holds at most one photon, read-only and cached per register: every
+    mode operator on the space reads it."""
+    space = np.flatnonzero((_qubit_photons(register) <= 1).all(axis=1))
+    space.flags.writeable = False
+    return space
+
+
+def _space_operator(register: ModeRegister, label: str, kind: str) -> np.ndarray:
+    """`build_mode_operator` restricted to the register's dual-rail space."""
+    space = _dual_rail_space(register)
+    return build_mode_operator(register, label, kind)[np.ix_(space, space)]
 
 
 def wrap_angle(theta: float) -> float:
@@ -140,10 +156,10 @@ class SystemParams:
 class GateSchedule:
     """Three piecewise-constant segments: swap-in, wait, swap-back.
 
-    `sector` holds the ascending register indices of the basis states with
-    at most SECTOR_PHOTONS photons, and each segment Hamiltonian is a
-    (sector, sector) array that conserves the photon number, so the
-    sector is closed under the gate.
+    `sector` holds the ascending register indices of the dual-rail space,
+    the basis states where each qubit holds at most one photon, and each
+    segment Hamiltonian is a (sector, sector) array that keeps each
+    qubit's photon count, so the space is closed under the gate.
     """
 
     register: ModeRegister
@@ -160,17 +176,16 @@ class GateSchedule:
             raise ValueError(f"expected segment tags (swap1, wait, swap2), got {tags}")
         if any(dt <= 0 for _, dt, _ in self.segments):
             raise ValueError("segment durations must be positive")
-        sector = _photon_sector(self.register)
+        sector = _dual_rail_space(self.register)
         object.__setattr__(self, "sector", sector)
-        photons = self.register.occupation_table[sector].sum(axis=1)
-        changing = photons[:, None] != photons[None, :]
+        photons = _qubit_photons(self.register)[sector]
+        moving = (photons[:, None] != photons[None, :]).any(axis=2)
         for h, _, tag in self.segments:
-            if np.shape(h) != changing.shape:
+            if np.shape(h) != moving.shape:
                 raise ValueError(f"segment {tag!r} has shape {np.shape(h)}, expected "
-                                 f"{changing.shape} on the sector of at most "
-                                 f"{SECTOR_PHOTONS} photons")
-            if np.any(h[changing]):
-                raise ValueError(f"segment {tag!r} does not conserve photon number")
+                                 f"{moving.shape} on the dual-rail space")
+            if np.any(h[moving]):
+                raise ValueError(f"segment {tag!r} changes a qubit's photon count")
 
     @property
     def total_duration(self) -> float:
@@ -222,7 +237,7 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
                    include_static_crosskerr: bool = False,
                    t_wait: float | None = None,
                    phi_swap: float | None = None) -> GateSchedule:
-    """Assemble the three segment Hamiltonians on the register's photon sector.
+    """Assemble the three segment Hamiltonians on the register's dual-rail space.
 
     Needs modes a2, c, b1.  With include_static_crosskerr the always-on
     chi_ac*n_a2*n_c and chi_ab*n_a2*n_b1 terms are added to every segment
@@ -230,12 +245,10 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
     t_wait and phi_swap default to the calibrated values; calibration
     sweeps override them to probe miscalibrated schedules.
     """
-    sector = _photon_sector(register)
-    block = np.ix_(sector, sector)
-    a2 = build_mode_operator(register, "a2", "annihilate")[block]
-    c = build_mode_operator(register, "c", "annihilate")[block]
-    n_b1 = build_mode_operator(register, "b1", "number")[block]
-    n_c = build_mode_operator(register, "c", "number")[block]
+    a2 = _space_operator(register, "a2", "annihilate")
+    c = _space_operator(register, "c", "annihilate")
+    n_b1 = _space_operator(register, "b1", "number")
+    n_c = _space_operator(register, "c", "number")
 
     t_swap, t_wait_cal, _ = derive_gate_params(p)
     if t_wait is None:
@@ -246,7 +259,7 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
         raise ValueError("t_wait must be positive")
     disp = p.chi_bc * (n_b1 @ n_c)
     if include_static_crosskerr:
-        n_a2 = build_mode_operator(register, "a2", "number")[block]
+        n_a2 = _space_operator(register, "a2", "number")
         disp = disp + p.chi_ac * (n_a2 @ n_c) + p.chi_ab * (n_a2 @ n_b1)
 
     swap_term = a2.conj().T @ c  # a2^dag c
@@ -267,8 +280,8 @@ def build_schedule(p: SystemParams, register: ModeRegister, *,
 
 
 def ideal_unitary(schedule: GateSchedule) -> np.ndarray:
-    """Exact closed-system propagator on the schedule's sector: product of
-    segment exponentials."""
+    """Exact closed-system propagator on the schedule's dual-rail space:
+    product of segment exponentials."""
     u = np.eye(schedule.sector.size, dtype=complex)
     for h, dt, _ in schedule.segments:
         u = _propagator(h, dt) @ u
@@ -323,11 +336,11 @@ def codespace_basis_indices(register: ModeRegister) -> list[int]:
 
 def codespace_block(register: ModeRegister, u: np.ndarray) -> np.ndarray:
     """4x4 restriction to the dual-rail codespace of an operator on the
-    register's photon sector, such as `ideal_unitary`'s."""
-    sector = _photon_sector(register)
+    register's dual-rail space, such as `ideal_unitary`'s."""
+    sector = _dual_rail_space(register)
     if u.shape != (sector.size, sector.size):
-        raise ValueError(f"expected an operator on the {sector.size}-state sector, "
-                         f"got shape {u.shape}")
+        raise ValueError(f"expected an operator on the {sector.size}-state dual-rail "
+                         f"space, got shape {u.shape}")
     idx = np.searchsorted(sector, codespace_basis_indices(register))
     return u[np.ix_(idx, idx)]
 

@@ -5,22 +5,23 @@ vec(X)) and exponentiated exactly per piecewise-constant segment.  The
 dephasing dissipator is sqrt(2/Tphi) * n so that a lone dephasing channel
 decays a Fock-adjacent coherence as exactly exp(-t/Tphi).
 
-A gate is propagated on the schedule's sector (`gate.GateSchedule`) of
-basis states holding at most SECTOR_PHOTONS = 2 photons, the photon count
-of two dual-rail qubits, and within it only on the density-matrix entries
-whose row and column hold the same number of photons.  The segment
-Hamiltonians conserve the total photon number N (`GateSchedule` refuses
-one that does not), loss lowers it by one and dephasing keeps it, so the
-block with N photons in the rows and M in the columns feeds only itself
-and the (N-1, M-1) block: the generator commutes with rho -> [N, rho],
-the weak U(1) symmetry of Buča & Prosen (NJP 14, 073007 (2012)).  The union of the
-N = M blocks of the sector is therefore closed under the gate, and every
-state or unit |i><j| with equal photon counts in i and j stays in it, so
-restricting the generator to it is exact.  That keeps 126 of the 256
-entries of the 16-state sector at truncation 2 and 251 of 441 (21
-states) at truncation 3.  The segment Hamiltonians and the collapse
-operators are built on the sector, so no register-size matrix enters the
-map, and `GateMap` takes and returns sector matrices, by sector position.
+A gate is propagated on the schedule's dual-rail space
+(`gate.GateSchedule`), the 12 basis states where each qubit holds at
+most one photon, and within it only on the density-matrix entries whose
+row and column hold the same photons in each qubit.  The segment
+Hamiltonians keep each qubit's photon count (`GateSchedule` refuses one
+that moves a photon between the qubits), loss lowers one count by one
+and dephasing keeps both, so the block with counts (N_c, N_t) in the rows
+and (M_c, M_t) in the columns feeds only itself and the blocks one
+photon lower on both sides in one qubit: the generator commutes with
+rho -> [N_c, rho] and rho -> [N_t, rho], the weak U(1) symmetries of
+Buča & Prosen (NJP 14, 073007 (2012)).  The union of the equal-count
+blocks is therefore closed under the gate, and every state or unit
+|i><j| with equal counts in i and j stays in it, so restricting the
+generator to it is exact.  That keeps 50 of the 144 entries of the space
+at every truncation.  The segment Hamiltonians and the collapse
+operators are built on the space, so no register-size matrix enters the
+map, and `GateMap` takes and returns matrices on the space, by position.
 
 Within the kept entries the map is a direct sum over the connected
 components of the generators' joint nonzero pattern, taken over all
@@ -29,10 +30,9 @@ in every segment's generator, so each segment's exponential, and the
 product of the three, is block diagonal with the same blocks: building
 the map block by block is exact, not an approximation.  The blocks are
 found from the pattern, not assumed; for the swap-wait-swap schedule they
-are the weak symmetries of four more conserved charges (n_a1, n_b1, n_b2
-and n_a2 + n_c), 25 blocks of at most 24 entries at truncation 2 and 55
-of at most 35 at truncation 3.  One stacked exponential runs per block
-size and segment.
+are the weak symmetries of three more conserved charges (n_a1, n_b1 and
+n_b2): four blocks of 2 entries, four of 6 and one of 18 at every
+truncation.  One stacked exponential runs per block size and segment.
 """
 from __future__ import annotations
 
@@ -42,8 +42,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import ModeRegister, build_mode_operator
-from .gate import SECTOR_PHOTONS, GateSchedule, SystemParams, _connected_blocks, _photon_sector
+from .fock import ModeRegister
+from .gate import (GateSchedule, SystemParams, _connected_blocks, _qubit_photons,
+                   _space_operator)
 
 __all__ = [
     "NoiseModel",
@@ -88,33 +89,28 @@ class NoiseModel:
 
 
 def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.ndarray]:
-    """Loss and dephasing operators on the register's photon sector, the
-    states of `GateSchedule.sector`: each mode operator is sliced to the
-    sector before it is scaled."""
-    sector = _photon_sector(register)
-    block = np.ix_(sector, sector)
+    """Loss and dephasing operators on the register's dual-rail space, the
+    states of `GateSchedule.sector`."""
     ops: list[np.ndarray] = []
     for label, kappa in noise.loss.items():
         if kappa > 0:
-            a = build_mode_operator(register, label, "annihilate")[block]
-            ops.append(math.sqrt(kappa) * a)
+            ops.append(math.sqrt(kappa) * _space_operator(register, label, "annihilate"))
     for label, kphi in noise.dephasing.items():
         if kphi > 0:
-            n = build_mode_operator(register, label, "number")[block]
-            ops.append(math.sqrt(2.0 * kphi) * n)
+            ops.append(math.sqrt(2.0 * kphi) * _space_operator(register, label, "number"))
     return ops
 
 
 @dataclass(frozen=True, eq=False)
 class GateMap:
-    """Whole-gate superoperator on the photon-number-diagonal block of the
-    sector of at most SECTOR_PHOTONS.
+    """Whole-gate superoperator on the photon-count-diagonal entries of the
+    dual-rail space.
 
-    `sector` lists the register's basis indices with at most SECTOR_PHOTONS
-    photons, and a matrix on the sector is indexed by position in it.
-    `superop` acts on the vector of the entries (rows[k], cols[k]) of such a
-    matrix: the sector positions whose states hold equal photon numbers, in
-    column-stacking order.  The sector's other entries never feed these, and
+    `sector` lists the register's basis indices of the dual-rail space, and
+    a matrix on the space is indexed by position in it.  `superop` acts on
+    the vector of the entries (rows[k], cols[k]) of such a matrix: the
+    positions whose states hold the same photons in each qubit, in
+    column-stacking order.  The space's other entries never feed these, and
     no input of the gate has weight on them.  `superop` is block diagonal
     over the connected components of the segment generators, with exact
     zeros between blocks (see the module docstring).
@@ -126,17 +122,17 @@ class GateMap:
     superop: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Gate output of a (not necessarily Hermitian) matrix on the sector;
+        """Gate output of a (not necessarily Hermitian) matrix on the space;
         raises if the input has weight off the kept entries, which the map
         cannot carry."""
         d = self.sector.size
         if rho.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix on the sector of at most "
-                             f"{SECTOR_PHOTONS} photons, got shape {rho.shape}")
+            raise ValueError(f"expected a {d}x{d} matrix on the dual-rail space, "
+                             f"got shape {rho.shape}")
         inside = rho[self.rows, self.cols]
         if np.count_nonzero(inside) != np.count_nonzero(rho):
             raise ValueError("input has weight outside the map's entries, between "
-                             "different photon numbers")
+                             "states with different photon counts in a qubit")
         out = np.zeros((d, d), dtype=complex)
         out[self.rows, self.cols] = self.superop @ inside
         return out
@@ -186,12 +182,12 @@ def _generator_blocks(drifts: list[np.ndarray], collapse: list[np.ndarray],
 
 def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
     """Whole-gate map: ordered product of the segment exponentials of the
-    Liouvillian restricted to the N = M entries of the sector of at most
-    SECTOR_PHOTONS, built block by block."""
+    Liouvillian restricted to the equal-count entries of the dual-rail
+    space, built block by block."""
     register, sector = schedule.register, schedule.sector
-    photons = register.occupation_table[sector].sum(axis=1)
+    photons = _qubit_photons(register)[sector]
     # column-stacking order: the column index is the slow one
-    cols, rows = np.nonzero(photons[:, None] == photons[None, :])
+    cols, rows = np.nonzero((photons[:, None] == photons[None, :]).all(axis=2))
     collapse = collapse_operators(register, noise)
     drifts = [_drift(h, collapse) for h, _, _ in schedule.segments]
     superop = np.zeros((rows.size, rows.size), dtype=complex)

@@ -19,9 +19,9 @@ import numpy as np
 from .channels import QuantumChannel, pauli_basis
 from .config import DeviceConfig
 from .error_channels import PREP_KETS, ReadoutModel
-from .fock import DensityMatrix, DualRailCode, ModeRegister, _integer, build_mode_operator
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _photon_sector,
-                   _propagator, build_schedule, codespace_block, extract_local_frame,
+from .fock import DensityMatrix, DualRailCode, ModeRegister, _integer
+from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
+                   _space_operator, build_schedule, codespace_block, extract_local_frame,
                    ideal_unitary)
 from .lindblad import NoiseModel, gate_superoperator
 
@@ -71,16 +71,16 @@ def setting_unitary(label: str) -> np.ndarray:
 
 def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
                        axis: str, angle: float) -> np.ndarray:
-    """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter on the photon sector."""
-    block = np.ix_(*[_photon_sector(register)] * 2)
-    r0, r1 = (build_mode_operator(register, rail, "annihilate")[block] for rail in code.labels)
+    """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter on
+    the dual-rail space."""
+    r0, r1 = (_space_operator(register, rail, "annihilate") for rail in code.labels)
     hop = r0.conj().T @ r1
     if axis == "x":
         gen = hop + hop.conj().T
     elif axis == "y":
         gen = -1j * hop + 1j * hop.conj().T
     elif axis == "z":
-        n0, n1 = (build_mode_operator(register, rail, "number")[block] for rail in code.labels)
+        n0, n1 = (_space_operator(register, rail, "number") for rail in code.labels)
         gen = n0 - n1
     else:
         raise ValueError(f"unknown axis {axis!r}")
@@ -89,9 +89,9 @@ def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
 
 def dual_rail_phase(register: ModeRegister, code: DualRailCode,
                     theta: float) -> np.ndarray:
-    """Virtual-Z of angle theta on the photon sector: |1_L> gains e^{i theta} (frame update)."""
-    block = np.ix_(*[_photon_sector(register)] * 2)
-    n1 = build_mode_operator(register, code.rail1, "number")[block]
+    """Virtual-Z of angle theta on the dual-rail space: |1_L> gains e^{i theta}
+    (frame update)."""
+    n1 = _space_operator(register, code.rail1, "number")
     return np.diag(np.exp(1j * theta * np.diag(n1)))
 
 
@@ -138,13 +138,19 @@ def bell_circuit_record(n_gates: int = 1, *,
     return _bell_circuit_records([n_gates], params=params, noise=noise, readout=readout)[0]
 
 
+def _echo_after(n_gates: int) -> int:
+    """Gates ahead of the X x X echo in the n-gate Bell circuit: (n-1)/2 when
+    n is odd and >= 3, else 0 (no echo)."""
+    return (n_gates - 1) // 2 if n_gates >= 3 and n_gates % 2 == 1 else 0
+
+
 def _bell_circuit_records(depths: Sequence[int], *,
                           params: SystemParams | None = None,
                           noise: NoiseModel | None = None,
                           readout: ReadoutModel | None = None) -> list[MeasurementRecord]:
     """`bell_circuit_record` at each depth, from one build of the schedule,
-    frame, gate map and pulses.  The pulses conserve photon number, so the
-    circuit runs on the schedule's photon sector."""
+    frame, gate map and pulses.  The pulses keep each qubit's photon count,
+    so the circuit runs on the schedule's dual-rail space."""
     depths = [_integer(n, "n_gates") for n in depths]
     if min(depths, default=0) < 0:
         raise ValueError(f"n_gates must be non-negative, got {min(depths)}")
@@ -177,10 +183,10 @@ def _bell_circuit_records(depths: Sequence[int], *,
     records = []
     for n_gates in depths:
         rho = prepared
-        echo_after = (n_gates - 1) // 2 if (n_gates >= 3 and n_gates % 2 == 1) else None
+        echo_after = _echo_after(n_gates)
         for k in range(n_gates):
             rho = wrong_t @ wrong_c @ gate.apply(rho) @ wrong_c.conj().T @ wrong_t.conj().T
-            if echo_after is not None and k + 1 == echo_after:
+            if k + 1 == echo_after:
                 rho = echo_u @ rho @ echo_u.conj().T
         true_probs = np.array([np.bincount(outcome_pair, minlength=9,
                                            weights=np.diag(u @ rho @ u.conj().T).real)
@@ -305,7 +311,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     channel's (K, 2, 2) Kraus stack, jump by jump and node by node, in one
     array step; a node whose jumped state vanishes (max amplitude <= 1e-14)
     adds none.
-    Everything runs on the schedule's 16-state photon sector.  Each segment
+    Everything runs on the schedule's 12-state dual-rail space.  Each segment
     Hamiltonian is diagonalized once, block by block over the states it
     couples (`gate._block_eigh`), so a node at offset tau in a segment of
     duration d only needs the eigenphases exp(-i lam tau) and
@@ -327,7 +333,7 @@ def simulated_leak_process(params: SystemParams | None = None,
     a1_n, a2_n = occ_c[control_prep]
 
     # one column per target input |0_L>, |1_L>; out_rows read the target
-    # photon back with the control register empty; both are sector positions
+    # photon back with the control register empty; both are positions in the space
     inputs = [register.basis_index((a1_n, a2_n, 0, b1, b2)) for b1, b2 in ((1, 0), (0, 1))]
     kets = np.zeros((dim, 2), dtype=complex)
     kets[np.searchsorted(schedule.sector, inputs), [0, 1]] = 1.0
@@ -369,12 +375,11 @@ def simulated_leak_process(params: SystemParams | None = None,
     for label in ("c", "a1", "a2"):
         t1 = params.t1.get(label, math.inf)
         if math.isfinite(t1):
-            jump = build_mode_operator(register, label, "annihilate")
-            jump_specs.append((jump[np.ix_(schedule.sector, schedule.sector)], 1.0 / t1))
+            jump_specs.append((_space_operator(register, label, "annihilate"), 1.0 / t1))
 
     # Every node's state is a (dim, 2) slice of the (dim, nodes, 2) arrays
-    # below; per-node (dim, dim) propagators would take 3.3 MB per array at
-    # 801 nodes on the 16-state sector.
+    # below; per-node (dim, dim) propagators would take 1.8 MB per array at
+    # 801 nodes on the 12-state space.
     amps = np.zeros((len(jump_specs), points, 2, 2), dtype=complex)
     hits = np.zeros((len(jump_specs), points), dtype=bool)
     for s, ((lam, v), d) in enumerate(zip(eigs, durations)):
@@ -418,10 +423,8 @@ def chi_error(chi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     chi_err with all weight on the identity."""
     d = reference.shape[0]
     n = int(round(math.log2(d)))
-    basis = pauli_basis(n)
+    basis = np.stack(pauli_basis(n))
     if chi.shape != (d * d, d * d):
         raise ValueError("chi dimension does not match the reference unitary")
-    u_dag = reference.conj().T
-    v = np.array([[np.trace(em.conj().T @ en @ u_dag) / d for en in basis]
-                  for em in basis])
+    v = np.einsum("mba,nbc,ca->mn", basis.conj(), basis, reference.conj().T) / d
     return v @ chi @ v.conj().T

@@ -1,6 +1,6 @@
 """Shared fixtures: measured-device parameters, standard registers, a
 register-size oracle for the gate's Hamiltonians, and the one embedding
-of the gate map between its photon sector and the register."""
+of the gate map between its dual-rail space and the register."""
 import numpy as np
 import pytest
 

@@ -312,7 +312,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # Every experiment but limits, at both truncations where it reads the
     # flag.  The LU factorization in scipy.linalg.expm's Pade solve rounds
     # differently with one and two OpenBLAS threads at large dimensions;
-    # the gate map exponentiates blocks of at most 35 entries and
+    # the gate map exponentiates blocks of at most 18 entries and
     # gate-unitary takes its exponentials from small eigh blocks, so the
     # last digits must not depend on the thread count.
     runs = [(name,) for name in ("leakage-propagation", "calibration", "rb", "irb",

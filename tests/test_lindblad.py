@@ -156,9 +156,11 @@ def _bell_input(register):
     return np.outer(ket, ket.conj())
 
 
-def _sector_mask(register):
-    photons = np.array([sum(register.occupations(k)) for k in range(register.dim)])
-    inside = photons <= 2
+def _space_mask(register):
+    """Entries between basis states where the control (a1, a2, c) and the
+    target (b1, b2) each hold at most one photon."""
+    occ = [register.occupations(k) for k in range(register.dim)]
+    inside = np.array([sum(o[:3]) <= 1 and sum(o[3:]) <= 1 for o in occ])
     return np.outer(inside, inside)
 
 
@@ -182,55 +184,69 @@ def test_gate_superoperator_matches_full_register_oracle(table_params, register2
         full = expm(_kron_generator(h, collapse) * dt) @ full
     gate = gate_superoperator(schedule, noise)
     d = register2.dim
-    outside = ~_sector_mask(register2)
+    outside = ~_space_mask(register2)
     for rho0 in _codespace_units(register2) + [_bell_input(register2)]:
         expected = (full @ rho0.reshape(-1, order="F")).reshape(d, d, order="F")
-        # the register-size oracle never leaves the sector
+        # the register-size oracle never leaves the dual-rail space
         assert np.all(expected[outside] == 0)
         np.testing.assert_allclose(apply_on_register(gate, rho0), expected,
                                    rtol=0, atol=1e-12)
-    assert gate.sector.size == 16
+    assert gate.sector.size == 12
 
 
 def test_gate_map_rejects_weight_outside_the_sector(table_params, register2):
-    # the map takes matrices on its 16-state sector only: a register matrix
+    # the map takes matrices on its 12-state space only: a register matrix
     # is refused by its shape, whether or not it has weight off the sector
     gate = gate_superoperator(build_schedule(table_params, register2),
                               NoiseModel.from_params(table_params))
     ket = register2.basis_state({"a1": 1, "c": 1, "b1": 1})
     three = np.outer(ket, ket.conj())
     for rho in (three, 0.5 * _bell_input(register2) + 0.5 * three, _bell_input(register2)):
-        with pytest.raises(ValueError, match=r"expected a 16x16 matrix on the sector "
-                                             r"of at most 2 photons, got shape \(32, 32\)"):
+        with pytest.raises(ValueError, match=r"expected a 12x12 matrix on the dual-rail "
+                                             r"space, got shape \(32, 32\)"):
             gate.apply(rho)
 
 
 def test_gate_map_rejects_a_coherence_between_photon_numbers(table_params, register2):
     schedule = build_schedule(table_params, register2)
     gate = gate_superoperator(schedule, NoiseModel.from_params(table_params))
-    # |a1 b1><a1|: both states lie in the sector, but hold two and one photons
+    # |a1 b1><a1|: both states lie in the space, but hold two and one photons
     two, one = np.searchsorted(schedule.sector, [register2.basis_index({"a1": 1, "b1": 1}),
                                                  register2.basis_index({"a1": 1})])
-    coherence = np.zeros((16, 16), dtype=complex)
+    coherence = np.zeros((12, 12), dtype=complex)
     coherence[two, one] = 1.0
     with pytest.raises(ValueError, match="outside"):
         gate.apply(coherence)
 
 
-@pytest.mark.parametrize("truncation, sector, kept", [(2, 16, 126), (3, 21, 251)])
+def test_gate_map_rejects_a_coherence_between_the_qubits(table_params, register2):
+    schedule = build_schedule(table_params, register2)
+    gate = gate_superoperator(schedule, NoiseModel.from_params(table_params))
+    # |a1><b1|: one photon on each side, held by the control on the left and
+    # by the target on the right
+    control, target = np.searchsorted(schedule.sector, [register2.basis_index({"a1": 1}),
+                                                        register2.basis_index({"b1": 1})])
+    coherence = np.zeros((12, 12), dtype=complex)
+    coherence[control, target] = 1.0
+    with pytest.raises(ValueError, match="outside"):
+        gate.apply(coherence)
+
+
+@pytest.mark.parametrize("truncation, sector, kept", [(2, 12, 50), (3, 12, 50)])
 def test_gate_map_keeps_the_equal_photon_number_block(table_params, truncation,
                                                        sector, kept):
-    # 1 + 5^2 + 10^2 sector pairs with 0, 1, 2 photons in row and column at
-    # truncation 2; 1 + 5^2 + 15^2 at truncation 3
+    # 1 + 3^2 + 2^2 + 6^2 pairs of states with (0, 0), (1, 0), (0, 1) and
+    # (1, 1) photons in (control, target) in row and column
     reg = ModeRegister.standard(truncation)
     gate = gate_superoperator(build_schedule(table_params, reg),
                               NoiseModel.from_params(table_params))
-    photons = reg.occupation_table[gate.sector].sum(axis=1)
+    occ = reg.occupation_table[gate.sector]
+    photons = np.column_stack([occ[:, :3].sum(axis=1), occ[:, 3:].sum(axis=1)])
     assert gate.sector.size == sector
     assert gate.rows.size == gate.cols.size == kept
     assert gate.superop.shape == (kept, kept)
     np.testing.assert_array_equal(photons[gate.rows], photons[gate.cols])
-    assert np.all(photons[gate.rows] <= 2)
+    assert np.all(photons[gate.rows] <= 1)
 
 
 def test_gate_map_matches_the_whole_sector_construction_at_truncation_3(
@@ -277,11 +293,11 @@ def test_expm_is_scipy_expm_on_a_stacked_input():
 
 
 @pytest.mark.parametrize("kerr", [False, True])
-@pytest.mark.parametrize("truncation, count, largest", [(2, 25, 24), (3, 55, 35)])
+@pytest.mark.parametrize("truncation, count, largest", [(2, 9, 18), (3, 9, 18)])
 def test_gate_map_is_an_exact_direct_sum_of_small_blocks(table_params, monkeypatch,
                                                         truncation, count, largest, kerr):
-    # one block per difference of the conserved charges n_a1, n_b1, n_b2 and
-    # n_a2 + n_c between row and column, found from the generator's pattern
+    # one block per difference of the conserved charges n_a1, n_b1 and n_b2
+    # between row and column, found from the generator's pattern
     schedule = build_schedule(table_params, ModeRegister.standard(truncation),
                               include_static_crosskerr=kerr)
     noise = NoiseModel.from_params(table_params)
@@ -311,31 +327,35 @@ def test_gate_map_is_an_exact_direct_sum_of_small_blocks(table_params, monkeypat
 
 
 def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params,
+                                                             register_hamiltonians,
                                                              apply_on_register):
-    # an a1-b1 beamsplitter in the wait conserves photon number but not n_a1
-    # or n_b1: the blocks must merge, and the map still match the 441-dim
-    # whole-sector Kronecker construction
+    # an a1-a2 beamsplitter in the wait keeps each qubit's photon count but
+    # not n_a1 or n_a2 + n_c: the blocks must merge, and the map still match
+    # the 441-dim Kronecker construction on the 21 states with at most two
+    # photons, from register-size Hamiltonians
     reg = ModeRegister.standard(3)
     schedule = build_schedule(table_params, reg)
-    on_sector = np.ix_(schedule.sector, schedule.sector)
-    a1 = build_mode_operator(reg, "a1", "annihilate")[on_sector]
-    b1 = build_mode_operator(reg, "b1", "annihilate")[on_sector]
+    a1 = build_mode_operator(reg, "a1", "annihilate")
+    a2 = build_mode_operator(reg, "a2", "annihilate")
+    hop = 0.5 * table_params.chi_bc * (a1.conj().T @ a2 + a2.conj().T @ a1)
     h, dt, tag = schedule.segments[1]
-    mixed = h + 0.5 * table_params.chi_bc * (a1.conj().T @ b1 + b1.conj().T @ a1)
+    mixed = h + hop[np.ix_(schedule.sector, schedule.sector)]
     schedule = dataclasses.replace(
         schedule, segments=(schedule.segments[0], (mixed, dt, tag), schedule.segments[2]))
     noise = NoiseModel.from_params(table_params)
     gate = gate_superoperator(schedule, noise)
     blocks, _ = _production_blocks(schedule, noise, gate)
-    assert sum(idx.shape[0] for idx in blocks) < 55
+    assert sum(idx.shape[0] for idx in blocks) < 9
     photons = reg.occupation_table.sum(axis=1)
     sector = np.flatnonzero(photons <= 2)
     block = np.ix_(sector, sector)
     n = sector.size
     collapse = [c[block] for c in _register_collapse(reg, noise)]
+    segments = register_hamiltonians(table_params, reg)
+    segments[1] = (segments[1][0] + hop, segments[1][1])
     whole = np.eye(n * n, dtype=complex)
-    for h, dt, _ in schedule.segments:
-        whole = expm(_kron_generator(h, collapse) * dt) @ whole
+    for h, dt in segments:
+        whole = expm(_kron_generator(h[block], collapse) * dt) @ whole
     for rho0 in _codespace_units(reg) + [_bell_input(reg)]:
         out = (whole @ rho0[block].reshape(-1, order="F")).reshape(n, n, order="F")
         expected = np.zeros_like(rho0)
@@ -345,13 +365,13 @@ def test_gate_map_blocks_follow_a_charge_breaking_beamsplitter(table_params,
 
 
 def test_gate_superoperator_rejects_a_photon_number_drive(table_params, register2):
-    # a drive on the coupler would carry a two-photon state out of the sector
+    # a drive on the coupler adds and removes the control's photon
     schedule = build_schedule(table_params, register2)
     c = build_mode_operator(register2, "c", "annihilate")[np.ix_(schedule.sector,
                                                                  schedule.sector)]
     h, dt, tag = schedule.segments[1]
     driven = h + c + c.conj().T
-    with pytest.raises(ValueError, match="'wait' does not conserve photon number"):
+    with pytest.raises(ValueError, match="'wait' changes a qubit's photon count"):
         gate_superoperator(dataclasses.replace(schedule, segments=(
             schedule.segments[0], (driven, dt, tag), schedule.segments[2])), NoiseModel.none())
 
@@ -366,22 +386,22 @@ def test_propagation_at_truncation_3(table_params):
     assert np.real(np.trace(out)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gate_map_is_converged_in_truncation(table_params, register2, apply_on_register):
-    # codespace inputs never put two photons in one mode, so truncation 3
-    # adds states the gate does not reach
+def test_gate_map_is_converged_in_truncation(table_params, register2):
+    # each qubit holds at most one photon, so truncation 3 adds no state to
+    # the gate's space: the same 12 states in the same order give the same
+    # map and unitary, bit for bit
     noise = NoiseModel.from_params(table_params)
     reg3 = ModeRegister.standard(3)
-    gate2 = gate_superoperator(build_schedule(table_params, register2), noise)
-    gate3 = gate_superoperator(build_schedule(table_params, reg3), noise)
-    assert gate3.sector.size == 21
-    shared = [reg3.basis_index(register2.occupations(k)) for k in range(register2.dim)]
-    unshared = np.ones((reg3.dim, reg3.dim), dtype=bool)
-    unshared[np.ix_(shared, shared)] = False
-    for u2, u3 in zip(_codespace_units(register2), _codespace_units(reg3)):
-        out3 = apply_on_register(gate3, u3)
-        np.testing.assert_allclose(out3[np.ix_(shared, shared)], apply_on_register(gate2, u2),
-                                   rtol=0, atol=1e-12)
-        assert np.all(out3[unshared] == 0)
+    for kerr in (False, True):
+        at2 = build_schedule(table_params, register2, include_static_crosskerr=kerr)
+        at3 = build_schedule(table_params, reg3, include_static_crosskerr=kerr)
+        assert at3.sector.size == 12
+        np.testing.assert_array_equal(register2.occupation_table[at2.sector],
+                                      reg3.occupation_table[at3.sector])
+        gate2, gate3 = gate_superoperator(at2, noise), gate_superoperator(at3, noise)
+        for name in ("rows", "cols", "superop"):
+            assert np.array_equal(getattr(gate2, name), getattr(gate3, name)), name
+        assert np.array_equal(ideal_unitary(at2), ideal_unitary(at3))
 
 
 @pytest.mark.xfail(strict=True, reason=(

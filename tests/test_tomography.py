@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from drcz import ModeRegister, NoiseModel, SystemParams, tomography
 from drcz.benchmarking import NativeGateNoise, simulate_bitflip_protocol
-from drcz.channels import QuantumChannel
+from drcz.channels import QuantumChannel, pauli_basis
 from drcz.cli import _circuit_bell_reference, run_experiment
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
@@ -63,11 +63,16 @@ def test_setting_unitaries():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
 
+def _dual_rail_space(register):
+    """Ascending indices of the basis states where the control (a1, a2, c)
+    and the target (b1, b2) each hold at most one photon."""
+    occ = register.occupation_table
+    return np.flatnonzero((occ[:, :3].sum(axis=1) <= 1) & (occ[:, 3:].sum(axis=1) <= 1))
+
+
 def _sector_position(register, occupations):
-    """Position of a basis state among the register's states with at most
-    two photons, in ascending basis-index order."""
-    sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= 2)
-    return int(np.searchsorted(sector, register.basis_index(occupations)))
+    """Position of a basis state in the register's dual-rail space."""
+    return int(np.searchsorted(_dual_rail_space(register), register.basis_index(occupations)))
 
 
 def _register_pulse(register, code, axis, angle):
@@ -85,7 +90,7 @@ def test_dual_rail_rotation_acts_as_logical_pulse(register2):
     i10 = _sector_position(register2, {"a1": 1, "b1": 1})
     i01 = _sector_position(register2, {"a1": 1, "b2": 1})
     u = dual_rail_rotation(register2, TARGET_CODE, "x", math.pi)
-    ket10 = np.zeros(16, dtype=complex)
+    ket10 = np.zeros(12, dtype=complex)
     ket10[i10] = 1.0
     out = u @ ket10
     target = np.zeros_like(out)
@@ -103,15 +108,13 @@ def test_rotations_match_expm():
         axis, angle = spec or ("x", 0.0)
         want = expm(-0.5j * angle * {"x": X, "y": Y}[axis])
         np.testing.assert_allclose(setting_unitary(label), want, rtol=0, atol=1e-16)
-    # the rail pulses are operators on the sector of at most two photons:
-    # the sector block of the register-size expm oracle.  The rail
-    # generator's eigenvalues are +-1 at truncation 2 and reach +-2 at
-    # truncation 3 (two photons in one qubit's rails); the eigh path's
-    # rounding grows with them, to 1.06e-15 at X(pi) (the same on the
-    # whole register)
-    for truncation, size, atol in ((2, 16, 1e-15), (3, 21, 2e-15)):
+    # the rail pulses are operators on the 12-state dual-rail space: its
+    # block of the register-size expm oracle.  Each qubit holds at most one
+    # photon there, so the rail generator's eigenvalues are +-1 and 0 at
+    # every truncation
+    for truncation, size, atol in ((2, 12, 1e-15), (3, 12, 1e-15)):
         register = ModeRegister.standard(truncation)
-        sector = np.flatnonzero(register.occupation_table.sum(axis=1) <= 2)
+        sector = _dual_rail_space(register)
         block = np.ix_(sector, sector)
         assert sector.size == size
         for code in (CONTROL_CODE, TARGET_CODE):
@@ -415,6 +418,21 @@ def test_chi_error_reports_identity_for_a_perfect_gate():
     err2 = chi_error(chi2, CZ4)
     assert err2[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.real(np.trace(err2)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_chi_error_matches_the_trace_loop(n_qubits):
+    # oracle: V_mn = Tr(E_m^dag E_n U^dag) / d, one trace per Pauli pair; the
+    # contraction sums in another order, so agreement is to rounding
+    rng = np.random.default_rng(17)
+    d = 2 ** n_qubits
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    chi = a @ a.conj().T / np.trace(a @ a.conj().T)
+    basis = pauli_basis(n_qubits)
+    v = np.array([[np.trace(em.conj().T @ en @ u.conj().T) / d for en in basis]
+                  for em in basis])
+    np.testing.assert_allclose(chi_error(chi, u), v @ chi @ v.conj().T, rtol=0, atol=1e-15)
 
 
 def test_chi_error_dimension_mismatch():
