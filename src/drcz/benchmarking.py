@@ -10,9 +10,12 @@ sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.
 
-The IRB accuracy study runs its ideal Cliffords as 9x9 unitary
-conjugations, with every sampled channel and every sequence stacked into
-one batched pass and one recovery Clifford computed per sequence.
+The IRB accuracy study runs its ideal reference and every sampled
+channel through one batched pass over all sequences, with one recovery
+Clifford computed per sequence.  The pass propagates only the
+density-matrix entries that |00><00| can reach under the natives and the
+channels (25 of 81 when each qutrit can leak), and multiplies out each
+step's Clifford words for all sequences at once as 9x9 products.
 """
 from __future__ import annotations
 
@@ -83,20 +86,13 @@ def _two_qubit_gateset() -> dict[str, np.ndarray]:
 # other.  The images of X and Z on every qubit (the stabilizer tableau)
 # already fix the Clifford; packed five bits each, they are its key.
 
-@lru_cache(maxsize=None)
-def _paulis(n_qubits: int) -> np.ndarray:
-    paulis = np.stack(pauli_basis(n_qubits))
-    paulis.setflags(write=False)
-    return paulis
-
-
 def _pauli_table(u: np.ndarray, n_qubits: int) -> np.ndarray | None:
     """The signed table of unitary u, or None if u is not a Clifford.
 
     Read from the trace overlaps tr(P_q u P_p u^dag)/d, which are +-1 for
     one q and 0 for the rest exactly when u is a Clifford (a unitary's
     squared overlaps sum to one, so integer overlaps are one +-1)."""
-    paulis = _paulis(n_qubits)
+    paulis = pauli_basis(n_qubits)
     n, d = paulis.shape[:2]
     images = u @ paulis @ u.conj().T
     overlaps = np.einsum("qji,pij->pq", paulis, images).real / d
@@ -352,10 +348,12 @@ def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
     return indices, group.inverse_of(net)
 
 
-def _readout_stats(rho_vec: np.ndarray, spam: ReadoutModel | None) -> tuple[float, float]:
-    """(survival of |00> assignment, kept fraction) from the final state."""
+def _readout_stats(rho_vec: np.ndarray,
+                   confusion: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(survival of |00> assignment, kept fraction) from the final state,
+    read through each qubit's confusion matrix."""
     probs = np.clip(np.real(np.diag(rho_vec.reshape(9, 9, order="F"))), 0.0, None)
-    observed = _confusion(spam, 0).T @ probs.reshape(3, 3) @ _confusion(spam, 1)
+    observed = confusion[0].T @ probs.reshape(3, 3) @ confusion[1]
     return float(observed[0, 0]), float(observed[:2, :2].sum())
 
 
@@ -407,6 +405,7 @@ def simulate_rb(noise: NativeGateNoise,
 
     vec0 = np.zeros(81, dtype=complex)
     vec0[0] = 1.0  # |00><00|
+    confusion = (_confusion(spam, 0), _confusion(spam, 1))
 
     raw = np.zeros((len(depths), len(seeds)))
     post = np.zeros_like(raw)
@@ -423,7 +422,7 @@ def simulate_rb(noise: NativeGateNoise,
                     vec = noise.superops[interleave] @ vec
             for gate in group.words[recovery]:
                 vec = noise.superops[gate] @ vec
-            survival, kept = _readout_stats(vec, spam)
+            survival, kept = _readout_stats(vec, confusion)
             raw[i, j] = survival
             kept_arr[i, j] = kept
             post[i, j] = survival / kept if kept > 0 else 0.0
@@ -511,7 +510,27 @@ def _draw_rates(n_samples: int, seed: int) -> list[ChannelRates]:
             for _ in range(n_samples)]
 
 
-def _interleaved_ideal_rb(superops: np.ndarray,
+def _reachable_entries(superops: np.ndarray) -> np.ndarray:
+    """The column-stacked density-matrix entries that |00><00| can reach.
+
+    Closes entry 0 under the union of the nonzero patterns of the given
+    81x81 superoperators and of every embedded native's kron(conj(u), u),
+    so the ideal Cliffords and the channels map the kept entries into
+    themselves and every other entry stays exactly zero: 25 for the
+    sampled gate channels, 16 with no leakage, all 81 for a generic one."""
+    pattern = np.any(superops, axis=0)
+    for u in _embedded_natives().values():
+        pattern |= np.kron(u != 0, u != 0)
+    reached = np.zeros(81, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | pattern[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _interleaved_ideal_rb(superops: np.ndarray | None,
                           depths: Sequence[int],
                           seeds: Sequence[int],
                           group: CliffordGroup) -> list[RBRecord]:
@@ -519,54 +538,64 @@ def _interleaved_ideal_rb(superops: np.ndarray,
 
     Returns, per 81x81 channel superoperator (a stack, or a list of
     them), the record that simulate_rb gives for ideal natives with that
-    channel interleaved as CZ.  All channels share the same sequences, so
-    the states of one depth are one (channels, seeds, 9, 9) stack: each
-    Clifford is a broadcast 9x9 conjugation by the product of its word's
-    embedded natives (the word fixes how the leak levels idle), each
-    interleaved slot is one stacked matmul, and the recovery is found
-    once per sequence.
+    channel interleaved as CZ; with superops None, the one record that
+    simulate_rb gives for ideal natives alone (the IRB reference).  All
+    channels share the same sequences, so the states are one
+    (seeds, channels, m) array over the m column-stacked entries that
+    |00><00| can reach.  Each step multiplies out the Clifford words of
+    all seeds together, one batched 9x9 product per word position (the
+    word fixes how the leak levels idle), gathers each seed's m x m
+    superoperator from conj(V) kron V at the kept entries, and applies
+    the channels restricted to them; the recovery is found once per
+    sequence.
     """
-    superops = np.asarray(superops)
+    if superops is None:
+        # no interleaved gate: an identity slot, which leaves every entry
+        # exactly as it is, and recoveries that undo the Cliffords alone
+        superops, interleave = np.eye(81, dtype=complex)[None], None
+    else:
+        superops, interleave = np.asarray(superops), group.index_of(CZ4)
+    kept = _reachable_entries(superops)
+    cols, rows = np.divmod(kept, 9)  # entry a + 9b of vec(rho) is rho[a, b]
+    populations = rows == cols
+    channels = superops[:, kept[:, None], kept].transpose(0, 2, 1)
     natives = _embedded_natives()
-    cz = group.index_of(CZ4)
+    code = {name: k for k, name in enumerate(natives)}
+    # the natives, then the identity that pads the shorter words
+    stack = np.stack([*natives.values(), np.eye(9, dtype=complex)])
 
-    def conj_clifford(idx: int) -> np.ndarray:
-        u = np.eye(9, dtype=complex)
-        for gate in group.words[idx]:
-            u = natives[gate] @ u
-        return u.conj()
+    def cliffords(indices: list[int]) -> np.ndarray:
+        """Transposed m x m superoperators of the Cliffords, one per seed."""
+        words = [group.words[idx] for idx in indices]
+        lengths = np.array([len(word) for word in words])
+        codes = np.full((len(words), max(1, lengths.max())), len(natives))
+        codes[np.arange(codes.shape[1]) < lengths[:, None]] = [
+            code[gate] for word in words for gate in word]
+        v = stack[codes[:, 0]]
+        for position in codes.T[1:]:
+            v = stack[position] @ v
+        return (v[:, rows[:, None], rows] * v[:, cols[:, None], cols].conj()).transpose(0, 2, 1)
 
-    def conjugate(states: np.ndarray, spare: np.ndarray, indices: Iterable[int]) -> None:
-        v = np.stack([conj_clifford(idx) for idx in indices])
-        np.matmul(v, states, out=spare)
-        np.matmul(spare, v.conj().transpose(0, 2, 1), out=states)
-
-    # Each state is held transposed, so that its row-major entries are
-    # the column-stacked vector the superoperators act on; rho -> U rho U^dag
-    # is then rho^T -> conj(U) rho^T U^T.  Two buffers are reused throughout.
-    n_chan, n_seeds = len(superops), len(seeds)
-    states = np.empty((n_chan, n_seeds, 9, 9), dtype=complex)
-    spare = np.empty_like(states)
+    n_seeds, n_chan = len(seeds), len(channels)
     raw = np.zeros((n_chan, len(depths), n_seeds))
-    kept = np.zeros_like(raw)
+    kept_frac = np.zeros_like(raw)
     for i, depth in enumerate(depths):
-        drawn = [_sequence_with_recovery(group, depth, seed, cz) for seed in seeds]
-        states[:] = 0.0
-        states[:, :, 0, 0] = 1.0
+        drawn = [_sequence_with_recovery(group, depth, seed, interleave) for seed in seeds]
+        states = np.zeros((n_seeds, n_chan, len(kept)), dtype=complex)
+        states[:, :, 0] = 1.0  # |00><00|: entry 0, always the first kept
         for step in range(depth):
-            conjugate(states, spare, [indices[step] for indices, _ in drawn])
-            np.matmul(states.reshape(n_chan, n_seeds, 81), superops.transpose(0, 2, 1),
-                      out=spare.reshape(n_chan, n_seeds, 81))
-            states, spare = spare, states
-        conjugate(states, spare, [recovery for _, recovery in drawn])
-        table = np.clip(np.diagonal(states, axis1=2, axis2=3).real, 0.0, None)
-        table = table.reshape(n_chan, n_seeds, 3, 3)
-        raw[:, i] = table[:, :, 0, 0]
-        kept[:, i] = table[:, :, :2, :2].sum(axis=(2, 3))
-    post = np.divide(raw, kept, out=np.zeros_like(raw), where=kept > 0)
+            states = states @ cliffords([indices[step] for indices, _ in drawn])
+            states = (states.transpose(1, 0, 2) @ channels).transpose(1, 0, 2)
+        states = states @ cliffords([recovery for _, recovery in drawn])
+        table = np.zeros((n_seeds, n_chan, 9))
+        table[:, :, rows[populations]] = np.clip(states[:, :, populations].real, 0.0, None)
+        table = table.reshape(n_seeds, n_chan, 3, 3)
+        raw[:, i] = table[:, :, 0, 0].T
+        kept_frac[:, i] = table[:, :, :2, :2].sum(axis=(2, 3)).T
+    post = np.divide(raw, kept_frac, out=np.zeros_like(raw), where=kept_frac > 0)
     return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
-                     postselected=post[c], kept_fraction=kept[c],
-                     interleaved="CZ_sampled")
+                     postselected=post[c], kept_fraction=kept_frac[c],
+                     interleaved=None if interleave is None else "CZ_sampled")
             for c in range(n_chan)]
 
 
@@ -583,10 +612,12 @@ def irb_accuracy_study(operating_point: ChannelRates,
     same fixed random gate sequences.  The Cliffords themselves are ideal
     and the sampled channel rides only on the interleaved slot, so the
     reference slope vanishes and the study isolates the entangling gate.
-    The reference is one simulate_rb run; the samples and the operating
-    point run as one batched pass in which each Clifford is a 9x9 unitary
-    conjugation and each sequence's recovery is computed once.  The true
-    value is the postselected entanglement infidelity of the channel; the
+    The reference (no interleaved slot) and then the samples with the
+    operating point each run as one batched pass of _interleaved_ideal_rb
+    over the density-matrix entries their channels can reach (16 and 25
+    of 81), with each step's Cliffords multiplied out for all sequences
+    at once and each sequence's recovery computed once.  The true value
+    is the postselected entanglement infidelity of the channel; the
     operating point takes no part in the slope fit.
     """
     n_samples = _integer(n_samples, "n_samples")
@@ -596,8 +627,8 @@ def irb_accuracy_study(operating_point: ChannelRates,
     sequence_seeds = _integers(sequence_seeds, "sequence_seeds")
     samples = _draw_rates(n_samples, seed) + [operating_point]
     group = generate_clifford_group(2)
-    reference_fit = fit_linear_fidelity(
-        simulate_rb(NativeGateNoise.ideal(), depths, sequence_seeds))
+    (reference,) = _interleaved_ideal_rb(None, depths, sequence_seeds, group)
+    reference_fit = fit_linear_fidelity(reference)
 
     # One channel object at a time: only its superoperator is kept.
     superops = np.empty((len(samples), 81, 81), dtype=complex)

@@ -40,19 +40,20 @@ def pauli_labels(n_qubits: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def pauli_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Plain (unnormalized) Pauli strings, ordered I..Z lexicographically.
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """Plain (unnormalized) Pauli strings, ordered I..Z lexicographically,
+    as one (4^n, 2^n, 2^n) stack.
 
-    The arrays are cached and shared by every caller, so they are
-    read-only."""
+    The stack is cached and shared by every caller, so it is read-only."""
     mats = []
     for label in pauli_labels(n_qubits):
         m = np.eye(1, dtype=complex)
         for ch in label:
             m = np.kron(m, _PAULI_1Q[ch])
-        m.setflags(write=False)
         mats.append(m)
-    return tuple(mats)
+    stack = np.stack(mats)
+    stack.setflags(write=False)
+    return stack
 
 
 def _superop_from_kraus(kraus: np.ndarray) -> np.ndarray:

@@ -314,7 +314,7 @@ def _fidelity_expansion() -> tuple[np.ndarray, np.ndarray]:
     rho_k.  The rho_k are a fixed basis (condition number 10.4)."""
     kets = np.array([np.kron(a, b) for a in PREP_KETS.values() for b in PREP_KETS.values()])
     states = kets[:, :, None] * kets[:, None, :].conj()
-    paulis = np.stack(pauli_basis(2))
+    paulis = pauli_basis(2)
     alpha = np.linalg.solve(states.reshape(16, 16).T, paulis.reshape(16, 16).T)
     duals = np.einsum("kj,jab->kab", alpha, paulis)
     preparations = np.column_stack([embed_qubit_operator(rho).reshape(-1, order="F")

@@ -423,7 +423,7 @@ def chi_error(chi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     chi_err with all weight on the identity."""
     d = reference.shape[0]
     n = int(round(math.log2(d)))
-    basis = np.stack(pauli_basis(n))
+    basis = pauli_basis(n)
     if chi.shape != (d * d, d * d):
         raise ValueError("chi dimension does not match the reference unitary")
     v = np.einsum("mba,nbc,ca->mn", basis.conj(), basis, reference.conj().T) / d

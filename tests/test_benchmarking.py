@@ -22,8 +22,8 @@ from drcz.benchmarking import (
     simulate_bitflip_protocol,
     simulate_rb,
 )
-from drcz.benchmarking import (_draw_rates, _interleaved_ideal_rb, _sequence_indices,
-                               _sequence_with_recovery)
+from drcz.benchmarking import (_draw_rates, _interleaved_ideal_rb, _reachable_entries,
+                               _sequence_indices, _sequence_with_recovery)
 from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, QUBIT_BLOCK, qutrit_gate_channel
@@ -423,6 +423,61 @@ def test_batched_pass_matches_simulate_rb_sample_by_sample():
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.kept_fraction, oracle.kept_fraction,
                                    rtol=0, atol=1e-12)
+
+
+def _assert_records_match(record, oracle):
+    for field in ("raw", "postselected", "kept_fraction"):
+        np.testing.assert_allclose(getattr(record, field), getattr(oracle, field),
+                                   rtol=0, atol=1e-12)
+
+
+def test_batched_pass_on_the_25_reachable_entries_matches_simulate_rb():
+    # the sampled channels alone keep the pass on the entries one leak per
+    # qutrit can reach, which a generic channel in the stack would widen to 81
+    depths, seeds = (1, 2, 3, 5), (0, 1, 2, 3)
+    rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
+    channels = np.array([qutrit_gate_channel(r).superop for r in rates])
+    assert len(_reachable_entries(channels)) == 25
+    records = _interleaved_ideal_rb(channels, depths, seeds, generate_clifford_group(2))
+    base = NativeGateNoise.ideal()
+    for channel, record in zip(channels, records):
+        _assert_records_match(record, simulate_rb(
+            base.replace(CZ_sampled=channel), depths, seeds,
+            interleave="CZ_sampled", interleave_unitary=CZ4))
+
+
+def test_batched_pass_on_the_16_codespace_entries_matches_simulate_rb():
+    depths, seeds = (1, 2, 3, 5), (0, 1, 2, 3)
+    ideal_cz = NativeGateNoise.ideal().superops["CZ"]
+    assert len(_reachable_entries([ideal_cz])) == 16
+    (record,) = _interleaved_ideal_rb([ideal_cz], depths, seeds, generate_clifford_group(2))
+    _assert_records_match(record, simulate_rb(NativeGateNoise.ideal(), depths, seeds,
+                                              interleave="CZ"))
+
+
+def test_batched_reference_matches_simulate_rb():
+    # the study's IRB reference: ideal natives, no interleaved slot
+    depths, seeds = (1, 2, 3, 5, 8), (0, 1, 2, 3, 4)
+    (record,) = _interleaved_ideal_rb(None, depths, seeds, generate_clifford_group(2))
+    assert record.interleaved is None
+    _assert_records_match(record, simulate_rb(NativeGateNoise.ideal(), depths, seeds))
+
+
+def test_reachable_entries_are_closed_under_every_channel_and_native():
+    rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
+    sampled = [qutrit_gate_channel(r).superop for r in rates]
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    u = expm(-0.05j * (h + h.conj().T))
+    natives = list(NativeGateNoise.ideal().superops.values())
+    for channels, size in ((sampled, 25), ([], 16), ([np.kron(u.conj(), u)], 81)):
+        kept = _reachable_entries(channels)
+        assert kept[0] == 0 and len(kept) == size
+        dropped = np.setdiff1d(np.arange(81), kept)
+        for superop in channels + natives:
+            # nothing flows from a kept entry into a dropped one, so every
+            # dropped entry of the propagated state stays exactly zero
+            assert not np.any(superop[np.ix_(dropped, kept)])
 
 
 def test_batched_pass_depolarizing_survival_is_exact():
