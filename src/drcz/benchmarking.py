@@ -8,14 +8,18 @@ element is found by one integer key, its images of X and Z on every qubit.
 Each element keeps a word of native gates that multiplies out to it.  Noisy
 sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
-of a sequence, and survival is reported both raw and postselected.
+of a sequence, and survival is reported both raw and postselected.  Each
+depth's sequences are drawn for all seeds at once, and their recoveries
+found by whole-array gathers on the group's tables; `simulate_rb` then
+steps each sequence with one 81x81 matrix-vector product per native gate.
 
-The IRB accuracy study runs its ideal reference and every sampled
-channel through one batched pass over all sequences, with one recovery
-Clifford computed per sequence.  The pass propagates only the
-density-matrix entries that |00><00| can reach under the natives and the
-channels (25 of 81 when each qutrit can leak), and multiplies out each
-step's Clifford words for all sequences at once as 9x9 products.
+The IRB accuracy study builds its sampled channels as one closed-form
+stack behind an identity slot, and runs that slot (its ideal reference)
+and every channel through one batched pass over sequences drawn once.
+The pass propagates only the density-matrix entries that |00><00| can
+reach under the natives and the channels (25 of 81 when each qutrit can
+leak), and multiplies out each step's Clifford words for all sequences
+at once as 9x9 products.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis
-from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _layered_channel,
-                             _leakage_kraus, postselected_fidelity, qutrit_cz,
+from .error_channels import (CZ4, QUBIT_BLOCK, ChannelRates, ReadoutModel, _gate_channel_stack,
+                             _layered_channel, _leakage_kraus, postselected_fidelity, qutrit_cz,
                              qutrit_dephasing_kraus, qutrit_gate_channel)
 from .fock import _integer
 
@@ -140,9 +144,12 @@ class CliffordGroup:
             raise ValueError("unitary is not in the generated Clifford group")
         return index
 
-    def inverse_of(self, table: np.ndarray) -> int:
-        """Index of the element that undoes the Clifford with this table."""
-        return int(self.inverses[self._index[int(_keys(table, self.n_qubits))]])
+    def inverse_of(self, tables: np.ndarray) -> np.ndarray:
+        """Indices of the elements that undo the Cliffords with these signed
+        tables (last axis), one per table."""
+        keys = _keys(tables, self.n_qubits)
+        found = [self._index[key] for key in keys.reshape(-1).tolist()]
+        return self.inverses[np.reshape(found, keys.shape)]
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +203,10 @@ def _embed_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embedded_natives() -> dict[str, np.ndarray]:
-    """Every ideal native gate as a unitary on two qutrits.
+@lru_cache(maxsize=None)
+def _embedded_natives() -> Mapping[str, np.ndarray]:
+    """Every ideal native gate as a unitary on two qutrits, read-only and
+    built once.
 
     Single-qubit natives embed as tensor factors so they keep acting when
     the partner qutrit is leaked; CZ idles any leaked state."""
@@ -209,7 +218,9 @@ def _embedded_natives() -> dict[str, np.ndarray]:
         natives[name + "_c"] = np.kron(u1, eye)
         natives[name + "_t"] = np.kron(eye, u1)
     natives["CZ"] = qutrit_cz()
-    return natives
+    for u in natives.values():
+        u.setflags(write=False)
+    return MappingProxyType(natives)
 
 
 def embed_block_superop(s4: np.ndarray) -> np.ndarray:
@@ -331,30 +342,20 @@ def _sequence_indices(group_size: int, depth: int, seed: int) -> np.ndarray:
     return rng.integers(0, group_size, size=depth)
 
 
-def _sequence_with_recovery(group: CliffordGroup, depth: int, seed: int,
-                            interleave: int | None = None
-                            ) -> tuple[np.ndarray, int]:
-    """The seed's Clifford indices and the index of the recovery Clifford.
+def _draw_sequences(group: CliffordGroup, depth: int, seeds: Sequence[int],
+                    interleaves: Sequence[int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's Clifford indices at this depth, (seeds, depth), and its
+    recovery for each interleaved element, (len(interleaves), seeds).
 
-    The recovery inverts the ideal net Clifford of the sequence, with group
-    element interleave (if given) after every Clifford; the net Clifford
-    is tracked as a signed table, one gather per Clifford."""
-    indices = _sequence_indices(len(group), depth, seed)
-    net = group.tables[0]
-    for idx in indices:
-        net = group.tables[idx][net]
-        if interleave is not None:
-            net = group.tables[interleave][net]
+    A recovery inverts the ideal net Clifford of the sequence with that
+    group element (none for None) after every Clifford.  The net Cliffords
+    are tracked as signed tables, one whole-array gather per step."""
+    indices = np.array([_sequence_indices(len(group), depth, seed) for seed in seeds])
+    slots = np.array([0 if k is None else k for k in interleaves])[:, None, None]  # 0: identity
+    net = np.broadcast_to(group.tables[0], (len(slots), len(seeds), group.tables.shape[1]))
+    for step in indices.T:
+        net = group.tables[slots, group.tables[step[:, None], net]]
     return indices, group.inverse_of(net)
-
-
-def _readout_stats(rho_vec: np.ndarray,
-                   confusion: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """(survival of |00> assignment, kept fraction) from the final state,
-    read through each qubit's confusion matrix."""
-    probs = np.clip(np.real(np.diag(rho_vec.reshape(9, 9, order="F"))), 0.0, None)
-    observed = confusion[0].T @ probs.reshape(3, 3) @ confusion[1]
-    return float(observed[0, 0]), float(observed[:2, :2].sum())
 
 
 def _confusion(spam: ReadoutModel | None, qubit: int) -> np.ndarray:
@@ -405,29 +406,27 @@ def simulate_rb(noise: NativeGateNoise,
 
     vec0 = np.zeros(81, dtype=complex)
     vec0[0] = 1.0  # |00><00|
-    confusion = (_confusion(spam, 0), _confusion(spam, 1))
-
-    raw = np.zeros((len(depths), len(seeds)))
-    post = np.zeros_like(raw)
-    kept_arr = np.zeros_like(raw)
+    finals = np.empty((len(depths), len(seeds), 81), dtype=complex)
     for i, depth in enumerate(depths):
-        for j, seed in enumerate(seeds):
-            indices, recovery = _sequence_with_recovery(
-                group, depth, seed, interleave_index)
+        drawn, (recoveries,) = _draw_sequences(group, depth, seeds, (interleave_index,))
+        for j, indices in enumerate(drawn):
             vec = vec0
             for idx in indices:
                 for gate in group.words[idx]:
                     vec = noise.superops[gate] @ vec
                 if interleave is not None:
                     vec = noise.superops[interleave] @ vec
-            for gate in group.words[recovery]:
+            for gate in group.words[recoveries[j]]:
                 vec = noise.superops[gate] @ vec
-            survival, kept = _readout_stats(vec, confusion)
-            raw[i, j] = survival
-            kept_arr[i, j] = kept
-            post[i, j] = survival / kept if kept > 0 else 0.0
+            finals[i, j] = vec
+    # the diagonal of each final state, read through each qubit's confusion
+    populations = np.clip(finals[:, :, ::10].real, 0.0, None).reshape(*finals.shape[:2], 3, 3)
+    observed = _confusion(spam, 0).T @ populations @ _confusion(spam, 1)
+    raw = observed[:, :, 0, 0].copy()
+    kept = observed[:, :, :2, :2].sum(axis=(2, 3))
+    post = np.divide(raw, kept, out=np.zeros_like(raw), where=kept > 0)
     return RBRecord(depths=depths, seeds=seeds, raw=raw, postselected=post,
-                    kept_fraction=kept_arr, interleaved=interleave)
+                    kept_fraction=kept, interleaved=interleave)
 
 
 # --- estimators --------------------------------------------------------------
@@ -530,31 +529,29 @@ def _reachable_entries(superops: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _interleaved_ideal_rb(superops: np.ndarray | None,
+def _interleaved_ideal_rb(superops: np.ndarray,
                           depths: Sequence[int],
                           seeds: Sequence[int],
                           group: CliffordGroup) -> list[RBRecord]:
     """Two-qutrit RB with ideal Cliffords and one interleaved channel each.
 
-    Returns, per 81x81 channel superoperator (a stack, or a list of
-    them), the record that simulate_rb gives for ideal natives with that
-    channel interleaved as CZ; with superops None, the one record that
-    simulate_rb gives for ideal natives alone (the IRB reference).  All
-    channels share the same sequences, so the states are one
+    superops is a (channels, 81, 81) stack whose slot 0 is the identity:
+    that slot is the IRB reference, the record simulate_rb gives for ideal
+    natives alone, and it is recovered without CZ.  Every other slot is
+    interleaved as CZ and gets the record simulate_rb gives for ideal
+    natives with that channel interleaved.  All slots share the same
+    sequences, drawn once per depth, so the states are one
     (seeds, channels, m) array over the m column-stacked entries that
     |00><00| can reach.  Each step multiplies out the Clifford words of
     all seeds together, one batched 9x9 product per word position (the
     word fixes how the leak levels idle), gathers each seed's m x m
     superoperator from conj(V) kron V at the kept entries, and applies
-    the channels restricted to them; the recovery is found once per
-    sequence.
+    the channels restricted to them; the two recovery sets, with and
+    without CZ, come from one gather per step.
     """
-    if superops is None:
-        # no interleaved gate: an identity slot, which leaves every entry
-        # exactly as it is, and recoveries that undo the Cliffords alone
-        superops, interleave = np.eye(81, dtype=complex)[None], None
-    else:
-        superops, interleave = np.asarray(superops), group.index_of(CZ4)
+    superops = np.asarray(superops)
+    if not np.array_equal(superops[0], np.eye(81)):
+        raise ValueError("slot 0 must hold the identity: it runs the IRB reference")
     kept = _reachable_entries(superops)
     cols, rows = np.divmod(kept, 9)  # entry a + 9b of vec(rho) is rho[a, b]
     populations = rows == cols
@@ -564,7 +561,7 @@ def _interleaved_ideal_rb(superops: np.ndarray | None,
     # the natives, then the identity that pads the shorter words
     stack = np.stack([*natives.values(), np.eye(9, dtype=complex)])
 
-    def cliffords(indices: list[int]) -> np.ndarray:
+    def cliffords(indices: np.ndarray) -> np.ndarray:
         """Transposed m x m superoperators of the Cliffords, one per seed."""
         words = [group.words[idx] for idx in indices]
         lengths = np.array([len(word) for word in words])
@@ -577,16 +574,18 @@ def _interleaved_ideal_rb(superops: np.ndarray | None,
         return (v[:, rows[:, None], rows] * v[:, cols[:, None], cols].conj()).transpose(0, 2, 1)
 
     n_seeds, n_chan = len(seeds), len(channels)
+    interleaves = (None, group.index_of(CZ4))  # the reference's recoveries, then the channels'
     raw = np.zeros((n_chan, len(depths), n_seeds))
     kept_frac = np.zeros_like(raw)
     for i, depth in enumerate(depths):
-        drawn = [_sequence_with_recovery(group, depth, seed, interleave) for seed in seeds]
+        indices, recoveries = _draw_sequences(group, depth, seeds, interleaves)
         states = np.zeros((n_seeds, n_chan, len(kept)), dtype=complex)
         states[:, :, 0] = 1.0  # |00><00|: entry 0, always the first kept
-        for step in range(depth):
-            states = states @ cliffords([indices[step] for indices, _ in drawn])
+        for step in indices.T:
+            states = states @ cliffords(step)
             states = (states.transpose(1, 0, 2) @ channels).transpose(1, 0, 2)
-        states = states @ cliffords([recovery for _, recovery in drawn])
+        states[:, :1] = states[:, :1] @ cliffords(recoveries[0])
+        states[:, 1:] = states[:, 1:] @ cliffords(recoveries[1])
         table = np.zeros((n_seeds, n_chan, 9))
         table[:, :, rows[populations]] = np.clip(states[:, :, populations].real, 0.0, None)
         table = table.reshape(n_seeds, n_chan, 3, 3)
@@ -595,7 +594,7 @@ def _interleaved_ideal_rb(superops: np.ndarray | None,
     post = np.divide(raw, kept_frac, out=np.zeros_like(raw), where=kept_frac > 0)
     return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
                      postselected=post[c], kept_fraction=kept_frac[c],
-                     interleaved=None if interleave is None else "CZ_sampled")
+                     interleaved="CZ_sampled" if c else None)
             for c in range(n_chan)]
 
 
@@ -612,13 +611,13 @@ def irb_accuracy_study(operating_point: ChannelRates,
     same fixed random gate sequences.  The Cliffords themselves are ideal
     and the sampled channel rides only on the interleaved slot, so the
     reference slope vanishes and the study isolates the entangling gate.
-    The reference (no interleaved slot) and then the samples with the
-    operating point each run as one batched pass of _interleaved_ideal_rb
-    over the density-matrix entries their channels can reach (16 and 25
-    of 81), with each step's Cliffords multiplied out for all sequences
-    at once and each sequence's recovery computed once.  The true value
-    is the postselected entanglement infidelity of the channel; the
-    operating point takes no part in the slope fit.
+    The sampled channels are built in closed form as one stack behind an
+    identity slot, and the reference (the identity slot, no interleaved
+    gate) and every channel run as one batched pass of
+    _interleaved_ideal_rb over the 25 density-matrix entries the channels
+    can reach, on sequences drawn once.  The true value is the
+    postselected entanglement infidelity of the channel; the operating
+    point takes no part in the slope fit.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
@@ -626,28 +625,23 @@ def irb_accuracy_study(operating_point: ChannelRates,
     depths = _integers(depths, "depths")
     sequence_seeds = _integers(sequence_seeds, "sequence_seeds")
     samples = _draw_rates(n_samples, seed) + [operating_point]
-    group = generate_clifford_group(2)
-    (reference,) = _interleaved_ideal_rb(None, depths, sequence_seeds, group)
+    superops = np.zeros((len(samples) + 1, 81, 81), dtype=complex)
+    np.fill_diagonal(superops[0], 1.0)
+    _gate_channel_stack(samples, superops[1:])
+    true_vals = 1.0 - postselected_fidelity(superops[1:], CZ4)
+    reference, *records = _interleaved_ideal_rb(superops, depths, sequence_seeds,
+                                                generate_clifford_group(2))
     reference_fit = fit_linear_fidelity(reference)
-
-    # One channel object at a time: only its superoperator is kept.
-    superops = np.empty((len(samples), 81, 81), dtype=complex)
-    true_vals = []
-    for k, rates in enumerate(samples):
-        channel = qutrit_gate_channel(rates)
-        superops[k] = channel.superop
-        true_vals.append(1.0 - postselected_fidelity(channel, CZ4))
-    records = _interleaved_ideal_rb(superops, depths, sequence_seeds, group)
     inferred_vals = [interleaved_gate_error(reference_fit, fit_linear_fidelity(record))
                      for record in records]
 
-    true_arr = np.array(true_vals[:-1])
+    true_arr = true_vals[:-1]
     inf_arr = np.array(inferred_vals[:-1])
     slope, offset = np.polyfit(true_arr, inf_arr, 1)
     return IRBAccuracyResult(true_infidelity=true_arr,
                              inferred_infidelity=inf_arr,
                              slope=float(slope), offset=float(offset),
-                             operating_point=(true_vals[-1], inferred_vals[-1]))
+                             operating_point=(float(true_vals[-1]), inferred_vals[-1]))
 
 
 # --- bit-flip protocol -------------------------------------------------------

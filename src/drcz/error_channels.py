@@ -5,18 +5,21 @@ a two-qutrit space where level |2> is the detected leaked state of each
 dual-rail qubit (|0> = |0_L>, |1> = |1_L>).  Every two-qutrit gate
 channel, the CZ here and the randomized-benchmarking X(pi/2) natives, is
 a unitary followed by validated Kraus layers (dephasing, leakage) that
-multiply as 81x81 superoperators.  CZ(phi) puts e^{+i phi} on |11>; this
-sign fixes the imaginary cross terms below.
+multiply as 81x81 superoperators.  For many rate sets at once, the CZ
+channel is also built in closed form as one (K, 81, 81) stack, which
+`postselected_fidelity` takes as it is.  CZ(phi) puts e^{+i phi} on |11>;
+this sign fixes the imaginary cross terms below.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, pauli_basis
+from .channels import TP_TOL, QuantumChannel, _superop_from_kraus, pauli_basis
 
 __all__ = [
     "ChannelRates",
@@ -178,6 +181,64 @@ def qutrit_gate_channel(rates: ChannelRates) -> QuantumChannel:
                             _leakage_kraus(rates.p_leak_control, 0, correlated=False))
 
 
+@lru_cache(maxsize=None)
+def _gate_channel_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of qutrit_gate_channel that no rate changes.
+
+    (cz, phases, jumps), each read-only: the CZ conjugation and the
+    dephasing's four unitary conjugations (identity, Z_c, Z_t, Z_c Z_t) as
+    the diagonals of their column-stacked superoperators, (81,) and
+    (4, 81); and the leak layers' superoperators I, J_c, J_t and J_c J_t,
+    flattened to (4, 6561), where J_q sums kron(conj(j), j) over
+    _leak_jumps(q) and is real."""
+    def conjugation(u: np.ndarray) -> np.ndarray:
+        return np.kron(u.conj(), u)  # diag of kron(conj(U), U) for U = diag(u)
+
+    k3, i3 = np.diag(_k3()), np.ones(3, dtype=complex)
+    cz = conjugation(np.diag(qutrit_cz()))
+    phases = np.array([conjugation(np.kron(a, b)) for a, b in
+                       ((i3, i3), (k3, i3), (i3, k3), (k3, k3))])
+    j_c, j_t = (_superop_from_kraus(np.array(_leak_jumps(q))).real for q in (0, 1))
+    jumps = np.array([np.eye(81), j_c, j_t, j_c @ j_t], dtype=complex).reshape(4, -1)
+    for array in (cz, phases, jumps):
+        array.setflags(write=False)
+    return cz, phases, jumps
+
+
+def _check_trace_preserving(superops: np.ndarray) -> None:
+    """Refuse a (K, 81, 81) stack that does not preserve the trace: the
+    rows of the diagonal entries must sum to vec(I), to TP_TOL."""
+    defect = float(np.abs(superops[:, ::10].sum(axis=1) - np.eye(9).reshape(-1)).max())
+    if defect > TP_TOL:
+        raise ValueError(f"gate channel stack is not trace-preserving: defect {defect:.3e}")
+
+
+def _gate_channel_stack(rates: Sequence[ChannelRates], out: np.ndarray) -> np.ndarray:
+    """qutrit_gate_channel's superoperator for every rate set, written
+    into out, a C-contiguous (K, 81, 81) complex array, and returned.
+
+    CZ and dephasing are diagonal: d = cz (p0 + p_zc z_c + p_zt z_t +
+    p_zz z_zz).  The two leak layers multiply out to
+    (1-pc)(1-pt) I + pc(1-pt) J_c + (1-pc)pt J_t + pc pt J_c J_t, so each
+    superoperator is that real combination with its columns scaled by d.
+    Every weight is a product of probabilities, so the stack is CP by
+    construction; it is checked trace-preserving as a whole."""
+    weights = np.array([(1.0 - r.p_z_control - r.p_z_target - r.p_zz, r.p_z_control,
+                         r.p_z_target, r.p_zz, r.p_leak_control, r.p_leak_target)
+                        for r in rates]).reshape(-1, 6)
+    if np.any(weights < 0.0):
+        raise ValueError("gate channel weights must be non-negative")
+    cz, phases, jumps = _gate_channel_parts()
+    pc, pt = weights[:, 4:].T
+    leaks = np.stack([(1.0 - pc) * (1.0 - pt), pc * (1.0 - pt), (1.0 - pc) * pt, pc * pt], axis=1)
+    if out.shape != (len(weights), 81, 81) or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex ({len(weights)}, 81, 81) array")
+    np.matmul(leaks.astype(complex), jumps, out=out.reshape(len(weights), -1))
+    out *= ((weights[:, :4] @ phases) * cz)[:, None, :]
+    _check_trace_preserving(out)
+    return out
+
+
 def full_gate_channel(rates: ChannelRates) -> QuantumChannel:
     """As qutrit_gate_channel but each leakage jump carries the digitized
     CZ correlation of a mid-gate leak."""
@@ -324,8 +385,8 @@ def _fidelity_expansion() -> tuple[np.ndarray, np.ndarray]:
     return preparations, duals
 
 
-def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
-                          readout: ReadoutModel | None = None) -> float:
+def postselected_fidelity(channel: QuantumChannel | np.ndarray, reference: np.ndarray,
+                          readout: ReadoutModel | None = None) -> float | np.ndarray:
     """Entanglement fidelity to a two-qubit unitary under postselection.
 
     F = sum_jk alpha_jk Tr(R U_j R^dag M E(rho_k) M^dag)
@@ -334,24 +395,34 @@ def postselected_fidelity(channel: QuantumChannel, reference: np.ndarray,
     rho_k of {|0>,|1>,|+>,|+i>} per qubit, R the reference, and M the
     codespace-assignment operator.  The channel acts on the 9-dim
     two-qutrit space; all 16 rho_k go through it as one product, and each
-    output is contracted with its dual sum_j alpha_kj R U_j R^dag.
+    output is contracted with its dual sum_j alpha_kj R U_j R^dag.  Given
+    a (K, 81, 81) stack of superoperators instead of a channel, it returns
+    the K fidelities as an array.
     """
-    if channel.dim != 9:
-        raise ValueError(f"channel must act on the 9-dim two-qutrit space, "
-                         f"got dim {channel.dim}")
+    if isinstance(channel, QuantumChannel):
+        if channel.dim != 9:
+            raise ValueError(f"channel must act on the 9-dim two-qutrit space, "
+                             f"got dim {channel.dim}")
+        superops = channel.superop[None]
+    else:
+        superops = np.asarray(channel)
+        if superops.ndim != 3 or superops.shape[1:] != (81, 81):
+            raise ValueError(f"expected a channel or a (K, 81, 81) superoperator stack, "
+                             f"got shape {superops.shape}")
     ref = np.asarray(reference, dtype=complex)
     if ref.shape != (4, 4):
         raise ValueError("reference must be a two-qubit unitary")
 
     preparations, duals = _fidelity_expansion()
     m = (readout or ReadoutModel.perfect()).measurement_operator()
-    # column k of the product is vec(E(rho_k)): its row-major reshape is E(rho_k)^T
-    outputs = (channel.superop @ preparations).T.reshape(16, 9, 9).transpose(0, 2, 1)
-    outputs = m @ outputs @ m.conj().T
-    weights = np.trace(outputs, axis1=1, axis2=2)
+    # column k of a product is vec(E(rho_k)): its row-major reshape is E(rho_k)^T
+    outputs = (superops @ preparations).transpose(0, 2, 1).reshape(-1, 16, 9, 9)
+    outputs = m @ outputs.transpose(0, 1, 3, 2) @ m.conj().T
+    weights = np.trace(outputs, axis1=2, axis2=3)
     if np.any(np.abs(weights) < 1e-15):
         raise ValueError("postselection annihilated a preparation state")
     probes = ref @ duals @ ref.conj().T
-    block = outputs[np.ix_(range(16), QUBIT_BLOCK, QUBIT_BLOCK)]
-    overlaps = np.einsum("kab,kba->k", probes, block)
-    return float(np.real(np.sum(overlaps / (64.0 * weights))))
+    block = outputs[:, :, QUBIT_BLOCK][:, :, :, QUBIT_BLOCK]
+    overlaps = np.einsum("kab,ckba->ck", probes, block)
+    fidelities = np.real(np.sum(overlaps / (64.0 * weights), axis=1))
+    return float(fidelities[0]) if isinstance(channel, QuantumChannel) else fidelities

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from drcz.benchmarking import _draw_rates
 from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
 from drcz.error_channels import (
@@ -13,6 +14,8 @@ from drcz.error_channels import (
     QUBIT_BLOCK,
     ChannelRates,
     ReadoutModel,
+    _check_trace_preserving,
+    _gate_channel_stack,
     echo_cancellation_check,
     embed_qubit_operator,
     full_gate_channel,
@@ -375,3 +378,68 @@ def test_postselected_fidelity_refuses_a_channel_that_leaks_every_preparation():
         p_leak_control=1.0, p_leak_target=0.0, p_z_control=0.0, p_z_target=0.0))
     with pytest.raises(ValueError, match="annihilated a preparation"):
         postselected_fidelity(everything_leaks, CZ4)
+
+
+# --- the closed-form stack of gate channels --------------------------------
+
+def _stack_rates():
+    """The accuracy study's 40 drawn rate sets, its operating point, and
+    the edges: no error, dephasing weights that sum to one, and (last)
+    certain leakage on both qubits."""
+    return _draw_rates(40, 20260813) + [
+        DeviceConfig.default().channel_rates(),
+        ChannelRates(p_leak_control=0.0, p_leak_target=0.0, p_z_control=0.0, p_z_target=0.0),
+        ChannelRates(p_leak_control=0.3, p_leak_target=0.1, p_z_control=0.25,
+                     p_z_target=0.25, p_zz=0.5),
+        ChannelRates(p_leak_control=1.0, p_leak_target=1.0, p_z_control=0.0, p_z_target=0.0),
+    ]
+
+
+def _stack(rates):
+    return _gate_channel_stack(rates, np.empty((len(rates), 81, 81), dtype=complex))
+
+
+def test_gate_channel_stack_matches_the_layered_channels():
+    rates = _stack_rates()
+    stack = _stack(rates)
+    for r, superop in zip(rates, stack):
+        np.testing.assert_allclose(superop, qutrit_gate_channel(r).superop, rtol=0, atol=1e-15)
+    # written in place into a slice of a larger array, as the study does
+    out = np.zeros((len(rates) + 1, 81, 81), dtype=complex)
+    written = _gate_channel_stack(rates, out[1:])
+    assert np.shares_memory(written, out)
+    assert np.array_equal(out[1:], stack) and not np.any(out[0])
+
+
+def test_gate_channel_stack_refuses_what_it_cannot_build():
+    rates = _draw_rates(2, 20260813)
+    for out in (np.empty((2, 81, 81), dtype=complex, order="F"), np.empty((2, 81, 81)),
+                np.empty((3, 81, 81), dtype=complex)):
+        with pytest.raises(ValueError, match="C-contiguous complex"):
+            _gate_channel_stack(rates, out)
+    # accepted by ChannelRates, yet 1 - p_zc - p_zt - p_zz rounds below zero
+    edge = ChannelRates(p_leak_control=0.0, p_leak_target=0.0, p_z_control=0.10470290537698229,
+                        p_z_target=0.004961942732216285, p_zz=0.8903351518908015)
+    with pytest.raises(ValueError, match="non-negative"):
+        _stack([edge])
+
+
+def test_trace_preservation_check_refuses_one_perturbed_entry():
+    stack = _stack(_stack_rates())
+    _check_trace_preserving(stack)
+    stack[17, 40, 3] += 1e-9  # row 40 is vec(rho)'s entry rho[4, 4], a population
+    with pytest.raises(ValueError, match="not trace-preserving"):
+        _check_trace_preserving(stack)
+
+
+@pytest.mark.parametrize("readout", [None, DeviceConfig.default().readout(2)],
+                         ids=["perfect", "two-round"])
+def test_stacked_postselected_fidelity_matches_the_per_channel_call(readout):
+    rates = _stack_rates()[:-1]  # certain leakage annihilates every preparation
+    stacked = postselected_fidelity(_stack(rates), CZ4, readout)
+    assert stacked.shape == (len(rates),)
+    for r, fidelity in zip(rates, stacked):
+        assert fidelity == pytest.approx(
+            postselected_fidelity(qutrit_gate_channel(r), CZ4, readout), rel=0, abs=1e-14)
+    with pytest.raises(ValueError, match=r"\(K, 81, 81\) superoperator stack"):
+        postselected_fidelity(np.eye(81), CZ4)
