@@ -497,6 +497,9 @@ RATE_RANGES: dict[str, tuple[float, float]] = {
     "p_zz": (5e-5, 2e-4),
     "p_leak": (1e-4, 4e-3),
 }
+# the study's fixed design: every channel runs these depths over these sequences
+_IRB_DEPTHS = (1, 2, 3, 5, 8, 12)
+_IRB_SEQUENCE_SEEDS = tuple(range(20))
 
 
 def _draw_rates(n_samples: int, seed: int) -> list[ChannelRates]:
@@ -601,16 +604,15 @@ def _interleaved_ideal_rb(superops: np.ndarray,
 def irb_accuracy_study(operating_point: ChannelRates,
                        n_samples: int = 120,
                        *,
-                       seed: int = 20260813,
-                       depths: Sequence[int] = (1, 2, 3, 5, 8, 12),
-                       sequence_seeds: Sequence[int] = tuple(range(20))) -> IRBAccuracyResult:
+                       seed: int = 20260813) -> IRBAccuracyResult:
     """Interleaved-RB inferred error versus entanglement infidelity.
 
     Dephasing and leakage rates are drawn uniformly from RATE_RANGES;
     every sample, and the device's operating point, is benchmarked on the
-    same fixed random gate sequences.  The Cliffords themselves are ideal
-    and the sampled channel rides only on the interleaved slot, so the
-    reference slope vanishes and the study isolates the entangling gate.
+    same fixed random gate sequences: depths (1, 2, 3, 5, 8, 12) over
+    sequence seeds 0-19.  The Cliffords themselves are ideal and the
+    sampled channel rides only on the interleaved slot, so the reference
+    slope vanishes and the study isolates the entangling gate.
     The sampled channels are built in closed form as one stack behind an
     identity slot, and the reference (the identity slot, no interleaved
     gate) and every channel run as one batched pass of
@@ -622,14 +624,12 @@ def irb_accuracy_study(operating_point: ChannelRates,
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
-    depths = _integers(depths, "depths")
-    sequence_seeds = _integers(sequence_seeds, "sequence_seeds")
     samples = _draw_rates(n_samples, seed) + [operating_point]
     superops = np.zeros((len(samples) + 1, 81, 81), dtype=complex)
     np.fill_diagonal(superops[0], 1.0)
     _gate_channel_stack(samples, superops[1:])
     true_vals = 1.0 - postselected_fidelity(superops[1:], CZ4)
-    reference, *records = _interleaved_ideal_rb(superops, depths, sequence_seeds,
+    reference, *records = _interleaved_ideal_rb(superops, _IRB_DEPTHS, _IRB_SEQUENCE_SEEDS,
                                                 generate_clifford_group(2))
     reference_fit = fit_linear_fidelity(reference)
     inferred_vals = [interleaved_gate_error(reference_fit, fit_linear_fidelity(record))

@@ -1,17 +1,18 @@
 """Per-gate error budget and coherence-limit scalings.
 
-The budget partitions the output of one noisy gate, averaged over a
-codespace input ensemble, into nine disjoint outcome classes.  Five are
-photon-occupancy classes of the final state: loss of the control photon,
-loss of the target photon, loss of both, the control photon stuck in the
-coupler with the target intact, and a coupler excitation with the target
-photon also gone.  The remaining codespace weight is split between
-``no_error`` and the three Z-type dephasing classes in proportion to the
-matching chi-error diagonal entries of the codespace-conditioned gate
-channel, referenced to the exact noiseless gate so the deterministic
-local frame does not count as error.  (The chi-error diagonal carries no
-measurable X/Y weight at the calibrated operating point; renormalizing
-over the four Z-type entries makes the nine classes an exact partition.)
+The budget partitions the output of one noisy gate, averaged with equal
+weight over the four codespace basis inputs, into nine disjoint outcome
+classes.  Five are photon-occupancy classes of the final state: loss of
+the control photon, loss of the target photon, loss of both, the control
+photon stuck in the coupler with the target intact, and a coupler
+excitation with the target photon also gone.  The remaining codespace
+weight is split between ``no_error`` and the three Z-type dephasing
+classes in proportion to the matching chi-error diagonal entries of the
+codespace-conditioned gate channel, referenced to the exact noiseless
+gate so the deterministic local frame does not count as error.  (The
+chi-error diagonal carries no measurable X/Y weight at the calibrated
+operating point; renormalizing over the four Z-type entries makes the
+nine classes an exact partition.)
 
 Both are read off the whole-gate map (`lindblad.GateMap`): the channel
 is its block of codespace columns and rows, the populations are its
@@ -21,7 +22,6 @@ diagonal rows of the four diagonal-unit columns.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -88,32 +88,18 @@ class ErrorBudget:
 
 
 def compute_error_budget(config: DeviceConfig | SystemParams, *,
-                         ensemble: Sequence[float] | None = None,
                          truncation: int = 2,
                          include_static_crosskerr: bool = False) -> ErrorBudget:
     """Propagate one gate through the master equation and partition the output.
 
-    ``ensemble`` weights the four codespace basis inputs for the occupancy
-    classes (uniform by default); the Z split always uses the full
-    codespace-conditioned process, which is what a phase-sensitive input
-    ensemble would reconstruct.
+    The occupancy classes average the four codespace basis inputs with
+    equal weight; the Z split uses the full codespace-conditioned process.
     """
     p = config.system_params() if isinstance(config, DeviceConfig) else config
     register = ModeRegister.standard(truncation)
     schedule = build_schedule(p, register,
                               include_static_crosskerr=include_static_crosskerr)
     idx = np.searchsorted(schedule.sector, codespace_basis_indices(register)).tolist()
-
-    if ensemble is None:
-        weights = np.full(4, 0.25)
-    else:
-        weights = np.asarray(ensemble, dtype=float)
-        if weights.shape != (4,) or np.any(weights < 0.0):
-            raise ValueError("ensemble must be four nonnegative weights")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError(f"ensemble weights must be finite, got {weights!r}")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"ensemble weights sum to {weights.sum()!r}, not 1")
 
     gate = gate_superoperator(schedule, NoiseModel.from_params(p))
     # positions of the 16 codespace units |i><j| in column-stacking order
@@ -128,7 +114,10 @@ def compute_error_budget(config: DeviceConfig | SystemParams, *,
         blocks = s4.T.reshape(16, 4, 4)
         s4 = ((blocks + blocks.conj().transpose(0, 2, 1)) / 2).reshape(16, 16).T
 
-    # output populations of the diagonal inputs; Hermitizing keeps them exact
+    # output populations of the diagonal inputs; Hermitizing keeps them exact.
+    # The four are weighted equally and added one by one, an order the
+    # reported digits depend on.
+    weights = np.full(4, 0.25)
     diagonal = gate.rows == gate.cols
     populations = np.zeros(schedule.sector.size)
     populations[gate.rows[diagonal]] = np.real(sum(

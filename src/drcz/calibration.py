@@ -29,7 +29,7 @@ import numpy as np
 
 from .fock import DualRailCode, ModeRegister, _integer, build_mode_operator
 from .gate import (CONTROL_CODE, COUPLER, TARGET_CODE, GateSchedule, SystemParams,
-                   _propagator, _tracked_pump_phase, build_schedule, derive_gate_params,
+                   _propagator, build_schedule, derive_gate_params,
                    ideal_unitary, occupancy_classes, wrap_angle)
 
 __all__ = [
@@ -188,15 +188,13 @@ def _operating_point(p: SystemParams, register: ModeRegister
     return schedule, _propagator(h_swap, t_swap), np.real(np.diag(h_wait)), n_c
 
 
-def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
-                        target_interacting: bool = True) -> SweepResult:
+def swapback_phase_scan(p: SystemParams, phases: Sequence[float]) -> SweepResult:
     """Erasure fraction of the full gate versus the swap-back pump phase.
 
     The control photon enters the coupler; with the target photon in the
     coupler-coupled rail the detuned pulses only complete the return when
     the second pump phase matches the derived value, so the erasure
-    fraction dips there and peaks half a turn away.  With the target in
-    the idle rail the transfer is resonant and the curve is flat.
+    fraction dips there and peaks half a turn away.
 
     Only the swap-back segment depends on the phase, and it is
     D^dag U_swap D with D = exp(i phi n_c).  The state after the swap-in
@@ -208,20 +206,24 @@ def swapback_phase_scan(p: SystemParams, phases: Sequence[float], *,
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size == 0:
         raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {phases.shape}")
-    target_bit = 0 if target_interacting else 1
-    occ = {**CONTROL_CODE.logical_occupations(1), **TARGET_CODE.logical_occupations(target_bit)}
+    occ = {**CONTROL_CODE.logical_occupations(1), **TARGET_CODE.logical_occupations(0)}
     schedule, u_swap, wait_diag, n_c = _operating_point(p, register)
     keep = occupancy_classes(register)[schedule.sector] == 0
     swapped = u_swap[:, np.searchsorted(schedule.sector, register.basis_index(occ))]
     waited = np.exp(-1j * wait_diag * schedule.t_wait) * swapped
     psi = u_swap @ (np.exp(1j * np.outer(n_c, phases)) * waited[:, None])
     values = 1.0 - keep @ np.abs(psi) ** 2
-    fixed = {"t_swap": schedule.t_swap,
-             "t_wait": schedule.t_wait,
-             "target_bit": float(target_bit)}
     return SweepResult(axis=phases, values=values,
                        observable="erasure_fraction",
-                       axis_name="swapback_pump_phase_rad", fixed=fixed)
+                       axis_name="swapback_pump_phase_rad",
+                       fixed={"t_swap": schedule.t_swap, "t_wait": schedule.t_wait})
+
+
+def _tracked_pump_phase(p: SystemParams, t_wait: float) -> float:
+    """Calibrated swap-back pump phase for a wait of t_wait: it tracks the
+    wait duration linearly, at the coupler-target dispersive rate."""
+    _, t_wait_cal, phi_swap_cal = derive_gate_params(p)
+    return wrap_angle(phi_swap_cal + p.chi_bc * (t_wait - t_wait_cal))
 
 
 def _ramsey_pair(schedule: GateSchedule, code: DualRailCode,

@@ -14,7 +14,8 @@ values and measured default once; parsing, output and validation read
 those declarations.  Parsing is strict: unknown sections or keys, missing
 keys, and out-of-range values raise :class:`ConfigError` naming the
 offending field, and so does building a config with out-of-range values
-directly; serialize/parse round-trips are exact.
+directly, or with short-depth dephasing rates that sum above 1;
+serialize/parse round-trips are exact.
 """
 
 from __future__ import annotations
@@ -188,6 +189,10 @@ class DeviceConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             f.metadata["config"].check(getattr(self, f.name))
+        try:
+            self.channel_rates()
+        except ValueError as exc:  # the dephasing rates together exceed 1
+            raise ConfigError(f"[short_depth_rates] {exc}") from None
 
     # --- construction -----------------------------------------------------
 

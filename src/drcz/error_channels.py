@@ -112,7 +112,8 @@ class ChannelRates:
                 valid = False
             if not valid:
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-        if self.p_z_control + self.p_z_target + self.p_zz > 1.0:
+        # the no-dephasing weight, as qutrit_dephasing_kraus computes it
+        if 1.0 - self.p_z_control - self.p_z_target - self.p_zz < 0.0:
             raise ValueError("dephasing probabilities exceed 1")
 
 
@@ -221,13 +222,12 @@ def _gate_channel_stack(rates: Sequence[ChannelRates], out: np.ndarray) -> np.nd
     p_zz z_zz).  The two leak layers multiply out to
     (1-pc)(1-pt) I + pc(1-pt) J_c + (1-pc)pt J_t + pc pt J_c J_t, so each
     superoperator is that real combination with its columns scaled by d.
-    Every weight is a product of probabilities, so the stack is CP by
-    construction; it is checked trace-preserving as a whole."""
+    Every weight is a product of probabilities (ChannelRates refuses a
+    negative p0), so the stack is CP by construction; it is checked
+    trace-preserving as a whole."""
     weights = np.array([(1.0 - r.p_z_control - r.p_z_target - r.p_zz, r.p_z_control,
                          r.p_z_target, r.p_zz, r.p_leak_control, r.p_leak_target)
                         for r in rates]).reshape(-1, 6)
-    if np.any(weights < 0.0):
-        raise ValueError("gate channel weights must be non-negative")
     cz, phases, jumps = _gate_channel_parts()
     pc, pt = weights[:, 4:].T
     leaks = np.stack([(1.0 - pc) * (1.0 - pt), pc * (1.0 - pt), (1.0 - pc) * pt, pc * pt], axis=1)
@@ -274,30 +274,26 @@ def nojump_evolve(rho: np.ndarray, rates: tuple[float, float], t: float) -> np.n
     return np.asarray(rho, dtype=complex) * factors
 
 
-def echo_cancellation_check(kappa: float, tau: float, *, asymmetry: float = 1.0,
-                            echo: bool = True, state: np.ndarray | None = None) -> float:
-    """Residual distortion of the no-jump evolution with a mid-time X echo.
+def echo_cancellation_check(kappa: float, tau: float, *, asymmetry: float = 1.0) -> float:
+    """Residual distortion of |+><+| under the no-jump evolution with a
+    mid-time X echo.
 
     kappa is the pair-averaged loss rate; internally the two levels decay
     at kappa*(1 -/+ asymmetry).  With the echo (X at tau/2, undone at tau)
     every entry scales by exactly e^{-kappa*tau}, so the normalized output
     equals the input to machine precision for any asymmetry; without it
-    the state polarizes toward the less-lossy level.  Returns
-    ||rho_out/Tr(rho_out) - rho_in||_F.
+    (`nojump_evolve` over the whole of tau) the state polarizes toward
+    the less-lossy level.  Returns ||rho_out/Tr(rho_out) - rho_in||_F.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    if state is None:
-        state = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # |+><+|
+    state = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # |+><+|
     rates = (kappa * (1.0 - asymmetry), kappa * (1.0 + asymmetry))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if echo:
-        rho = nojump_evolve(state, rates, tau / 2.0)
-        rho = x @ rho @ x
-        rho = nojump_evolve(rho, rates, tau / 2.0)
-        rho = x @ rho @ x
-    else:
-        rho = nojump_evolve(state, rates, tau)
+    rho = nojump_evolve(state, rates, tau / 2.0)
+    rho = x @ rho @ x
+    rho = nojump_evolve(rho, rates, tau / 2.0)
+    rho = x @ rho @ x
     return float(np.linalg.norm(rho / np.trace(rho) - state))
 
 

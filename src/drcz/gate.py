@@ -52,6 +52,8 @@ TWO_PI = 2.0 * math.pi
 CONTROL_CODE = DualRailCode("a1", "a2")
 TARGET_CODE = DualRailCode("b1", "b2")
 COUPLER = "c"
+# largest off-diagonal Frobenius norm extract_local_frame reads a frame off
+DIAGONAL_TOL = 1e-8
 
 # photon-occupancy classes of a two-qubit basis state, by occupancy_classes label
 OCCUPANCY_CLASSES = ("codespace", "control_loss", "target_loss", "double_loss",
@@ -226,37 +228,21 @@ def derive_gate_params(p: SystemParams) -> tuple[float, float, float]:
     return t_swap, t_wait, wrap_angle(phi)
 
 
-def _tracked_pump_phase(p: SystemParams, t_wait: float) -> float:
-    """Calibrated swap-back pump phase for a wait of t_wait: it tracks the
-    wait duration linearly, at the coupler-target dispersive rate."""
-    _, t_wait_cal, phi_swap_cal = derive_gate_params(p)
-    return wrap_angle(phi_swap_cal + p.chi_bc * (t_wait - t_wait_cal))
-
-
 def build_schedule(p: SystemParams, register: ModeRegister, *,
-                   include_static_crosskerr: bool = False,
-                   t_wait: float | None = None,
-                   phi_swap: float | None = None) -> GateSchedule:
+                   include_static_crosskerr: bool = False) -> GateSchedule:
     """Assemble the three segment Hamiltonians on the register's dual-rail space.
 
-    Needs modes a2, c, b1.  With include_static_crosskerr the always-on
+    Needs modes a2, c, b1.  The schedule runs at the `derive_gate_params`
+    operating point.  With include_static_crosskerr the always-on
     chi_ac*n_a2*n_c and chi_ab*n_a2*n_b1 terms are added to every segment
     (used for on-off-ratio studies); the default model omits them.
-    t_wait and phi_swap default to the calibrated values; calibration
-    sweeps override them to probe miscalibrated schedules.
     """
     a2 = _space_operator(register, "a2", "annihilate")
     c = _space_operator(register, "c", "annihilate")
     n_b1 = _space_operator(register, "b1", "number")
     n_c = _space_operator(register, "c", "number")
 
-    t_swap, t_wait_cal, _ = derive_gate_params(p)
-    if t_wait is None:
-        t_wait = t_wait_cal
-    if phi_swap is None:
-        phi_swap = _tracked_pump_phase(p, t_wait)
-    if t_wait <= 0:
-        raise ValueError("t_wait must be positive")
+    t_swap, t_wait, phi_swap = derive_gate_params(p)
     disp = p.chi_bc * (n_b1 @ n_c)
     if include_static_crosskerr:
         n_a2 = _space_operator(register, "a2", "number")
@@ -345,21 +331,21 @@ def codespace_block(register: ModeRegister, u: np.ndarray) -> np.ndarray:
     return u[np.ix_(idx, idx)]
 
 
-def extract_local_frame(mat: np.ndarray, *, tol: float = 1e-8) -> LocalFrame:
+def extract_local_frame(mat: np.ndarray) -> LocalFrame:
     """Read the Z-frame phases off a diagonal codespace unitary.
 
     For diag(u00, u11, u22, u33) in (|00>,|01>,|10>,|11>) logical order
     with the control as the first bit: phi_target = arg(u11) - arg(u00),
     phi_control = arg(u22) - arg(u00), and phi_e = arg(u33) - arg(u22)
     - arg(u11) + arg(u00) (the frame-free entangling phase).  The input
-    must be diagonal to `tol`.
+    must be diagonal to DIAGONAL_TOL.
     """
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 codespace block, got {mat.shape}")
     off = mat - np.diag(np.diag(mat))
-    if np.linalg.norm(off) > tol:
+    if np.linalg.norm(off) > DIAGONAL_TOL:
         raise ValueError(f"codespace block is not diagonal (off-diag norm "
-                         f"{np.linalg.norm(off):.3e} > {tol:.0e})")
+                         f"{np.linalg.norm(off):.3e} > {DIAGONAL_TOL:.0e})")
     a = np.angle(np.diag(mat))
     return LocalFrame(phi_target=wrap_angle(a[1] - a[0]),
                       phi_control=wrap_angle(a[2] - a[0]),

@@ -77,10 +77,6 @@ class NoiseModel:
                     raise ValueError(f"{name}[{label!r}] must be >= 0 and finite, got {rate!r}")
 
     @classmethod
-    def none(cls) -> "NoiseModel":
-        return cls()
-
-    @classmethod
     def from_params(cls, p: SystemParams) -> "NoiseModel":
         """1/T1 and 1/Tphi for every finite coherence time in the params."""
         loss = {m: 1.0 / t for m, t in p.t1.items() if math.isfinite(t)}

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis
-from .config import DeviceConfig
 from .error_channels import PREP_KETS, ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, _integer
 from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
@@ -120,10 +119,8 @@ class MeasurementRecord:
         return dict(zip(keys, self.data.ravel().tolist()))
 
 
-def bell_circuit_record(n_gates: int = 1, *,
-                        params: SystemParams | None = None,
-                        noise: NoiseModel | None = None,
-                        readout: ReadoutModel | None = None) -> MeasurementRecord:
+def bell_circuit_record(n_gates: int, *, params: SystemParams, noise: NoiseModel,
+                        readout: ReadoutModel) -> MeasurementRecord:
     """Simulate the repeated-gate Bell experiment and return its record.
 
     Circuit: Rx(pi/2) on both qubits, then n_gates >= 0 CZ gates (each
@@ -131,9 +128,8 @@ def bell_circuit_record(n_gates: int = 1, *,
     inserted after the first (n_gates-1)/2 gates when n_gates is odd and
     >= 3.  Measurement applies the pre-rotation pair and reads each qubit
     as {0, 1, erasure} through the readout confusion matrix, and the
-    record holds the exact outcome probabilities.  params, noise and
-    readout default to the built-in device table, no noise, and the
-    table's two-round readout.  One depth of `_bell_circuit_records`.
+    record holds the exact outcome probabilities: noise acts during each
+    gate, readout at the end.  One depth of `_bell_circuit_records`.
     """
     return _bell_circuit_records([n_gates], params=params, noise=noise, readout=readout)[0]
 
@@ -144,20 +140,15 @@ def _echo_after(n_gates: int) -> int:
     return (n_gates - 1) // 2 if n_gates >= 3 and n_gates % 2 == 1 else 0
 
 
-def _bell_circuit_records(depths: Sequence[int], *,
-                          params: SystemParams | None = None,
-                          noise: NoiseModel | None = None,
-                          readout: ReadoutModel | None = None) -> list[MeasurementRecord]:
+def _bell_circuit_records(depths: Sequence[int], *, params: SystemParams, noise: NoiseModel,
+                          readout: ReadoutModel) -> list[MeasurementRecord]:
     """`bell_circuit_record` at each depth, from one build of the schedule,
     frame, gate map and pulses.  The pulses keep each qubit's photon count,
     so the circuit runs on the schedule's dual-rail space."""
     depths = [_integer(n, "n_gates") for n in depths]
     if min(depths, default=0) < 0:
         raise ValueError(f"n_gates must be non-negative, got {min(depths)}")
-    params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
-    noise = noise or NoiseModel.none()
-    readout = readout or DeviceConfig.default().readout(2)
     schedule = build_schedule(params, register)
     sector = schedule.sector
     frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
@@ -196,13 +187,13 @@ def _bell_circuit_records(depths: Sequence[int], *,
     return records
 
 
-def psd_project(mat: np.ndarray, trace: float | None = None) -> np.ndarray:
+def psd_project(mat: np.ndarray, trace: float) -> np.ndarray:
     """Clip negative eigenvalues; renormalize to the requested trace."""
     herm = (mat + mat.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals) @ vecs.conj().T
-    if trace is not None and out.trace().real > 1e-15:
+    if out.trace().real > 1e-15:
         out = out * (trace / out.trace().real)
     return out
 
@@ -298,9 +289,7 @@ def _rowmajor_to_column(s_row: np.ndarray, d: int) -> np.ndarray:
     return s4.transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def simulated_leak_process(params: SystemParams | None = None,
-                           control_prep: str = "1",
-                           *,
+def simulated_leak_process(params: SystemParams, control_prep: str, *,
                            points: int = 801) -> QuantumChannel:
     """Target-qubit map conditioned on a control-side erasure during one gate.
 
@@ -315,12 +304,13 @@ def simulated_leak_process(params: SystemParams | None = None,
     Hamiltonian is diagonalized once, block by block over the states it
     couples (`gate._block_eigh`), so a node at offset tau in a segment of
     duration d only needs the eigenphases exp(-i lam tau) and
-    exp(-i lam (d - tau)).  control_prep selects the control state: "1"
-    (photon in the swapped rail), "0" (photon in the idle rail), or
-    "erased" (no photon; the returned map is then the unconditioned one).
+    exp(-i lam (d - tau)).  params sets the schedule and the loss rates
+    of the coupler and the control rails.  control_prep selects the
+    control state: "1" (photon in the swapped rail), "0" (photon in the
+    idle rail), or "erased" (no photon; the returned map is then the
+    unconditioned one).
     The result is subnormalized by the erasure probability.
     """
-    params = params or DeviceConfig.default().system_params()
     register = ModeRegister.standard(2)
     schedule = build_schedule(params, register)
     durations = [d for _, d, _ in schedule.segments]

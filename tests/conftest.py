@@ -19,12 +19,16 @@ def register2():
     return ModeRegister.standard(2)
 
 
-def _register_hamiltonians(params, register, include_static_crosskerr=False):
+def _register_hamiltonians(params, register, include_static_crosskerr=False, *,
+                           t_wait=None, phi_swap=None):
     """The swap-in, wait and swap-back Hamiltonians with their durations, at
-    the calibrated operating point, as (dim, dim) arrays on the whole
-    register: written from products of register-size mode operators, with
-    no sector code."""
-    t_swap, t_wait, phi_swap = derive_gate_params(params)
+    the calibrated operating point unless t_wait or the swap-back pump
+    phase phi_swap is given, as (dim, dim) arrays on the whole register:
+    written from products of register-size mode operators, with no sector
+    code."""
+    t_swap, t_wait_cal, phi_swap_cal = derive_gate_params(params)
+    t_wait = t_wait_cal if t_wait is None else t_wait
+    phi_swap = phi_swap_cal if phi_swap is None else phi_swap
     a2 = build_mode_operator(register, "a2", "annihilate")
     c = build_mode_operator(register, "c", "annihilate")
     n_a2 = build_mode_operator(register, "a2", "number")
@@ -44,7 +48,8 @@ def _register_hamiltonians(params, register, include_static_crosskerr=False):
 
 @pytest.fixture(scope="session")
 def register_hamiltonians():
-    """`_register_hamiltonians(params, register, include_static_crosskerr=False)`."""
+    """`_register_hamiltonians(params, register, include_static_crosskerr=False, *,
+    t_wait=None, phi_swap=None)`."""
     return _register_hamiltonians
 
 

@@ -442,8 +442,7 @@ def test_bitflip_validation():
 
 
 def test_irb_accuracy_study_smoke():
-    result = irb_accuracy_study(OPERATING_POINT, n_samples=3, depths=(1, 2, 3),
-                                sequence_seeds=tuple(range(4)))
+    result = irb_accuracy_study(OPERATING_POINT, n_samples=3)
     assert result.true_infidelity.shape == (3,)
     assert np.all(result.inferred_infidelity > 0)
     true_r, inferred_r = result.operating_point
@@ -573,12 +572,12 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
         return inverse_of(self, tables)
 
     monkeypatch.setattr(CliffordGroup, "inverse_of", counted)
-    irb_accuracy_study(OPERATING_POINT, n_samples=3, depths=(1, 2, 3),
-                       sequence_seeds=tuple(range(4)))
-    # 12 sequences, each recovered once without CZ (the reference) and once
-    # with it (all four channels), in one lookup per depth
-    assert len(calls) == 3
-    assert sum(math.prod(shape) for shape in calls) == 24
+    irb_accuracy_study(OPERATING_POINT, n_samples=3)
+    # 120 sequences (6 depths, 20 seeds), each recovered once without CZ
+    # (the reference) and once with it (all four channels), in one lookup
+    # per depth
+    assert len(calls) == 6
+    assert sum(math.prod(shape) for shape in calls) == 240
 
 
 @pytest.mark.parametrize("run, match", [
@@ -588,20 +587,11 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
                  "seeds must be integers", id="rb-fractional-seed"),
     pytest.param(lambda: simulate_rb(NativeGateNoise.ideal(), (True, 2), (0,)),
                  "depths must be integers", id="rb-bool-depth"),
-    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2, depths=(1, 2, 3.5),
-                                            sequence_seeds=(0,)),
-                 "depths must be integers", id="irb-accuracy-fractional-depth"),
-    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2, depths=(1, 2, 3),
-                                            sequence_seeds=(False, 1)),
-                 "sequence_seeds must be integers", id="irb-accuracy-bool-seed"),
-    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2.5, depths=(1, 2, 3),
-                                            sequence_seeds=(0,)),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2.5),
                  "n_samples must be an integer", id="irb-accuracy-fractional-samples"),
-    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=3.0, depths=(1, 2, 3),
-                                            sequence_seeds=(0,)),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=3.0),
                  "n_samples must be an integer", id="irb-accuracy-float-samples"),
-    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=True, depths=(1, 2, 3),
-                                            sequence_seeds=(0,)),
+    pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=True),
                  "n_samples must be an integer", id="irb-accuracy-bool-samples"),
     pytest.param(lambda: simulate_bitflip_protocol("0", True, noise=NativeGateNoise.ideal()),
                  "n_gates must be an integer", id="bitflip-bool-count"),
@@ -628,5 +618,5 @@ def test_rb_inputs_take_numpy_integers():
 ])
 def test_irb_accuracy_study_validates_inputs(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        irb_accuracy_study(OPERATING_POINT, depths=(1, 2, 3), sequence_seeds=(0,), **kwargs)
+        irb_accuracy_study(OPERATING_POINT, **kwargs)
 

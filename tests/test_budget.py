@@ -135,31 +135,27 @@ def test_noiseless_budget_has_no_error_only():
         assert getattr(b, name) <= 1e-15, name
 
 
-def test_ensemble_selects_the_coupler_transit(budget):
-    cfg = DeviceConfig.default()
+def test_ensemble_selects_the_coupler_transit(table_params):
     # control in |0_L>: the photon idles in the outer rail and never
-    # touches the coupler, so no residual excitation can remain there
-    idle = compute_error_budget(cfg, ensemble=(1.0, 0.0, 0.0, 0.0))
-    assert idle.stuck_in_coupler == 0.0
-    assert idle.lone_coupler_excitation == 0.0
-    transit = compute_error_budget(cfg, ensemble=(0.0, 0.0, 0.0, 1.0))
-    assert transit.stuck_in_coupler > 1e-5
-    assert transit.control_loss > idle.control_loss
-
-
-def test_ensemble_validation():
-    cfg = DeviceConfig.default()
-    with pytest.raises(ValueError, match="four nonnegative weights"):
-        compute_error_budget(cfg, ensemble=(0.5, 0.5))
-    with pytest.raises(ValueError, match="four nonnegative weights"):
-        compute_error_budget(cfg, ensemble=(-0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(ValueError, match="weights sum to"):
-        compute_error_budget(cfg, ensemble=(0.5, 0.5, 0.5, 0.5))
-    # refused where they enter, not after the gate map is built
-    with pytest.raises(ValueError, match="weights must be finite"):
-        compute_error_budget(cfg, ensemble=(math.nan, 0.5, 0.25, 0.25))
-    with pytest.raises(ValueError, match="weights must be finite"):
-        compute_error_budget(cfg, ensemble=(math.inf, 0.0, 0.0, 0.0))
+    # touches the coupler, so no residual excitation can remain there;
+    # in |1_L> it transits the coupler, and some of it stays there
+    register = ModeRegister.standard(2)
+    schedule = build_schedule(table_params, register)
+    gate = gate_superoperator(schedule, NoiseModel.from_params(table_params))
+    classes = occupancy_classes(register)[schedule.sector]
+    code = np.searchsorted(schedule.sector, codespace_basis_indices(register))
+    pops = []
+    for k in (code[0], code[3]):  # |0_L 0_L> and |1_L 1_L>
+        rho = np.zeros((schedule.sector.size,) * 2, dtype=complex)
+        rho[k, k] = 1.0
+        out = np.real(np.diag(gate.apply(rho)))
+        pops.append(dict(zip(OCCUPANCY_CLASSES, np.bincount(
+            classes, weights=out, minlength=len(OCCUPANCY_CLASSES)))))
+    idle, transit = pops
+    assert idle["stuck_in_coupler"] == 0.0
+    assert idle["lone_coupler_excitation"] == 0.0
+    assert transit["stuck_in_coupler"] > 1e-5
+    assert transit["control_loss"] > idle["control_loss"]
 
 
 def test_swapped_t1_order_moves_entries_less_than_ten_percent(budget):

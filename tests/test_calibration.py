@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import drcz.gate
 from drcz import ModeRegister
@@ -100,12 +101,6 @@ def test_swapback_phase_scan_dips_at_the_derived_phase(table_params):
     assert sweep.values[8] > 0.4
     np.testing.assert_allclose(sweep.values, sweep.values[::-1], atol=1e-12)
     assert sweep.argmin_axis() == pytest.approx(PHI_SWAP, abs=1e-12)
-
-
-def test_swapback_scan_is_flat_when_the_target_is_idle(table_params):
-    phases = PHI_SWAP + np.linspace(-math.pi, math.pi, 9)
-    sweep = swapback_phase_scan(table_params, phases, target_interacting=False)
-    assert np.max(np.abs(sweep.values)) < 1e-12
 
 
 @pytest.mark.parametrize("phases", [[], [[0.0, 1.0]]], ids=["empty", "2-D"])
@@ -259,46 +254,67 @@ def _register_unitary(schedule):
     return u
 
 
-def _per_point_erasure(p, phases, target_bit):
-    """The per-point algorithm: rebuild the whole gate at every pump phase."""
+def _register_gate(hamiltonians):
+    """The gate propagator on the whole register: scipy's expm of each
+    register-size segment Hamiltonian, multiplied out."""
+    u = np.eye(hamiltonians[0][0].shape[0], dtype=complex)
+    for h, dt in hamiltonians:
+        u = expm(-1j * h * dt) @ u
+    return u
+
+
+def _per_point_erasure(register_hamiltonians, p, phases):
+    """The per-point algorithm: rebuild the whole gate on the register at
+    every pump phase, from conftest's Hamiltonians."""
     register = ModeRegister.standard(2)
     occ = {label: 0 for label in register.labels}
     occ.update(CONTROL_CODE.logical_occupations(1))
-    occ.update(TARGET_CODE.logical_occupations(target_bit))
+    occ.update(TARGET_CODE.logical_occupations(0))
     # one photon in each dual-rail pair, none in the coupler
     rails = ((1, 0), (0, 1))
     proj = np.diag([float((a1, a2) in rails and (b1, b2) in rails and c == 0)
                     for a1, a2, c, b1, b2 in map(register.occupations, range(register.dim))])
     values = []
     for phi in phases:
-        psi = _register_unitary(build_schedule(p, register, phi_swap=float(phi))) \
-            @ register.basis_state(occ)
+        u = _register_gate(register_hamiltonians(p, register, phi_swap=float(phi)))
+        psi = u @ register.basis_state(occ)
         values.append(1.0 - float(np.real(psi.conj() @ proj @ psi)))
     return np.array(values)
 
 
-@pytest.mark.parametrize("target_interacting", [True, False])
-def test_swapback_phase_scan_matches_the_per_point_oracle(table_params, target_interacting):
+def test_swapback_phase_scan_matches_the_per_point_oracle(table_params, register_hamiltonians):
     phases = np.linspace(-math.pi, math.pi, 128, endpoint=False)
-    sweep = swapback_phase_scan(table_params, phases, target_interacting=target_interacting)
-    oracle = _per_point_erasure(table_params, phases, 0 if target_interacting else 1)
+    sweep = swapback_phase_scan(table_params, phases)
+    oracle = _per_point_erasure(register_hamiltonians, table_params, phases)
     np.testing.assert_allclose(sweep.values, oracle, rtol=0, atol=1e-13)
-    if target_interacting:  # the idle-target curve is flat, its argmin is roundoff
-        assert sweep.argmin_axis() == phases[int(np.argmin(oracle))]
+    assert sweep.argmin_axis() == phases[int(np.argmin(oracle))]
 
 
-def _per_point_fringe(p, wait_times, n_repeats):
-    """The per-point algorithm: rebuild the whole gate at every wait, with the
-    schedule's own tracked pump phase."""
+def _per_point_fringe(register_hamiltonians, p, wait_times, n_repeats):
+    """The per-point algorithm: rebuild the whole gate on the register at
+    every wait, from conftest's Hamiltonians, with the swap-back pump phase
+    tracking the wait at the coupler-target dispersive rate."""
     register = ModeRegister.standard(2)
+    _, t_wait_cal, phi_swap_cal = derive_gate_params(p)
     values = []
     for tw in wait_times:
-        schedule = build_schedule(p, register, t_wait=float(tw))
-        gate = ideal_unitary(schedule)
-        zero, one = (_ramsey_trace(_ramsey_pair(schedule, CONTROL_CODE,
-                                                TARGET_CODE.logical_occupations(target_bit)),
-                                   n_repeats, gate)
-                     for target_bit in (0, 1))
+        phi = wrap_angle(phi_swap_cal + p.chi_bc * (tw - t_wait_cal))
+        gate = _register_gate(register_hamiltonians(p, register, t_wait=float(tw), phi_swap=phi))
+        traces = []
+        for target_bit in (0, 1):
+            # the control's Ramsey phase after each gate, the target in |target_bit>
+            spectator = TARGET_CODE.logical_occupations(target_bit)
+            i_lo, i_hi = (register.basis_index({**spectator,
+                                                **CONTROL_CODE.logical_occupations(bit)})
+                          for bit in (0, 1))
+            psi = np.zeros(register.dim, dtype=complex)
+            psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
+            trace = []
+            for _ in range(n_repeats):
+                psi = gate @ psi
+                trace.append(float(np.angle(psi[i_hi]) - np.angle(psi[i_lo])))
+            traces.append(trace)
+        zero, one = traces
         theta = wrap_angle(one[-1] - zero[-1])
         if n_repeats > 1:
             anchor = n_repeats * wrap_angle(one[0] - zero[0])
@@ -308,10 +324,11 @@ def _per_point_fringe(p, wait_times, n_repeats):
 
 
 @pytest.mark.parametrize("n_repeats", [1, 2])
-def test_entangling_phase_scan_matches_the_per_point_oracle(table_params, n_repeats):
+def test_entangling_phase_scan_matches_the_per_point_oracle(table_params, register_hamiltonians,
+                                                           n_repeats):
     waits = np.linspace(0.97, 1.03, 41) * T_WAIT * 1.01
     sweep = entangling_phase_scan(table_params, waits, n_repeats)
-    oracle = _per_point_fringe(table_params, waits, n_repeats)
+    oracle = _per_point_fringe(register_hamiltonians, table_params, waits, n_repeats)
     np.testing.assert_allclose(sweep.values, oracle, rtol=0, atol=1e-13)
     assert sweep.argmin_axis() == waits[int(np.argmin(oracle))]
 

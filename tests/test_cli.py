@@ -368,6 +368,21 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["irb", "error-budget"])
+def test_main_short_depth_rates_over_1_exit_2(tmp_path, capsys, experiment):
+    # irb would die on the rates, error-budget never reads them: both refuse
+    # the file as a config problem
+    text = DeviceConfig.default().to_text()
+    bad = tmp_path / "device.ini"
+    bad.write_text(text.replace("control_z = 0.00039", "control_z = 0.6").replace(
+        "target_z = 0.000112", "target_z = 0.5"))
+    assert bad.read_text() != text
+    code = main([experiment, "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: [short_depth_rates]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_unwritable_out_exits_3(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("already a file\n")

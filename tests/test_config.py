@@ -113,6 +113,19 @@ def test_a_directly_built_config_is_validated_like_a_parsed_one(default_cfg, nam
         dataclasses.replace(default_cfg, **{name: value})
 
 
+def test_short_depth_dephasing_rates_that_exceed_1_are_refused(default_cfg):
+    # control_z = 0.6 and target_z = 0.5: each a probability, together above 1
+    message = r"\[short_depth_rates\] dephasing probabilities exceed 1"
+    text = default_cfg.to_text()
+    edited = text.replace("control_z = 0.00039", "control_z = 0.6").replace(
+        "target_z = 0.000112", "target_z = 0.5")
+    assert edited.count("= 0.6\n") == edited.count("= 0.5\n") == 1
+    with pytest.raises(ConfigError, match=message):
+        DeviceConfig.from_text(edited)
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(default_cfg, cz_z_control=0.6, cz_z_target=0.5)
+
+
 def test_json_parse_errors(default_cfg):
     with pytest.raises(ConfigError, match="malformed JSON"):
         DeviceConfig.from_text("{not json")

@@ -191,12 +191,12 @@ def test_echo_cancels_nojump_tilt_for_any_asymmetry(kappa, tau, asymmetry):
 
 
 def test_without_echo_the_state_polarizes():
-    residual = echo_cancellation_check(0.2, 2.0, asymmetry=0.8, echo=False)
-    assert residual > 1e-3
-    # the slower-decaying level gains population
+    state = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
     rates = (0.2 * (1 - 0.8), 0.2 * (1 + 0.8))
-    rho = nojump_evolve(np.full((2, 2), 0.5, dtype=complex), rates, 2.0)
+    rho = nojump_evolve(state, rates, 2.0)
     rho = rho / np.trace(rho)
+    assert np.linalg.norm(rho - state) > 1e-3
+    # the slower-decaying level gains population
     assert rho[0, 0].real > 0.5
     with pytest.raises(ValueError, match="kappa"):
         echo_cancellation_check(-0.1, 1.0)
@@ -417,11 +417,13 @@ def test_gate_channel_stack_refuses_what_it_cannot_build():
                 np.empty((3, 81, 81), dtype=complex)):
         with pytest.raises(ValueError, match="C-contiguous complex"):
             _gate_channel_stack(rates, out)
-    # accepted by ChannelRates, yet 1 - p_zc - p_zt - p_zz rounds below zero
-    edge = ChannelRates(p_leak_control=0.0, p_leak_target=0.0, p_z_control=0.10470290537698229,
-                        p_z_target=0.004961942732216285, p_zz=0.8903351518908015)
-    with pytest.raises(ValueError, match="non-negative"):
-        _stack([edge])
+    # the sum p_zc + p_zt + p_zz does not exceed 1, yet the no-dephasing
+    # weight 1 - p_zc - p_zt - p_zz rounds below zero: refused where the
+    # rates enter, so the stack never sees a negative weight
+    assert 0.10470290537698229 + 0.004961942732216285 + 0.8903351518908015 <= 1.0
+    with pytest.raises(ValueError, match="dephasing probabilities exceed 1"):
+        ChannelRates(p_leak_control=0.0, p_leak_target=0.0, p_z_control=0.10470290537698229,
+                     p_z_target=0.004961942732216285, p_zz=0.8903351518908015)
 
 
 def test_trace_preservation_check_refuses_one_perturbed_entry():

@@ -11,6 +11,7 @@ from drcz import gate, lindblad
 from drcz.fock import ModeRegister, build_mode_operator
 from drcz.gate import (
     CONTROL_CODE,
+    DIAGONAL_TOL,
     TARGET_CODE,
     GateSchedule,
     SystemParams,
@@ -145,18 +146,6 @@ def test_schedule_requires_the_coupled_modes(table_params):
     reg = ModeRegister((("a1", 2), ("a2", 2), ("c", 2)))
     with pytest.raises(KeyError, match="b1"):
         build_schedule(table_params, reg)
-
-
-def test_wait_override_tracks_pump_phase(table_params, register2):
-    base = build_schedule(table_params, register2)
-    tw = base.t_wait * 1.05
-    moved = build_schedule(table_params, register2, t_wait=tw)
-    expected = wrap_angle(base.phi_swap + table_params.chi_bc * (tw - base.t_wait))
-    assert moved.phi_swap == pytest.approx(expected, rel=1e-12)
-    pinned = build_schedule(table_params, register2, t_wait=tw, phi_swap=0.3)
-    assert pinned.phi_swap == 0.3
-    with pytest.raises(ValueError, match="t_wait"):
-        build_schedule(table_params, register2, t_wait=-0.1)
 
 
 def test_static_crosskerr_terms_enter_every_segment(table_params, register2):
@@ -300,6 +289,12 @@ def test_extract_local_frame_reads_known_diagonal():
     assert abs(frame.phi_e) == pytest.approx(math.pi, rel=1e-12)
     with pytest.raises(ValueError, match="not diagonal"):
         extract_local_frame(np.ones((4, 4), dtype=complex) / 2)
+    near = np.diag(diag)
+    near[0, 1] = 0.5 * DIAGONAL_TOL
+    assert extract_local_frame(near) == frame
+    near[0, 1] = 2.0 * DIAGONAL_TOL
+    with pytest.raises(ValueError, match="not diagonal"):
+        extract_local_frame(near)
     with pytest.raises(ValueError, match="4x4"):
         extract_local_frame(np.eye(2, dtype=complex))
 

@@ -59,7 +59,7 @@ def _one_mode_generator(h, noise):
 def test_noise_model_validation_and_helpers():
     with pytest.raises(ValueError, match="must be >= 0"):
         NoiseModel(loss={"a1": -0.1})
-    assert NoiseModel.none() == NoiseModel(loss={}, dephasing={})
+    assert NoiseModel() == NoiseModel(loss={}, dephasing={})
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, "0.1", None])
@@ -76,7 +76,7 @@ def test_from_params_inverts_coherence_times(table_params):
     # infinite times are dropped entirely
     p = SystemParams(chi_bc=-1.0, chi_ac=0.0, chi_ab=0.0, g_ac=2.0,
                      t1={"a1": math.inf}, tphi={})
-    assert NoiseModel.from_params(p) == NoiseModel.none()
+    assert NoiseModel.from_params(p) == NoiseModel()
 
 
 def test_collapse_operator_rates():
@@ -94,7 +94,7 @@ def test_collapse_operator_rates():
 def test_liouvillian_rejects_non_hermitian_hamiltonian():
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        _one_mode_generator(h, NoiseModel.none())
+        _one_mode_generator(h, NoiseModel())
 
 
 def test_amplitude_damping_analytic_decay():
@@ -131,7 +131,7 @@ def test_noiseless_propagation_matches_unitary(table_params, register2):
     schedule = build_schedule(table_params, register2)
     u = ideal_unitary(schedule)
     rho0 = _sector_basis_state(schedule, {"a2": 1, "b1": 1})
-    out = gate_superoperator(schedule, NoiseModel.none()).apply(rho0)
+    out = gate_superoperator(schedule, NoiseModel()).apply(rho0)
     expected = u @ rho0 @ u.conj().T
     np.testing.assert_allclose(out, expected, atol=1e-9)
 
@@ -373,14 +373,14 @@ def test_gate_superoperator_rejects_a_photon_number_drive(table_params, register
     driven = h + c + c.conj().T
     with pytest.raises(ValueError, match="'wait' changes a qubit's photon count"):
         gate_superoperator(dataclasses.replace(schedule, segments=(
-            schedule.segments[0], (driven, dt, tag), schedule.segments[2])), NoiseModel.none())
+            schedule.segments[0], (driven, dt, tag), schedule.segments[2])), NoiseModel())
 
 
 def test_propagation_at_truncation_3(table_params):
     reg = ModeRegister.standard(3)
     schedule = build_schedule(table_params, reg)
     rho0 = _sector_basis_state(schedule, {"a2": 1, "b2": 1})
-    out = gate_superoperator(schedule, NoiseModel.none()).apply(rho0)
+    out = gate_superoperator(schedule, NoiseModel()).apply(rho0)
     codespace = occupancy_classes(reg)[schedule.sector] == 0
     assert np.real(np.diag(out))[codespace].sum() == pytest.approx(1.0, abs=1e-9)
     assert np.real(np.trace(out)) == pytest.approx(1.0, abs=1e-9)

@@ -49,6 +49,10 @@ LEAK0_TRACE = 0.0019451477814166624
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
+# the ideal Bell circuit: the device's gate with no noise and perfect readout
+IDEAL = dict(params=DeviceConfig.default().system_params(), noise=NoiseModel(),
+             readout=ReadoutModel.perfect())
+
 
 def test_setting_unitaries():
     assert set(SETTINGS) == {"I", "X90", "X-90", "X180", "Y90", "Y-90"}
@@ -190,7 +194,7 @@ def test_measurement_record_refuses_what_reconstruction_cannot_use(data, match):
 
 
 @pytest.mark.parametrize("run", [
-    lambda n: bell_circuit_record(n, readout=ReadoutModel.perfect()),
+    lambda n: bell_circuit_record(n, **IDEAL),
     lambda n: simulate_bitflip_protocol("0", n, noise=NativeGateNoise.ideal()),
 ], ids=["bell_circuit_record", "simulate_bitflip_protocol"])
 def test_a_negative_gate_count_is_refused(run):
@@ -203,14 +207,14 @@ def test_a_negative_gate_count_is_refused(run):
 def test_a_gate_count_that_is_not_an_integer_is_refused(n_gates):
     # refused, not run as one gate or died on inside range()
     with pytest.raises(ValueError, match="n_gates must be an integer"):
-        bell_circuit_record(n_gates, readout=ReadoutModel.perfect())
+        bell_circuit_record(n_gates, **IDEAL)
     with pytest.raises(ValueError, match="n_gates must be an integer"):
-        tomography._bell_circuit_records([1, n_gates], readout=ReadoutModel.perfect())
+        tomography._bell_circuit_records([1, n_gates], **IDEAL)
 
 
 def test_a_numpy_gate_count_is_taken():
-    rec = bell_circuit_record(np.int64(3), readout=ReadoutModel.perfect())
-    assert np.array_equal(rec.data, bell_circuit_record(3, readout=ReadoutModel.perfect()).data)
+    rec = bell_circuit_record(np.int64(3), **IDEAL)
+    assert np.array_equal(rec.data, bell_circuit_record(3, **IDEAL).data)
 
 
 def test_the_circuit_is_built_once_per_run(table_params, monkeypatch, tmp_path):
@@ -237,14 +241,14 @@ def test_the_circuit_is_built_once_per_run(table_params, monkeypatch, tmp_path):
 
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
-    rec = bell_circuit_record(1, readout=ReadoutModel.perfect())
+    rec = bell_circuit_record(1, **IDEAL)
     fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_echoed_three_gate_circuit_returns_to_the_bell_state():
-    rec = bell_circuit_record(3, readout=ReadoutModel.perfect())
+    rec = bell_circuit_record(3, **IDEAL)
     fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
@@ -369,7 +373,7 @@ def test_circuit_reconstruction_returns_the_circuit_state(table_params, n_gates,
 
 
 def test_reconstruct_state_builds_no_kron_products(monkeypatch):
-    rec = bell_circuit_record(1, readout=ReadoutModel.perfect())
+    rec = bell_circuit_record(1, **IDEAL)
     reconstruct_state(rec)  # a one-time design build would not count
     kron_calls = []
     kron = np.kron
