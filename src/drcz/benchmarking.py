@@ -10,16 +10,21 @@ sequences run on one qutrit per qubit (third level = detected leakage);
 virtual Z gates are noiseless.  Erasure detection happens once, at the end
 of a sequence, and survival is reported both raw and postselected.  Each
 depth's sequences are drawn for all seeds at once, and their recoveries
-found by whole-array gathers on the group's tables; `simulate_rb` then
-steps each sequence with one 81x81 matrix-vector product per native gate.
+found by whole-array gathers on the group's tables.
 
-The IRB accuracy study builds its sampled channels as one closed-form
-stack behind an identity slot, and runs that slot (its ideal reference)
-and every channel through one batched pass over sequences drawn once.
-The pass propagates only the density-matrix entries that |00><00| can
-reach under the natives and the channels (25 of 81 when each qutrit can
-leak), and multiplies out each step's Clifford words for all sequences
-at once as 9x9 products.
+Two passes run the sequences.  `simulate_rb` serves `drcz rb`: it steps
+each sequence alone with one 81x81 matrix-vector product per native gate,
+and the tests hold it bit-identical to that loop, because the rb report's
+free three-parameter fit moves with rounding; it is also the tests'
+oracle for the other pass.  `_interleaved_rb` serves `drcz irb` and the
+IRB accuracy study: it runs an identity slot (the IRB reference) and
+every interleaved channel as slots of one batched pass over sequences
+drawn once per depth, on only the density-matrix entries that |00><00|
+can reach (25 of 81 when each qutrit can leak).  `irb` gives it the
+noisy natives and the noisy CZ, which it applies one word position at a
+time on real coordinates of the states; the study gives it ideal
+natives, whose words it multiplies out as 9x9 unitaries, and its sampled
+channels, built as one closed-form stack.
 """
 from __future__ import annotations
 
@@ -266,7 +271,7 @@ class NativeGateNoise:
                           rail_t1_us: tuple[tuple[float, float], tuple[float, float]],
                           ramsey_tphi_us: tuple[float, float],
                           cross_kerr: float,
-                          include_cross_kerr: bool = True) -> "NativeGateNoise":
+                          include_cross_kerr: bool) -> "NativeGateNoise":
         """Two-qubit natives with coherence-limited X(pi/2) pulses.
 
         Each X(pi/2) composes the ideal rotation with photon-loss leakage at
@@ -378,6 +383,10 @@ def simulate_rb(noise: NativeGateNoise,
     Clifford; interleave_unitary supplies the ideal action when the name
     is a dedicated channel rather than a member of the gateset, and must
     equal the native's (up to global phase) when it is one.
+    This is `drcz rb`'s path, one matrix-vector product per native gate
+    and sequence, kept bit-identical because the rb report's free fit
+    amplifies rounding; `irb` and the IRB accuracy study run the batched
+    `_interleaved_rb`, which the tests check against this function.
     """
     depths = _integers(depths, "depths")
     seeds = _integers(seeds, "seeds")
@@ -512,69 +521,108 @@ def _draw_rates(n_samples: int, seed: int) -> list[ChannelRates]:
             for _ in range(n_samples)]
 
 
-def _reachable_entries(superops: np.ndarray) -> np.ndarray:
+def _reachable_entries(natives: Iterable[np.ndarray], channels: np.ndarray) -> np.ndarray:
     """The column-stacked density-matrix entries that |00><00| can reach.
 
     Closes entry 0 under the union of the nonzero patterns of the given
-    81x81 superoperators and of every embedded native's kron(conj(u), u),
-    so the ideal Cliffords and the channels map the kept entries into
-    themselves and every other entry stays exactly zero: 25 for the
-    sampled gate channels, 16 with no leakage, all 81 for a generic one."""
-    pattern = np.any(superops, axis=0)
-    for u in _embedded_natives().values():
-        pattern |= np.kron(u != 0, u != 0)
+    81x81 native superoperators and channels, and under transposition (a
+    Hermitian state's rho[b, a] is the conjugate of its rho[a, b]), so the
+    Cliffords made of those natives and the channels map the kept entries
+    into themselves and every other entry stays exactly zero: 25 when
+    each qutrit can leak (the sampled gate channels, or the
+    coherence-limited natives with their CZ), 16 for ideal natives with no
+    leakage, all 81 for a generic channel."""
+    pattern = np.any(channels, axis=0)
+    for superop in natives:
+        pattern = pattern | (superop != 0)
     reached = np.zeros(81, dtype=bool)
     reached[0] = True
     while True:
         grown = reached | pattern[:, reached].any(axis=1)
+        grown |= grown.reshape(9, 9).T.reshape(-1)  # rho[b, a] with rho[a, b]
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
 
 
-def _interleaved_ideal_rb(superops: np.ndarray,
-                          depths: Sequence[int],
-                          seeds: Sequence[int],
-                          group: CliffordGroup) -> list[RBRecord]:
-    """Two-qutrit RB with ideal Cliffords and one interleaved channel each.
+def _interleaved_rb(noise: NativeGateNoise | None,
+                    superops: np.ndarray,
+                    depths: Sequence[int],
+                    seeds: Sequence[int],
+                    *,
+                    spam: ReadoutModel | None = None) -> list[RBRecord]:
+    """Two-qutrit RB of one interleaved channel per slot, all slots on the
+    same sequences.
 
-    superops is a (channels, 81, 81) stack whose slot 0 is the identity:
-    that slot is the IRB reference, the record simulate_rb gives for ideal
-    natives alone, and it is recovered without CZ.  Every other slot is
-    interleaved as CZ and gets the record simulate_rb gives for ideal
-    natives with that channel interleaved.  All slots share the same
-    sequences, drawn once per depth, so the states are one
-    (seeds, channels, m) array over the m column-stacked entries that
-    |00><00| can reach.  Each step multiplies out the Clifford words of
-    all seeds together, one batched 9x9 product per word position (the
-    word fixes how the leak levels idle), gathers each seed's m x m
-    superoperator from conj(V) kron V at the kept entries, and applies
-    the channels restricted to them; the two recovery sets, with and
-    without CZ, come from one gather per step.
+    superops is a (slots, 81, 81) stack whose slot 0 is the identity: that
+    slot is the IRB reference, the record simulate_rb gives with no
+    interleaved gate, and it is recovered without CZ.  Every other slot is
+    interleaved as CZ and gets the record simulate_rb gives with that
+    channel interleaved.  The Cliffords are the native words of noise, or
+    ideal when noise is None.  Each depth's sequences are drawn once, and
+    both recovery sets, with and without CZ, come from one gather per
+    step.  The states are one (seeds, slots, m) array over the m
+    column-stacked entries that |00><00| can reach under the natives and
+    the channels, which act restricted to them after every Clifford.
+    Ideal Cliffords multiply out their words for all seeds together, one
+    batched 9x9 product per word position (the word fixes how the leak
+    levels idle), and each seed's m x m superoperator is gathered from
+    conj(V) kron V.  Noisy Cliffords apply each native's superoperator,
+    restricted to the kept entries, one word position at a time, with the
+    shorter words padded by the identity; their states, natives and
+    channels are written in real coordinates (the real and imaginary parts
+    of each kept rho[a, b], a <= b).  The final populations are read
+    through spam's confusion matrices, as in simulate_rb.
     """
     superops = np.asarray(superops)
     if not np.array_equal(superops[0], np.eye(81)):
         raise ValueError("slot 0 must hold the identity: it runs the IRB reference")
-    kept = _reachable_entries(superops)
+    group = generate_clifford_group(2)
+    unitaries = _embedded_natives()
+    natives = ({name: np.kron(u.conj(), u) for name, u in unitaries.items()} if noise is None
+               else {name: noise.superops[name] for name in unitaries})
+    kept = _reachable_entries(natives.values(), superops)
     cols, rows = np.divmod(kept, 9)  # entry a + 9b of vec(rho) is rho[a, b]
     populations = rows == cols
-    channels = superops[:, kept[:, None], kept].transpose(0, 2, 1)
-    natives = _embedded_natives()
+    channels = superops[:, kept[:, None], kept]
     code = {name: k for k, name in enumerate(natives)}
-    # the natives, then the identity that pads the shorter words
-    stack = np.stack([*natives.values(), np.eye(9, dtype=complex)])
+    # the natives, then the identity that pads the shorter words: 9x9
+    # unitaries, or transposed m x m superoperators on the kept entries
+    if noise is None:
+        stack = np.stack([*unitaries.values(), np.eye(9, dtype=complex)])
+    else:
+        # Every map here keeps a state Hermitian, so the noisy pass steps
+        # real coordinates, which multiply about three times faster than
+        # the complex entries: rho[a, b] and rho[b, a] (a < b) become the
+        # real and imaginary parts of rho[a, b], and entries = basis @ x.
+        upper, lower = rows < cols, rows > cols
+        partner = np.searchsorted(kept, cols + 9 * rows)  # the entry of rho[b, a]
+        basis = np.diag(np.where(lower, -1j, 1.0))
+        basis[upper, partner[upper]] = 1j
+        basis[lower, partner[lower]] = 1.0
+        inverse = basis.conj().T * np.where(populations, 1.0, 0.5)[:, None]
+        channels = (inverse @ channels @ basis).real
+        stack = np.stack([*((inverse @ s[kept[:, None], kept] @ basis).real.T
+                            for s in natives.values()), np.eye(len(kept))])
+    channels = channels.transpose(0, 2, 1)  # the states are row vectors
 
-    def cliffords(indices: np.ndarray) -> np.ndarray:
-        """Transposed m x m superoperators of the Cliffords, one per seed."""
+    def apply(states: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """The (seeds, k, m) states after the Clifford indices[s] acts on
+        seed s."""
         words = [group.words[idx] for idx in indices]
         lengths = np.array([len(word) for word in words])
         codes = np.full((len(words), max(1, lengths.max())), len(natives))
         codes[np.arange(codes.shape[1]) < lengths[:, None]] = [
             code[gate] for word in words for gate in word]
+        if noise is not None:
+            for position in codes.T:
+                states = states @ stack[position]
+            return states
         v = stack[codes[:, 0]]
         for position in codes.T[1:]:
             v = stack[position] @ v
-        return (v[:, rows[:, None], rows] * v[:, cols[:, None], cols].conj()).transpose(0, 2, 1)
+        return states @ (v[:, rows[:, None], rows]
+                         * v[:, cols[:, None], cols].conj()).transpose(0, 2, 1)
 
     n_seeds, n_chan = len(seeds), len(channels)
     interleaves = (None, group.index_of(CZ4))  # the reference's recoveries, then the channels'
@@ -582,29 +630,30 @@ def _interleaved_ideal_rb(superops: np.ndarray,
     kept_frac = np.zeros_like(raw)
     for i, depth in enumerate(depths):
         indices, recoveries = _draw_sequences(group, depth, seeds, interleaves)
-        states = np.zeros((n_seeds, n_chan, len(kept)), dtype=complex)
+        states = np.zeros((n_seeds, n_chan, len(kept)), dtype=channels.dtype)
         states[:, :, 0] = 1.0  # |00><00|: entry 0, always the first kept
         for step in indices.T:
-            states = states @ cliffords(step)
+            states = apply(states, step)
             states = (states.transpose(1, 0, 2) @ channels).transpose(1, 0, 2)
-        states[:, :1] = states[:, :1] @ cliffords(recoveries[0])
-        states[:, 1:] = states[:, 1:] @ cliffords(recoveries[1])
+        states[:, :1] = apply(states[:, :1], recoveries[0])
+        states[:, 1:] = apply(states[:, 1:], recoveries[1])
         table = np.zeros((n_seeds, n_chan, 9))
         table[:, :, rows[populations]] = np.clip(states[:, :, populations].real, 0.0, None)
         table = table.reshape(n_seeds, n_chan, 3, 3)
-        raw[:, i] = table[:, :, 0, 0].T
-        kept_frac[:, i] = table[:, :, :2, :2].sum(axis=(2, 3)).T
+        observed = _confusion(spam, 0).T @ table @ _confusion(spam, 1)
+        raw[:, i] = observed[:, :, 0, 0].T
+        kept_frac[:, i] = observed[:, :, :2, :2].sum(axis=(2, 3)).T
     post = np.divide(raw, kept_frac, out=np.zeros_like(raw), where=kept_frac > 0)
     return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
                      postselected=post[c], kept_fraction=kept_frac[c],
-                     interleaved="CZ_sampled" if c else None)
+                     interleaved="CZ" if c else None)
             for c in range(n_chan)]
 
 
 def irb_accuracy_study(operating_point: ChannelRates,
-                       n_samples: int = 120,
+                       n_samples: int,
                        *,
-                       seed: int = 20260813) -> IRBAccuracyResult:
+                       seed: int) -> IRBAccuracyResult:
     """Interleaved-RB inferred error versus entanglement infidelity.
 
     Dephasing and leakage rates are drawn uniformly from RATE_RANGES;
@@ -615,11 +664,14 @@ def irb_accuracy_study(operating_point: ChannelRates,
     slope vanishes and the study isolates the entangling gate.
     The sampled channels are built in closed form as one stack behind an
     identity slot, and the reference (the identity slot, no interleaved
-    gate) and every channel run as one batched pass of
-    _interleaved_ideal_rb over the 25 density-matrix entries the channels
-    can reach, on sequences drawn once.  The true value is the
-    postselected entanglement infidelity of the channel; the operating
-    point takes no part in the slope fit.
+    gate) and every channel run as one batched pass of _interleaved_rb
+    with ideal natives and perfect readout, over the 25 density-matrix
+    entries the channels can reach, on sequences drawn once: the pass
+    `drcz irb` runs with the noisy natives.  n_samples rates are drawn
+    from a generator seeded with seed; the CLI passes 40 and
+    20260813 + --seed.  The true value is the postselected entanglement
+    infidelity of the channel; the operating point takes no part in the
+    slope fit.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
@@ -629,8 +681,7 @@ def irb_accuracy_study(operating_point: ChannelRates,
     np.fill_diagonal(superops[0], 1.0)
     _gate_channel_stack(samples, superops[1:])
     true_vals = 1.0 - postselected_fidelity(superops[1:], CZ4)
-    reference, *records = _interleaved_ideal_rb(superops, _IRB_DEPTHS, _IRB_SEQUENCE_SEEDS,
-                                                generate_clifford_group(2))
+    reference, *records = _interleaved_rb(None, superops, _IRB_DEPTHS, _IRB_SEQUENCE_SEEDS)
     reference_fit = fit_linear_fidelity(reference)
     inferred_vals = [interleaved_gate_error(reference_fit, fit_linear_fidelity(record))
                      for record in records]

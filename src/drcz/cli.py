@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarking import (fit_exponential, fit_linear_fidelity,
+from .benchmarking import (_interleaved_rb, fit_exponential, fit_linear_fidelity,
                            interleaved_gate_error, irb_accuracy_study,
                            simulate_bitflip_protocol, simulate_rb)
 from .budget import compute_error_budget, fundamental_limits
@@ -239,10 +239,10 @@ def _run_rb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
 
 def _run_irb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     noise = cfg.native_noise(include_cross_kerr=args.include_static_kerr)
-    seeds = _rb_seeds(args.seed)
-    spam = cfg.readout(2)
-    reference = simulate_rb(noise, _RB_DEPTHS, seeds, spam=spam)
-    interleaved = simulate_rb(noise, _RB_DEPTHS, seeds, interleave="CZ", spam=spam)
+    # slot 0, the identity, is the reference; slot 1 interleaves the noisy CZ
+    reference, interleaved = _interleaved_rb(
+        noise, np.stack([np.eye(81, dtype=complex), noise.superops["CZ"]]), _RB_DEPTHS,
+        _rb_seeds(args.seed), spam=cfg.readout(2))
     fit_ref = fit_linear_fidelity(reference)
     fit_int = fit_linear_fidelity(interleaved)
     r_cz = interleaved_gate_error(fit_ref, fit_int)

@@ -1,6 +1,7 @@
 """Command-line driver: experiment registry, report files, exit codes."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drcz import cli
+from drcz.benchmarking import CliffordGroup
 from drcz.cli import EXPERIMENTS, _circuit_bell_reference, main, run_experiment
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, postselected_fidelity, qutrit_gate_channel
@@ -189,6 +192,48 @@ def test_irb_report(tmp_path):
     # reference and interleaved survival and kept fractions
     assert _in_unit_interval([float(v) for row in rows for v in row[1:]])
     assert 0.0 < doc["cz_infidelity_true"] < 1.0
+
+
+def test_irb_draws_each_depth_once_and_calls_no_simulate_rb(tmp_path, monkeypatch):
+    calls = []
+    inverse_of = CliffordGroup.inverse_of
+
+    def counted(self, tables):
+        calls.append(np.shape(tables)[:-1])
+        return inverse_of(self, tables)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("irb called simulate_rb")
+
+    monkeypatch.setattr(CliffordGroup, "inverse_of", counted)
+    monkeypatch.setattr(cli, "simulate_rb", refused)
+    run_experiment("irb", DeviceConfig.default(), tmp_path)
+    # 96 sequences (6 depths, 16 seeds), each recovered once without CZ
+    # (the reference) and once with it, in one lookup per depth
+    assert len(calls) == 6
+    assert sum(math.prod(shape) for shape in calls) == 192
+
+
+def _columns(path):
+    """The CSV report's columns by header name, as floats."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("include_static_kerr", [False, True], ids=["no-kerr", "kerr"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_irb_reference_columns_equal_the_rb_report(tmp_path, seed, include_static_kerr):
+    # the same sequences, noise and readout through two engines: rb steps
+    # each sequence alone (simulate_rb), irb runs its reference as slot 0
+    # of the batched pass
+    cfg = DeviceConfig.default()
+    rb, irb = [_columns(run_experiment(name, cfg, tmp_path, seed=seed,
+                                       include_static_kerr=include_static_kerr)[0])
+               for name in ("rb", "irb")]
+    assert irb["depth"] == rb["depth"]
+    np.testing.assert_allclose(irb["reference_survival"], rb["postselected_survival"],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(irb["reference_kept"], rb["kept_fraction"], rtol=0, atol=1e-12)
 
 
 def test_irb_accuracy_report(tmp_path):
