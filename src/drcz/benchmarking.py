@@ -20,11 +20,15 @@ oracle for the other pass.  `_interleaved_rb` serves `drcz irb` and the
 IRB accuracy study: it runs an identity slot (the IRB reference) and
 every interleaved channel as slots of one batched pass over sequences
 drawn once per depth, on only the density-matrix entries that |00><00|
-can reach (25 of 81 when each qutrit can leak).  `irb` gives it the
-noisy natives and the noisy CZ, which it applies one word position at a
-time on real coordinates of the states; the study gives it ideal
-natives, whose words it multiplies out as 9x9 unitaries, and its sampled
-channels, built as one closed-form stack.
+can reach (25 of 81 when each qutrit can leak), in real coordinates: the
+Pauli strings of each leak sector (the codespace, either qubit alone
+beside a leaked partner, both leaked) and the real and imaginary parts of
+any coherence between sectors.  `irb` gives it the noisy natives and the
+noisy CZ, which it applies one word position at a time; the study gives
+it ideal natives, which permute those coordinates with signs (the
+tableau view of a Clifford, as in the group's tables), so each Clifford
+is composed from its word as one signed table and applied as one signed
+gather, and its sampled channels, built as one closed-form stack.
 """
 from __future__ import annotations
 
@@ -287,7 +291,9 @@ class NativeGateNoise:
         partner qudit is leaked.  The measured device values come through
         `DeviceConfig.native_noise`.
         """
-        sup = dict(cls.ideal().superops)
+        # the virtual Z rotations now; the pulses and CZ below, in the same order
+        sup = {name: QuantumChannel(9, kraus=[u]).superop if name.startswith("Z") else None
+               for name, u in _embedded_natives().items()}
         for qubit, name in ((0, "X90_c"), (1, "X90_t")):
             t = x90_durations_us[qubit]
             kappa = 0.5 * (1.0 / rail_t1_us[qubit][0] + 1.0 / rail_t1_us[qubit][1])
@@ -545,6 +551,94 @@ def _reachable_entries(natives: Iterable[np.ndarray], channels: np.ndarray) -> n
         reached = grown
 
 
+# The leak sector of two-qutrit basis state 3c + t, keyed by (control
+# level == 2, target level == 2): 0 the codespace (two qubits), 1 the
+# target leaked (the control qubit), 2 the control leaked (the target
+# qubit), 3 both leaked (a scalar).
+_SECTOR = np.array([2 * (c == 2) + (t == 2) for c in range(3) for t in range(3)])
+
+
+def _coordinates(kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real coordinates x_k = tr(B_k rho) of a Hermitian rho that lives on
+    the kept column-stacked entries, for an orthogonal Hermitian basis B_k.
+
+    Each leak sector whose whole block of entries is kept contributes its
+    Pauli strings, in sector order and pauli_basis order (the codespace's
+    16 come first); every other kept rho[a, b] contributes Re rho[a, b]
+    when a < b, Im rho[b, a] when a > b and rho[a, a] on the diagonal.
+    Returns (forward, backward), with x = forward @ entries and entries =
+    backward @ x; orthogonality makes backward forward^dag over the norms
+    tr(B_k^2)."""
+    cols, rows = np.divmod(kept, 9)  # entry a + 9b of vec(rho) is rho[a, b]
+    sector = np.where(_SECTOR[rows] == _SECTOR[cols], _SECTOR[rows], -1)
+    covered = np.zeros(len(kept), dtype=bool)
+    basis, norms = [], []
+    for s in range(4):
+        states = np.flatnonzero(_SECTOR == s)
+        if np.count_nonzero(sector == s) == len(states) ** 2:  # the whole block
+            covered |= sector == s
+            paulis = pauli_basis(len(states).bit_length() - 1)
+            block = np.zeros((len(paulis), 9, 9), dtype=complex)
+            block[:, states[:, None], states] = paulis
+            basis.append(block)
+            norms += [len(states)] * len(paulis)
+    a, b = rows[~covered], cols[~covered]
+    pairs = np.zeros((len(a), 9, 9), dtype=complex)
+    lo, hi, k = np.minimum(a, b), np.maximum(a, b), np.arange(len(a))
+    pairs[k, lo, hi] = np.where(a < b, 0.5, np.where(a > b, 0.5j, 1.0))
+    pairs[k, hi, lo] = np.where(a < b, 0.5, np.where(a > b, -0.5j, 1.0))
+    # tr(B rho) = sum over entries of B[b, a] rho[a, b]
+    forward = np.concatenate(basis + [pairs])[:, cols, rows]
+    return forward, forward.conj().T / np.concatenate([norms, np.where(a == b, 1.0, 0.5)])
+
+
+def _signed_tables(maps: np.ndarray) -> np.ndarray:
+    """The signed tables of (k, m, m) coordinate maps that are signed
+    permutations: entry q is p + m s when the map sends x to x' with
+    x'_q = (-1)^s x_p, and entry q + m the same for -x'_q, so the table of
+    map b after map a is table_a[table_b].  A map that is not a signed
+    permutation to 1e-12 is refused."""
+    m = maps.shape[-1]
+    signed = np.round(maps.real)
+    nonzero = signed != 0
+    if (np.max(np.abs(maps - signed)) > 1e-12 or np.any(np.abs(signed) > 1)
+            or np.any(nonzero.sum(axis=-1) != 1) or np.any(nonzero.sum(axis=-2) != 1)):
+        raise ValueError("an ideal native is not a signed permutation of the coordinates")
+    table = np.argmax(nonzero, axis=-1) + m * (signed.sum(axis=-1) < 0)
+    return np.concatenate([table, (table + m) % (2 * m)], axis=-1)
+
+
+def _word_codes(group: CliffordGroup, indices: np.ndarray) -> np.ndarray:
+    """The words of the Cliffords indices, one row each, as positions in
+    _embedded_natives(), first gate first; the shorter words are padded
+    to the longest by the identity's code, one past the last native."""
+    code = {name: k for k, name in enumerate(_embedded_natives())}
+    words = [group.words[idx] for idx in indices]
+    lengths = np.array([len(word) for word in words])
+    codes = np.full((len(words), max(1, lengths.max())), len(code))
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = [
+        code[gate] for word in words for gate in word]
+    return codes
+
+
+def _clifford_tables(group: CliffordGroup, tables: np.ndarray,
+                     indices: np.ndarray) -> np.ndarray:
+    """The first half of the signed table of each Clifford in indices
+    (entry q for +x'_q; the negated half follows from it), composed from
+    its word over the natives' signed tables, in the order of
+    _embedded_natives.  All words go together, one flat gather per word
+    position, from the last gate back to the first: that order needs only
+    the first half of each partial product."""
+    codes = _word_codes(group, indices)
+    m = tables.shape[1] // 2
+    tables = np.concatenate([tables, np.arange(2 * m)[None]])  # the identity pads
+    net = tables[codes[:, -1], :m]
+    flat = tables.reshape(-1)
+    for position in codes.T[-2::-1]:
+        net = flat[net + 2 * m * position[:, None]]
+    return net
+
+
 def _interleaved_rb(noise: NativeGateNoise | None,
                     superops: np.ndarray,
                     depths: Sequence[int],
@@ -561,17 +655,23 @@ def _interleaved_rb(noise: NativeGateNoise | None,
     channel interleaved.  The Cliffords are the native words of noise, or
     ideal when noise is None.  Each depth's sequences are drawn once, and
     both recovery sets, with and without CZ, come from one gather per
-    step.  The states are one (seeds, slots, m) array over the m
-    column-stacked entries that |00><00| can reach under the natives and
-    the channels, which act restricted to them after every Clifford.
-    Ideal Cliffords multiply out their words for all seeds together, one
-    batched 9x9 product per word position (the word fixes how the leak
-    levels idle), and each seed's m x m superoperator is gathered from
-    conj(V) kron V.  Noisy Cliffords apply each native's superoperator,
-    restricted to the kept entries, one word position at a time, with the
-    shorter words padded by the identity; their states, natives and
-    channels are written in real coordinates (the real and imaginary parts
-    of each kept rho[a, b], a <= b).  The final populations are read
+    step.  The states live on the m column-stacked entries that |00><00|
+    can reach under the natives and the channels, written in the real
+    coordinates of _coordinates (every map here keeps a state Hermitian,
+    so the maps are real there too); the channels are moved onto them once
+    per call and act after every Clifford.
+    Ideal Cliffords are signed permutations of the coordinates: the
+    single-qubit natives act as tensor factors in every leak sector and CZ
+    idles the leaked states, so each native's signed table is read off its
+    superoperator (_signed_tables refuses one that is not a signed
+    permutation to 1e-12), every Clifford of a depth and both recovery sets are
+    composed from their words in one batch, and a Clifford step is one
+    signed gather on the (slots, seeds * m) states.  No Clifford permutes
+    a coherence between two sectors, so a channel that reaches one is
+    refused: _interleaved_rb(NativeGateNoise.ideal(), ...) runs it.
+    Noisy Cliffords apply each native's superoperator on the coordinates,
+    one word position at a time to the (seeds, slots, m) states, with the
+    shorter words padded by the identity.  The final populations are read
     through spam's confusion matrices, as in simulate_rb.
     """
     superops = np.asarray(superops)
@@ -579,70 +679,75 @@ def _interleaved_rb(noise: NativeGateNoise | None,
         raise ValueError("slot 0 must hold the identity: it runs the IRB reference")
     group = generate_clifford_group(2)
     unitaries = _embedded_natives()
-    natives = ({name: np.kron(u.conj(), u) for name, u in unitaries.items()} if noise is None
-               else {name: noise.superops[name] for name in unitaries})
-    kept = _reachable_entries(natives.values(), superops)
-    cols, rows = np.divmod(kept, 9)  # entry a + 9b of vec(rho) is rho[a, b]
-    populations = rows == cols
-    channels = superops[:, kept[:, None], kept]
-    code = {name: k for k, name in enumerate(natives)}
-    # the natives, then the identity that pads the shorter words: 9x9
-    # unitaries, or transposed m x m superoperators on the kept entries
     if noise is None:
-        stack = np.stack([*unitaries.values(), np.eye(9, dtype=complex)])
+        u = np.stack(list(unitaries.values()))
+        natives = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 81, 81)
     else:
-        # Every map here keeps a state Hermitian, so the noisy pass steps
-        # real coordinates, which multiply about three times faster than
-        # the complex entries: rho[a, b] and rho[b, a] (a < b) become the
-        # real and imaginary parts of rho[a, b], and entries = basis @ x.
-        upper, lower = rows < cols, rows > cols
-        partner = np.searchsorted(kept, cols + 9 * rows)  # the entry of rho[b, a]
-        basis = np.diag(np.where(lower, -1j, 1.0))
-        basis[upper, partner[upper]] = 1j
-        basis[lower, partner[lower]] = 1.0
-        inverse = basis.conj().T * np.where(populations, 1.0, 0.5)[:, None]
-        channels = (inverse @ channels @ basis).real
-        stack = np.stack([*((inverse @ s[kept[:, None], kept] @ basis).real.T
-                            for s in natives.values()), np.eye(len(kept))])
-    channels = channels.transpose(0, 2, 1)  # the states are row vectors
+        natives = [noise.superops[name] for name in unitaries]
+    kept = _reachable_entries(natives, superops)
+    cols, rows = np.divmod(kept, 9)
+    if noise is None and np.any(_SECTOR[rows] != _SECTOR[cols]):
+        raise ValueError("the channels reach coherences between leak sectors, where no ideal "
+                         "Clifford is a signed permutation: run them through "
+                         "_interleaved_rb(NativeGateNoise.ideal(), ...)")
+    m = len(kept)
+    forward, backward = _coordinates(kept)
+    populations = rows == cols
+    readout = backward[populations].real.T  # coordinates -> kept populations
 
-    def apply(states: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """The (seeds, k, m) states after the Clifford indices[s] acts on
-        seed s."""
-        words = [group.words[idx] for idx in indices]
-        lengths = np.array([len(word) for word in words])
-        codes = np.full((len(words), max(1, lengths.max())), len(natives))
-        codes[np.arange(codes.shape[1]) < lengths[:, None]] = [
-            code[gate] for word in words for gate in word]
-        if noise is not None:
-            for position in codes.T:
-                states = states @ stack[position]
-            return states
-        v = stack[codes[:, 0]]
-        for position in codes.T[1:]:
-            v = stack[position] @ v
-        return states @ (v[:, rows[:, None], rows]
-                         * v[:, cols[:, None], cols].conj()).transpose(0, 2, 1)
+    # the channels and natives on the coordinates; the states are row
+    # vectors, so every map acts transposed
+    channels = forward @ superops[:, kept[:, None], kept] @ backward
+    channels = np.ascontiguousarray(channels.real.transpose(0, 2, 1))
+    natives = forward @ np.stack([s[kept[:, None], kept] for s in natives]) @ backward
+    if noise is None:
+        tables = _signed_tables(natives)
+    else:
+        natives = np.concatenate([natives.real.transpose(0, 2, 1),
+                                  np.eye(m)[None]])  # the identity pads
 
     n_seeds, n_chan = len(seeds), len(channels)
+    start = forward[:, 0].real  # |00><00|: entry 0, always the first kept
     interleaves = (None, group.index_of(CZ4))  # the reference's recoveries, then the channels'
     raw = np.zeros((n_chan, len(depths), n_seeds))
     kept_frac = np.zeros_like(raw)
     for i, depth in enumerate(depths):
         indices, recoveries = _draw_sequences(group, depth, seeds, interleaves)
-        states = np.zeros((n_seeds, n_chan, len(kept)), dtype=channels.dtype)
-        states[:, :, 0] = 1.0  # |00><00|: entry 0, always the first kept
-        for step in indices.T:
-            states = apply(states, step)
-            states = (states.transpose(1, 0, 2) @ channels).transpose(1, 0, 2)
-        states[:, :1] = apply(states[:, :1], recoveries[0])
-        states[:, 1:] = apply(states[:, 1:], recoveries[1])
-        table = np.zeros((n_seeds, n_chan, 9))
-        table[:, :, rows[populations]] = np.clip(states[:, :, populations].real, 0.0, None)
-        table = table.reshape(n_seeds, n_chan, 3, 3)
-        observed = _confusion(spam, 0).T @ table @ _confusion(spam, 1)
-        raw[:, i] = observed[:, :, 0, 0].T
-        kept_frac[:, i] = observed[:, :, :2, :2].sum(axis=(2, 3)).T
+        if noise is None:
+            # each step's Cliffords, then each recovery set, as flat gathers
+            # into the (slots, seeds * m) states and their signs
+            net = _clifford_tables(group, tables, np.concatenate(
+                [indices.T.reshape(-1), recoveries.reshape(-1)]))
+            negated = net >= m
+            signs = np.where(negated, -1.0, 1.0).reshape(depth + 2, -1)
+            seed = np.arange(len(net))[:, None] % n_seeds
+            flats = (net - m * negated + m * seed).reshape(depth + 2, -1)
+            states = np.tile(start, (n_chan, n_seeds))
+            for flat, sign in zip(flats[:depth], signs[:depth]):
+                states = (np.take(states, flat, axis=1) * sign).reshape(n_chan, n_seeds, m)
+                states = (states @ channels).reshape(n_chan, -1)
+            states[:1] = np.take(states[:1], flats[depth], axis=1) * signs[depth]
+            states[1:] = np.take(states[1:], flats[depth + 1], axis=1) * signs[depth + 1]
+            final = states.reshape(n_chan, n_seeds, m)
+        else:
+            def apply(states: np.ndarray, step: np.ndarray) -> np.ndarray:
+                for position in _word_codes(group, step).T:
+                    states = states @ natives[position]
+                return states
+
+            states = np.tile(start, (n_seeds, n_chan, 1))
+            for step in indices.T:
+                states = apply(states, step)
+                states = (states.transpose(1, 0, 2) @ channels).transpose(1, 0, 2)
+            states[:, :1] = apply(states[:, :1], recoveries[0])
+            states[:, 1:] = apply(states[:, 1:], recoveries[1])
+            final = states.transpose(1, 0, 2)
+        table = np.zeros((n_chan, n_seeds, 9))
+        table[:, :, rows[populations]] = np.clip(final @ readout, 0.0, None)
+        observed = _confusion(spam, 0).T @ table.reshape(n_chan, n_seeds, 3, 3) @ _confusion(
+            spam, 1)
+        raw[:, i] = observed[:, :, 0, 0]
+        kept_frac[:, i] = observed[:, :, :2, :2].sum(axis=(2, 3))
     post = np.divide(raw, kept_frac, out=np.zeros_like(raw), where=kept_frac > 0)
     return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
                      postselected=post[c], kept_fraction=kept_frac[c],
@@ -710,7 +815,7 @@ class BitflipResult:
 def simulate_bitflip_protocol(initial: str,
                               n_gates: int,
                               *,
-                              spam: ReadoutModel | None = None,
+                              spam: ReadoutModel | None,
                               noise: NativeGateNoise) -> BitflipResult:
     """Apparent logical bit-flip fraction of an idling basis state.
 

@@ -22,11 +22,13 @@ from drcz.benchmarking import (
     simulate_bitflip_protocol,
     simulate_rb,
 )
-from drcz.benchmarking import (_draw_rates, _draw_sequences, _interleaved_rb,
-                               _reachable_entries, _sequence_indices)
+from drcz.benchmarking import (_clifford_tables, _coordinates, _draw_rates, _draw_sequences,
+                               _interleaved_rb, _reachable_entries, _sequence_indices,
+                               _signed_tables)
 from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
-from drcz.error_channels import CZ4, QUBIT_BLOCK, _gate_channel_stack, qutrit_gate_channel
+from drcz.error_channels import (CZ4, QUBIT_BLOCK, _gate_channel_stack, _layered_channel,
+                                 _leakage_kraus, qutrit_gate_channel)
 
 # Frozen apparent bit-flip fraction of an idle |0_L> spectator after 50
 # gates, read through the one-round confusion matrix.
@@ -429,7 +431,7 @@ def test_bitflip_with_perfect_readout_is_exactly_zero():
     noise = DeviceConfig.default().native_noise()
     for initial in ("0", "1"):
         for n in (1, 10, 50):
-            result = simulate_bitflip_protocol(initial, n, noise=noise)
+            result = simulate_bitflip_protocol(initial, n, spam=None, noise=noise)
             assert result.apparent_flip == 0.0
     assert math.isnan(BitflipResult(0, 0.0).per_gate)
 
@@ -444,7 +446,7 @@ def test_bitflip_through_confusion_matrix_frozen():
 def test_bitflip_validation():
     noise = NativeGateNoise.ideal()
     with pytest.raises(ValueError, match="initial state"):
-        simulate_bitflip_protocol("2", 1, noise=noise)
+        simulate_bitflip_protocol("2", 1, spam=None, noise=noise)
 
 
 def test_irb_accuracy_study_smoke():
@@ -463,6 +465,21 @@ def _behind_identity(channels):
     return np.concatenate([np.eye(81, dtype=complex)[None], np.asarray(channels)])
 
 
+# the basis states 3c + t of each leak sector: the codespace, the target
+# leaked, the control leaked and both leaked
+_SECTOR_STATES = [(0, 1, 3, 4), (2, 5), (6, 7), (8,)]
+
+
+def _sector_block_unitary(rng):
+    """A random unitary on each leak sector's block of basis states."""
+    u = np.zeros((9, 9), dtype=complex)
+    for states in _SECTOR_STATES:
+        n = len(states)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u[np.ix_(states, states)] = expm(-0.5j * (h + h.conj().T))
+    return u
+
+
 def test_batched_pass_matches_simulate_rb_sample_by_sample():
     # the oracle runs each channel on its own, one 81x81 superoperator per
     # native gate, and finds its own recovery per (sample, sequence)
@@ -470,22 +487,38 @@ def test_batched_pass_matches_simulate_rb_sample_by_sample():
     rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
     channels = [qutrit_gate_channel(r).superop for r in rates]
     # The sampled channels act diagonally on the codespace, which hides a
-    # transposed or conjugated superoperator; a complex coherent error that
-    # also swaps weight with the leak levels does not.
+    # transposed or conjugated superoperator.  A complex coherent error
+    # that also swaps weight with the leak levels does not; it reaches
+    # coherences between leak sectors, so it runs with the ideal natives
+    # as superoperators.  A complex unitary on each sector's block, then a
+    # sampled leak layer, keeps the sectors apart and runs with the ideal
+    # natives as signed tables.
     rng = np.random.default_rng(7)
     h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     u = expm(-0.05j * (h + h.conj().T)) @ np.diag(np.exp(1j * np.arange(9)))
-    channels.append(np.kron(u.conj(), u))
+    generic = np.kron(u.conj(), u)
+    leak = (_leakage_kraus(rates[0].p_leak_target, 1, correlated=False),
+            _leakage_kraus(rates[0].p_leak_control, 0, correlated=False))
+    channels.append(_layered_channel(_sector_block_unitary(rng), *leak).superop)
+    assert len(_reachable_entries(IDEAL_NATIVES, channels)) == 25
     records = _interleaved_rb(None, _behind_identity(channels), depths, seeds)[1:]
+    records += _interleaved_rb(NativeGateNoise.ideal(), _behind_identity([generic]), depths,
+                               seeds)[1:]
     base = NativeGateNoise.ideal()
-    for channel, record in zip(channels, records):
-        oracle = simulate_rb(base.replace(CZ_sampled=channel), depths, seeds,
-                             interleave="CZ_sampled", interleave_unitary=CZ4)
-        np.testing.assert_allclose(record.raw, oracle.raw, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(record.postselected, oracle.postselected,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(record.kept_fraction, oracle.kept_fraction,
-                                   rtol=0, atol=1e-12)
+    for channel, record in zip(channels + [generic], records):
+        _assert_records_match(record, simulate_rb(
+            base.replace(CZ_sampled=channel), depths, seeds,
+            interleave="CZ_sampled", interleave_unitary=CZ4))
+
+
+def test_ideal_pass_refuses_coherences_between_leak_sectors():
+    # no ideal Clifford is a signed permutation there; the message names
+    # the route that runs such a channel
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    u = expm(-0.05j * (h + h.conj().T))
+    with pytest.raises(ValueError, match=r"_interleaved_rb\(NativeGateNoise\.ideal\(\), "):
+        _interleaved_rb(None, _behind_identity([np.kron(u.conj(), u)]), (1, 2, 3), (0,))
 
 
 def _assert_records_match(record, oracle):
@@ -582,6 +615,109 @@ def test_reachable_entries_are_closed_under_every_channel_and_native():
             assert not np.any(superop[np.ix_(dropped, kept)])
 
 
+def _kept_sets():
+    """Kept-entry sets of every kind: the sampled channels' 25 (whole
+    sector blocks), the ideal CZ's 16, a generic channel's 81 (coherences
+    between sectors too) and a codespace with one control-leaked
+    population and its coherence with |00> (a partial block)."""
+    rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
+    sampled = [qutrit_gate_channel(r).superop for r in rates]
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    u = expm(-0.05j * (h + h.conj().T))
+    codespace = np.add.outer(QUBIT_BLOCK, 9 * np.array(QUBIT_BLOCK)).reshape(-1)
+    return {"sampled": _reachable_entries(IDEAL_NATIVES, sampled),
+            "codespace": _reachable_entries(IDEAL_NATIVES, []),
+            "generic": _reachable_entries(IDEAL_NATIVES, [np.kron(u.conj(), u)]),
+            "partial": np.sort(np.concatenate([codespace, [6 + 9 * 6, 0 + 9 * 6, 6 + 9 * 0]]))}
+
+
+@pytest.mark.parametrize("case", ["sampled", "codespace", "generic", "partial"])
+def test_coordinates_are_real_and_invert_by_orthogonality(case):
+    kept = _kept_sets()[case]
+    forward, backward = _coordinates(kept)
+    eye = np.eye(len(kept))
+    np.testing.assert_allclose(forward @ backward, eye, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(backward @ forward, eye, rtol=0, atol=1e-14)
+    # a Hermitian rho on the kept entries has real coordinates
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    mask = np.zeros(81, dtype=bool)
+    mask[kept] = True
+    rho = (a + a.conj().T) * mask.reshape(9, 9, order="F")
+    entries = rho.reshape(-1, order="F")[kept]
+    x = forward @ entries
+    np.testing.assert_allclose(x.imag, 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(backward @ x.real, entries, rtol=0, atol=1e-14)
+    # the codespace's Pauli strings come first, in pauli_basis order
+    block = rho[np.ix_(QUBIT_BLOCK, QUBIT_BLOCK)]
+    np.testing.assert_allclose(x[:16], np.einsum("kij,ji->k", _pauli_strings(2), block),
+                               rtol=0, atol=1e-13)
+
+
+def _table_matrices(tables, m):
+    """The matrices of the first halves of signed tables: row q holds
+    (-1)^s in column p where entry q is p + m s."""
+    out = np.zeros((*tables.shape, m))
+    np.put_along_axis(out, (tables % m)[..., None],
+                      np.where(tables >= m, -1.0, 1.0)[..., None], axis=-1)
+    return out
+
+
+def _native_tables():
+    """The 25 sampled-channel entries, and the ideal natives' signed tables
+    with their superoperators moved onto those entries' coordinates."""
+    kept = _kept_sets()["sampled"]
+    forward, backward = _coordinates(kept)
+    maps = np.array([forward @ s[np.ix_(kept, kept)] @ backward for s in IDEAL_NATIVES])
+    return kept, maps, _signed_tables(maps)
+
+
+def test_ideal_native_tables_are_their_superoperators_on_the_coordinates():
+    kept, maps, tables = _native_tables()
+    m = len(kept)
+    assert tables.shape == (len(IDEAL_NATIVES), 2 * m)
+    np.testing.assert_allclose(_table_matrices(tables[:, :m], m), maps, rtol=0, atol=1e-12)
+    assert np.array_equal(tables[:, m:], (tables[:, :m] + m) % (2 * m))
+    # a noisy X(pi/2) leaks and dephases: no signed permutation
+    forward, backward = _coordinates(kept)
+    noisy = DeviceConfig.default().native_noise(include_cross_kerr=True).superops["X90_c"]
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        _signed_tables((forward @ noisy[np.ix_(kept, kept)] @ backward)[None])
+
+
+def test_composed_word_tables_match_the_group_and_the_leaked_qubit():
+    group = generate_clifford_group(2)
+    kept, _, tables = _native_tables()
+    m = len(kept)
+    composed = _clifford_tables(group, tables, np.arange(len(group)))
+    # codespace: the group's entry p is q + 16 s when u P_p u^dag =
+    # (-1)^s P_q, so the coordinates move as x'_q = (-1)^s x_p
+    images = group.tables[:, :16].astype(int)
+    expected = np.empty_like(images)
+    np.put_along_axis(expected, images % 16, np.arange(16) + m * (images // 16), axis=1)
+    np.testing.assert_array_equal(composed[:, :16], expected)
+    # target leaked (the control qubit) and control leaked (the target
+    # qubit): the other qubit runs the product of its own side's natives
+    gates = generate_clifford_group(1).gateset
+    paulis = _pauli_strings(1)
+    for side, first in (("_c", 16), ("_t", 20)):
+        units = []
+        for word in group.words:
+            u = np.eye(2, dtype=complex)
+            for gate in word:
+                if gate.endswith(side):
+                    u = gates[gate[:-2]] @ u
+            units.append(u)
+        u = np.array(units)[:, None]
+        moved = u @ paulis @ np.swapaxes(u.conj(), -1, -2)
+        overlaps = np.einsum("qji,epij->eqp", paulis, moved).real / 2  # tr(P_q u P_p u^dag)/2
+        sector = slice(first, first + 4)
+        np.testing.assert_allclose(_table_matrices(composed[:, sector], m)[:, :, sector],
+                                   overlaps, rtol=0, atol=1e-12)
+    assert np.all(composed[:, 24] == 24)  # both leaked: a scalar, untouched
+
+
 def test_batched_pass_depolarizing_survival_is_exact():
     p = 0.98
     depths = (1, 2, 4, 8)
@@ -622,9 +758,11 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
                  "n_samples must be an integer", id="irb-accuracy-float-samples"),
     pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=True, seed=20260813),
                  "n_samples must be an integer", id="irb-accuracy-bool-samples"),
-    pytest.param(lambda: simulate_bitflip_protocol("0", True, noise=NativeGateNoise.ideal()),
+    pytest.param(lambda: simulate_bitflip_protocol("0", True, spam=None,
+                                                   noise=NativeGateNoise.ideal()),
                  "n_gates must be an integer", id="bitflip-bool-count"),
-    pytest.param(lambda: simulate_bitflip_protocol("0", 2.5, noise=NativeGateNoise.ideal()),
+    pytest.param(lambda: simulate_bitflip_protocol("0", 2.5, spam=None,
+                                                   noise=NativeGateNoise.ideal()),
                  "n_gates must be an integer", id="bitflip-fractional-count"),
 ])
 def test_rb_inputs_refuse_what_is_not_an_integer(run, match):
@@ -638,7 +776,7 @@ def test_rb_inputs_take_numpy_integers():
     record = simulate_rb(noise, np.array([1, 2]), np.arange(2))
     assert record.depths == (1, 2) and record.seeds == (0, 1)
     assert all(type(k) is int for k in record.depths + record.seeds)
-    assert simulate_bitflip_protocol("0", np.int64(3), noise=noise).apparent_flip == 0.0
+    assert simulate_bitflip_protocol("0", np.int64(3), spam=None, noise=noise).apparent_flip == 0.0
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -195,7 +195,7 @@ def test_measurement_record_refuses_what_reconstruction_cannot_use(data, match):
 
 @pytest.mark.parametrize("run", [
     lambda n: bell_circuit_record(n, **IDEAL),
-    lambda n: simulate_bitflip_protocol("0", n, noise=NativeGateNoise.ideal()),
+    lambda n: simulate_bitflip_protocol("0", n, spam=None, noise=NativeGateNoise.ideal()),
 ], ids=["bell_circuit_record", "simulate_bitflip_protocol"])
 def test_a_negative_gate_count_is_refused(run):
     with pytest.raises(ValueError, match="n_gates must be non-negative"):
