@@ -15,20 +15,20 @@ found by whole-array gathers on the group's tables.
 Two passes run the sequences.  `simulate_rb` serves `drcz rb`: it steps
 each sequence alone with one 81x81 matrix-vector product per native gate,
 and the tests hold it bit-identical to that loop, because the rb report's
-free three-parameter fit moves with rounding; it is also the tests'
-oracle for the other pass.  `_interleaved_rb` serves `drcz irb` and the
-IRB accuracy study: it runs an identity slot (the IRB reference) and
-every interleaved channel as slots of one batched pass over sequences
-drawn once per depth, on only the density-matrix entries that |00><00|
-can reach (25 of 81 when each qutrit can leak), in real coordinates: the
-Pauli strings of each leak sector (the codespace, either qubit alone
-beside a leaked partner, both leaked) and the real and imaginary parts of
-any coherence between sectors.  `irb` gives it the noisy natives and the
-noisy CZ, which it applies one word position at a time; the study gives
-it ideal natives, which permute those coordinates with signs (the
-tableau view of a Clifford, as in the group's tables), so each Clifford
-is composed from its word as one signed table and applied as one signed
-gather, and its sampled channels, built as one closed-form stack.
+free three-parameter fit moves with rounding.  `interleaved_rb`, the one
+interleaved-RB path, serves `drcz irb` and the IRB accuracy study: it
+runs the IRB reference (an identity slot it adds itself) and every
+interleaved channel as slots of one batched pass over sequences drawn
+once per depth, on only the density-matrix entries that |00><00| can reach (25 of
+81 when each qutrit can leak), in real coordinates: the Pauli strings of
+each leak sector (the codespace, either qubit alone beside a leaked
+partner, both leaked) and the real and imaginary parts of any coherence
+between sectors.  `irb` gives it the noisy natives and the noisy CZ,
+which it applies one word position at a time; the study gives it ideal
+natives, which permute those coordinates with signs (the tableau view of
+a Clifford, as in the group's tables), so each Clifford is composed from
+its word as one signed table and applied as one signed gather, and its
+sampled channels, built as one closed-form stack.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ __all__ = [
     "depolarizing_cz_channel",
     "RBRecord",
     "simulate_rb",
+    "interleaved_rb",
     "LinearFit",
     "fit_linear_fidelity",
     "interleaved_gate_error",
@@ -373,75 +374,66 @@ def _confusion(spam: ReadoutModel | None, qubit: int) -> np.ndarray:
     return np.eye(3) if spam is None else spam.confusion_matrix(qubit)
 
 
-def simulate_rb(noise: NativeGateNoise,
-                depths: Sequence[int],
-                seeds: Sequence[int],
-                *,
-                interleave: str | None = None,
-                interleave_unitary: np.ndarray | None = None,
-                spam: ReadoutModel | None = None) -> RBRecord:
-    """Erasure-aware randomized benchmarking with exact outcome statistics.
-
-    Each (depth, seed) pair draws its Clifford sequence deterministically,
-    composes the per-native-gate channels, appends the recovery Clifford,
-    and reads out through the confusion matrices at the end only.  With
-    interleave set (e.g. "CZ"), that gate's channel follows every
-    Clifford; interleave_unitary supplies the ideal action when the name
-    is a dedicated channel rather than a member of the gateset, and must
-    equal the native's (up to global phase) when it is one.
-    This is `drcz rb`'s path, one matrix-vector product per native gate
-    and sequence, kept bit-identical because the rb report's free fit
-    amplifies rounding; `irb` and the IRB accuracy study run the batched
-    `_interleaved_rb`, which the tests check against this function.
-    """
+def _rb_design(depths: Iterable, seeds: Iterable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The depths and seeds of an RB run as ints: at least one of each, and
+    every depth positive."""
     depths = _integers(depths, "depths")
     seeds = _integers(seeds, "seeds")
     if not depths or min(depths) < 1:
         raise ValueError("depths must be positive")
     if not seeds:
         raise ValueError("at least one seed is required")
-    group = generate_clifford_group(2)
-    if interleave is not None:
-        if interleave not in noise.superops:
-            raise ValueError(f"unknown interleaved gate {interleave!r}")
-        native = group.gateset.get(interleave)
-        if interleave_unitary is None:
-            if native is None:
-                raise ValueError(f"interleaved gate {interleave!r} is not native: "
-                                 "pass its ideal action as interleave_unitary")
-            interleave_unitary = native
-        elif native is not None and group.index_of(interleave_unitary) != group.index_of(native):
-            raise ValueError(f"interleave_unitary is not the ideal action of the "
-                             f"native gate {interleave!r}")
-        interleave_index = group.index_of(interleave_unitary)
-    elif interleave_unitary is not None:
-        raise ValueError("interleave_unitary needs interleave, the name of its channel")
-    else:
-        interleave_index = None
+    return depths, seeds
 
+
+def _read_out(populations: np.ndarray, depths: tuple[int, ...], seeds: tuple[int, ...],
+              spam: ReadoutModel | None) -> list[RBRecord]:
+    """One record per slot from the final populations, (slots, depths,
+    seeds, 9) over the basis states 3c + t, read through each qubit's
+    confusion matrix: the raw survival of |00>, the kept (not erased)
+    fraction and the survival postselected on it.  Slot 0 is the
+    reference; every other slot interleaves CZ."""
+    populations = np.clip(populations, 0.0, None).reshape(*populations.shape[:-1], 3, 3)
+    observed = _confusion(spam, 0).T @ populations @ _confusion(spam, 1)
+    raw = observed[..., 0, 0].copy()
+    kept = observed[..., :2, :2].sum(axis=(-2, -1))
+    post = np.divide(raw, kept, out=np.zeros_like(raw), where=kept > 0)
+    return [RBRecord(depths=depths, seeds=seeds, raw=raw[c], postselected=post[c],
+                     kept_fraction=kept[c], interleaved="CZ" if c else None)
+            for c in range(len(raw))]
+
+
+def simulate_rb(noise: NativeGateNoise,
+                depths: Sequence[int],
+                seeds: Sequence[int],
+                *,
+                spam: ReadoutModel | None = None) -> RBRecord:
+    """Erasure-aware randomized benchmarking with exact outcome statistics.
+
+    Each (depth, seed) pair draws its Clifford sequence deterministically,
+    composes the per-native-gate channels, appends the recovery Clifford,
+    and reads out through the confusion matrices at the end only.
+    This is `drcz rb`'s path, one matrix-vector product per native gate
+    and sequence, kept bit-identical because the rb report's free fit
+    amplifies rounding, so it stays out of `interleaved_rb`'s batched pass
+    until that fit is identifiable (ROADMAP item 8).
+    """
+    depths, seeds = _rb_design(depths, seeds)
+    group = generate_clifford_group(2)
     vec0 = np.zeros(81, dtype=complex)
     vec0[0] = 1.0  # |00><00|
     finals = np.empty((len(depths), len(seeds), 81), dtype=complex)
     for i, depth in enumerate(depths):
-        drawn, (recoveries,) = _draw_sequences(group, depth, seeds, (interleave_index,))
+        drawn, (recoveries,) = _draw_sequences(group, depth, seeds, (None,))
         for j, indices in enumerate(drawn):
             vec = vec0
-            for idx in indices:
+            for idx in (*indices, recoveries[j]):
                 for gate in group.words[idx]:
                     vec = noise.superops[gate] @ vec
-                if interleave is not None:
-                    vec = noise.superops[interleave] @ vec
-            for gate in group.words[recoveries[j]]:
-                vec = noise.superops[gate] @ vec
             finals[i, j] = vec
-    # the diagonal of each final state, read through each qubit's confusion
-    populations = np.clip(finals[:, :, ::10].real, 0.0, None).reshape(*finals.shape[:2], 3, 3)
-    observed = _confusion(spam, 0).T @ populations @ _confusion(spam, 1)
-    raw = observed[:, :, 0, 0].copy()
-    kept = observed[:, :, :2, :2].sum(axis=(2, 3))
-    post = np.divide(raw, kept, out=np.zeros_like(raw), where=kept > 0)
-    return RBRecord(depths=depths, seeds=seeds, raw=raw, postselected=post,
-                    kept_fraction=kept, interleaved=interleave)
+    # the diagonal of each final state
+    (record,) = _read_out(finals[None, :, :, ::10].real, depths, seeds, spam)
+    return record
 
 
 # --- estimators --------------------------------------------------------------
@@ -639,44 +631,44 @@ def _clifford_tables(group: CliffordGroup, tables: np.ndarray,
     return net
 
 
-def _interleaved_rb(noise: NativeGateNoise | None,
-                    superops: np.ndarray,
-                    depths: Sequence[int],
-                    seeds: Sequence[int],
-                    *,
-                    spam: ReadoutModel | None = None) -> list[RBRecord]:
-    """Two-qutrit RB of one interleaved channel per slot, all slots on the
-    same sequences.
+def interleaved_rb(noise: NativeGateNoise | None,
+                   channels: np.ndarray,
+                   depths: Sequence[int],
+                   seeds: Sequence[int],
+                   *,
+                   spam: ReadoutModel | None = None) -> list[RBRecord]:
+    """Two-qutrit interleaved RB of each channel in a (K, 81, 81) stack, and
+    the IRB reference, all on the same sequences.
 
-    superops is a (slots, 81, 81) stack whose slot 0 is the identity: that
-    slot is the IRB reference, the record simulate_rb gives with no
-    interleaved gate, and it is recovered without CZ.  Every other slot is
-    interleaved as CZ and gets the record simulate_rb gives with that
-    channel interleaved.  The Cliffords are the native words of noise, or
-    ideal when noise is None.  Each depth's sequences are drawn once, and
-    both recovery sets, with and without CZ, come from one gather per
-    step.  The states live on the m column-stacked entries that |00><00|
-    can reach under the natives and the channels, written in the real
-    coordinates of _coordinates (every map here keeps a state Hermitian,
-    so the maps are real there too); the channels are moved onto them once
-    per call and act after every Clifford.
+    Returns the reference record (no interleaved gate), then one record
+    per channel, interleaved after every Clifford and recovered as CZ; the
+    reference is one more slot, behind the identity.  The Cliffords are
+    the native words of noise, or ideal when noise is None.  Each depth's
+    sequences are drawn once, and both recovery sets come from one gather
+    per step.  The states live on the m column-stacked entries that
+    |00><00| can reach under the natives and the channels, written in the
+    real coordinates of _coordinates (every map here keeps a state
+    Hermitian, so the maps are real there too); the channels are moved
+    onto them once per call.
     Ideal Cliffords are signed permutations of the coordinates: the
     single-qubit natives act as tensor factors in every leak sector and CZ
     idles the leaked states, so each native's signed table is read off its
     superoperator (_signed_tables refuses one that is not a signed
-    permutation to 1e-12), every Clifford of a depth and both recovery sets are
-    composed from their words in one batch, and a Clifford step is one
-    signed gather on the (slots, seeds * m) states.  No Clifford permutes
-    a coherence between two sectors, so a channel that reaches one is
-    refused: _interleaved_rb(NativeGateNoise.ideal(), ...) runs it.
+    permutation to 1e-12), every Clifford of a depth and both recovery
+    sets are composed from their words in one batch, and a Clifford step
+    is one signed gather on the (slots, seeds * m) states.  No Clifford
+    permutes a coherence between two sectors, so a channel that reaches
+    one is refused: interleaved_rb(NativeGateNoise.ideal(), ...) runs it.
     Noisy Cliffords apply each native's superoperator on the coordinates,
     one word position at a time to the (seeds, slots, m) states, with the
     shorter words padded by the identity.  The final populations are read
     through spam's confusion matrices, as in simulate_rb.
     """
-    superops = np.asarray(superops)
-    if not np.array_equal(superops[0], np.eye(81)):
-        raise ValueError("slot 0 must hold the identity: it runs the IRB reference")
+    depths, seeds = _rb_design(depths, seeds)
+    channels = np.asarray(channels)
+    if channels.ndim != 3 or channels.shape[1:] != (81, 81) or not len(channels):
+        raise ValueError(f"channels must be a (K, 81, 81) stack with K >= 1, "
+                         f"got shape {channels.shape}")
     group = generate_clifford_group(2)
     unitaries = _embedded_natives()
     if noise is None:
@@ -684,21 +676,21 @@ def _interleaved_rb(noise: NativeGateNoise | None,
         natives = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 81, 81)
     else:
         natives = [noise.superops[name] for name in unitaries]
-    kept = _reachable_entries(natives, superops)
+    kept = _reachable_entries(natives, channels)
     cols, rows = np.divmod(kept, 9)
     if noise is None and np.any(_SECTOR[rows] != _SECTOR[cols]):
         raise ValueError("the channels reach coherences between leak sectors, where no ideal "
                          "Clifford is a signed permutation: run them through "
-                         "_interleaved_rb(NativeGateNoise.ideal(), ...)")
+                         "interleaved_rb(NativeGateNoise.ideal(), ...)")
     m = len(kept)
     forward, backward = _coordinates(kept)
     populations = rows == cols
     readout = backward[populations].real.T  # coordinates -> kept populations
 
-    # the channels and natives on the coordinates; the states are row
-    # vectors, so every map acts transposed
-    channels = forward @ superops[:, kept[:, None], kept] @ backward
-    channels = np.ascontiguousarray(channels.real.transpose(0, 2, 1))
+    # the reference's identity and the channels, and the natives, on the
+    # coordinates; the states are row vectors, so every map acts transposed
+    channels = forward @ channels[:, kept[:, None], kept] @ backward
+    channels = np.concatenate([np.eye(m)[None], channels.real.transpose(0, 2, 1)])
     natives = forward @ np.stack([s[kept[:, None], kept] for s in natives]) @ backward
     if noise is None:
         tables = _signed_tables(natives)
@@ -709,8 +701,7 @@ def _interleaved_rb(noise: NativeGateNoise | None,
     n_seeds, n_chan = len(seeds), len(channels)
     start = forward[:, 0].real  # |00><00|: entry 0, always the first kept
     interleaves = (None, group.index_of(CZ4))  # the reference's recoveries, then the channels'
-    raw = np.zeros((n_chan, len(depths), n_seeds))
-    kept_frac = np.zeros_like(raw)
+    finals = np.zeros((n_chan, len(depths), n_seeds, 9))
     for i, depth in enumerate(depths):
         indices, recoveries = _draw_sequences(group, depth, seeds, interleaves)
         if noise is None:
@@ -742,17 +733,8 @@ def _interleaved_rb(noise: NativeGateNoise | None,
             states[:, :1] = apply(states[:, :1], recoveries[0])
             states[:, 1:] = apply(states[:, 1:], recoveries[1])
             final = states.transpose(1, 0, 2)
-        table = np.zeros((n_chan, n_seeds, 9))
-        table[:, :, rows[populations]] = np.clip(final @ readout, 0.0, None)
-        observed = _confusion(spam, 0).T @ table.reshape(n_chan, n_seeds, 3, 3) @ _confusion(
-            spam, 1)
-        raw[:, i] = observed[:, :, 0, 0]
-        kept_frac[:, i] = observed[:, :, :2, :2].sum(axis=(2, 3))
-    post = np.divide(raw, kept_frac, out=np.zeros_like(raw), where=kept_frac > 0)
-    return [RBRecord(depths=tuple(depths), seeds=tuple(seeds), raw=raw[c],
-                     postselected=post[c], kept_fraction=kept_frac[c],
-                     interleaved="CZ" if c else None)
-            for c in range(n_chan)]
+        finals[:, i][:, :, rows[populations]] = final @ readout
+    return _read_out(finals, depths, seeds, spam)
 
 
 def irb_accuracy_study(operating_point: ChannelRates,
@@ -767,9 +749,8 @@ def irb_accuracy_study(operating_point: ChannelRates,
     sequence seeds 0-19.  The Cliffords themselves are ideal and the
     sampled channel rides only on the interleaved slot, so the reference
     slope vanishes and the study isolates the entangling gate.
-    The sampled channels are built in closed form as one stack behind an
-    identity slot, and the reference (the identity slot, no interleaved
-    gate) and every channel run as one batched pass of _interleaved_rb
+    The sampled channels are built in closed form as one stack, and the
+    reference and every channel run as one batched pass of interleaved_rb
     with ideal natives and perfect readout, over the 25 density-matrix
     entries the channels can reach, on sequences drawn once: the pass
     `drcz irb` runs with the noisy natives.  n_samples rates are drawn
@@ -782,11 +763,9 @@ def irb_accuracy_study(operating_point: ChannelRates,
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for the slope fit, got {n_samples}")
     samples = _draw_rates(n_samples, seed) + [operating_point]
-    superops = np.zeros((len(samples) + 1, 81, 81), dtype=complex)
-    np.fill_diagonal(superops[0], 1.0)
-    _gate_channel_stack(samples, superops[1:])
-    true_vals = 1.0 - postselected_fidelity(superops[1:], CZ4)
-    reference, *records = _interleaved_rb(None, superops, _IRB_DEPTHS, _IRB_SEQUENCE_SEEDS)
+    superops = _gate_channel_stack(samples, np.empty((len(samples), 81, 81), dtype=complex))
+    true_vals = 1.0 - postselected_fidelity(superops, CZ4)
+    reference, *records = interleaved_rb(None, superops, _IRB_DEPTHS, _IRB_SEQUENCE_SEEDS)
     reference_fit = fit_linear_fidelity(reference)
     inferred_vals = [interleaved_gate_error(reference_fit, fit_linear_fidelity(record))
                      for record in records]

@@ -250,7 +250,7 @@ def _ramsey_trace(pair: tuple[int, int], n_repeats: int, gate: np.ndarray) -> li
 
 
 def entangling_phase_scan(p: SystemParams, wait_times: Sequence[float],
-                          n_repeats: int = 1) -> SweepResult:
+                          n_repeats: int) -> SweepResult:
     """Per-gate entangling phase versus wait duration.
 
     The fringe after n gates is the wrapped difference of the control
@@ -300,7 +300,7 @@ class LocalPhaseSlopes:
     target_phase_per_gate: float
 
 
-def local_z_scan(p: SystemParams, n_repeats: int = 4) -> LocalPhaseSlopes:
+def local_z_scan(p: SystemParams, n_repeats: int) -> LocalPhaseSlopes:
     """Fit the accumulated Ramsey phase of each qubit against repeat count.
 
     Each qubit starts in |+> with the other idling in its logical 0, and

@@ -28,15 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarking import (_interleaved_rb, fit_exponential, fit_linear_fidelity,
-                           interleaved_gate_error, irb_accuracy_study,
-                           simulate_bitflip_protocol, simulate_rb)
+from .benchmarking import (fit_exponential, fit_linear_fidelity, interleaved_gate_error,
+                           interleaved_rb, irb_accuracy_study, simulate_bitflip_protocol,
+                           simulate_rb)
 from .budget import compute_error_budget, fundamental_limits
 from .calibration import run_calibration_flow
 from .channels import pauli_labels
 from .config import ConfigError, DeviceConfig
 from .error_channels import CZ4, full_gate_channel, postselected_fidelity
-from .fock import ModeRegister
+from .fock import ModeRegister, _integer
 from .gate import (build_schedule, codespace_block, derive_gate_params,
                    extract_local_frame, ideal_unitary, on_off_ratio)
 from .lindblad import NoiseModel
@@ -239,10 +239,8 @@ def _run_rb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
 
 def _run_irb(cfg: DeviceConfig, args) -> tuple[list, list, dict, str]:
     noise = cfg.native_noise(include_cross_kerr=args.include_static_kerr)
-    # slot 0, the identity, is the reference; slot 1 interleaves the noisy CZ
-    reference, interleaved = _interleaved_rb(
-        noise, np.stack([np.eye(81, dtype=complex), noise.superops["CZ"]]), _RB_DEPTHS,
-        _rb_seeds(args.seed), spam=cfg.readout(2))
+    reference, interleaved = interleaved_rb(noise, noise.superops["CZ"][None], _RB_DEPTHS,
+                                            _rb_seeds(args.seed), spam=cfg.readout(2))
     fit_ref = fit_linear_fidelity(reference)
     fit_int = fit_linear_fidelity(interleaved)
     r_cz = interleaved_gate_error(fit_ref, fit_int)
@@ -388,6 +386,7 @@ def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {', '.join(sorted(EXPERIMENTS))}")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     args = argparse.Namespace(seed=seed, truncation=truncation,

@@ -274,7 +274,7 @@ def nojump_evolve(rho: np.ndarray, rates: tuple[float, float], t: float) -> np.n
     return np.asarray(rho, dtype=complex) * factors
 
 
-def echo_cancellation_check(kappa: float, tau: float, *, asymmetry: float = 1.0) -> float:
+def echo_cancellation_check(kappa: float, tau: float, *, asymmetry: float) -> float:
     """Residual distortion of |+><+| under the no-jump evolution with a
     mid-time X echo.
 

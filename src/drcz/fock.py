@@ -53,7 +53,7 @@ class ModeRegister:
                 raise ValueError(f"mode {label!r} needs an integer dim >= 2, got {dim!r}")
 
     @classmethod
-    def standard(cls, dim: int = 2) -> "ModeRegister":
+    def standard(cls, dim: int) -> "ModeRegister":
         """The five-mode register (a1, a2, c, b1, b2), uniform truncation."""
         return cls(tuple((label, dim) for label in ("a1", "a2", "c", "b1", "b2")))
 

@@ -145,13 +145,11 @@ class SystemParams:
                     raise ValueError(f"{name}[{label!r}] must be positive, got {t!r}")
 
     @classmethod
-    def from_mhz(cls, *, chi_bc: float, chi_ac: float = 0.0, chi_ab: float = 0.0,
-                 g_ac: float, t1: Mapping[str, float] | None = None,
-                 tphi: Mapping[str, float] | None = None) -> "SystemParams":
+    def from_mhz(cls, *, chi_bc: float, chi_ac: float, chi_ab: float, g_ac: float,
+                 t1: Mapping[str, float], tphi: Mapping[str, float]) -> "SystemParams":
         """Build from linear-frequency rates in MHz (nu, not omega)."""
         return cls(chi_bc=TWO_PI * chi_bc, chi_ac=TWO_PI * chi_ac,
-                   chi_ab=TWO_PI * chi_ab, g_ac=TWO_PI * g_ac,
-                   t1=dict(t1 or {}), tphi=dict(tphi or {}))
+                   chi_ab=TWO_PI * chi_ab, g_ac=TWO_PI * g_ac, t1=dict(t1), tphi=dict(tphi))
 
 
 @dataclass(frozen=True)

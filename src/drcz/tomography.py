@@ -214,7 +214,7 @@ def _design() -> tuple[np.ndarray, np.ndarray]:
     return one, two
 
 
-def reconstruct_state(record: MeasurementRecord, postselect: bool = True) -> DensityMatrix:
+def reconstruct_state(record: MeasurementRecord, postselect: bool) -> DensityMatrix:
     """Two-qubit linear-inversion estimate from a measurement record.
 
     With postselect, erasure outcomes are dropped and each setting's

@@ -14,8 +14,8 @@ from numpy.polynomial.legendre import leggauss
 
 from drcz.benchmarking import (NativeGateNoise, depolarizing_cz_channel,
                                fit_exponential, generate_clifford_group,
-                               irb_accuracy_study, simulate_bitflip_protocol,
-                               simulate_rb)
+                               interleaved_rb, irb_accuracy_study,
+                               simulate_bitflip_protocol, simulate_rb)
 from drcz.budget import compute_error_budget
 from drcz.calibration import run_calibration_flow, swapback_phase_scan
 from drcz.config import DeviceConfig
@@ -209,9 +209,8 @@ def test_09_clifford_closure_and_rb_recovery():
     np.testing.assert_allclose(record.kept_fraction, 1.0, atol=1e-10)
 
     p_true = 0.97
-    noisy = ideal.replace(CZ_dep=depolarizing_cz_channel(p_true))
-    record = simulate_rb(noisy, (1, 2, 4, 8, 12), (0, 1, 2),
-                         interleave="CZ_dep", interleave_unitary=CZ4)
+    _, record = interleaved_rb(None, depolarizing_cz_channel(p_true)[None],
+                               (1, 2, 4, 8, 12), (0, 1, 2))
     p_fit, amplitude, offset, sigma = fit_exponential(record)
     assert abs(p_fit - p_true) <= max(2.0 * sigma, 1e-9)
     assert amplitude == pytest.approx(0.75, abs=1e-6)

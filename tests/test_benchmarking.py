@@ -18,13 +18,13 @@ from drcz.benchmarking import (
     fit_linear_fidelity,
     generate_clifford_group,
     interleaved_gate_error,
+    interleaved_rb,
     irb_accuracy_study,
     simulate_bitflip_protocol,
     simulate_rb,
 )
 from drcz.benchmarking import (_clifford_tables, _coordinates, _draw_rates, _draw_sequences,
-                               _interleaved_rb, _reachable_entries, _sequence_indices,
-                               _signed_tables)
+                               _reachable_entries, _sequence_indices, _signed_tables)
 from drcz.channels import QuantumChannel
 from drcz.config import DeviceConfig
 from drcz.error_channels import (CZ4, QUBIT_BLOCK, _gate_channel_stack, _layered_channel,
@@ -40,7 +40,7 @@ OPERATING_POINT_INFIDELITY = 5.019999999996694e-4
 
 OPERATING_POINT = DeviceConfig.default().channel_rates()
 
-# the ideal natives' superoperators, which _interleaved_rb's ideal
+# the ideal natives' superoperators, which interleaved_rb's ideal
 # Cliffords are made of
 IDEAL_NATIVES = list(NativeGateNoise.ideal().superops.values())
 
@@ -212,12 +212,14 @@ def test_sequence_indices_are_deterministic():
     assert len(_sequence_indices(11520, 5, 0)) == 5
 
 
-def _per_sequence_rb(noise, depths, seeds, spam, interleave=None):
-    """simulate_rb as one loop per sequence: the recovery from one table
-    gather per Clifford, one superop @ vec per native gate, and each final
-    state's populations read through the two confusion matrices."""
+def _per_sequence_rb(noise, depths, seeds, spam, channel=None):
+    """RB as one loop per sequence: the recovery from one table gather per
+    Clifford, one superop @ vec per native gate, the channel's superop
+    (when given) after every Clifford, recovered as CZ, and each final
+    state's populations read through the two confusion matrices.  The
+    oracle of simulate_rb (no channel) and of interleaved_rb's slots."""
     group = generate_clifford_group(2)
-    slot = None if interleave is None else group.index_of(group.gateset[interleave])
+    slot = None if channel is None else group.index_of(CZ4)
     confusion = [np.eye(3) if spam is None else spam.confusion_matrix(q) for q in (0, 1)]
     vec0 = np.zeros(81, dtype=complex)
     vec0[0] = 1.0
@@ -235,8 +237,8 @@ def _per_sequence_rb(noise, depths, seeds, spam, interleave=None):
             for idx in indices:
                 for gate in group.words[idx]:
                     vec = noise.superops[gate] @ vec
-                if interleave is not None:
-                    vec = noise.superops[interleave] @ vec
+                if channel is not None:
+                    vec = channel @ vec
             for gate in group.words[int(group.inverse_of(net))]:
                 vec = noise.superops[gate] @ vec
             probs = np.clip(np.real(np.diag(vec.reshape(9, 9, order="F"))), 0.0, None)
@@ -246,9 +248,8 @@ def _per_sequence_rb(noise, depths, seeds, spam, interleave=None):
     return raw, post, kept
 
 
-@pytest.mark.parametrize("interleave", [None, "CZ"])
 @pytest.mark.parametrize("two_round", [True, False], ids=["readout", "perfect"])
-def test_simulate_rb_is_bit_identical_to_the_per_sequence_loop(interleave, two_round):
+def test_simulate_rb_is_bit_identical_to_the_per_sequence_loop(two_round):
     # Equal, not close, and for the rb report only: its free
     # three-parameter fit is ill-posed (ROADMAP item 8).  Stepping the rb
     # report's sequences at seed 0 as matrix-matrix instead of
@@ -256,12 +257,12 @@ def test_simulate_rb_is_bit_identical_to_the_per_sequence_loop(interleave, two_r
     # and moved the fitted amplitude and offset by 1.0e-2 relative and
     # sigma_p by 18%, far beyond the perfbench reference's 1e-6.  The irb
     # report, which reads only linear slopes, runs the batched
-    # _interleaved_rb, held to simulate_rb at 1e-12 below.
+    # interleaved_rb, held to this loop at 1e-12 below.
     cfg = DeviceConfig.default()
     spam = cfg.readout(2) if two_round else None
     depths, seeds = (1, 2, 3, 5, 8, 12), (0, 1, 2, 3)
-    record = simulate_rb(cfg.native_noise(), depths, seeds, interleave=interleave, spam=spam)
-    raw, post, kept = _per_sequence_rb(cfg.native_noise(), depths, seeds, spam, interleave)
+    record = simulate_rb(cfg.native_noise(), depths, seeds, spam=spam)
+    raw, post, kept = _per_sequence_rb(cfg.native_noise(), depths, seeds, spam)
     assert np.array_equal(record.raw, raw)
     assert np.array_equal(record.postselected, post)
     assert np.array_equal(record.kept_fraction, kept)
@@ -275,34 +276,40 @@ def test_ideal_rb_survival_is_identically_one():
     np.testing.assert_allclose(record.kept_fraction, 1.0, atol=1e-10)
 
 
+_CZ = NativeGateNoise.ideal().superops["CZ"]
+
+
 def test_rb_validation():
-    noise = NativeGateNoise.ideal()
-    with pytest.raises(ValueError, match="depths must be positive"):
-        simulate_rb(noise, (0, 2), (0,))
-    with pytest.raises(ValueError, match="at least one seed"):
-        simulate_rb(noise, (1, 2), ())
-    with pytest.raises(ValueError, match="unknown interleaved gate"):
-        simulate_rb(noise, (1,), (0,), interleave="CPHASE")
-    # a channel that is not a native gate needs its ideal action
-    with pytest.raises(ValueError, match="pass its ideal action as interleave_unitary"):
-        simulate_rb(noise.replace(CZ_dep=depolarizing_cz_channel(0.9)), (1,), (0,),
-                    interleave="CZ_dep")
-    # and an ideal action needs the channel it belongs to
-    with pytest.raises(ValueError, match="interleave_unitary needs interleave"):
-        simulate_rb(noise, (1,), (0,), interleave_unitary=CZ4)
-    # a native's channel with another gate's ideal action would recover wrongly
-    with pytest.raises(ValueError, match="not the ideal action of the native gate"):
-        simulate_rb(noise, (1, 2, 3), (0, 1), interleave="X90_c", interleave_unitary=CZ4)
+    # both passes: the rb loop, and the interleaved pass with the ideal CZ
+    for run in (lambda depths, seeds: simulate_rb(NativeGateNoise.ideal(), depths, seeds),
+                lambda depths, seeds: interleaved_rb(None, _CZ[None], depths, seeds)):
+        with pytest.raises(ValueError, match="depths must be positive"):
+            run((0, 2), (0,))
+        with pytest.raises(ValueError, match="depths must be positive"):
+            run((), (0,))
+        with pytest.raises(ValueError, match="at least one seed"):
+            run((1, 2), ())
+
+
+@pytest.mark.parametrize("channels", [
+    pytest.param(np.empty((0, 81, 81), dtype=complex), id="empty"),
+    pytest.param(_CZ, id="one-matrix"),
+    pytest.param(_CZ[None, :16, :16], id="two-qubit-size"),
+    pytest.param(np.stack([_CZ, _CZ])[:, :, :, None], id="four-axes"),
+])
+def test_interleaved_rb_refuses_a_stack_that_is_not_k_81_81(channels):
+    with pytest.raises(ValueError, match=r"\(K, 81, 81\) stack"):
+        interleaved_rb(None, channels, (1, 2, 3), (0,))
 
 
 def test_interleaved_depolarizing_survival_is_exact():
     # depolarizing with eigenvalue p on traceless operators after every
     # Clifford: postselected survival must equal 0.75 p^N + 0.25 exactly,
-    # independent of the random sequence
+    # independent of the random sequence; here on the noisy natives' route,
+    # each ideal native applied as its superoperator
     p = 0.98
-    noise = NativeGateNoise.ideal().replace(CZ_dep=depolarizing_cz_channel(p))
-    record = simulate_rb(noise, (1, 2, 4, 8), (0, 1, 2),
-                         interleave="CZ_dep", interleave_unitary=CZ4)
+    _, record = interleaved_rb(NativeGateNoise.ideal(), depolarizing_cz_channel(p)[None],
+                               (1, 2, 4, 8), (0, 1, 2))
     for i, depth in enumerate(record.depths):
         np.testing.assert_allclose(record.postselected[i],
                                    0.75 * p ** depth + 0.25, atol=1e-12)
@@ -459,12 +466,6 @@ def test_irb_accuracy_study_smoke():
     assert 0.0 < result.underestimate_at_operating_point < 1.0
 
 
-def _behind_identity(channels):
-    """The channels behind the identity in slot 0, which _interleaved_rb
-    runs as the IRB reference."""
-    return np.concatenate([np.eye(81, dtype=complex)[None], np.asarray(channels)])
-
-
 # the basis states 3c + t of each leak sector: the codespace, the target
 # leaked, the control leaked and both leaked
 _SECTOR_STATES = [(0, 1, 3, 4), (2, 5), (6, 7), (8,)]
@@ -482,7 +483,8 @@ def _sector_block_unitary(rng):
 
 def test_batched_pass_matches_simulate_rb_sample_by_sample():
     # the oracle runs each channel on its own, one 81x81 superoperator per
-    # native gate, and finds its own recovery per (sample, sequence)
+    # native gate, and finds its own recovery per (sample, sequence), as
+    # simulate_rb's own loop does
     depths, seeds = (1, 2, 3, 5), (0, 1, 2, 3)
     rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
     channels = [qutrit_gate_channel(r).superop for r in rates]
@@ -501,14 +503,10 @@ def test_batched_pass_matches_simulate_rb_sample_by_sample():
             _leakage_kraus(rates[0].p_leak_control, 0, correlated=False))
     channels.append(_layered_channel(_sector_block_unitary(rng), *leak).superop)
     assert len(_reachable_entries(IDEAL_NATIVES, channels)) == 25
-    records = _interleaved_rb(None, _behind_identity(channels), depths, seeds)[1:]
-    records += _interleaved_rb(NativeGateNoise.ideal(), _behind_identity([generic]), depths,
-                               seeds)[1:]
-    base = NativeGateNoise.ideal()
+    records = interleaved_rb(None, channels, depths, seeds)[1:]
+    records += interleaved_rb(NativeGateNoise.ideal(), generic[None], depths, seeds)[1:]
     for channel, record in zip(channels + [generic], records):
-        _assert_records_match(record, simulate_rb(
-            base.replace(CZ_sampled=channel), depths, seeds,
-            interleave="CZ_sampled", interleave_unitary=CZ4))
+        _assert_records_match(record, _oracle(NativeGateNoise.ideal(), depths, seeds, channel))
 
 
 def test_ideal_pass_refuses_coherences_between_leak_sectors():
@@ -517,8 +515,14 @@ def test_ideal_pass_refuses_coherences_between_leak_sectors():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     u = expm(-0.05j * (h + h.conj().T))
-    with pytest.raises(ValueError, match=r"_interleaved_rb\(NativeGateNoise\.ideal\(\), "):
-        _interleaved_rb(None, _behind_identity([np.kron(u.conj(), u)]), (1, 2, 3), (0,))
+    with pytest.raises(ValueError, match=r"interleaved_rb\(NativeGateNoise\.ideal\(\), "):
+        interleaved_rb(None, np.kron(u.conj(), u)[None], (1, 2, 3), (0,))
+
+
+def _oracle(noise, depths, seeds, channel, spam=None):
+    """_per_sequence_rb's arrays as a record."""
+    raw, post, kept = _per_sequence_rb(noise, depths, seeds, spam, channel)
+    return RBRecord(depths=depths, seeds=seeds, raw=raw, postselected=post, kept_fraction=kept)
 
 
 def _assert_records_match(record, oracle):
@@ -534,32 +538,26 @@ def test_batched_pass_on_the_25_reachable_entries_matches_simulate_rb():
     rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
     channels = np.array([qutrit_gate_channel(r).superop for r in rates])
     assert len(_reachable_entries(IDEAL_NATIVES, channels)) == 25
-    records = _interleaved_rb(None, _behind_identity(channels), depths, seeds)[1:]
-    base = NativeGateNoise.ideal()
+    records = interleaved_rb(None, channels, depths, seeds)[1:]
     for channel, record in zip(channels, records):
-        _assert_records_match(record, simulate_rb(
-            base.replace(CZ_sampled=channel), depths, seeds,
-            interleave="CZ_sampled", interleave_unitary=CZ4))
+        _assert_records_match(record, _oracle(NativeGateNoise.ideal(), depths, seeds, channel))
 
 
 def test_batched_pass_on_the_16_codespace_entries_matches_simulate_rb():
     depths, seeds = (1, 2, 3, 5), (0, 1, 2, 3)
     ideal_cz = NativeGateNoise.ideal().superops["CZ"]
     assert len(_reachable_entries(IDEAL_NATIVES, [ideal_cz])) == 16
-    _, record = _interleaved_rb(None, _behind_identity([ideal_cz]), depths, seeds)
-    _assert_records_match(record, simulate_rb(NativeGateNoise.ideal(), depths, seeds,
-                                              interleave="CZ"))
+    _, record = interleaved_rb(None, ideal_cz[None], depths, seeds)
+    _assert_records_match(record, _oracle(NativeGateNoise.ideal(), depths, seeds, ideal_cz))
 
 
 def test_batched_reference_matches_simulate_rb():
-    # the study's IRB reference is slot 0 of its one pass, beside the
-    # sampled channels: ideal natives, no interleaved slot
+    # the study's IRB reference is the first record of its one pass, beside
+    # the sampled channels: ideal natives, no interleaved gate
     depths, seeds = (1, 2, 3, 5, 8), (0, 1, 2, 3, 4)
     rates = _draw_rates(3, 20260813) + [OPERATING_POINT]
-    superops = np.zeros((len(rates) + 1, 81, 81), dtype=complex)
-    np.fill_diagonal(superops[0], 1.0)
-    _gate_channel_stack(rates, superops[1:])
-    record, *interleaved = _interleaved_rb(None, superops, depths, seeds)
+    superops = _gate_channel_stack(rates, np.empty((len(rates), 81, 81), dtype=complex))
+    record, *interleaved = interleaved_rb(None, superops, depths, seeds)
     assert record.interleaved is None
     assert {r.interleaved for r in interleaved} == {"CZ"}
     _assert_records_match(record, simulate_rb(NativeGateNoise.ideal(), depths, seeds))
@@ -569,25 +567,19 @@ def test_batched_reference_matches_simulate_rb():
 @pytest.mark.parametrize("two_round", [True, False], ids=["readout", "perfect"])
 def test_noisy_slots_match_simulate_rb(include_cross_kerr, two_round):
     # irb's pass: the coherence-limited natives applied one word position
-    # at a time, the reference in slot 0 and the noisy CZ in slot 1, read
-    # through the confusion matrices; the oracle steps each sequence alone
-    # on all 81 entries, once without an interleaved gate and once with CZ
+    # at a time, the reference and the noisy CZ as two slots, read through
+    # the confusion matrices; the oracles step each sequence alone on all
+    # 81 entries, simulate_rb without an interleaved gate and the test's
+    # own loop with CZ
     cfg = DeviceConfig.default()
     noise = cfg.native_noise(include_cross_kerr=include_cross_kerr)
     spam = cfg.readout(2) if two_round else None
     depths, seeds = (1, 2, 3, 5, 8, 12), (0, 1, 2, 3)
-    reference, interleaved = _interleaved_rb(noise, _behind_identity([noise.superops["CZ"]]),
-                                             depths, seeds, spam=spam)
+    reference, interleaved = interleaved_rb(noise, noise.superops["CZ"][None], depths, seeds,
+                                            spam=spam)
     assert (reference.interleaved, interleaved.interleaved) == (None, "CZ")
     _assert_records_match(reference, simulate_rb(noise, depths, seeds, spam=spam))
-    _assert_records_match(interleaved, simulate_rb(noise, depths, seeds, interleave="CZ",
-                                                   spam=spam))
-
-
-def test_batched_pass_refuses_a_reference_slot_that_is_not_the_identity():
-    ideal_cz = NativeGateNoise.ideal().superops["CZ"]
-    with pytest.raises(ValueError, match="slot 0 must hold the identity"):
-        _interleaved_rb(None, [ideal_cz, ideal_cz], (1, 2, 3), (0,))
+    _assert_records_match(interleaved, _oracle(noise, depths, seeds, noise.superops["CZ"], spam))
 
 
 def test_reachable_entries_are_closed_under_every_channel_and_native():
@@ -721,8 +713,7 @@ def test_composed_word_tables_match_the_group_and_the_leaked_qubit():
 def test_batched_pass_depolarizing_survival_is_exact():
     p = 0.98
     depths = (1, 2, 4, 8)
-    _, record = _interleaved_rb(None, _behind_identity([depolarizing_cz_channel(p)]), depths,
-                                (0, 1, 2))
+    _, record = interleaved_rb(None, depolarizing_cz_channel(p)[None], depths, (0, 1, 2))
     for i, depth in enumerate(depths):
         np.testing.assert_allclose(record.postselected[i],
                                    0.75 * p ** depth + 0.25, rtol=0, atol=1e-12)
@@ -752,6 +743,14 @@ def test_irb_accuracy_study_finds_one_recovery_per_sequence(monkeypatch):
                  "seeds must be integers", id="rb-fractional-seed"),
     pytest.param(lambda: simulate_rb(NativeGateNoise.ideal(), (True, 2), (0,)),
                  "depths must be integers", id="rb-bool-depth"),
+    pytest.param(lambda: interleaved_rb(None, _CZ[None], (1.7, 2.2), (0,)),
+                 "depths must be integers", id="irb-fractional-depths"),
+    pytest.param(lambda: interleaved_rb(None, _CZ[None], (1, 2), (0.9,)),
+                 "seeds must be integers", id="irb-fractional-seed"),
+    pytest.param(lambda: interleaved_rb(None, _CZ[None], (True, 2), (0,)),
+                 "depths must be integers", id="irb-bool-depth"),
+    pytest.param(lambda: interleaved_rb(None, _CZ[None], (1, 2), (False,)),
+                 "seeds must be integers", id="irb-bool-seed"),
     pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=2.5, seed=20260813),
                  "n_samples must be an integer", id="irb-accuracy-fractional-samples"),
     pytest.param(lambda: irb_accuracy_study(OPERATING_POINT, n_samples=3.0, seed=20260813),
@@ -776,6 +775,10 @@ def test_rb_inputs_take_numpy_integers():
     record = simulate_rb(noise, np.array([1, 2]), np.arange(2))
     assert record.depths == (1, 2) and record.seeds == (0, 1)
     assert all(type(k) is int for k in record.depths + record.seeds)
+    for record in interleaved_rb(noise, _CZ[None], np.array([1, 2]), np.arange(2)):
+        assert record.depths == (1, 2) and record.seeds == (0, 1)
+        assert all(type(k) is int for k in record.depths + record.seeds)
+        np.testing.assert_allclose(record.postselected, 1.0, rtol=0, atol=1e-12)
     assert simulate_bitflip_protocol("0", np.int64(3), spam=None, noise=noise).apparent_flip == 0.0
 
 

@@ -111,7 +111,7 @@ def test_swapback_phase_scan_rejects_a_grid_that_is_not_1d(table_params, phases)
 
 def test_entangling_phase_crosses_pi_at_the_derived_wait(table_params):
     waits = np.array([T_WAIT - 0.002, T_WAIT, T_WAIT + 0.002])
-    sweep = entangling_phase_scan(table_params, waits)
+    sweep = entangling_phase_scan(table_params, waits, 1)
     assert abs(wrap_angle(sweep.values[1] - math.pi)) < 1e-9
     # the fringe slope is the coupler-target dispersive rate
     slope = wrap_angle(sweep.values[2] - sweep.values[0]) / 0.004
@@ -130,7 +130,7 @@ def test_repeated_fringe_unwraps_onto_the_single_gate_branch(table_params):
 def test_local_z_scan_recovers_the_gate_frame(table_params, register2):
     frame = extract_local_frame(
         codespace_block(register2, ideal_unitary(build_schedule(table_params, register2))))
-    slopes = local_z_scan(table_params)
+    slopes = local_z_scan(table_params, 4)
     assert slopes.control_phase_per_gate == pytest.approx(frame.phi_control,
                                                           rel=1e-9)
     assert slopes.target_phase_per_gate == pytest.approx(frame.phi_target,
@@ -340,7 +340,7 @@ def test_entangling_phase_scan_matches_the_per_point_oracle(table_params, regist
 
 def test_entangling_phase_scan_refuses_a_wait_that_is_not_positive(table_params):
     with pytest.raises(ValueError, match="wait times must be positive"):
-        entangling_phase_scan(table_params, [-0.1, T_WAIT])
+        entangling_phase_scan(table_params, [-0.1, T_WAIT], 1)
 
 
 def test_ramsey_trace_matches_the_per_count_oracle(table_params):

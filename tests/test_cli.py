@@ -296,6 +296,15 @@ def test_a_negative_seed_is_refused(tmp_path, capsys, name):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name, seed", [("rb", True), ("irb-accuracy", 2.0), ("bitflip", 2.0)])
+def test_a_seed_that_is_not_an_integer_is_refused(tmp_path, name, seed):
+    # refused where it enters, not run as int(seed) nor left to fail in
+    # whichever draw reads it first
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_experiment(name, DeviceConfig.default(), tmp_path, seed=seed)
+    assert not any(tmp_path.iterdir())
+
+
 def test_irb_accuracy_reads_its_operating_point_from_the_config(tmp_path, capsys):
     # postselection discards a detected leak, so a dephasing rate is what
     # moves the postselected infidelity

@@ -199,7 +199,7 @@ def test_without_echo_the_state_polarizes():
     # the slower-decaying level gains population
     assert rho[0, 0].real > 0.5
     with pytest.raises(ValueError, match="kappa"):
-        echo_cancellation_check(-0.1, 1.0)
+        echo_cancellation_check(-0.1, 1.0, asymmetry=1.0)
 
 
 def test_echoed_evolution_is_a_pure_decay_factor():

@@ -8,9 +8,11 @@ keep it); and every private module-level function or class
 is read by the package, so no dead helper stays behind; and every
 parameter with a default of an exported function, or of a public method
 or written-out __init__ of an exported class, is passed by some call in
-the package or in an acceptance test, so no option is kept only for unit
-tests to set (the exceptions and their reasons are in KEEP_DEFAULTS);
-and no module imports scipy at import time, so the package loads scipy
+the package, in an acceptance test or in perfbench's workloads, so no
+option is kept only for unit tests to set, and no such default is
+overridden by every one of those calls, so none is kept whose value no
+caller takes (the exceptions and their reasons are in KEEP_DEFAULTS and
+KEEP_OVERRIDDEN); and no module imports scipy at import time, so the package loads scipy
 only where a function that needs it runs."""
 import ast
 import functools
@@ -28,10 +30,13 @@ MODULES = ["drcz"] + [f"drcz.{info.name}" for info in pkgutil.iter_modules(drcz.
 PACKAGE = sorted(Path(drcz.__file__).parent.glob("*.py"))
 # where a use of a public name counts: the package and the acceptance claims
 USERS = [*PACKAGE, Path(__file__).with_name("test_acceptance.py")]
+# where a call counts for the defaults: those, and the benchmark's calls
+CALLERS = [*USERS, Path(__file__).parents[1] / "perfbench" / "workloads.py"]
 
 # public members kept without such a use, with the reason
 KEEP = {"DeviceConfig.save": "the user-facing config writer",
-        "ModeRegister.occupations": "perfbench/spans.py METHODS wraps it"}
+        "ModeRegister.occupations": "perfbench/spans.py METHODS wraps it",
+        "NativeGateNoise.replace": "perfbench/spans.py METHODS wraps it"}
 
 
 def _used_names(paths=USERS) -> set[str]:
@@ -145,6 +150,15 @@ KEEP_DEFAULTS = {
     "main.argv": "the console entry point calls main() with no argument",
 }
 
+# defaulted parameters kept although every call sets them, with the reason
+KEEP_OVERRIDDEN = {
+    "DensityMatrix.validate": "a public constructor checks what it is given unless told "
+                              "not to; the package's one call skips it for a "
+                              "linear-inversion estimate, which need not be positive",
+    "run_experiment.seed": "only rb, irb and irb-accuracy read the seed, so a caller "
+                           "running another experiment need not name one",
+}
+
 
 def _defaulted_parameters():
     """(callee name, parameter, position or None) of every parameter with a
@@ -182,8 +196,9 @@ def _defaults_of(callee, args, *, bound):
             yield callee, arg.arg, None
 
 
-def _calls(paths=USERS) -> dict[str, list[tuple[int, set[str]]]]:
-    """Callee name -> (positional count, keyword names) of every call."""
+def _calls(paths=CALLERS) -> dict[str, list[tuple[int, set[str]]]]:
+    """Callee name -> (positional count, keyword names) of every call.  A
+    ** argument names nothing, so it sets no parameter it does not name."""
     calls: dict[str, list[tuple[int, set[str]]]] = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -204,3 +219,17 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                    and not any(param in keywords or (position is not None and n > position)
                                for n, keywords in calls.get(callee, [])))
     assert unset == [], ", ".join(unset)
+
+
+def test_no_default_is_overridden_by_every_caller():
+    # a default that every call replaces serves no caller: the parameter
+    # is required in all but name
+    calls = _calls()
+    defaulted = {f"{callee}.{param}" for callee, param, _ in _defaulted_parameters()}
+    assert set(KEEP_OVERRIDDEN) <= defaulted, "an exception names no defaulted parameter"
+    overridden = sorted(
+        f"{callee}.{param}" for callee, param, position in _defaulted_parameters()
+        if f"{callee}.{param}" not in KEEP_OVERRIDDEN and calls.get(callee)
+        and all(param in keywords or (position is not None and n > position)
+                for n, keywords in calls[callee]))
+    assert overridden == [], ", ".join(overridden)

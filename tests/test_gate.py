@@ -77,7 +77,7 @@ def test_system_params_refuse_a_time_that_is_not_a_positive_number(table, value)
 
 
 def test_from_mhz_scales_by_two_pi():
-    p = SystemParams.from_mhz(chi_bc=-1.51, g_ac=4.23)
+    p = SystemParams.from_mhz(chi_bc=-1.51, chi_ac=0.0, chi_ab=0.0, g_ac=4.23, t1={}, tphi={})
     assert p.chi_bc == pytest.approx(-2 * math.pi * 1.51)
     assert p.g_ac == pytest.approx(2 * math.pi * 4.23)
 
@@ -95,7 +95,7 @@ def test_derived_operating_point_frozen_values(table_params):
 
 
 def test_derive_rejects_inverted_rate_ordering():
-    slow = SystemParams.from_mhz(chi_bc=-4.23, g_ac=1.51)
+    slow = SystemParams.from_mhz(chi_bc=-4.23, chi_ac=0.0, chi_ab=0.0, g_ac=1.51, t1={}, tphi={})
     with pytest.raises(ValueError, match="positive wait"):
         derive_gate_params(slow)
 
@@ -303,5 +303,5 @@ def test_on_off_ratio(table_params):
     assert on_off_ratio(table_params) == pytest.approx(ON_OFF, rel=1e-12)
     # independent recomputation from the table rates
     assert on_off_ratio(table_params) == pytest.approx(1.51 / 6.64e-3, rel=1e-12)
-    silent = SystemParams.from_mhz(chi_bc=-1.51, g_ac=4.23)
+    silent = SystemParams.from_mhz(chi_bc=-1.51, chi_ac=0.0, chi_ab=0.0, g_ac=4.23, t1={}, tphi={})
     assert on_off_ratio(silent) == math.inf

@@ -242,14 +242,14 @@ def test_the_circuit_is_built_once_per_run(table_params, monkeypatch, tmp_path):
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
     rec = bell_circuit_record(1, **IDEAL)
-    fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
+    fid, purity = bell_metrics(reconstruct_state(rec, postselect=True), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_echoed_three_gate_circuit_returns_to_the_bell_state():
     rec = bell_circuit_record(3, **IDEAL)
-    fid, purity = bell_metrics(reconstruct_state(rec), _circuit_bell_reference(1))
+    fid, purity = bell_metrics(reconstruct_state(rec, postselect=True), _circuit_bell_reference(1))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert purity == pytest.approx(1.0, abs=1e-12)
 
@@ -374,7 +374,7 @@ def test_circuit_reconstruction_returns_the_circuit_state(table_params, n_gates,
 
 def test_reconstruct_state_builds_no_kron_products(monkeypatch):
     rec = bell_circuit_record(1, **IDEAL)
-    reconstruct_state(rec)  # a one-time design build would not count
+    reconstruct_state(rec, postselect=True)  # a one-time design build would not count
     kron_calls = []
     kron = np.kron
 
