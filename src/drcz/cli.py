@@ -370,6 +370,9 @@ EXPERIMENTS = {
     "limits": _run_limits,
 }
 
+# Fock levels per mode that --truncation admits
+_TRUNCATIONS = (2, 3)
+
 # option -> (default, the experiments that read it); the others refuse any
 # other value rather than ignore it
 _READERS = {
@@ -389,6 +392,12 @@ def run_experiment(name: str, config: DeviceConfig, out_dir: str | Path,
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    truncation = _integer(truncation, "truncation")
+    if truncation not in _TRUNCATIONS:
+        raise ValueError(f"truncation must be one of {_TRUNCATIONS}, got {truncation}")
+    if not isinstance(include_static_kerr, bool):
+        raise ValueError(f"include_static_kerr must be True or False, "
+                         f"got {include_static_kerr!r}")
     args = argparse.Namespace(seed=seed, truncation=truncation,
                               include_static_kerr=include_static_kerr)
     for option, (default, readers) in _READERS.items():
@@ -422,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current directory)")
     parser.add_argument("--seed", type=_seed, default=0,
                         help="non-negative seed for sequence selection (default: 0)")
-    parser.add_argument("--truncation", type=int, choices=(2, 3), default=2,
+    parser.add_argument("--truncation", type=int, choices=_TRUNCATIONS, default=2,
                         help="Fock levels per mode (gate-unitary and error-budget only)")
     parser.add_argument("--include-static-kerr", action="store_true",
                         help="keep the always-on residual cross-Kerr terms "

@@ -12,10 +12,12 @@ segment Hamiltonian keeps each qubit's photon count, and loss only lowers
 it, so the gate never leaves the register's dual-rail space of basis
 states where each qubit holds at most one photon: 12 states at every
 truncation, in the same order.  Every gate operator is a (space, space)
-array, built by slicing each mode operator to the space before any
-product (`_space_operator`), and every product and eigendecomposition
-runs there.  The space's register indices are ascending, so
-np.searchsorted(sector, register_index) finds a state in it.
+array, built from mode operators written straight on the space from its
+rows of the occupation table, read-only and cached per register, mode
+and kind (`_space_operator`), and every product and eigendecomposition
+runs there; no register-size array is built.  The space's register
+indices are ascending, so np.searchsorted(sector, register_index) finds
+a state in it.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import ERASURE, DualRailCode, ModeRegister, build_mode_operator
+from .fock import ERASURE, DualRailCode, ModeRegister
 
 __all__ = [
     "SystemParams",
@@ -93,10 +95,28 @@ def _dual_rail_space(register: ModeRegister) -> np.ndarray:
     return space
 
 
+@lru_cache(maxsize=64)
 def _space_operator(register: ModeRegister, label: str, kind: str) -> np.ndarray:
-    """`build_mode_operator` restricted to the register's dual-rail space."""
+    """`build_mode_operator` restricted to the register's dual-rail space,
+    read-only and cached per (register, label, kind).  It is written
+    straight from the space's rows of the occupation table, so no
+    register-size array is built: a lowers the named mode's occupation n
+    by one, with amplitude sqrt(n), and lowering a photon never leaves the
+    space."""
     space = _dual_rail_space(register)
-    return build_mode_operator(register, label, kind)[np.ix_(space, space)]
+    target = register.index(label)
+    n = register.occupation_table[space, target]
+    if kind == "annihilate":
+        stride = math.prod(register.dims[target + 1:])
+        out = np.zeros((space.size, space.size), dtype=complex)
+        lowered = np.flatnonzero(n)
+        out[np.searchsorted(space, space[lowered] - stride), lowered] = np.sqrt(n[lowered])
+    elif kind == "number":
+        out = np.diag(n.astype(complex))
+    else:
+        raise ValueError(f"unsupported operator kind {kind!r}")
+    out.flags.writeable = False
+    return out
 
 
 def wrap_angle(theta: float) -> float:

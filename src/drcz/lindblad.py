@@ -32,7 +32,11 @@ the map block by block is exact, not an approximation.  The blocks are
 found from the pattern, not assumed; for the swap-wait-swap schedule they
 are the weak symmetries of three more conserved charges (n_a1, n_b1 and
 n_b2): four blocks of 2 entries, four of 6 and one of 18 at every
-truncation.  One stacked exponential runs per block size and segment.
+truncation.  The generator is gathered once per block size, for all three
+segments at once: the segments' drifts are one (3, d, d) stack and the
+collapse operators one (C, d, d) stack, whose dissipator terms, the same
+in every segment, are gathered once.  One stacked exponential runs per
+block size and segment.
 """
 from __future__ import annotations
 
@@ -43,8 +47,8 @@ from typing import Mapping
 import numpy as np
 
 from .fock import ModeRegister
-from .gate import (GateSchedule, SystemParams, _connected_blocks, _qubit_photons,
-                   _space_operator)
+from .gate import (GateSchedule, SystemParams, _connected_blocks, _dual_rail_space,
+                   _qubit_photons, _space_operator)
 
 __all__ = [
     "NoiseModel",
@@ -84,9 +88,10 @@ class NoiseModel:
         return cls(loss=loss, dephasing=deph)
 
 
-def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.ndarray]:
+def collapse_operators(register: ModeRegister, noise: NoiseModel) -> np.ndarray:
     """Loss and dephasing operators on the register's dual-rail space, the
-    states of `GateSchedule.sector`."""
+    states of `GateSchedule.sector`, as one (C, d, d) stack: loss first,
+    each in the noise model's order.  A noiseless model gives C = 0."""
     ops: list[np.ndarray] = []
     for label, kappa in noise.loss.items():
         if kappa > 0:
@@ -94,7 +99,8 @@ def collapse_operators(register: ModeRegister, noise: NoiseModel) -> list[np.nda
     for label, kphi in noise.dephasing.items():
         if kphi > 0:
             ops.append(math.sqrt(2.0 * kphi) * _space_operator(register, label, "number"))
-    return ops
+    d = _dual_rail_space(register).size
+    return np.array(ops, dtype=complex).reshape(-1, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,45 +140,56 @@ class GateMap:
         return out
 
 
-def _drift(hm: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
+def _drift(hms: np.ndarray, collapse: np.ndarray) -> np.ndarray:
     """A = -iH - K/2 with K = sum c^dag c, the part of the generator that acts
-    on one side of rho; raises unless H is Hermitian."""
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10:
+    on one side of rho, for each Hamiltonian of an (S, d, d) stack; raises
+    unless every H is Hermitian."""
+    if np.max(np.abs(hms - hms.conj().swapaxes(-1, -2))) > 1e-10:
         raise ValueError("Hamiltonian must be Hermitian")
-    a = -1j * hm
+    a = -1j * hms
     for c in collapse:
         a = a - 0.5 * (c.conj().T @ c)
     return a
 
 
-def _block_generator(a: np.ndarray, collapse: list[np.ndarray],
+def _block_generator(drifts: np.ndarray, collapse: np.ndarray,
                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries of the generator L, d(vec rho)/dt = L vec(rho), between the
-    matrix entries (rows[..., k], cols[..., k]); leading axes of the index
-    arrays stack blocks.
+    """Entries of each segment's generator L, d(vec rho)/dt = L vec(rho),
+    between the matrix entries (rows[..., k], cols[..., k]), as one
+    (S, ..., m, m) array for the (S, d, d) drift stack; leading axes of the
+    index arrays stack blocks.
 
     L holds -i[H, .] and one dissipator per collapse operator c.  With the
     drift A = -iH - K/2 (`_drift`) it is I kron A + A^* kron I +
     sum c^* kron c, so the entry from (k, l) to (i, j) is
     delta_jl A_ik + delta_ik A^*_jl + sum c^*_jl c_ik: gathered here without
-    forming any Kronecker product.
+    forming any Kronecker product.  The drift parts of every segment are
+    gathered in one step; the dissipator terms, the same in every segment,
+    are gathered once for the (C, d, d) collapse stack and added one at a
+    time in stack order.
     """
     i, j = rows[..., :, None], cols[..., :, None]  # output entry
     k, l = rows[..., None, :], cols[..., None, :]  # input entry
-    gen = np.where(j == l, a[i, k], 0) + np.where(i == k, a.conj()[j, l], 0)
-    for c in collapse:
-        gen = gen + c.conj()[j, l] * c[i, k]
+    gen = (np.where(j == l, drifts[:, i, k], 0)
+           + np.where(i == k, drifts.conj()[:, j, l], 0))
+    for term in collapse.conj()[:, j, l] * collapse[:, i, k]:
+        gen = gen + term
     return gen
 
 
-def _generator_blocks(drifts: list[np.ndarray], collapse: list[np.ndarray],
+def _generator_blocks(drifts: np.ndarray, collapse: np.ndarray,
                       rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the entries (rows[k], cols[k]) that any of the
-    drifts' generators links, as index arrays grouped by size
-    (`gate._connected_blocks`).  Gathered from 0/1 indicators the generator
-    has no cancellations, so its nonzeros are exactly the linked pairs."""
-    linked = _block_generator(sum((a != 0) * 1.0 for a in drifts),
-                              [(c != 0) * 1.0 for c in collapse], rows, cols) != 0
+    """Connected components of the entries (rows[k], cols[k]) that any
+    segment's generator links, as index arrays grouped by size
+    (`gate._connected_blocks`).  The pattern is read off the nonzero
+    patterns of the drifts and the collapse operators, as `_block_generator`
+    gathers them."""
+    i, j = rows[:, None], cols[:, None]
+    k, l = rows[None, :], cols[None, :]
+    drive = (drifts != 0).any(axis=0)
+    jump = collapse != 0
+    linked = (((j == l) & drive[i, k]) | ((i == k) & drive[j, l])
+              | (jump[:, j, l] & jump[:, i, k]).any(axis=0))
     return _connected_blocks(linked | linked.T)
 
 
@@ -185,11 +202,12 @@ def gate_superoperator(schedule: GateSchedule, noise: NoiseModel) -> GateMap:
     # column-stacking order: the column index is the slow one
     cols, rows = np.nonzero((photons[:, None] == photons[None, :]).all(axis=2))
     collapse = collapse_operators(register, noise)
-    drifts = [_drift(h, collapse) for h, _, _ in schedule.segments]
+    drifts = _drift(np.array([h for h, _, _ in schedule.segments]), collapse)
     superop = np.zeros((rows.size, rows.size), dtype=complex)
     for idx in _generator_blocks(drifts, collapse, rows, cols):
         product = np.eye(idx.shape[1], dtype=complex)
-        for a, (_, dt, _) in zip(drifts, schedule.segments):
-            product = expm(_block_generator(a, collapse, rows[idx], cols[idx]) * dt) @ product
+        gens = _block_generator(drifts, collapse, rows[idx], cols[idx])
+        for gen, (_, dt, _) in zip(gens, schedule.segments):
+            product = expm(gen * dt) @ product
         superop[idx[:, :, None], idx[:, None, :]] = product
     return GateMap(sector, rows, cols, superop)

@@ -4,7 +4,11 @@ Measurement settings use the overcomplete pre-rotation set
 {I, X(+-pi/2), X(pi), Y(+-pi/2)} per qubit; outcomes per qubit are
 {0, 1, erasure}.  Reconstruction is linear inversion followed by the
 eigenvalue-clipping PSD projection (the estimator of record here; no
-maximum-likelihood iteration).
+maximum-likelihood iteration).  In the simulated Bell circuit the
+pre-rotations are rail beamsplitters on the gate's 12-state dual-rail
+space, and each qubit's rotations about one axis come from one
+eigendecomposition (`dual_rail_rotation`): four for the ten distinct
+pulses.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 from .channels import QuantumChannel, pauli_basis
 from .error_channels import PREP_KETS, ReadoutModel
 from .fock import DensityMatrix, DualRailCode, ModeRegister, _integer
-from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh, _propagator,
+from .gate import (CONTROL_CODE, TARGET_CODE, SystemParams, _block_eigh,
                    _space_operator, build_schedule, codespace_block, extract_local_frame,
                    ideal_unitary)
 from .lindblad import NoiseModel, gate_superoperator
@@ -69,9 +73,12 @@ def setting_unitary(label: str) -> np.ndarray:
 
 
 def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
-                       axis: str, angle: float) -> np.ndarray:
-    """Logical rotation exp(-i angle/2 sigma_axis) as a rail beamsplitter on
-    the dual-rail space."""
+                       axis: str, angles: float | Sequence[float]) -> np.ndarray:
+    """Logical rotations exp(-i angle/2 sigma_axis) about one axis, as rail
+    beamsplitters on the dual-rail space: one (d, d) rotation per angle, in
+    an array of the angles' shape plus (d, d), all from one block
+    eigendecomposition of the generator and each taken as
+    `gate._propagator` takes it."""
     r0, r1 = (_space_operator(register, rail, "annihilate") for rail in code.labels)
     hop = r0.conj().T @ r1
     if axis == "x":
@@ -83,7 +90,9 @@ def dual_rail_rotation(register: ModeRegister, code: DualRailCode,
         gen = n0 - n1
     else:
         raise ValueError(f"unknown axis {axis!r}")
-    return _propagator(gen, angle / 2)
+    lam, v = _block_eigh(gen)
+    half = np.asarray(angles, dtype=float) / 2
+    return (v * np.exp(-1j * lam * half[..., None])[..., None, :]) @ v.conj().T
 
 
 def dual_rail_phase(register: ModeRegister, code: DualRailCode,
@@ -154,9 +163,15 @@ def _bell_circuit_records(depths: Sequence[int], *, params: SystemParams, noise:
     frame = extract_local_frame(codespace_block(register, ideal_unitary(schedule)))
     gate = gate_superoperator(schedule, noise)
 
-    rot_c, rot_t = ({label: dual_rail_rotation(register, code, *spec) if spec
-                     else np.eye(sector.size) for label, spec in SETTINGS.items()}
-                    for code in (CONTROL_CODE, TARGET_CODE))
+    # each qubit's pre-rotations in SETTINGS order, one eigendecomposition per axis
+    rot_c, rot_t = {}, {}
+    for code, rot in ((CONTROL_CODE, rot_c), (TARGET_CODE, rot_t)):
+        rot.update(dict.fromkeys(SETTINGS, np.eye(sector.size)))
+        for axis in "xy":
+            about = {label: spec[1] for label, spec in SETTINGS.items()
+                     if spec and spec[0] == axis}
+            rot.update(zip(about, dual_rail_rotation(register, code, axis,
+                                                     list(about.values()))))
     prep_c, prep_t = rot_c["X90"], rot_t["X90"]
     echo_u = rot_c["X180"] @ rot_t["X180"]
     wrong_c = dual_rail_phase(register, CONTROL_CODE, -frame.phi_control)

@@ -267,6 +267,25 @@ def test_main_truncation_on_an_experiment_that_ignores_it_exits_3(tmp_path, caps
     assert "leakage-propagation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["gate-unitary", "error-budget", "limits"])
+@pytest.mark.parametrize("truncation", [2.0, True, 4, 1, "3", None])
+def test_a_truncation_outside_2_and_3_is_refused(tmp_path, name, truncation):
+    # refused where it enters: not run at a truncation the CLI does not
+    # offer, nor left to fail inside ModeRegister
+    with pytest.raises(ValueError, match="truncation must be"):
+        run_experiment(name, DeviceConfig.default(), tmp_path, truncation=truncation)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["gate-unitary", "rb", "limits"])
+@pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None, np.True_])
+def test_a_static_kerr_flag_that_is_not_a_bool_is_refused(tmp_path, name, flag):
+    # not taken by truthiness: "no" would otherwise run as True
+    with pytest.raises(ValueError, match="include_static_kerr must be True or False"):
+        run_experiment(name, DeviceConfig.default(), tmp_path, include_static_kerr=flag)
+    assert not any(tmp_path.iterdir())
+
+
 KERR_IGNORED = ("bell-tomography", "calibration", "irb-accuracy",
                 "leakage-propagation", "limits", "repeated-cz")
 

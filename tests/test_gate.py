@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from drcz import gate, lindblad
+from drcz import fock, gate, lindblad
 from drcz.fock import ModeRegister, build_mode_operator
 from drcz.gate import (
     CONTROL_CODE,
@@ -186,8 +186,10 @@ def test_ideal_unitary_matches_the_expm_product(table_params, register_hamiltoni
 def test_the_gate_runs_on_the_photon_sector_at_truncation_3(table_params, monkeypatch):
     # Mode operators come back as arrays that log every matrix product they
     # enter; the block decomposition, eigh and the Lindblad exponential log
-    # their input widths.  None may be register-size (243).
+    # their input widths.  None may be register-size (243), and no
+    # register-size mode operator is built at all.
     products, decomposed, eighs, expms, used_collapse = [], [], [], [], []
+    built = []
 
     class Logged(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -210,8 +212,17 @@ def test_the_gate_runs_on_the_photon_sector_at_truncation_3(table_params, monkey
         used_collapse.extend(ops)
         return ops
 
-    monkeypatch.setattr(gate, "build_mode_operator",
-                        lambda *args: build_mode_operator(*args).view(Logged))
+    def building(*args):
+        built.append(args)
+        return build_mode_operator(*args)
+
+    monkeypatch.setattr(fock, "build_mode_operator", building)
+    monkeypatch.setattr(gate, "build_mode_operator", building, raising=False)
+    space_operator = gate._space_operator
+    space_operator.cache_clear()
+    for module in (gate, lindblad):
+        monkeypatch.setattr(module, "_space_operator",
+                            lambda *args: space_operator(*args).view(Logged))
     monkeypatch.setattr(gate, "_block_eigh", log_widths(decomposed, gate._block_eigh))
     monkeypatch.setattr(np.linalg, "eigh", log_widths(eighs, np.linalg.eigh))
     monkeypatch.setattr(lindblad, "expm", log_widths(expms, lindblad.expm))
@@ -227,10 +238,28 @@ def test_the_gate_runs_on_the_photon_sector_at_truncation_3(table_params, monkey
     assert len(used_collapse) == 10
     assert {c.shape for c in used_collapse} == {(12, 12)}
     assert gate_map.sector is schedule.sector
+    assert built == []
     assert max(products) == 12
     assert decomposed == [12, 12, 12] and max(eighs) <= 12
     # the map's exponentials act on blocks of sector matrix entries
     assert max(expms) == 18
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_space_operators_are_the_register_operators_on_the_space(truncation):
+    # oracle: the register-size operator, sliced to the space's states
+    register = ModeRegister.standard(truncation)
+    space = gate._dual_rail_space(register)
+    for label in register.labels:
+        for kind in ("annihilate", "number"):
+            got = gate._space_operator(register, label, kind)
+            want = build_mode_operator(register, label, kind)[np.ix_(space, space)]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (label, kind)
+            assert not got.flags.writeable
+            assert gate._space_operator(register, label, kind) is got
+    with pytest.raises(ValueError, match="unsupported operator kind"):
+        gate._space_operator(register, "c", "squeeze")
 
 
 def test_block_eigh_finds_chain_blocks_under_a_permutation():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from drcz import lindblad
 from drcz.budget import compute_error_budget
@@ -53,7 +54,8 @@ ONE_MODE = ModeRegister((("m", 2),))
 def _one_mode_generator(h, noise):
     """The production generator on every entry of the one-mode register."""
     collapse = collapse_operators(ONE_MODE, noise)
-    return _block_generator(_drift(h, collapse), collapse, *_every_entry(ONE_MODE.dim))
+    return _block_generator(_drift(h[None], collapse), collapse,
+                            *_every_entry(ONE_MODE.dim))[0]
 
 
 def test_noise_model_validation_and_helpers():
@@ -87,8 +89,8 @@ def test_collapse_operator_rates():
     n = build_mode_operator(reg, "m", "number")
     np.testing.assert_allclose(ops[0], math.sqrt(0.04) * a)
     np.testing.assert_allclose(ops[1], math.sqrt(2 * 0.09) * n)
-    # zero rates contribute no operator
-    assert collapse_operators(reg, NoiseModel(loss={"m": 0.0})) == []
+    # zero rates contribute no operator: the stack is empty
+    assert collapse_operators(reg, NoiseModel(loss={"m": 0.0})).shape == (0, 2, 2)
 
 
 def test_liouvillian_rejects_non_hermitian_hamiltonian():
@@ -278,10 +280,67 @@ def _production_blocks(schedule, noise, gate):
     """The blocks gate_superoperator exponentiates, as indices into the
     map's kept entries, and each segment's generator on all of them."""
     collapse = collapse_operators(schedule.register, noise)
-    drifts = [_drift(h, collapse) for h, _, _ in schedule.segments]
+    drifts = _drift(np.array([h for h, _, _ in schedule.segments]), collapse)
     blocks = _generator_blocks(drifts, collapse, gate.rows, gate.cols)
-    gens = [_block_generator(a, collapse, gate.rows, gate.cols) for a in drifts]
-    return blocks, gens
+    return blocks, _block_generator(drifts, collapse, gate.rows, gate.cols)
+
+
+def _per_segment_map(schedule, hamiltonians, collapse):
+    """Oracle: the gate map on its kept entries, assembled block by block and
+    segment by segment from per-segment drifts and per-segment gathers of
+    every dissipator term, blocks found from a 0/1 indicator generator."""
+    space = schedule.sector
+    occ = schedule.register.occupation_table[space]
+    photons = np.column_stack([occ[:, :3].sum(axis=1), occ[:, 3:].sum(axis=1)])
+    cols, rows = np.nonzero((photons[:, None] == photons[None, :]).all(axis=2))
+
+    def generator(a, ops, r, c):
+        i, j, k, l = r[..., :, None], c[..., :, None], r[..., None, :], c[..., None, :]
+        gen = np.where(j == l, a[i, k], 0) + np.where(i == k, a.conj()[j, l], 0)
+        for op in ops:
+            gen = gen + op.conj()[j, l] * op[i, k]
+        return gen
+
+    drifts = []
+    for h in hamiltonians:
+        a = -1j * h
+        for op in collapse:
+            a = a - 0.5 * (op.conj().T @ op)
+        drifts.append(a)
+    indicator = generator(sum((a != 0) * 1.0 for a in drifts),
+                          [(op != 0) * 1.0 for op in collapse], rows, cols) != 0
+    count, label = connected_components(indicator | indicator.T, directed=False)
+    members = [np.flatnonzero(label == n) for n in range(count)]
+    superop = np.zeros((rows.size, rows.size), dtype=complex)
+    for size in sorted({m.size for m in members}):
+        idx = np.array([m for m in members if m.size == size])
+        product = np.eye(size, dtype=complex)
+        for a, (_, dt, _) in zip(drifts, schedule.segments):
+            product = expm(generator(a, collapse, rows[idx], cols[idx]) * dt) @ product
+        superop[idx[:, :, None], idx[:, None, :]] = product
+    return rows, cols, superop
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["measured-noise", "noiseless"])
+@pytest.mark.parametrize("kerr", [False, True])
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_gate_map_is_bit_identical_to_the_per_segment_assembly(
+        table_params, register_hamiltonians, truncation, kerr, noisy):
+    # the Hamiltonians and collapse operators enter as register-size arrays
+    # sliced to the space, with no space-operator code
+    register = ModeRegister.standard(truncation)
+    schedule = build_schedule(table_params, register, include_static_crosskerr=kerr)
+    noise = NoiseModel.from_params(table_params) if noisy else NoiseModel()
+    block = np.ix_(schedule.sector, schedule.sector)
+    hamiltonians = [h[block] for h, _ in register_hamiltonians(table_params, register, kerr)]
+    for h, (segment, _, _) in zip(hamiltonians, schedule.segments):
+        assert np.array_equal(h, segment)
+    collapse = [op[block] for op in _register_collapse(register, noise)]
+    assert len(collapse) == (10 if noisy else 0)
+    rows, cols, superop = _per_segment_map(schedule, hamiltonians, collapse)
+    gate = gate_superoperator(schedule, noise)
+    assert np.array_equal(gate.rows, rows) and np.array_equal(gate.cols, cols)
+    assert np.array_equal(gate.superop, superop)
 
 
 def test_expm_is_scipy_expm_on_a_stacked_input():

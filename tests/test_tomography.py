@@ -15,8 +15,9 @@ from drcz.cli import _circuit_bell_reference, run_experiment
 from drcz.config import DeviceConfig
 from drcz.error_channels import CZ4, ReadoutModel
 from drcz.fock import DualRailCode, build_mode_operator
-from drcz.gate import (CONTROL_CODE, TARGET_CODE, build_schedule, codespace_basis_indices,
-                       codespace_block, extract_local_frame, ideal_unitary)
+from drcz.gate import (CONTROL_CODE, TARGET_CODE, _propagator, build_schedule,
+                       codespace_basis_indices, codespace_block, extract_local_frame,
+                       ideal_unitary)
 from drcz.lindblad import gate_superoperator
 from drcz.tomography import (
     OUTCOMES,
@@ -135,6 +136,30 @@ def test_rotations_match_expm():
             np.testing.assert_allclose(got, expm(0.3j * n1)[block], rtol=0, atol=1e-16)
 
 
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_a_stack_of_rotations_matches_the_propagator_of_each_angle(truncation):
+    # oracle: gate._propagator, one eigendecomposition per angle, on the
+    # generator written from register-size operators sliced to the space
+    register = ModeRegister.standard(truncation)
+    space = _dual_rail_space(register)
+    block = np.ix_(space, space)
+    angles = [math.pi / 2, -math.pi / 2, math.pi, 0.3, 0.0]
+    for code in (CONTROL_CODE, TARGET_CODE):
+        r0, r1 = (build_mode_operator(register, rail, "annihilate")[block]
+                  for rail in code.labels)
+        n0, n1 = (build_mode_operator(register, rail, "number")[block]
+                  for rail in code.labels)
+        hop = r0.conj().T @ r1
+        gens = {"x": hop + hop.conj().T, "y": -1j * hop + 1j * hop.conj().T, "z": n0 - n1}
+        for axis, gen in gens.items():
+            stack = dual_rail_rotation(register, code, axis, angles)
+            assert stack.shape == (len(angles), 12, 12)
+            for angle, got in zip(angles, stack):
+                assert np.array_equal(got, _propagator(gen, angle / 2)), (axis, angle)
+            one = dual_rail_rotation(register, code, axis, angles[3])
+            assert one.shape == (12, 12) and np.array_equal(one, stack[3])
+
+
 def test_dual_rail_phase_rotates_the_one_rail(register2):
     u = dual_rail_phase(register2, CONTROL_CODE, 0.3)
     i_zero = _sector_position(register2, {"a1": 1, "b1": 1})
@@ -228,16 +253,17 @@ def test_the_circuit_is_built_once_per_run(table_params, monkeypatch, tmp_path):
     for n, record in zip(depths, records):
         alone = bell_circuit_record(n, params=table_params, noise=noise, readout=readout)
         assert np.array_equal(record.data, alone.data), n
-    # one repeated-cz run over five depths builds one gate map and the ten
-    # distinct rail rotations: five non-trivial pre-rotations per qubit
-    calls = {"gate_superoperator": 0, "dual_rail_rotation": 0}
+    # one repeated-cz run over five depths builds one gate map, and the ten
+    # distinct rail rotations (five non-trivial pre-rotations per qubit) from
+    # one eigendecomposition per qubit and axis, x and y
+    calls = {"gate_superoperator": 0, "dual_rail_rotation": 0, "_block_eigh": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(tomography, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(tomography, name, counting)
     run_experiment("repeated-cz", DeviceConfig.default(), tmp_path)
-    assert calls == {"gate_superoperator": 1, "dual_rail_rotation": 10}
+    assert calls == {"gate_superoperator": 1, "dual_rail_rotation": 4, "_block_eigh": 4}
 
 
 def test_noiseless_circuit_reconstructs_the_ideal_bell_state():
